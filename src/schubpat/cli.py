@@ -16,7 +16,7 @@ import sys
 
 from . import incexc, schubert, verify, weylchar
 from .diagrams import Diagram, rothe
-from .errors import BudgetExceededError, PatternViolationError, SchubpatError
+from .errors import BudgetExceededError, PatternViolationError, SchubpatError, UsageError
 from .permwords import Permutation, Word, all_permutations, avoids, flatten
 from .polyx import Polynomial
 from .purple import characterize_monomials, purple_family
@@ -38,8 +38,15 @@ def _env_default(name: str, fallback):
     return raw
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports errors through EXIT_USAGE, not exit 2."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--format",
         choices=["text", "json", "csv"],
@@ -49,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=_env_default("jobs", 1))
     common.add_argument("--max-n", type=int, default=_env_default("max_n", 5))
     common.add_argument("--seed", type=int, default=_env_default("seed", verify.DEFAULT_SEED))
-    common.add_argument("--cache", default=_env_default("cache", None), help="JSON-lines cache PATH")
     common.add_argument(
         "--budget-dominated",
         type=int,
@@ -57,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--timing", action="store_true", help="record per-report timing")
 
-    parser = argparse.ArgumentParser(prog="schubpat", description=__doc__)
+    parser = _Parser(prog="schubpat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schubert", parents=[common], help="print a Schubert polynomial")
@@ -115,34 +121,6 @@ def _parse_diagram(s: str) -> Diagram:
     if s.startswith("{"):
         return Diagram.from_json(json.loads(s))
     return rothe(Permutation.from_string(s))
-
-
-def _load_cache(path: str) -> None:
-    if not path or not os.path.exists(path):
-        return
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            key = Permutation.from_string(rec["w"]).values
-            if rec["kind"] == "spec":
-                schubert._spec_cache[key] = int(rec["value"])
-            elif rec["kind"] == "cw":
-                incexc._cw_cache[key] = int(rec["value"])
-
-
-def _save_cache(path: str, known_spec: set, known_cw: set) -> None:
-    if not path:
-        return
-    with open(path, "a", encoding="utf-8") as fh:
-        for key in sorted(set(schubert._spec_cache) - known_spec):
-            rec = {"kind": "spec", "w": str(Permutation(key)), "value": schubert._spec_cache[key]}
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        for key in sorted(set(incexc._cw_cache) - known_cw):
-            rec = {"kind": "cw", "w": str(Permutation(key)), "value": incexc._cw_cache[key]}
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def _cmd_schubert(args) -> int:
@@ -233,18 +211,20 @@ def _cmd_purple(args) -> int:
     if s.startswith("{"):
         D = Diagram.from_json(json.loads(s))
         if args.l is None:
-            raise SystemExit("--l is required for diagram input")
-        l = args.l
+            raise UsageError("--l is required for diagram input")
         sigma = None
     else:
         sigma = Permutation.from_string(s)
         D = rothe(sigma)
-        l = args.l if args.l is not None else sigma(args.k)
+    for flag, value in (("--k", args.k), ("--l", args.l)):
+        if value is not None and not 1 <= value <= D.n:
+            raise UsageError(f"{flag} {value} is outside 1..{D.n}")
+    l = args.l if args.l is not None else sigma(args.k)
     family = purple_family(D, args.k, l)
     payload = family.to_json()
     if args.characterize:
         if sigma is None:
-            raise SystemExit("--characterize requires permutation input")
+            raise UsageError("--characterize requires permutation input")
         result = characterize_monomials(sigma, args.k)
         payload["working"] = sorted(str(m) for m in result.working)
         payload["extra"] = sorted(str(m) for m in result.extra)
@@ -294,16 +274,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    known_spec: set = set()
-    known_cw: set = set()
-    if args.cache:
-        _load_cache(args.cache)
-        known_spec = set(schubert._spec_cache)
-        known_cw = set(incexc._cw_cache)
     try:
-        code = _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except PatternViolationError as exc:
         print(f"pattern violation: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -313,9 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     except SchubpatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.cache:
-        _save_cache(args.cache, known_spec, known_cw)
-    return code
 
 
 if __name__ == "__main__":

@@ -39,3 +39,7 @@ class UnmappedVariableError(SchubpatError):
 
 class NotInFamilyError(SchubpatError):
     """Raised when a diagram is not a member of the requested purple family."""
+
+
+class UsageError(SchubpatError):
+    """Raised for command-line input that the parser or a command rejects."""

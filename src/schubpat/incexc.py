@@ -5,7 +5,10 @@ M_{w,v} * S_{perm(v)} evaluated in the variables picked out by w^{-1};
 it is nonnegative whenever w avoids 1432 and 1423.  Setting all
 variables to 1 yields the coefficients c_w, computable three independent
 ways: by inclusion-exclusion, by the defining recursion, and (for
-avoiders) by counting non-augmentation diagrams.
+avoiders) by counting non-augmentation diagrams.  Inclusion-exclusion is
+the production route: an integer loop over the position masks of w
+(`subword_patterns`).  The recursion walks `Word` subwords and `flatten`
+instead, so the two routes check each other as well as the counting.
 """
 from __future__ import annotations
 
@@ -133,18 +136,50 @@ def bv_count(w: Permutation, u: Word, m: Monomial) -> int:
     return count
 
 
+_positions: dict[int, list[tuple[int, ...]]] = {}
 _cw_cache: dict[tuple[int, ...], int] = {}
+_cw_ie_cache: dict[tuple[int, ...], int] = {}
 
 
-def cw_inclusion_exclusion(w: Permutation) -> int:
-    """c_w as the signed sum of principal specializations over subwords."""
-    total = 0
-    word_w = w.word()
-    n = len(word_w)
-    for v in subwords_between(Word(), w):
-        sign = 1 if (n - len(v)) % 2 == 0 else -1
-        total += sign * principal_specialization(flatten(v))
-    return total
+def subword_patterns(values: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """perm(v) for every subword v of word(w), indexed by the mask of kept positions.
+
+    w is given by its one-line notation `values`; bit i of a mask keeps
+    position i + 1.  The letter at position i ranks among the kept letters
+    by the kept positions j whose letter is smaller, read off a bitmask.
+    """
+    n = len(values)
+    positions = _positions.get(n)
+    if positions is None:
+        positions = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+        _positions[n] = positions
+    below = [sum(1 << j for j in range(n) if values[j] < a) for a in values]
+    return [
+        tuple([(mask & below[i]).bit_count() + 1 for i in kept])
+        for mask, kept in enumerate(positions)
+    ]
+
+
+def signed_specializations(values: tuple[int, ...]) -> list[int]:
+    """(-1)^(n - |v|) * S_{perm(v)}(1) for every subword v of word(w), indexed by mask."""
+    n = len(values)
+    return [
+        principal_specialization(p) if (n - len(p)) % 2 == 0 else -principal_specialization(p)
+        for p in subword_patterns(values)
+    ]
+
+
+def cw_inclusion_exclusion(w: Permutation | tuple[int, ...]) -> int:
+    """c_w as the signed sum of principal specializations over subwords (memoized).
+
+    w may also be given as its one-line notation, a plain tuple.
+    """
+    values = w.values if isinstance(w, Permutation) else w
+    cached = _cw_ie_cache.get(values)
+    if cached is None:
+        cached = sum(signed_specializations(values))
+        _cw_ie_cache[values] = cached
+    return cached
 
 
 def cw_recursive(w: Permutation) -> int:
@@ -216,3 +251,4 @@ def verify_single_step(sigma: Permutation, k: int) -> tuple[bool, Polynomial]:
 
 def clear_caches() -> None:
     _cw_cache.clear()
+    _cw_ie_cache.clear()

@@ -175,7 +175,9 @@ def subwords_between(u: Word, w: Permutation) -> list[Word]:
 
     Since the letters of w are distinct, these are the restrictions of
     word(w) to the letter subsets containing the letters of u; ordered by
-    the bitmask of kept positions of w, ascending.
+    the bitmask of kept positions of w, ascending.  The order comes for free:
+    optional positions map to positions of w increasingly, so the kept mask
+    grows with the loop's mask.
     """
     word_w = w.word()
     if not is_subword(u, word_w):
@@ -186,7 +188,6 @@ def subwords_between(u: Word, w: Permutation) -> list[Word]:
     for mask in range(1 << len(optional)):
         drop = {optional[t] for t in range(len(optional)) if not (mask >> t) & 1}
         out.append(Word(tuple(a for i, a in enumerate(word_w.letters) if i not in drop)))
-    out.sort(key=lambda v: sum(1 << i for i, a in enumerate(word_w.letters) if a in v.letter_set()))
     return out
 
 
@@ -213,12 +214,6 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 def all_subwords(w: Permutation) -> list[Word]:
     """All subwords of word(w), the empty word included."""
     return subwords_between(Word(), w)
-
-
-def word_from_positions(w: Permutation, positions: Iterable[int]) -> Word:
-    """Restriction of word(w) to the given 1-indexed positions."""
-    keep = sorted(positions)
-    return Word(tuple(w(i) for i in keep))
 
 
 def remove_position(w: Permutation, k: int) -> Word:

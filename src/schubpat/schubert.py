@@ -2,8 +2,9 @@
 
 The divided-difference route works for every permutation; the diagram-sum
 route requires the permutation to avoid 1432 and 1423, where both agree.
-The reduced-word specialization identity serves as a fully independent
-oracle for the principal specialization.
+The principal specialization S_w(1) is an integer computation by the
+transition recursion; the divided-difference polynomial evaluated at 1
+and the reduced-word identity (`macdonald_oracle`) are its oracles.
 """
 from __future__ import annotations
 
@@ -129,14 +130,47 @@ def coefficient_by_counting(w: Permutation, m: Monomial) -> int:
 _spec_cache: dict[tuple[int, ...], int] = {}
 
 
-def principal_specialization(w: Permutation) -> int:
-    """The Schubert polynomial of w with every variable set to 1 (memoized)."""
-    key = w.strip_trailing_fixed_points().values
+def principal_specialization(w: Permutation | tuple[int, ...]) -> int:
+    """S_w(1,...,1), for w or its one-line notation as a plain tuple (memoized).
+
+    Computed by the transition recursion at x = 1: with r the last descent
+    of w, s the largest j > r with w(j) < w(r) and v = w t_{rs},
+    S_w(1) = S_v(1) + sum of S_{v t_{ir}}(1) over the i < r with
+    v(i) < v(r) and no v(j) strictly between them for i < j < r.
+    """
+    values = w.values if isinstance(w, Permutation) else w
+    n = len(values)
+    while n and values[n - 1] == n:
+        n -= 1
+    key = values[:n]
     cached = _spec_cache.get(key)
-    if cached is None:
-        cached = schubert_divdiff(w).evaluate_all_ones()
-        _spec_cache[key] = cached
-    return cached
+    if cached is not None:
+        return cached
+    if not key:
+        result = 1
+    else:
+        r = n - 2  # 0-indexed positions from here on
+        while key[r] < key[r + 1]:
+            r -= 1
+        wr = key[r]
+        s = n - 1
+        while key[s] > wr:
+            s -= 1
+        v = list(key)
+        v[r], v[s] = v[s], wr
+        result = principal_specialization(tuple(v))
+        vr = v[r]
+        # Scanning leftwards, lo is the largest value below v(r) seen so far.
+        lo = 0
+        for i in range(r - 1, -1, -1):
+            vi = v[i]
+            if lo < vi < vr:
+                lo = vi
+                v[i], v[r] = vr, vi
+                result += principal_specialization(tuple(v))
+                v[i], v[r] = vi, vr
+    _spec_cache[key] = result
+    return result
 
 
 def reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:

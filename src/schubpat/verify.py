@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 from . import incexc, schubert, weylchar
@@ -22,7 +22,6 @@ from .permwords import (
     all_permutations,
     all_subwords,
     avoids,
-    flatten,
 )
 from .polyx import Monomial
 from .purple import characterize_monomials, purple_family, verify_theorem_gen
@@ -242,15 +241,10 @@ def _run_purple_members(shard: Shard, config: RunConfig) -> list[VerificationRep
 
 def _run_cwu_nonneg(shard: Shard, config: RunConfig) -> list[VerificationReport]:
     subject, values = shard
-    w = Permutation(values)
-    n = w.n
+    n = len(values)
     # g[mask] = signed specialization of the subword at mask; the superset
     # sum then gives the alternating value for u = mask in one transform.
-    g = [0] * (1 << n)
-    for mask in range(1 << n):
-        letters = tuple(w(i + 1) for i in range(n) if (mask >> i) & 1)
-        sign = 1 if (n - len(letters)) % 2 == 0 else -1
-        g[mask] = sign * schubert.principal_specialization(flatten(Word(letters)))
+    g = incexc.signed_specializations(values)
     for bit in range(n):
         b = 1 << bit
         for mask in range(1 << n):
@@ -259,7 +253,7 @@ def _run_cwu_nonneg(shard: Shard, config: RunConfig) -> list[VerificationReport]
     bad = [mask for mask in range(1 << n) if g[mask] < 0]
     if bad:
         mask = bad[0]
-        u = Word(tuple(w(i + 1) for i in range(n) if (mask >> i) & 1))
+        u = Word(tuple(values[i] for i in range(n) if (mask >> i) & 1))
         return [VerificationReport("conj5.1", subject, "fails", f"u={u}: value {g[mask]}")]
     return [VerificationReport("conj5.1", subject, "holds")]
 
@@ -287,26 +281,16 @@ def _run_purple_characterization(shard: Shard, config: RunConfig) -> list[Verifi
 
 # -- specialization identity and vanishing ----------------------------------
 
-_cw_ie_cache: dict[tuple[int, ...], int] = {}
-
-
-def _cw_ie(w: Permutation) -> int:
-    key = w.values
-    if key not in _cw_ie_cache:
-        _cw_ie_cache[key] = incexc.cw_inclusion_exclusion(w)
-    return _cw_ie_cache[key]
-
 
 def _run_identity(shard: Shard, config: RunConfig) -> list[VerificationReport]:
     subject, values = shard
-    w = Permutation(values)
-    total = sum(_cw_ie(flatten(v)) for v in all_subwords(w))
-    spec = schubert.principal_specialization(w)
+    total = sum(incexc.cw_inclusion_exclusion(p) for p in incexc.subword_patterns(values))
+    spec = schubert.principal_specialization(values)
     failures = []
     if total != spec:
         failures.append(f"sum of c over subwords = {total}, specialization = {spec}")
-    if w(w.n) == w.n and _cw_ie(w) != 0:
-        failures.append(f"c = {_cw_ie(w)} despite fixed last point")
+    if values[-1] == len(values) and incexc.cw_inclusion_exclusion(values) != 0:
+        failures.append(f"c = {incexc.cw_inclusion_exclusion(values)} despite fixed last point")
     if failures:
         return [VerificationReport("identity", subject, "fails", "; ".join(failures))]
     return [VerificationReport("identity", subject, "holds")]
@@ -370,10 +354,19 @@ CLAIMS: dict[str, Claim] = {
 }
 
 
+def _run_shard(claim: Claim, shard: Shard, config: RunConfig) -> list[VerificationReport]:
+    """The reports of one shard, stamped with its elapsed time if timing is on."""
+    start = time.monotonic()
+    reports = claim.run(shard, config)
+    if config.include_timing:
+        elapsed_ms = round((time.monotonic() - start) * 1000, 3)
+        reports = [replace(r, elapsed_ms=elapsed_ms) for r in reports]
+    return reports
+
+
 def _shard_worker(args: tuple[str, Shard, dict]) -> list[dict]:
     claim_name, shard, config_dict = args
-    config = RunConfig(**config_dict)
-    reports = CLAIMS[claim_name].run(shard, config)
+    reports = _run_shard(CLAIMS[claim_name], shard, RunConfig(**config_dict))
     return [r.as_dict() for r in reports]
 
 
@@ -383,26 +376,14 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
     shards = claim.shards(config)
     if config.jobs <= 1:
         for shard in shards:
-            start = time.monotonic()
-            for report in claim.run(shard, config):
-                if config.include_timing:
-                    report = VerificationReport(
-                        report.claim,
-                        report.subject,
-                        report.verdict,
-                        report.witness,
-                        round((time.monotonic() - start) * 1000, 3),
-                    )
-                yield report
+            yield from _run_shard(claim, shard, config)
     else:
         config_dict = asdict(config)
         args = [(claim_name, shard, config_dict) for shard in shards]
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             for dicts in pool.map(_shard_worker, args, chunksize=8):
                 for d in dicts:
-                    yield VerificationReport(
-                        d["claim"], d["subject"], d["verdict"], d.get("witness")
-                    )
+                    yield VerificationReport(**d)
 
 
 def exit_code(reports: Iterable[VerificationReport]) -> int:

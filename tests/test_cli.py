@@ -150,21 +150,66 @@ def test_chi_accepts_diagram_json(capsys):
     assert out.strip() == "x1*x2 + x1*x3 + x2*x3"
 
 
-def test_cache_round_trip(tmp_path, capsys):
+def test_cache_flag_is_refused(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
-    code, first = run(capsys, "cw", "12453", "--cache", str(cache))
-    assert code == 0
-    lines = [json.loads(line) for line in cache.read_text().splitlines()]
-    assert any(rec["kind"] == "spec" for rec in lines)
-    schubert.clear_caches()
-    incexc.clear_caches()
-    code, second = run(capsys, "cw", "12453", "--cache", str(cache))
-    assert code == 0
-    assert first == second
-    # reloading must not duplicate entries
-    assert cache.read_text().splitlines() == [
-        json.dumps(rec, separators=(",", ":")) for rec in lines
-    ]
+    cache.write_text('{"kind":"spec","w":"2143","value":99}\n')
+    code = cli.main(["cw", "2143", "--all-methods", "--cache", str(cache)])
+    assert code == cli.EXIT_USAGE
+    assert "--cache" in capsys.readouterr().err
+
+
+def test_unknown_claim_is_a_usage_error(capsys):
+    code = cli.main(["verify", "nope"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["purple", "2143", "--k", "9"],
+        ["purple", "2143", "--k", "0"],
+        ["purple", "2143", "--k", "1", "--l", "5"],
+        ["purple", '{"n": 3, "boxes": [[1, 1]]}', "--k", "4", "--l", "1"],
+        ["purple", '{"n": 3, "boxes": [[1, 1]]}', "--k", "1"],
+    ],
+)
+def test_purple_bad_input_is_a_usage_error(argv, capsys):
+    code = cli.main(argv)
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: schubpat" in capsys.readouterr().out
+
+
+def test_verify_timing_under_jobs(tmp_path):
+    out = tmp_path / "timed.jsonl"
+    argv = ["verify", "conj5.1", "--max-n", "4", "--format", "json", "--out", str(out)]
+    assert cli.main(argv + ["--jobs", "2", "--timing"]) == 0
+    reports = [json.loads(line) for line in out.read_text().splitlines()]
+    assert reports
+    assert all(isinstance(r["elapsed_ms"], float) for r in reports)
+
+
+@pytest.mark.parametrize("claim", ["conj5.1", "identity"])
+def test_verify_jobs_output_is_byte_identical(tmp_path, claim):
+    outputs = []
+    for jobs in ["1", "2"]:
+        out = tmp_path / f"jobs{jobs}.jsonl"
+        argv = ["verify", claim, "--max-n", "5", "--format", "json", "--jobs", jobs]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"elapsed_ms" not in outputs[0]
 
 
 def test_env_variable_defaults(capsys, monkeypatch):

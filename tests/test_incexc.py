@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from schubpat import incexc
 from schubpat.diagrams import Diagram, enumerate_dominated, rothe, row_monomial
 from schubpat.errors import PatternViolationError
 from schubpat.incexc import (
@@ -14,6 +15,8 @@ from schubpat.incexc import (
     m_monomial,
     restricted_diagram_count,
     single_step_monomial,
+    signed_specializations,
+    subword_patterns,
     substituted_schubert,
     verify_single_step,
 )
@@ -129,6 +132,32 @@ def test_cw_methods_agree(n):
         if avoids(w):
             assert cw_augmentation(w) == ie
             assert ie >= 0
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_subword_patterns_flatten_the_subwords_in_mask_order(n):
+    # The integer kernel against the Word-level subwords and flatten.
+    for w in all_permutations(n):
+        patterns = subword_patterns(w.values)
+        assert len(patterns) == 2**n
+        for mask, p in enumerate(patterns):
+            v = Word(tuple(w(i + 1) for i in range(n) if mask >> i & 1))
+            assert p == flatten(v).values
+
+
+def test_signed_specializations_examples():
+    assert signed_specializations(()) == [1]
+    # masks of 21: (), 2, 1, 21
+    assert signed_specializations((2, 1)) == [1, -1, -1, 1]
+    assert sum(signed_specializations((1, 4, 3, 2))) == cw_inclusion_exclusion((1, 4, 3, 2)) == 1
+
+
+def test_clear_caches_reaches_the_cw_memo():
+    w = Permutation.from_string("1432")
+    assert cw_inclusion_exclusion(w) == 1
+    assert incexc._cw_ie_cache
+    incexc.clear_caches()
+    assert not incexc._cw_ie_cache
 
 
 def test_cw_augmentation_requires_avoidance():

@@ -78,6 +78,20 @@ def test_subwords_between_examples():
     assert got == {"21", "2", "1", "()"}
 
 
+def test_subwords_between_ascend_by_kept_position_mask():
+    # alternating_sum and bv_count list their terms in this order.
+    got = [str(v) for v in subwords_between(Word(), Permutation.from_string("21"))]
+    assert got == ["()", "2", "1", "21"]
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            for u in all_subwords(w):
+                masks = [
+                    sum(1 << i for i, a in enumerate(w.values) if a in v.letter_set())
+                    for v in subwords_between(u, w)
+                ]
+                assert masks == sorted(masks)
+
+
 def test_subwords_between_rejects_non_subword():
     with pytest.raises(NotASubwordError):
         subwords_between(Word.of(4, 3), Permutation.from_string("1342"))

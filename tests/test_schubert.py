@@ -117,6 +117,21 @@ def test_macdonald_oracle_matches_specialization(n):
         assert macdonald_oracle(w) == principal_specialization(w)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_transition_specialization_matches_divdiff(n):
+    # The divided-difference polynomial shares no code with the recursion.
+    for w in all_permutations(n):
+        assert principal_specialization(w) == schubert_divdiff(w).evaluate_all_ones()
+
+
+def test_specialization_of_plain_tuples_ignores_trailing_fixed_points():
+    assert principal_specialization(()) == 1
+    assert principal_specialization((1, 2, 3)) == 1
+    assert principal_specialization((2, 1, 3, 4)) == principal_specialization((2, 1)) == 1
+    w = Permutation.from_string("14325")
+    assert principal_specialization(w) == principal_specialization((1, 4, 3, 2)) == 5
+
+
 def test_macdonald_length_guard():
     with pytest.raises(LengthGuardError):
         macdonald_oracle(Permutation.from_string("654321"), max_length=12)
