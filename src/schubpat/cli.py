@@ -30,11 +30,15 @@ EXIT_BUDGET = 3
 
 
 def _env_default(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
+    variable = ENV_PREFIX + name.upper().replace("-", "_")
+    raw = os.environ.get(variable)
     if raw is None:
         return fallback
     if isinstance(fallback, int):
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError:
+            raise UsageError(f"{variable} must be an integer, got {raw!r}") from None
     return raw
 
 
@@ -116,15 +120,23 @@ def _poly_out(p: Polynomial, args, nvars: int) -> str:
     return p.format()
 
 
+def _parse(kind: type[Permutation] | type[Word], s: str):
+    """`kind.from_string(s)` for Permutation or Word, with bad input as a usage error."""
+    try:
+        return kind.from_string(s)
+    except ValueError as exc:
+        raise UsageError(f"bad {kind.__name__.lower()} {s!r}: {exc}") from None
+
+
 def _parse_diagram(s: str) -> Diagram:
     s = s.strip()
     if s.startswith("{"):
         return Diagram.from_json(json.loads(s))
-    return rothe(Permutation.from_string(s))
+    return rothe(_parse(Permutation, s))
 
 
 def _cmd_schubert(args) -> int:
-    w = Permutation.from_string(args.perm)
+    w = _parse(Permutation, args.perm)
     if args.method == "divdiff":
         p = schubert.schubert_divdiff(w)
     elif args.method == "diagram":
@@ -136,7 +148,7 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_rothe(args) -> int:
-    D = rothe(Permutation.from_string(args.perm))
+    D = rothe(_parse(Permutation, args.perm))
     if args.format == "json":
         _emit(json.dumps(D.to_json(), separators=(",", ":")), args)
     else:
@@ -153,7 +165,7 @@ def _cw_by(method: str, w: Permutation) -> int:
 
 
 def _cmd_cw(args) -> int:
-    w = Permutation.from_string(args.perm)
+    w = _parse(Permutation, args.perm)
     methods = ["ie", "rec"] + (["aug"] if avoids(w) else []) if args.all_methods else [args.method]
     values = {m: _cw_by(m, w) for m in methods}
     if len(set(values.values())) > 1:
@@ -214,7 +226,7 @@ def _cmd_purple(args) -> int:
             raise UsageError("--l is required for diagram input")
         sigma = None
     else:
-        sigma = Permutation.from_string(s)
+        sigma = _parse(Permutation, s)
         D = rothe(sigma)
     for flag, value in (("--k", args.k), ("--l", args.l)):
         if value is not None and not 1 <= value <= D.n:
@@ -251,8 +263,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_alternating_sum(args) -> int:
-    w = Permutation.from_string(args.perm)
-    u = Word.from_string(args.u)
+    w = _parse(Permutation, args.perm)
+    u = _parse(Word, args.u)
     result = incexc.alternating_sum(w, u)
     if args.format == "json":
         _emit(json.dumps(result.to_json(), separators=(",", ":")), args)

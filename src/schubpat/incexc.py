@@ -2,17 +2,23 @@
 
 The central object is the signed sum over subwords v between u and w of
 M_{w,v} * S_{perm(v)} evaluated in the variables picked out by w^{-1};
-it is nonnegative whenever w avoids 1432 and 1423.  Setting all
-variables to 1 yields the coefficients c_w, computable three independent
-ways: by inclusion-exclusion, by the defining recursion, and (for
-avoiders) by counting non-augmentation diagrams.  Inclusion-exclusion is
-the production route: an integer loop over the position masks of w
+it is nonnegative whenever w avoids 1432 and 1423.  `alternating_sum`
+builds it term by term through `Word` subwords (the oracle, and the
+per-term output of the CLI); `alternating_sums` is the production route,
+one term per position mask of w and a superset-sum transform for every u
+at once.
+
+Setting all variables to 1 yields the coefficients c_w, computable three
+independent ways: by inclusion-exclusion, by the defining recursion, and
+(for avoiders) by counting non-augmentation diagrams.  Inclusion-exclusion
+is the production route: an integer loop over the position masks of w
 (`subword_patterns`).  The recursion walks `Word` subwords and `flatten`
 instead, so the two routes check each other as well as the counting.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .diagrams import (
     Diagram,
@@ -141,6 +147,15 @@ _cw_cache: dict[tuple[int, ...], int] = {}
 _cw_ie_cache: dict[tuple[int, ...], int] = {}
 
 
+def _mask_positions(n: int) -> list[tuple[int, ...]]:
+    """The kept positions (0-indexed) of every mask over n positions."""
+    positions = _positions.get(n)
+    if positions is None:
+        positions = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+        _positions[n] = positions
+    return positions
+
+
 def subword_patterns(values: tuple[int, ...]) -> list[tuple[int, ...]]:
     """perm(v) for every subword v of word(w), indexed by the mask of kept positions.
 
@@ -149,37 +164,123 @@ def subword_patterns(values: tuple[int, ...]) -> list[tuple[int, ...]]:
     by the kept positions j whose letter is smaller, read off a bitmask.
     """
     n = len(values)
-    positions = _positions.get(n)
-    if positions is None:
-        positions = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
-        _positions[n] = positions
     below = [sum(1 << j for j in range(n) if values[j] < a) for a in values]
     return [
         tuple([(mask & below[i]).bit_count() + 1 for i in kept])
-        for mask, kept in enumerate(positions)
+        for mask, kept in enumerate(_mask_positions(n))
     ]
 
 
-def signed_specializations(values: tuple[int, ...]) -> list[int]:
-    """(-1)^(n - |v|) * S_{perm(v)}(1) for every subword v of word(w), indexed by mask."""
+def superset_sums(g: list) -> list:
+    """Replace g[mask] by the sum of g over all supersets of mask, in place; return g.
+
+    g has 2^n entries indexed by position masks, ints or polynomials alike
+    (only `+` is used): n * 2^(n-1) additions.  With g[v] the signed term of
+    the subword v, g[u] becomes the alternating sum over all v >= u.
+    """
+    size = len(g)
+    b = 1
+    while b < size:
+        for mask in range(size):
+            if not mask & b:
+                g[mask] = g[mask] + g[mask | b]
+        b <<= 1
+    return g
+
+
+def signed_specializations(
+    values: tuple[int, ...], patterns: list[tuple[int, ...]] | None = None
+) -> list[int]:
+    """(-1)^(n - |v|) * S_{perm(v)}(1) for every subword v of word(w), indexed by mask.
+
+    `patterns`, if given, must be `subword_patterns(values)`.
+    """
     n = len(values)
     return [
         principal_specialization(p) if (n - len(p)) % 2 == 0 else -principal_specialization(p)
-        for p in subword_patterns(values)
+        for p in (subword_patterns(values) if patterns is None else patterns)
     ]
 
 
-def cw_inclusion_exclusion(w: Permutation | tuple[int, ...]) -> int:
+def cw_inclusion_exclusion(
+    w: Permutation | tuple[int, ...], patterns: list[tuple[int, ...]] | None = None
+) -> int:
     """c_w as the signed sum of principal specializations over subwords (memoized).
 
-    w may also be given as its one-line notation, a plain tuple.
+    w may also be given as its one-line notation, a plain tuple; `patterns`,
+    if given, must be `subword_patterns` of it and saves recomputing them.
     """
     values = w.values if isinstance(w, Permutation) else w
     cached = _cw_ie_cache.get(values)
     if cached is None:
-        cached = sum(signed_specializations(values))
+        cached = sum(signed_specializations(values, patterns))
         _cw_ie_cache[values] = cached
     return cached
+
+
+def _alternating_term(values: tuple[int, ...]) -> Callable[[int], Polynomial]:
+    """mask -> the term of the subword v at mask in the alternating sums of w.
+
+    The term is (-1)^(n - |v|) * M_{w,v} * S_{perm(v)}(x_{w^{-1} v}):
+    w^{-1} v is the kept positions, and M_{w,v} is x over the boxes (i, j)
+    of D(w) whose row i or column j is not kept (row i is position i,
+    column j the position of letter j).
+    """
+    w = Permutation(values)
+    n = len(values)
+    winv = w.inverse().values
+    # A box lies in the kept rows and columns iff its mask bits are all kept.
+    boxes = [(i, 1 << (i - 1) | 1 << (winv[j - 1] - 1)) for (i, j) in rothe(w).boxes]
+    positions = _mask_positions(n)
+    patterns = subword_patterns(values)
+
+    def term(mask: int) -> Polynomial:
+        kept = positions[mask]
+        m = Monomial.of(*(i for (i, bits) in boxes if mask & bits != bits))
+        s = schubert_divdiff(Permutation(patterns[mask])).substitute_variables(
+            {t: i + 1 for t, i in enumerate(kept, start=1)}
+        )
+        return s * Polynomial.from_monomial(m, 1 if (n - len(kept)) % 2 == 0 else -1)
+
+    return term
+
+
+def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
+    """The alternating sum A(w, u) for every subword u of word(w), indexed by mask.
+
+    Equals `alternating_sum(w, u).total` for u the subword at mask: each
+    term is built once per subword v, and `superset_sums` adds the terms of
+    all v >= u.
+    """
+    term = _alternating_term(values)
+    return superset_sums([term(mask) for mask in range(1 << len(values))])
+
+
+def alternating_sums_at(values: tuple[int, ...], masks: list[int]) -> list[Polynomial]:
+    """`alternating_sums(values)[mask]` for each of `masks` only.
+
+    Builds just the terms of the supersets of the given masks, each once;
+    for a few masks this is far less than the full table.
+    """
+    term = _alternating_term(values)
+    built: dict[int, Polynomial] = {}
+    full = (1 << len(values)) - 1
+    sums = []
+    for mask in masks:
+        free = full & ~mask
+        total = Polynomial.zero()
+        extra = free
+        while True:  # every subset of the free positions, down to none
+            v = mask | extra
+            t = built.get(v)
+            if t is None:
+                t = built[v] = term(v)
+            total = total + t
+            if not extra:
+                break
+            extra = (extra - 1) & free
+        sums.append(total)
+    return sums
 
 
 def cw_recursive(w: Permutation) -> int:

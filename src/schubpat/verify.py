@@ -20,7 +20,6 @@ from .permwords import (
     Permutation,
     Word,
     all_permutations,
-    all_subwords,
     avoids,
 )
 from .polyx import Monomial
@@ -90,32 +89,34 @@ def _shards_alt_nonneg(config: RunConfig) -> list[Shard]:
         rng = random.Random(config.seed)
         for n in range(6, config.max_n + 1):
             avoiders = [w for w in all_permutations(n) if avoids(w)]
-            pairs: dict[tuple[int, ...], list[str]] = {}
+            # u is drawn as its position mask in w.  all_subwords(w) lists the
+            # 2^n subwords ascending by that mask, so a seed draws the same
+            # pairs as picking from that list did.
+            pairs: dict[tuple[int, ...], list[int]] = {}
             for _ in range(config.sample_pairs_n6):
                 w = rng.choice(avoiders)
-                subs = all_subwords(w)
-                u = subs[rng.randrange(len(subs))]
-                pairs.setdefault(w.values, []).append(str(u))
+                pairs.setdefault(w.values, []).append(rng.randrange(1 << n))
             for values in sorted(pairs):
                 shards.append((str(Permutation(values)), values, tuple(pairs[values])))
     return shards
 
 
 def _run_alt_nonneg(shard: Shard, config: RunConfig) -> list[VerificationReport]:
-    subject, values, u_strings = shard
-    w = Permutation(values)
-    if not avoids(w):
+    subject, values, sampled = shard
+    if not avoids(Permutation(values)):
         return [VerificationReport("thm1.1", subject, "outside-scope")]
-    words = (
-        all_subwords(w)
-        if u_strings is None
-        else [Word.from_string(s) for s in u_strings]
-    )
+    # u is the subword of word(w) at a position mask: every mask, or the sampled ones.
+    if sampled is None:
+        masks = range(1 << len(values))
+        sums = incexc.alternating_sums(values)
+    else:
+        masks = sampled
+        sums = incexc.alternating_sums_at(values, masks)
     failures = []
-    for u in words:
-        result = incexc.alternating_sum(w, u, keep_terms=False)
-        ok, bad = result.total.is_nonnegative()
+    for mask, total in zip(masks, sums):
+        ok, bad = total.is_nonnegative()
         if not ok:
+            u = Word(tuple(a for i, a in enumerate(values) if mask >> i & 1))
             failures.append(f"u={u}: coeff {bad[1]} at {bad[0]}")
     if failures:
         return [VerificationReport("thm1.1", subject, "fails", "; ".join(failures))]
@@ -242,14 +243,8 @@ def _run_purple_members(shard: Shard, config: RunConfig) -> list[VerificationRep
 def _run_cwu_nonneg(shard: Shard, config: RunConfig) -> list[VerificationReport]:
     subject, values = shard
     n = len(values)
-    # g[mask] = signed specialization of the subword at mask; the superset
-    # sum then gives the alternating value for u = mask in one transform.
-    g = incexc.signed_specializations(values)
-    for bit in range(n):
-        b = 1 << bit
-        for mask in range(1 << n):
-            if not mask & b:
-                g[mask] += g[mask | b]
+    # The alternating sums of thm1.1 at x = 1, for every u at once.
+    g = incexc.superset_sums(incexc.signed_specializations(values))
     bad = [mask for mask in range(1 << n) if g[mask] < 0]
     if bad:
         mask = bad[0]
@@ -284,13 +279,16 @@ def _run_purple_characterization(shard: Shard, config: RunConfig) -> list[Verifi
 
 def _run_identity(shard: Shard, config: RunConfig) -> list[VerificationReport]:
     subject, values = shard
-    total = sum(incexc.cw_inclusion_exclusion(p) for p in incexc.subword_patterns(values))
+    patterns = incexc.subword_patterns(values)
+    # The pattern at the full mask is w itself; its c comes from these patterns.
+    c_w = incexc.cw_inclusion_exclusion(values, patterns)
+    total = sum(incexc.cw_inclusion_exclusion(p) for p in patterns[:-1]) + c_w
     spec = schubert.principal_specialization(values)
     failures = []
     if total != spec:
         failures.append(f"sum of c over subwords = {total}, specialization = {spec}")
-    if values[-1] == len(values) and incexc.cw_inclusion_exclusion(values) != 0:
-        failures.append(f"c = {incexc.cw_inclusion_exclusion(values)} despite fixed last point")
+    if values[-1] == len(values) and c_w != 0:
+        failures.append(f"c = {c_w} despite fixed last point")
     if failures:
         return [VerificationReport("identity", subject, "fails", "; ".join(failures))]
     return [VerificationReport("identity", subject, "holds")]

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubpat import cli, incexc, schubert
 
@@ -200,7 +203,7 @@ def test_verify_timing_under_jobs(tmp_path):
     assert all(isinstance(r["elapsed_ms"], float) for r in reports)
 
 
-@pytest.mark.parametrize("claim", ["conj5.1", "identity"])
+@pytest.mark.parametrize("claim", ["conj5.1", "identity", "thm1.1"])
 def test_verify_jobs_output_is_byte_identical(tmp_path, claim):
     outputs = []
     for jobs in ["1", "2"]:
@@ -224,3 +227,82 @@ def test_env_override_by_flag(capsys, monkeypatch):
     code, out = run(capsys, "rothe", "21", "--format", "text")
     assert code == 0
     assert out.strip() == "{(1,1)}"
+
+
+@pytest.mark.parametrize("name", ["JOBS", "MAX_N", "SEED", "BUDGET_DOMINATED"])
+def test_non_integer_env_variable_is_a_usage_error(name, capsys, monkeypatch):
+    monkeypatch.setenv(f"SCHUBPAT_{name}", "x")
+    code = cli.main(["verify", "identity"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"SCHUBPAT_{name}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _usage_error_line(argv: list[str]) -> str:
+    """Run the CLI; assert exit 1 with one `error:` line and nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == cli.EXIT_USAGE, (argv, err.getvalue())
+    assert out.getvalue() == ""
+    lines = err.getvalue().strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    return lines[0]
+
+
+def _perm_commands(perm: str) -> list[list[str]]:
+    return [
+        ["cw", perm],
+        ["schubert", perm],
+        ["rothe", perm],
+        ["chi", perm],
+        ["purple", perm, "--k", "1"],
+        ["alternating-sum", perm, "()"],
+    ]
+
+
+@st.composite
+def repeated_letters(draw) -> str:
+    letters = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    at = draw(st.integers(0, len(letters)))
+    letters.insert(at, draw(st.sampled_from(letters)))
+    return "".join(map(str, letters))
+
+
+@st.composite
+def non_permutations(draw) -> str:
+    # distinct positive letters that are not 1..n
+    letters = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6, unique=True))
+    if sorted(letters) == list(range(1, len(letters) + 1)):
+        letters.append(len(letters) + 2)
+    return "".join(map(str, draw(st.permutations(letters))))
+
+
+# at least one character that is not a letter 1..9
+non_digits = st.text(
+    alphabet=st.sampled_from("0123456789abxyz.;:!+*?_"), min_size=1, max_size=8
+).filter(lambda s: s.strip("123456789"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(repeated_letters())
+def test_repeated_letters_are_a_usage_error(perm):
+    for argv in _perm_commands(perm):
+        assert "letters must be distinct" in _usage_error_line(argv)
+    assert "bad word" in _usage_error_line(["alternating-sum", "1", perm])
+
+
+@settings(max_examples=30, deadline=None)
+@given(non_permutations())
+def test_non_permutations_are_a_usage_error(perm):
+    for argv in _perm_commands(perm):
+        assert "not a permutation" in _usage_error_line(argv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(non_digits)
+def test_non_digits_are_a_usage_error(text):
+    for argv in _perm_commands(text):
+        _usage_error_line(argv)
+    _usage_error_line(["alternating-sum", "1", text])

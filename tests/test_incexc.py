@@ -7,6 +7,8 @@ from schubpat.diagrams import Diagram, enumerate_dominated, rothe, row_monomial
 from schubpat.errors import PatternViolationError
 from schubpat.incexc import (
     alternating_sum,
+    alternating_sums,
+    alternating_sums_at,
     bv_count,
     cw_augmentation,
     cw_inclusion_exclusion,
@@ -18,6 +20,7 @@ from schubpat.incexc import (
     signed_specializations,
     subword_patterns,
     substituted_schubert,
+    superset_sums,
     verify_single_step,
 )
 from schubpat.permwords import (
@@ -114,6 +117,46 @@ def test_alternating_sum_homogeneous_terms(n):
             product = t.schubert * Polynomial.from_monomial(t.monomial)
             if product:
                 assert product.is_homogeneous() and product.degree() == target
+
+
+def _subword_at(w: Permutation, mask: int) -> Word:
+    return Word(tuple(a for i, a in enumerate(w.values) if mask >> i & 1))
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_alternating_sums_match_the_oracle_exhaustively(n):
+    # Every w, avoider or not, and every u: the mask table against the Word route.
+    for w in all_permutations(n):
+        sums = alternating_sums(w.values)
+        assert len(sums) == 2**n
+        for mask, total in enumerate(sums):
+            assert total == alternating_sum(w, _subword_at(w, mask), keep_terms=False).total
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_alternating_sums_at_ones_match_the_integer_transform(n):
+    # At x = 1 the table is the conj5.1 value, reached by integers only.
+    for w in all_permutations(n):
+        ones = [p.evaluate_all_ones() for p in alternating_sums(w.values)]
+        assert ones == superset_sums(signed_specializations(w.values))
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_alternating_sums_at_agrees_with_the_full_table(n):
+    rng = random.Random(n)
+    for w in all_permutations(n):
+        sums = alternating_sums(w.values)
+        masks = [rng.randrange(1 << n) for _ in range(3)]
+        masks.append(masks[0])  # a repeated u is summed again, not dropped
+        assert alternating_sums_at(w.values, masks) == [sums[m] for m in masks]
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_superset_sums_by_brute_force(n):
+    rng = random.Random(n)
+    g = [rng.randrange(-9, 10) for _ in range(1 << n)]
+    expected = [sum(g[v] for v in range(1 << n) if v & u == u) for u in range(1 << n)]
+    assert superset_sums(list(g)) == expected
 
 
 def test_cw_examples():

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from schubpat import verify
+from schubpat import incexc, schubert, verify
 from schubpat.verify import CLAIMS, RunConfig, VerificationReport, exit_code, run_claim
 
 
@@ -88,3 +90,38 @@ def test_report_as_dict_omits_empty_fields():
         "witness": "bad",
         "elapsed_ms": 1.5,
     }
+
+
+def test_identity_builds_the_patterns_once_per_shard(monkeypatch):
+    incexc.clear_caches()
+    schubert.clear_caches()
+    calls: Counter = Counter()
+    patterns = incexc.subword_patterns
+
+    def counted(values):
+        calls[values] += 1
+        return patterns(values)
+
+    monkeypatch.setattr(incexc, "subword_patterns", counted)
+    config = RunConfig(max_n=5)
+    shards = CLAIMS["identity"].shards(config)
+    assert exit_code(run_claim("identity", config)) == 0
+    for _, values in shards:
+        assert calls[values] == 1
+    # Besides the shards, only the patterns of size 0 and 1 meet a memo miss.
+    assert sum(calls.values()) == len(shards) + 2
+
+
+def test_thm1_1_samples_the_same_pairs_for_a_seed():
+    # (w, u) pairs drawn at n = 6 with the default seed; u as a word.
+    shards = [s for s in CLAIMS["thm1.1"].shards(RunConfig(max_n=6)) if s[2] is not None]
+    assert len(shards) == 285
+    pairs = [
+        (subject, ["".join(str(a) for i, a in enumerate(values) if m >> i & 1) for m in masks])
+        for subject, values, masks in shards[:3]
+    ]
+    assert pairs == [
+        ("123465", ["23465", "12465"]),
+        ("123546", ["235"]),
+        ("123564", ["254", "134", "264", "6"]),
+    ]
