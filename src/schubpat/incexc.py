@@ -18,7 +18,6 @@ instead, so the two routes check each other as well as the counting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .diagrams import (
     Diagram,
@@ -90,7 +89,7 @@ class AlternatingSumResult:
         }
 
 
-def alternating_sum(w: Permutation, u: Word, keep_terms: bool = True) -> AlternatingSumResult:
+def alternating_sum(w: Permutation, u: Word) -> AlternatingSumResult:
     """The signed sum of M_{w,v} * substituted Schubert over u <= v <= word(w)."""
     total = Polynomial.zero()
     terms: list[SumTerm] = []
@@ -99,8 +98,7 @@ def alternating_sum(w: Permutation, u: Word, keep_terms: bool = True) -> Alterna
         m = m_monomial(w, v)
         s = substituted_schubert(w, v)
         total = total + s * Polynomial.from_monomial(m, sign)
-        if keep_terms:
-            terms.append(SumTerm(v, sign, m, s))
+        terms.append(SumTerm(v, sign, m, s))
     return AlternatingSumResult(w, u, total, tuple(terms))
 
 
@@ -188,17 +186,15 @@ def superset_sums(g: list) -> list:
     return g
 
 
-def signed_specializations(
-    values: tuple[int, ...], patterns: list[tuple[int, ...]] | None = None
-) -> list[int]:
+def signed_specializations(patterns: list[tuple[int, ...]]) -> list[int]:
     """(-1)^(n - |v|) * S_{perm(v)}(1) for every subword v of word(w), indexed by mask.
 
-    `patterns`, if given, must be `subword_patterns(values)`.
+    `patterns` is `subword_patterns` of w; its last entry is w itself.
     """
-    n = len(values)
+    n = len(patterns[-1])
     return [
         principal_specialization(p) if (n - len(p)) % 2 == 0 else -principal_specialization(p)
-        for p in (subword_patterns(values) if patterns is None else patterns)
+        for p in patterns
     ]
 
 
@@ -213,74 +209,37 @@ def cw_inclusion_exclusion(
     values = w.values if isinstance(w, Permutation) else w
     cached = _cw_ie_cache.get(values)
     if cached is None:
-        cached = sum(signed_specializations(values, patterns))
+        if patterns is None:
+            patterns = subword_patterns(values)
+        cached = sum(signed_specializations(patterns))
         _cw_ie_cache[values] = cached
     return cached
 
 
-def _alternating_term(values: tuple[int, ...]) -> Callable[[int], Polynomial]:
-    """mask -> the term of the subword v at mask in the alternating sums of w.
+def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
+    """The alternating sum A(w, u) for every subword u of word(w), indexed by mask.
 
-    The term is (-1)^(n - |v|) * M_{w,v} * S_{perm(v)}(x_{w^{-1} v}):
-    w^{-1} v is the kept positions, and M_{w,v} is x over the boxes (i, j)
-    of D(w) whose row i or column j is not kept (row i is position i,
-    column j the position of letter j).
+    Equals `alternating_sum(w, u).total` for u the subword at mask.  The
+    term of each subword v is built once: (-1)^(n - |v|) * M_{w,v} *
+    S_{perm(v)}(x_{w^{-1} v}), where w^{-1} v is the kept positions and
+    M_{w,v} is x over the boxes (i, j) of D(w) whose row i or column j is
+    not kept (row i is position i, column j the position of letter j).
+    `superset_sums` then adds the terms of all v >= u.
     """
     w = Permutation(values)
     n = len(values)
     winv = w.inverse().values
     # A box lies in the kept rows and columns iff its mask bits are all kept.
     boxes = [(i, 1 << (i - 1) | 1 << (winv[j - 1] - 1)) for (i, j) in rothe(w).boxes]
-    positions = _mask_positions(n)
     patterns = subword_patterns(values)
-
-    def term(mask: int) -> Polynomial:
-        kept = positions[mask]
+    terms = []
+    for mask, kept in enumerate(_mask_positions(n)):
         m = Monomial.of(*(i for (i, bits) in boxes if mask & bits != bits))
         s = schubert_divdiff(Permutation(patterns[mask])).substitute_variables(
             {t: i + 1 for t, i in enumerate(kept, start=1)}
         )
-        return s * Polynomial.from_monomial(m, 1 if (n - len(kept)) % 2 == 0 else -1)
-
-    return term
-
-
-def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
-    """The alternating sum A(w, u) for every subword u of word(w), indexed by mask.
-
-    Equals `alternating_sum(w, u).total` for u the subword at mask: each
-    term is built once per subword v, and `superset_sums` adds the terms of
-    all v >= u.
-    """
-    term = _alternating_term(values)
-    return superset_sums([term(mask) for mask in range(1 << len(values))])
-
-
-def alternating_sums_at(values: tuple[int, ...], masks: list[int]) -> list[Polynomial]:
-    """`alternating_sums(values)[mask]` for each of `masks` only.
-
-    Builds just the terms of the supersets of the given masks, each once;
-    for a few masks this is far less than the full table.
-    """
-    term = _alternating_term(values)
-    built: dict[int, Polynomial] = {}
-    full = (1 << len(values)) - 1
-    sums = []
-    for mask in masks:
-        free = full & ~mask
-        total = Polynomial.zero()
-        extra = free
-        while True:  # every subset of the free positions, down to none
-            v = mask | extra
-            t = built.get(v)
-            if t is None:
-                t = built[v] = term(v)
-            total = total + t
-            if not extra:
-                break
-            extra = (extra - 1) & free
-        sums.append(total)
-    return sums
+        terms.append(s * Polynomial.from_monomial(m, 1 if (n - len(kept)) % 2 == 0 else -1))
+    return superset_sums(terms)
 
 
 def cw_recursive(w: Permutation) -> int:

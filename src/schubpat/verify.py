@@ -106,15 +106,10 @@ def _run_alt_nonneg(shard: Shard, config: RunConfig) -> list[VerificationReport]
     if not avoids(Permutation(values)):
         return [VerificationReport("thm1.1", subject, "outside-scope")]
     # u is the subword of word(w) at a position mask: every mask, or the sampled ones.
-    if sampled is None:
-        masks = range(1 << len(values))
-        sums = incexc.alternating_sums(values)
-    else:
-        masks = sampled
-        sums = incexc.alternating_sums_at(values, masks)
+    sums = incexc.alternating_sums(values)
     failures = []
-    for mask, total in zip(masks, sums):
-        ok, bad = total.is_nonnegative()
+    for mask in range(len(sums)) if sampled is None else sampled:
+        ok, bad = sums[mask].is_nonnegative()
         if not ok:
             u = Word(tuple(a for i, a in enumerate(values) if mask >> i & 1))
             failures.append(f"u={u}: coeff {bad[1]} at {bad[0]}")
@@ -244,7 +239,7 @@ def _run_cwu_nonneg(shard: Shard, config: RunConfig) -> list[VerificationReport]
     subject, values = shard
     n = len(values)
     # The alternating sums of thm1.1 at x = 1, for every u at once.
-    g = incexc.superset_sums(incexc.signed_specializations(values))
+    g = incexc.superset_sums(incexc.signed_specializations(incexc.subword_patterns(values)))
     bad = [mask for mask in range(1 << n) if g[mask] < 0]
     if bad:
         mask = bad[0]
