@@ -17,7 +17,7 @@ import sys
 from . import incexc, schubert, verify, weylchar
 from .diagrams import Diagram, rothe
 from .errors import BudgetExceededError, PatternViolationError, SchubpatError, UsageError
-from .permwords import Permutation, Word, all_permutations, avoids, flatten
+from .permwords import Permutation, Word, all_permutations, avoids
 from .polyx import Polynomial
 from .purple import characterize_monomials, purple_family
 
@@ -129,10 +129,14 @@ def _parse(kind: type[Permutation] | type[Word], s: str):
 
 
 def _parse_diagram(s: str) -> Diagram:
+    """Diagram JSON, or the Rothe diagram of a permutation; bad input is a usage error."""
     s = s.strip()
-    if s.startswith("{"):
+    if not s.startswith("{"):
+        return rothe(_parse(Permutation, s))
+    try:
         return Diagram.from_json(json.loads(s))
-    return rothe(_parse(Permutation, s))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"bad diagram {s!r}: {type(exc).__name__}: {exc}") from None
 
 
 def _cmd_schubert(args) -> int:
@@ -221,7 +225,7 @@ def _cmd_verify(args) -> int:
 def _cmd_purple(args) -> int:
     s = args.perm_or_diagram.strip()
     if s.startswith("{"):
-        D = Diagram.from_json(json.loads(s))
+        D = _parse_diagram(s)
         if args.l is None:
             raise UsageError("--l is required for diagram input")
         sigma = None

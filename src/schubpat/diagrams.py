@@ -164,6 +164,11 @@ def restrict_remove(D: Diagram, k: int, l: int) -> Diagram:
     return Diagram(D.n, frozenset(b for b in D.boxes if b[0] != k and b[1] != l))
 
 
+def removed_boxes(D: Diagram, k: int, l: int) -> Diagram:
+    """The seed of a single removal: the boxes of D in row k or column l."""
+    return Diagram(D.n, frozenset(b for b in D.boxes if b[0] == k or b[1] == l))
+
+
 def hat_v(C: Diagram, w: Permutation, v: Word) -> Diagram:
     """Restriction of C to the rows and columns corresponding to the subword v."""
     if not is_subword(v, w.word()):
@@ -175,13 +180,12 @@ def hat_v(C: Diagram, w: Permutation, v: Word) -> Diagram:
 
 def augment(Chat: Diagram, D: Diagram, k: int, l: int) -> Diagram:
     """Chat plus all of D's boxes in row k and column l."""
-    overlap = [b for b in Chat.boxes if b[0] == k or b[1] == l]
+    overlap = removed_boxes(Chat, k, l)
     if overlap:
         raise AugmentationOverlapError(
-            f"diagram already has boxes in row {k}/column {l}: {sorted(overlap)}"
+            f"diagram already has boxes in row {k}/column {l}: {overlap.box_list()}"
         )
-    extra = frozenset(b for b in D.boxes if b[0] == k or b[1] == l)
-    return Diagram(max(Chat.n, D.n), Chat.boxes | extra)
+    return Diagram(max(Chat.n, D.n), Chat.boxes | removed_boxes(D, k, l).boxes)
 
 
 def row_monomial(D: Diagram) -> Monomial:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 from .diagrams import (
     Diagram,
-    augment,
     dominates,
     enumerate_dominated,
     hat_v,
+    removed_boxes,
     restrict_remove,
     rothe,
     row_monomial,
@@ -35,12 +35,11 @@ from .permwords import (
     Word,
     avoids,
     flatten,
-    remove_position,
     subwords_between,
     substitution_indices,
 )
 from .polyx import Monomial, Polynomial
-from .schubert import principal_specialization, schubert_divdiff
+from .schubert import principal_specialization, schubert_divdiff, schubert_skipping
 
 
 def m_monomial(w: Permutation, v: Word) -> Monomial:
@@ -260,9 +259,7 @@ def cw_recursive(w: Permutation) -> int:
 
 def is_augmentation(C: Diagram, D: Diagram, k: int, l: int) -> bool:
     """Whether C = augment(Chat, D, k, l) for some Chat <= restrict_remove(D, k, l)."""
-    seed = frozenset(b for b in D.boxes if b[0] == k or b[1] == l)
-    c_seed = frozenset(b for b in C.boxes if b[0] == k or b[1] == l)
-    if c_seed != seed:
+    if removed_boxes(C, k, l).boxes != removed_boxes(D, k, l).boxes:
         return False
     Chat = restrict_remove(C, k, l)
     Dhat = restrict_remove(D, k, l)
@@ -289,8 +286,7 @@ def cw_augmentation(w: Permutation) -> int:
 
 def single_step_monomial(sigma: Permutation, k: int) -> Monomial:
     """x over the boxes of D(sigma) in row k or column sigma_k."""
-    D = rothe(sigma)
-    return Monomial.of(*(i for (i, j) in D.boxes if i == k or j == sigma(k)))
+    return row_monomial(removed_boxes(rothe(sigma), k, sigma(k)))
 
 
 def verify_single_step(sigma: Permutation, k: int) -> tuple[bool, Polynomial]:
@@ -299,12 +295,8 @@ def verify_single_step(sigma: Permutation, k: int) -> tuple[bool, Polynomial]:
     pi is the pattern of sigma at the positions other than k; returns the
     difference polynomial alongside the verdict.
     """
-    pi = flatten(remove_position(sigma, k))
     m = single_step_monomial(sigma, k)
-    sub = schubert_divdiff(pi).substitute_variables(
-        {i: (i if i < k else i + 1) for i in range(1, sigma.n)}
-    )
-    diff = schubert_divdiff(sigma) - sub * Polynomial.from_monomial(m)
+    diff = schubert_divdiff(sigma) - schubert_skipping(sigma, k) * Polynomial.from_monomial(m)
     ok, _ = diff.is_nonnegative()
     return ok, diff
 

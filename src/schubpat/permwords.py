@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .errors import LetterNotInWordError, NotASubwordError
 
@@ -132,10 +132,6 @@ class Permutation:
         return str(self.word())
 
 
-def inverse(w: Permutation) -> Permutation:
-    return w.inverse()
-
-
 def is_subword(u: Word, v: Word) -> bool:
     """True iff u occurs as a (not necessarily contiguous) subsequence of v."""
     it = iter(v.letters)
@@ -163,11 +159,19 @@ def pattern_count(u: Permutation, w: Permutation) -> int:
     return count
 
 
-FORBIDDEN = (Permutation.of(1, 4, 3, 2), Permutation.of(1, 4, 2, 3))
+def avoids(w: Permutation) -> bool:
+    """Whether w avoids both 1432 and 1423 (`pattern_count` is the oracle).
 
-
-def avoids(w: Permutation, patterns: Iterable[Permutation] = FORBIDDEN) -> bool:
-    return all(pattern_count(p, w) == 0 for p in patterns)
+    w contains one of them iff some i < j < k < l has w_i < min(w_k, w_l)
+    and max(w_k, w_l) < w_j.  The least entry left of j is the best w_i, so
+    it suffices to find a j with two later entries between that and w_j.
+    """
+    v = w.values
+    for j in range(1, len(v) - 2):
+        lo, hi = min(v[:j]), v[j]
+        if sum(1 for a in v[j + 1 :] if lo < a < hi) >= 2:
+            return False
+    return True
 
 
 def subwords_between(u: Word, w: Permutation) -> list[Word]:

@@ -170,9 +170,6 @@ class Polynomial:
     def support(self) -> set[Monomial]:
         return set(self._terms)
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((m.degree() for m in self._terms), default=-1)
@@ -180,9 +177,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degrees = {m.degree() for m in self._terms}
         return len(degrees) <= 1
-
-    def max_exponent(self) -> int:
-        return max((e for m in self._terms for _, e in m.exps), default=0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -15,15 +15,15 @@ from .diagrams import (
     _column_dominated_sets,
     column_dominates,
     enumerate_dominated,
+    removed_boxes,
     restrict_remove,
     rothe,
     row_monomial,
 )
 from .errors import NotInFamilyError
-from .permwords import Permutation, flatten, remove_position
+from .permwords import Permutation
 from .polyx import Monomial, Polynomial
-from .schubert import schubert_divdiff
-from .weylchar import chi_fast
+from .schubert import schubert_divdiff, schubert_skipping
 
 
 def purple_boxes(D: Diagram, k: int, l: int) -> frozenset[tuple[int, int]]:
@@ -83,7 +83,7 @@ class PurpleFamily:
 
     @property
     def seed(self) -> Diagram:
-        return self.D.difference(restrict_remove(self.D, self.k, self.l))
+        return removed_boxes(self.D, self.k, self.l)
 
     def to_json(self) -> dict:
         return {
@@ -107,7 +107,7 @@ def purple_family(D: Diagram, k: int, l: int) -> PurpleFamily:
     the seed, which is what gets enumerated here.
     """
     boxes = purple_boxes(D, k, l)
-    seed = D.difference(restrict_remove(D, k, l))
+    seed = removed_boxes(D, k, l)
     members = {seed}
     for K in enumerate_dominated(seed):
         if K.boxes <= boxes:
@@ -117,26 +117,16 @@ def purple_family(D: Diagram, k: int, l: int) -> PurpleFamily:
 
 
 def verify_theorem_gen(
-    D: Diagram,
-    k: int,
-    l: int,
-    K: Diagram,
-    chi_D: Polynomial | None = None,
-    chi_hat: Polynomial | None = None,
+    family: PurpleFamily, K: Diagram, chi_D: Polynomial, chi_hat: Polynomial
 ) -> tuple[bool, Polynomial]:
-    """Check chi_D - x^K * chi_{D restricted}(x_k = 0) has no negative term.
+    """Check chi_D - x^K * chi_hat(x_k = 0) has no negative term, for K in the family.
 
-    Precomputed characters may be passed in when verifying many members
-    of the same family.
+    chi_D is the dual character of the family's diagram D and chi_hat that
+    of restrict_remove(D, k, l); both are built once per family by the caller.
     """
-    family = purple_family(D, k, l)
     if K not in family.members:
-        raise NotInFamilyError(f"{K} is not a member of the purple family of {D}")
-    if chi_D is None:
-        chi_D = chi_fast(D)
-    if chi_hat is None:
-        chi_hat = chi_fast(restrict_remove(D, k, l))
-    diff = chi_D - chi_hat.substitute_zero(k) * Polynomial.from_monomial(row_monomial(K))
+        raise NotInFamilyError(f"{K} is not a member of the purple family of {family.D}")
+    diff = chi_D - chi_hat.substitute_zero(family.k) * Polynomial.from_monomial(row_monomial(K))
     ok, _ = diff.is_nonnegative()
     return ok, diff
 
@@ -163,10 +153,7 @@ def characterize_monomials(sigma: Permutation, k: int) -> MonomialCharacterizati
     l = sigma(k)
     family = purple_family(D, k, l)
     s_sigma = schubert_divdiff(sigma)
-    pi = flatten(remove_position(sigma, k))
-    sub = schubert_divdiff(pi).substitute_variables(
-        {i: (i if i < k else i + 1) for i in range(1, sigma.n)}
-    )
+    sub = schubert_skipping(sigma, k)
     degree = len(family.seed)
     mu0 = min(sub.support(), key=Monomial.sort_key, default=Monomial())
     candidates = {

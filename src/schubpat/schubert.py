@@ -13,7 +13,7 @@ from typing import Callable, Iterator
 
 from .diagrams import enumerate_dominated, rothe, row_monomial
 from .errors import LengthGuardError, PatternViolationError
-from .permwords import Permutation, avoids
+from .permwords import Permutation, avoids, flatten, remove_position
 from .polyx import Monomial, Polynomial
 
 
@@ -93,6 +93,18 @@ def schubert_divdiff(w: Permutation) -> Polynomial:
             result = divided_difference(schubert_divdiff(w.swap_positions(i)), i)
     _schubert_cache[key] = result
     return result
+
+
+def schubert_skipping(sigma: Permutation, k: int) -> Polynomial:
+    """S_pi(x_1, ..., x_{k-1}, x_{k+1}, ..., x_n), pi the pattern of sigma without position k.
+
+    The single-removal polynomial: variable i of S_pi becomes x_i below k
+    and x_{i+1} from k on.
+    """
+    pi = flatten(remove_position(sigma, k))
+    return schubert_divdiff(pi).substitute_variables(
+        {i: (i if i < k else i + 1) for i in range(1, sigma.n)}
+    )
 
 
 def schubert_divdiff_alt(w: Permutation) -> Polynomial:

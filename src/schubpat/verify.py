@@ -34,7 +34,6 @@ class RunConfig:
     jobs: int = 1
     seed: int = DEFAULT_SEED
     budget_dominated: int = weylchar.DEFAULT_BUDGET
-    reduced_word_cap: int = 12
     sample_pairs_n6: int = 500
     sample_chi_n5: int = 50
     include_timing: bool = False
@@ -196,11 +195,12 @@ def _run_diagram_formula(shard: Shard, config: RunConfig) -> list[VerificationRe
     subject, values = shard
     w = Permutation(values)
     equal = schubert.diagram_sum(w) == schubert.schubert_divdiff(w)
-    if equal != avoids(w):
+    avoiding = avoids(w)
+    if equal != avoiding:
         side = "equality" if equal else "inequality"
         return [
             VerificationReport(
-                "thm2.7", subject, "fails", f"unexpected {side} for avoidance={avoids(w)}"
+                "thm2.7", subject, "fails", f"unexpected {side} for avoidance={avoiding}"
             )
         ]
     return [VerificationReport("thm2.7", subject, "holds")]
@@ -223,7 +223,7 @@ def _run_purple_members(shard: Shard, config: RunConfig) -> list[VerificationRep
         except BudgetExceededError as exc:
             return [VerificationReport("thm4.1", subject, "budget-exceeded", str(exc))]
         for K in sorted(family.members, key=lambda d: d.box_list()):
-            ok, diff = verify_theorem_gen(D, k, l, K, chi_D=chi_D, chi_hat=chi_hat)
+            ok, diff = verify_theorem_gen(family, K, chi_D, chi_hat)
             if not ok:
                 _, bad = diff.is_nonnegative()
                 failures.append(f"k={k} K={K}: coeff {bad[1]} at {bad[0]}")

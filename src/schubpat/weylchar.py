@@ -16,7 +16,6 @@ from .diagrams import (
     column_dominates,
     count_dominated,
     enumerate_dominated,
-    restrict_remove,
     rothe,
     row_monomial,
 )
@@ -30,12 +29,12 @@ DEFAULT_BUDGET = 10**6
 _det_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
 
 
-def y_determinant(rows, cols, n: int | None = None) -> Polynomial:
+def y_determinant(rows, cols) -> Polynomial:
     """det of the submatrix of Y with the given rows and columns.
 
     Zero unless the row set dominates the column set elementwise; the
     expansion is exact, by cofactors along the first column, memoized on
-    the (rows, cols) pair.  n is accepted for interface symmetry only.
+    the (rows, cols) pair.
     """
     r, c = tuple(sorted(rows)), tuple(sorted(cols))
     if len(r) != len(c):

@@ -203,7 +203,9 @@ def test_verify_timing_under_jobs(tmp_path):
     assert all(isinstance(r["elapsed_ms"], float) for r in reports)
 
 
-@pytest.mark.parametrize("claim", ["conj5.1", "identity", "thm1.1"])
+@pytest.mark.parametrize(
+    "claim", ["conj5.1", "identity", "thm1.1", "thm1.0", "thm4.1", "conj5.3"]
+)
 def test_verify_jobs_output_is_byte_identical(tmp_path, claim):
     outputs = []
     for jobs in ["1", "2"]:
@@ -249,6 +251,19 @@ def _usage_error_line(argv: list[str]) -> str:
     lines = err.getvalue().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
     return lines[0]
+
+
+@pytest.mark.parametrize(
+    "blob, detail",
+    [
+        ('{"n": 2, "boxes": [[3, 3]]}', "ValueError: box (3, 3) outside [2] x [2]"),
+        ('{"n": 2}', "KeyError: 'boxes'"),
+        ('{"n": 2, "boxes": [[1, 1]]', "JSONDecodeError"),
+    ],
+)
+def test_bad_diagram_json_is_a_usage_error(blob, detail):
+    for argv in (["chi", blob], ["purple", blob, "--k", "1", "--l", "1"]):
+        assert detail in _usage_error_line(argv)
 
 
 def _perm_commands(perm: str) -> list[list[str]]:

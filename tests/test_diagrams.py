@@ -12,6 +12,7 @@ from schubpat.diagrams import (
     enumerate_dominated,
     has_northwest_property,
     hat_v,
+    removed_boxes,
     restrict_keep,
     restrict_remove,
     rothe,
@@ -156,6 +157,14 @@ def test_augment_examples():
     assert augment(empty, D, 3, 4) == Diagram.of(4, [(3, 3)])
     with pytest.raises(AugmentationOverlapError):
         augment(Chat, D, 3, 1)
+
+
+@given(diagrams, st.integers(1, 4), st.integers(1, 4))
+def test_removed_boxes_complement_the_restriction(D, k, l):
+    seed, rest = removed_boxes(D, k, l), restrict_remove(D, k, l)
+    assert seed.boxes | rest.boxes == D.boxes
+    assert not seed.boxes & rest.boxes
+    assert all(i == k or j == l for (i, j) in seed.boxes)
 
 
 def test_row_monomial():

@@ -67,6 +67,13 @@ def test_avoids_examples():
     assert not avoids(Permutation.from_string("15243"))
 
 
+@pytest.mark.parametrize("n", range(0, 8))
+def test_avoids_against_pattern_count_exhaustive(n):
+    forbidden = [Permutation.from_string("1432"), Permutation.from_string("1423")]
+    for w in all_permutations(n):
+        assert avoids(w) == all(pattern_count(p, w) == 0 for p in forbidden), w
+
+
 def test_subwords_between_examples():
     w = Permutation.from_string("1342")
     got = {str(v) for v in subwords_between(Word.of(4, 2), w)}

@@ -103,14 +103,16 @@ def test_verify_theorem_gen_on_family_members():
         chi_D = chi_fast(D)
         chi_hat = chi_fast(restrict_remove(D, k, l))
         for K in family.members:
-            ok, _ = verify_theorem_gen(D, k, l, K, chi_D, chi_hat)
+            ok, _ = verify_theorem_gen(family, K, chi_D, chi_hat)
             assert ok, (k, l, K)
 
 
 def test_verify_theorem_gen_rejects_non_members():
     D = rothe(Permutation.from_string("15243"))
+    family = purple_family(D, 5, 3)
+    chi_D, chi_hat = chi_fast(D), chi_fast(restrict_remove(D, 5, 3))
     with pytest.raises(NotInFamilyError):
-        verify_theorem_gen(D, 5, 3, Diagram.of(5, [(1, 1)]))
+        verify_theorem_gen(family, Diagram.of(5, [(1, 1)]), chi_D, chi_hat)
 
 
 def test_verify_theorem_gen_on_random_northwest_diagrams():
@@ -127,7 +129,7 @@ def test_verify_theorem_gen_on_random_northwest_diagrams():
         chi_D = chi_fast(D)
         chi_hat = chi_fast(restrict_remove(D, k, l))
         for K in family.members:
-            ok, diff = verify_theorem_gen(D, k, l, K, chi_D, chi_hat)
+            ok, diff = verify_theorem_gen(family, K, chi_D, chi_hat)
             assert ok, (D, k, l, K, diff)
         checked += 1
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubpat.diagrams import rothe
+from schubpat.diagrams import restrict_remove, rothe
 from schubpat.errors import LengthGuardError, PatternViolationError
 from schubpat.permwords import Permutation, all_permutations, avoids, pattern_count
 from schubpat.polyx import Monomial, Polynomial, x
@@ -15,9 +15,21 @@ from schubpat.schubert import (
     schubert_diagram,
     schubert_divdiff,
     schubert_divdiff_alt,
+    schubert_skipping,
 )
+from schubpat.weylchar import chi
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(lambda v: Permutation(tuple(v)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_schubert_skipping_is_the_restricted_character(n):
+    # The restricted Rothe diagram's character by exact rank, not by divided differences.
+    for w in all_permutations(n):
+        for k in range(1, n + 1):
+            got = schubert_skipping(w, k)
+            assert k not in got.variables()
+            assert got == chi(restrict_remove(rothe(w), k, w(k))).substitute_zero(k), (w, k)
 
 
 def test_divided_difference_examples():

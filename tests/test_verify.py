@@ -1,8 +1,9 @@
+import math
 from collections import Counter
 
 import pytest
 
-from schubpat import incexc, schubert, verify
+from schubpat import incexc, purple, schubert, verify
 from schubpat.verify import CLAIMS, RunConfig, VerificationReport, exit_code, run_claim
 
 
@@ -110,6 +111,22 @@ def test_identity_builds_the_patterns_once_per_shard(monkeypatch):
         assert calls[values] == 1
     # Besides the shards, only the patterns of size 0 and 1 meet a memo miss.
     assert sum(calls.values()) == len(shards) + 2
+
+
+def test_thm4_1_builds_one_purple_family_per_pair(monkeypatch):
+    calls: Counter = Counter()
+    family = purple.purple_family
+
+    def counted(D, k, l):
+        calls[D, k, l] += 1
+        return family(D, k, l)
+
+    monkeypatch.setattr(verify, "purple_family", counted)
+    monkeypatch.setattr(purple, "purple_family", counted)
+    assert exit_code(run_claim("thm4.1", RunConfig(max_n=5))) == 0
+    # One (w, k) pair per position k of every w in S_2 .. S_5.
+    assert sum(calls.values()) == sum(n * math.factorial(n) for n in range(2, 6)) == 718
+    assert set(calls.values()) == {1}
 
 
 def test_thm1_1_samples_the_same_pairs_for_a_seed():
