@@ -40,7 +40,8 @@ class Monomial:
     __slots__ = ("_exps",)
 
     def __init__(self, exps: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = exps.items() if isinstance(exps, Mapping) else exps
+        # The dict test first skips typing.Mapping's slower subclass check.
+        items = exps.items() if isinstance(exps, dict) or isinstance(exps, Mapping) else exps
         merged: dict[int, int] = {}
         for var, exp in items:
             if var < 1:
@@ -133,7 +134,7 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms
         merged: dict[Monomial, int] = {}
         for mon, coef in items:
             c = merged.get(mon, 0) + coef
@@ -265,11 +266,10 @@ class Polynomial:
         return sum(self._terms.values())
 
     def is_nonnegative(self) -> tuple[bool, tuple[Monomial, int] | None]:
-        """True iff every coefficient is positive; else one offending term."""
-        for mon, coef in self.terms():
-            if coef < 0:
-                return False, (mon, coef)
-        return True, None
+        """True iff no coefficient is negative; else the first negative term in canonical order."""
+        if not any(coef < 0 for coef in self._terms.values()):
+            return True, None
+        return next((False, (mon, coef)) for mon, coef in self.terms() if coef < 0)
 
     def variables(self) -> set[int]:
         return {v for m in self._terms for v in m.variables()}

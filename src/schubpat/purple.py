@@ -117,16 +117,17 @@ def purple_family(D: Diagram, k: int, l: int) -> PurpleFamily:
 
 
 def verify_theorem_gen(
-    family: PurpleFamily, K: Diagram, chi_D: Polynomial, chi_hat: Polynomial
+    family: PurpleFamily, K: Diagram, chi_D: Polynomial, chi_hat_k: Polynomial
 ) -> tuple[bool, Polynomial]:
-    """Check chi_D - x^K * chi_hat(x_k = 0) has no negative term, for K in the family.
+    """Check chi_D - x^K * chi_hat_k has no negative term, for K in the family.
 
-    chi_D is the dual character of the family's diagram D and chi_hat that
-    of restrict_remove(D, k, l); both are built once per family by the caller.
+    chi_D is the dual character of the family's diagram D, and chi_hat_k that
+    of restrict_remove(D, k, l) with x_k = 0 substituted; the caller builds
+    both once per family and passes them for every member.
     """
     if K not in family.members:
         raise NotInFamilyError(f"{K} is not a member of the purple family of {family.D}")
-    diff = chi_D - chi_hat.substitute_zero(family.k) * Polynomial.from_monomial(row_monomial(K))
+    diff = chi_D - chi_hat_k * Polynomial.from_monomial(row_monomial(K))
     ok, _ = diff.is_nonnegative()
     return ok, diff
 

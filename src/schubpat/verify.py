@@ -222,8 +222,9 @@ def _run_purple_members(shard: Shard, config: RunConfig) -> list[VerificationRep
             chi_hat = weylchar.chi_fast(restrict_remove(D, k, l), budget=config.budget_dominated)
         except BudgetExceededError as exc:
             return [VerificationReport("thm4.1", subject, "budget-exceeded", str(exc))]
+        chi_hat_k = chi_hat.substitute_zero(k)
         for K in sorted(family.members, key=lambda d: d.box_list()):
-            ok, diff = verify_theorem_gen(family, K, chi_D, chi_hat)
+            ok, diff = verify_theorem_gen(family, K, chi_D, chi_hat_k)
             if not ok:
                 _, bad = diff.is_nonnegative()
                 failures.append(f"k={k} K={K}: coeff {bad[1]} at {bad[0]}")

@@ -27,6 +27,8 @@ from .polyx import Monomial, Polynomial, pair_index
 DEFAULT_BUDGET = 10**6
 
 _det_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
+# chi keyed by the sorted tuple of D's nonempty columns (see chi).
+_chi_cache: dict[tuple[tuple[int, ...], ...], Polynomial] = {}
 
 
 def y_determinant(rows, cols) -> Polynomial:
@@ -103,10 +105,27 @@ def chi_coefficient(D: Diagram, m: Monomial) -> int:
 
 
 def chi(D: Diagram, budget: int = DEFAULT_BUDGET) -> Polynomial:
-    """The full dual character; refuses when the dominated count is too big."""
+    """The full dual character; refuses when the dominated count is too big.
+
+    Memoized on the multiset of D's nonempty columns.  Enumeration, the row
+    monomial and the determinant product all factor over columns, each factor
+    depending only on the pair (C_j, D_j), so permuting D's columns or dropping
+    an empty one is a bijection of dominated diagrams that keeps every
+    monomial and product, hence every span rank.  The budget is checked
+    before the lookup, so a memo hit never skips a refusal.
+    """
     total = count_dominated(D)
     if total > budget:
         raise BudgetExceededError(f"{total} dominated diagrams exceed budget {budget}")
+    key = tuple(sorted(c for c in D.columns() if c))
+    cached = _chi_cache.get(key)
+    if cached is None:
+        cached = _chi_cache[key] = _chi_by_rank(D)
+    return cached
+
+
+def _chi_by_rank(D: Diagram) -> Polynomial:
+    """The dual character of D by one span rank per row monomial."""
     groups: dict[Monomial, list[Diagram]] = {}
     for C in enumerate_dominated(D):
         groups.setdefault(row_monomial(C), []).append(C)
@@ -164,3 +183,4 @@ def chi_fast(D: Diagram, budget: int = DEFAULT_BUDGET) -> Polynomial:
 
 def clear_caches() -> None:
     _det_cache.clear()
+    _chi_cache.clear()

@@ -5,16 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubpat import cli, incexc, schubert
-
-
-@pytest.fixture(autouse=True)
-def _fresh_caches():
-    schubert.clear_caches()
-    incexc.clear_caches()
-    yield
-    schubert.clear_caches()
-    incexc.clear_caches()
+from schubpat import cli
 
 
 def run(capsys, *argv):

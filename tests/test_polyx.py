@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +79,18 @@ def test_is_nonnegative():
     ok, witness = (x(1) - x(2)).is_nonnegative()
     assert not ok
     assert witness == (Monomial.of(2), -1)
+
+
+@given(poly_strategy())
+def test_is_nonnegative_witness_is_the_first_negative_term(p):
+    negative = [(mon, coef) for mon, coef in p.terms() if coef < 0]
+    assert p.is_nonnegative() == ((False, negative[0]) if negative else (True, None))
+
+
+def test_constructors_take_any_mapping():
+    m = Monomial(MappingProxyType({2: 1, 1: 3}))
+    assert m == Monomial({1: 3, 2: 1})
+    assert Polynomial(MappingProxyType({m: 2})) == Polynomial({m: 2})
 
 
 def test_coefficient():

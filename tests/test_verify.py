@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from schubpat import incexc, purple, schubert, verify
+from schubpat import incexc, purple, verify, weylchar
 from schubpat.verify import CLAIMS, RunConfig, VerificationReport, exit_code, run_claim
 
 
@@ -94,8 +94,6 @@ def test_report_as_dict_omits_empty_fields():
 
 
 def test_identity_builds_the_patterns_once_per_shard(monkeypatch):
-    incexc.clear_caches()
-    schubert.clear_caches()
     calls: Counter = Counter()
     patterns = incexc.subword_patterns
 
@@ -127,6 +125,27 @@ def test_thm4_1_builds_one_purple_family_per_pair(monkeypatch):
     # One (w, k) pair per position k of every w in S_2 .. S_5.
     assert sum(calls.values()) == sum(n * math.factorial(n) for n in range(2, 6)) == 718
     assert set(calls.values()) == {1}
+
+
+def test_thm4_1_takes_one_rank_route_character_per_column_multiset(monkeypatch):
+    lookups, calls = [], []
+    chi, by_rank = weylchar.chi, weylchar._chi_by_rank
+
+    def looked_up(D, budget):
+        lookups.append(D)
+        return chi(D, budget)
+
+    def counted(D):
+        calls.append(D)
+        return by_rank(D)
+
+    monkeypatch.setattr(weylchar, "chi", looked_up)
+    monkeypatch.setattr(weylchar, "_chi_by_rank", counted)
+    assert exit_code(run_claim("thm4.1", RunConfig(max_n=5))) == 0
+    # 416 restricted diagrams are not Rothe diagrams; 61 column multisets among them.
+    assert len(lookups) == 416
+    assert len(calls) == 61
+    assert len({tuple(sorted(c for c in D.columns() if c)) for D in calls}) == 61
 
 
 def test_thm1_1_samples_the_same_pairs_for_a_seed():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schubpat import weylchar
 from schubpat.diagrams import (
     Diagram,
     enumerate_dominated,
@@ -162,6 +163,68 @@ def test_chi_fast_agrees_with_chi():
         assert chi_fast(D) == chi(D)
     D = Diagram.of(3, [(1, 1), (1, 2), (2, 1), (2, 2)])
     assert chi_fast(D) == chi(D)
+
+
+# -- the column-multiset memo of chi ---------------------------------------
+
+
+def _move_columns(D, n, target):
+    """D's column j moved to column target[j - 1] of an n x n grid."""
+    return Diagram.of(n, [(i, target[j - 1]) for (i, j) in D.boxes])
+
+
+def _cold_chi(D, budget=weylchar.DEFAULT_BUDGET):
+    weylchar._chi_cache.clear()
+    return chi(D, budget)
+
+
+def test_memoized_chi_equals_cold_rank_on_restricted_and_rothe_diagrams():
+    diagrams = []
+    for n in range(6):
+        for w in all_permutations(n):
+            D = rothe(w)
+            diagrams.append(D)
+            diagrams.extend(restrict_remove(D, k, w(k)) for k in range(1, n + 1))
+    memoized = [chi(D) for D in diagrams]
+    assert len(weylchar._chi_cache) < len(diagrams)
+    for D, p in zip(diagrams, memoized):
+        assert _cold_chi(D) == p, D
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=7),
+            st.integers(0, 2).flatmap(lambda e: st.permutations(range(1, n + e + 1))),
+        )
+    )
+)
+def test_chi_ignores_column_order_and_empty_columns(case):
+    n, boxes, target = case
+    D = Diagram.of(n, boxes)
+    moved = _move_columns(D, len(target), target)
+    assert _cold_chi(moved) == _cold_chi(D)
+
+
+def test_memo_hit_still_refuses_over_budget():
+    D = rothe(Permutation.from_string("35142"))
+    moved = _move_columns(D, 6, [6, 1, 3, 2, 5])
+    with pytest.raises(BudgetExceededError) as cold:
+        _cold_chi(moved, budget=3)
+    chi(D)
+    assert weylchar._chi_cache
+    with pytest.raises(BudgetExceededError) as warm:
+        chi(moved, budget=3)
+    assert str(warm.value) == str(cold.value)
+
+
+def test_clear_caches_empties_the_chi_memo():
+    chi(rothe(Permutation.from_string("1432")))
+    assert weylchar._chi_cache
+    weylchar.clear_caches()
+    assert not weylchar._chi_cache
 
 
 # -- exact rank ----------------------------------------------------------
