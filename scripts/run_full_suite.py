@@ -4,11 +4,14 @@
 Usage:
     python scripts/run_full_suite.py [--max-n N] [--jobs J] [--seed S] [--out DIR]
 
-With --out, each claim additionally gets a JSON-lines report file in DIR.
+Each summary line ends with the SHA-256 of the claim's JSON-lines report,
+so two checkouts can be compared byte for byte from their summaries.
+With --out, each claim additionally gets that report as a file in DIR.
 The process exit code is the worst over all claims (0 clean, 2 on a
 counterexample, 3 on a budget refusal).
 """
 import argparse
+import hashlib
 import json
 import pathlib
 import sys
@@ -40,15 +43,14 @@ def main() -> int:
         for r in reports:
             counts[r.verdict] = counts.get(r.verdict, 0) + 1
         summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-        print(f"{name:9s} exit={code} {elapsed:6.1f}s  {summary}")
+        report = "".join(json.dumps(r.as_dict(), separators=(",", ":")) + "\n" for r in reports)
+        digest = hashlib.sha256(report.encode("utf-8")).hexdigest()
+        print(f"{name:9s} exit={code} {elapsed:6.1f}s  {summary}  sha256={digest}")
         for r in reports:
             if r.verdict == "fails":
                 print(f"  counterexample {r.subject}: {r.witness}")
         if args.out:
-            path = args.out / f"{name}.jsonl"
-            with path.open("w", encoding="utf-8") as fh:
-                for r in reports:
-                    fh.write(json.dumps(r.as_dict(), separators=(",", ":")) + "\n")
+            (args.out / f"{name}.jsonl").write_text(report, encoding="utf-8")
     return worst
 
 

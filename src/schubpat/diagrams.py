@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 from .errors import AugmentationOverlapError, NotASubwordError
 from .permwords import Permutation, Word, is_subword, substitution_indices
-from .polyx import Monomial
+from .polyx import Monomial, monomial_key
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ class Diagram:
 
     def __contains__(self, box: tuple[int, int]) -> bool:
         return box in self.boxes
-
-    def union(self, other: "Diagram") -> "Diagram":
-        return Diagram(max(self.n, other.n), self.boxes | other.boxes)
 
     def difference(self, other: "Diagram") -> "Diagram":
         return Diagram(self.n, self.boxes - other.boxes)
@@ -190,4 +187,4 @@ def augment(Chat: Diagram, D: Diagram, k: int, l: int) -> Diagram:
 
 def row_monomial(D: Diagram) -> Monomial:
     """x^D: one factor x_i per box of D in row i."""
-    return Monomial.of(*(i for (i, _) in D.boxes))
+    return Monomial.from_key(monomial_key(i for (i, _) in D.boxes))

@@ -38,8 +38,8 @@ from .permwords import (
     subwords_between,
     substitution_indices,
 )
-from .polyx import Monomial, Polynomial
-from .schubert import principal_specialization, schubert_divdiff, schubert_skipping
+from .polyx import Monomial, Polynomial, exponent_key, monomial_key
+from .schubert import principal_specialization, schubert_polynomial, schubert_skipping
 
 
 def m_monomial(w: Permutation, v: Word) -> Monomial:
@@ -51,7 +51,7 @@ def m_monomial(w: Permutation, v: Word) -> Monomial:
 def substituted_schubert(w: Permutation, v: Word) -> Polynomial:
     """S_{perm(v)} with its i-th variable sent to x at w^{-1}(v(i))."""
     indices = substitution_indices(w, v)
-    p = schubert_divdiff(flatten(v))
+    p = schubert_polynomial(flatten(v))
     sigma = {i: indices[i - 1] for i in range(1, len(indices) + 1)}
     return p.substitute_variables(sigma)
 
@@ -225,19 +225,24 @@ def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
     not kept (row i is position i, column j the position of letter j).
     `superset_sums` then adds the terms of all v >= u.
     """
-    w = Permutation(values)
     n = len(values)
-    winv = w.inverse().values
+    where = {a: p for p, a in enumerate(values)}
     # A box lies in the kept rows and columns iff its mask bits are all kept.
-    boxes = [(i, 1 << (i - 1) | 1 << (winv[j - 1] - 1)) for (i, j) in rothe(w).boxes]
+    boxes = [(i, 1 << (i - 1) | 1 << where[j]) for (i, j) in rothe(Permutation(values)).boxes]
     patterns = subword_patterns(values)
     terms = []
     for mask, kept in enumerate(_mask_positions(n)):
-        m = Monomial.of(*(i for (i, bits) in boxes if mask & bits != bits))
-        s = schubert_divdiff(Permutation(patterns[mask])).substitute_variables(
-            {t: i + 1 for t, i in enumerate(kept, start=1)}
-        )
-        terms.append(s * Polynomial.from_monomial(m, 1 if (n - len(kept)) % 2 == 0 else -1))
+        m = list(monomial_key(i for (i, bits) in boxes if mask & bits != bits))
+        m += [0] * (n - len(m))
+        sign = 1 if (n - len(kept)) % 2 == 0 else -1
+        term = {}
+        # Variable t of S_{perm(v)} becomes x at the t-th kept position.
+        for key, c in schubert_polynomial(patterns[mask]).key_terms.items():
+            exps = m[:]
+            for i, e in zip(kept, key):
+                exps[i] += e
+            term[exponent_key(exps)] = sign * c
+        terms.append(Polynomial.from_keys(term))
     return superset_sums(terms)
 
 
@@ -289,16 +294,17 @@ def single_step_monomial(sigma: Permutation, k: int) -> Monomial:
     return row_monomial(removed_boxes(rothe(sigma), k, sigma(k)))
 
 
-def verify_single_step(sigma: Permutation, k: int) -> tuple[bool, Polynomial]:
+def verify_single_step(sigma: Permutation, k: int) -> tuple[bool, Polynomial | None]:
     """Check S_sigma - M * S_pi(x_1,...,skip x_k,...,x_n) has no negative term.
 
-    pi is the pattern of sigma at the positions other than k; returns the
-    difference polynomial alongside the verdict.
+    pi is the pattern of sigma at the positions other than k.  The difference
+    is built, and returned with the verdict, only when the check fails.
     """
     m = single_step_monomial(sigma, k)
-    diff = schubert_divdiff(sigma) - schubert_skipping(sigma, k) * Polynomial.from_monomial(m)
-    ok, _ = diff.is_nonnegative()
-    return ok, diff
+    s_sigma, sub = schubert_polynomial(sigma), schubert_skipping(sigma, k)
+    if s_sigma.nonnegative_after_subtracting(m, sub):
+        return True, None
+    return False, s_sigma - sub * m
 
 
 def clear_caches() -> None:

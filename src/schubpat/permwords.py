@@ -43,10 +43,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def letter(self, i: int) -> int:
-        """The i-th letter, 1-indexed."""
-        return self.letters[i - 1]
-
     def letter_set(self) -> frozenset[int]:
         return frozenset(self.letters)
 
@@ -115,18 +111,6 @@ class Permutation:
 
     def ascents(self) -> list[int]:
         return [i for i in range(1, len(self.values)) if self.values[i - 1] < self.values[i]]
-
-    def strip_trailing_fixed_points(self) -> "Permutation":
-        v = list(self.values)
-        while v and v[-1] == len(v):
-            v.pop()
-        return Permutation(tuple(v))
-
-    def embed(self, n: int) -> "Permutation":
-        """Pad with fixed points up to size n."""
-        if n < len(self.values):
-            raise ValueError(f"cannot embed size {len(self.values)} into S_{n}")
-        return Permutation(self.values + tuple(range(len(self.values) + 1, n + 1)))
 
     def __str__(self) -> str:
         return str(self.word())

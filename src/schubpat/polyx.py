@@ -1,16 +1,18 @@
-"""Sparse multivariate polynomials with exact integer coefficients.
+"""Sparse multivariate polynomials with exact integer (Python int) coefficients.
 
-Variables are indexed by positive integers: x_1, x_2, ...  A second,
-pair-indexed family (used for the upper-triangular determinant
-computations) shares the same engine through the pairing in
-:func:`pair_index`.
-
-Monomials and polynomials are immutable; all arithmetic returns new
-objects.  Coefficients are Python ints, so everything is exact.
+Variables are indexed by positive integers: x_1, x_2, ...; the y_ij of the
+determinant computations share the engine through :func:`pair_index`.
+A polynomial is a dict from exponent keys to nonzero coefficients.  The key
+of a monomial is its dense exponent tuple, entry i - 1 for variable i, with
+no trailing zeros, so equal monomials have equal keys and a product of
+monomials is the entrywise sum of their keys.  Arithmetic works on keys;
+`Monomial` wraps one where a term leaves the engine (`terms()`, `support()`,
+witnesses, text and JSON), and canonical order and validation happen there.
 """
 from __future__ import annotations
 
 import json
+from operator import add, le, sub
 from typing import Iterable, Iterator, Mapping
 
 
@@ -25,132 +27,144 @@ def pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-def unpair_index(k: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_index`."""
-    j = 1
-    while j * (j + 1) // 2 < k:
-        j += 1
-    i = k - j * (j - 1) // 2
-    return i, j
+def monomial_key(variables: Iterable[int]) -> tuple[int, ...]:
+    """The key of the product of the given variables (indices >= 1, unchecked)."""
+    exps: list[int] = []
+    for v in variables:
+        if v > len(exps):
+            exps.extend([0] * (v - len(exps)))
+        exps[v - 1] += 1
+    return tuple(exps)
+
+
+def exponent_key(exps: list[int]) -> tuple[int, ...]:
+    """The key of a dense exponent list: the list without its trailing zeros."""
+    n = len(exps)
+    while n and not exps[n - 1]:
+        n -= 1
+    return tuple(exps[:n])
+
+
+def _mul_keys(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(add, a, b)) + a[len(b) :]
+
+
+def _canonical(keys: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Keys in `Monomial.sort_key` order: two keys of one degree differ before either ends."""
+    return sorted(keys, key=lambda k: (-sum(k), k), reverse=True)
 
 
 class Monomial:
-    """A power product of indexed variables, stored as sorted (var, exp) pairs."""
+    """A power product of indexed variables: an immutable wrapper of one exponent key."""
 
-    __slots__ = ("_exps",)
+    __slots__ = ("key",)
 
     def __init__(self, exps: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         # The dict test first skips typing.Mapping's slower subclass check.
         items = exps.items() if isinstance(exps, dict) or isinstance(exps, Mapping) else exps
-        merged: dict[int, int] = {}
+        dense: list[int] = []
         for var, exp in items:
             if var < 1:
                 raise ValueError(f"variable index must be >= 1, got {var}")
             if exp < 0:
                 raise ValueError(f"exponent must be >= 0, got {exp}")
             if exp:
-                merged[var] = merged.get(var, 0) + exp
-        self._exps: tuple[tuple[int, int], ...] = tuple(sorted(merged.items()))
+                if var > len(dense):
+                    dense.extend([0] * (var - len(dense)))
+                dense[var - 1] += exp
+        self.key: tuple[int, ...] = tuple(dense)  # immutable by convention
+
+    @classmethod
+    def from_key(cls, key: tuple[int, ...]) -> "Monomial":
+        """The monomial of a canonical key, taken as is."""
+        m = cls.__new__(cls)
+        m.key = key
+        return m
 
     @classmethod
     def of(cls, *variables: int) -> "Monomial":
         """Product of the given variables, e.g. Monomial.of(1, 3) == x_1*x_3."""
-        exps: dict[int, int] = {}
-        for v in variables:
-            exps[v] = exps.get(v, 0) + 1
-        return cls(exps)
+        return cls((v, 1) for v in variables)
 
     @property
     def exps(self) -> tuple[tuple[int, int], ...]:
-        return self._exps
-
-    def exponent(self, var: int) -> int:
-        for v, e in self._exps:
-            if v == var:
-                return e
-        return 0
+        """The (variable, exponent) pairs with a positive exponent, by variable."""
+        return tuple((i, e) for i, e in enumerate(self.key, start=1) if e)
 
     def degree(self) -> int:
-        return sum(e for _, e in self._exps)
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self._exps)
+        return sum(self.key)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        exps = dict(self._exps)
-        for v, e in other._exps:
-            exps[v] = exps.get(v, 0) + e
-        return Monomial(exps)
+        return Monomial.from_key(_mul_keys(self.key, other.key))
 
     def divides(self, other: "Monomial") -> bool:
-        return all(other.exponent(v) >= e for v, e in self._exps)
+        return len(self.key) <= len(other.key) and all(map(le, self.key, other.key))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
-        exps = dict(self._exps)
-        for v, e in other._exps:
-            exps[v] -= e
-        return Monomial(exps)
-
-    def rename(self, sigma: Mapping[int, int]) -> "Monomial":
-        return Monomial({sigma[v]: e for v, e in self._exps})
+        exps = list(map(sub, self.key, other.key)) + list(self.key[len(other.key) :])
+        return Monomial.from_key(exponent_key(exps))
 
     def sort_key(self) -> tuple:
         # Graded order, then lexicographic with lower variable index and
         # higher exponent first (so x_1^2 precedes x_1x_2 precedes x_2^2).
-        return (self.degree(), tuple((v, -e) for v, e in self._exps))
+        return (self.degree(), tuple(-e for e in self.key))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self._exps == other._exps
+        return isinstance(other, Monomial) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self._exps)
+        return hash(self.key)
 
     def __bool__(self) -> bool:
-        return bool(self._exps)
+        return bool(self.key)
 
     def format(self, name: str = "x") -> str:
-        if not self._exps:
+        if not self.key:
             return "1"
-        parts = []
-        for v, e in self._exps:
-            parts.append(f"{name}{v}" if e == 1 else f"{name}{v}^{e}")
-        return "*".join(parts)
+        return "*".join(f"{name}{v}" if e == 1 else f"{name}{v}^{e}" for v, e in self.exps)
 
     def __str__(self) -> str:
         return self.format()
 
     def __repr__(self) -> str:
-        return f"Monomial({self._exps!r})"
-
-
-ONE = Monomial()
+        return f"Monomial({self.exps!r})"
 
 
 class Polynomial:
-    """Map from monomials to nonzero integer coefficients."""
+    """Map from monomial keys to nonzero integer coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("key_terms",)  # the dict from keys to coefficients; immutable by convention
 
     def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
         items = terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms
-        merged: dict[Monomial, int] = {}
+        merged: dict[tuple[int, ...], int] = {}
         for mon, coef in items:
-            c = merged.get(mon, 0) + coef
+            key = mon.key
+            c = merged.get(key, 0) + coef
             if c:
-                merged[mon] = c
-            elif mon in merged:
-                del merged[mon]
-        self._terms = merged
+                merged[key] = c
+            elif key in merged:
+                del merged[key]
+        self.key_terms = merged
+
+    @classmethod
+    def from_keys(cls, terms: dict[tuple[int, ...], int]) -> "Polynomial":
+        """The polynomial of a dict from canonical keys to nonzero ints, taken as is."""
+        p = cls.__new__(cls)
+        p.key_terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls()
+        return cls.from_keys({})
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
-        return cls({ONE: c})
+        return cls.from_keys({(): c} if c else {})
 
     @classmethod
     def variable(cls, i: int) -> "Polynomial":
@@ -162,59 +176,52 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical (graded lexicographic) order."""
-        for mon in sorted(self._terms, key=Monomial.sort_key):
-            yield mon, self._terms[mon]
+        for key in _canonical(self.key_terms):
+            yield Monomial.from_key(key), self.key_terms[key]
 
     def coefficient(self, m: Monomial) -> int:
-        return self._terms.get(m, 0)
+        return self.key_terms.get(m.key, 0)
 
     def support(self) -> set[Monomial]:
-        return set(self._terms)
+        return {Monomial.from_key(key) for key in self.key_terms}
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((m.degree() for m in self._terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {m.degree() for m in self._terms}
-        return len(degrees) <= 1
+        return max(map(sum, self.key_terms), default=-1)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.key_terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            return self._terms == (Polynomial.constant(other))._terms
-        return isinstance(other, Polynomial) and self._terms == other._terms
+            return self.key_terms == Polynomial.constant(other).key_terms
+        return isinstance(other, Polynomial) and self.key_terms == other.key_terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self.key_terms.items()))
 
-    def __add__(self, other: "Polynomial | int") -> "Polynomial":
+    def _plus(self, other: "Polynomial | int", sign: int) -> "Polynomial":
         if isinstance(other, int):
             other = Polynomial.constant(other)
-        terms = dict(self._terms)
-        for mon, coef in other._terms.items():
-            c = terms.get(mon, 0) + coef
+        terms = dict(self.key_terms)
+        for key, coef in other.key_terms.items():
+            c = terms.get(key, 0) + sign * coef
             if c:
-                terms[mon] = c
-            elif mon in terms:
-                del terms[mon]
-        p = Polynomial.__new__(Polynomial)
-        p._terms = terms
-        return p
+                terms[key] = c
+            else:
+                del terms[key]
+        return Polynomial.from_keys(terms)
+
+    def __add__(self, other: "Polynomial | int") -> "Polynomial":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p._terms = {m: -c for m, c in self._terms.items()}
-        return p
+        return Polynomial.from_keys({k: -c for k, c in self.key_terms.items()})
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
-        if isinstance(other, int):
-            other = Polynomial.constant(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other: int) -> "Polynomial":
         return Polynomial.constant(other) - self
@@ -223,76 +230,99 @@ class Polynomial:
         if isinstance(other, int):
             if other == 0:
                 return Polynomial.zero()
-            p = Polynomial.__new__(Polynomial)
-            p._terms = {m: c * other for m, c in self._terms.items()}
-            return p
+            return Polynomial.from_keys({k: c * other for k, c in self.key_terms.items()})
         if isinstance(other, Monomial):
             other = Polynomial.from_monomial(other)
-        terms: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mon = m1 * m2
-                c = terms.get(mon, 0) + c1 * c2
+        terms: dict[tuple[int, ...], int] = {}
+        get = terms.get
+        for a, ca in self.key_terms.items():
+            la = len(a)
+            for b, cb in other.key_terms.items():
+                lb = len(b)
+                key = tuple(map(add, a, b)) + (a[lb:] if la > lb else b[la:])
+                c = get(key, 0) + ca * cb
                 if c:
-                    terms[mon] = c
-                elif mon in terms:
-                    del terms[mon]
-        p = Polynomial.__new__(Polynomial)
-        p._terms = terms
-        return p
+                    terms[key] = c
+                else:
+                    del terms[key]
+        return Polynomial.from_keys(terms)
 
     __rmul__ = __mul__
 
+    def nonnegative_after_subtracting(self, m: Monomial, t: "Polynomial") -> bool:
+        """Whether self - m * t has no negative coefficient, without building it.
+
+        That is self[m * u] >= t[u] for every u in t, and every negative
+        coefficient of self lies at some such m * u.
+        """
+        s, mk = self.key_terms, m.key
+        if any(s.get(_mul_keys(mk, u), 0) < c for u, c in t.key_terms.items()):
+            return False
+        if min(s.values(), default=0) >= 0:
+            return True
+        covered = {_mul_keys(mk, u) for u in t.key_terms}
+        return all(key in covered for key, c in s.items() if c < 0)
+
     def substitute_zero(self, k: int) -> "Polynomial":
         """Set x_k = 0: drop every term with a positive exponent on k."""
-        p = Polynomial.__new__(Polynomial)
-        p._terms = {m: c for m, c in self._terms.items() if m.exponent(k) == 0}
-        return p
+        return Polynomial.from_keys(
+            {key: c for key, c in self.key_terms.items() if len(key) < k or not key[k - 1]}
+        )
 
     def substitute_variables(self, sigma: Mapping[int, int]) -> "Polynomial":
         """Relabel variables by the injective map sigma; coefficients unchanged."""
         from .errors import UnmappedVariableError
 
-        used = {v for m in self._terms for v in m.variables()}
+        used = self.variables()
         missing = used - set(sigma)
         if missing:
             raise UnmappedVariableError(f"substitution does not map variables {sorted(missing)}")
         image = [sigma[v] for v in used]
         if len(set(image)) != len(image):
             raise ValueError("substitution map must be injective on the variables present")
-        return Polynomial({m.rename(sigma): c for m, c in self._terms.items()})
+        if min(image, default=1) < 1:
+            raise ValueError(f"variable index must be >= 1, got {min(image)}")
+        target = [sigma.get(i, 1) - 1 for i in range(1, max(used, default=0) + 1)]
+        size, terms = max(image, default=0), {}
+        for key, c in self.key_terms.items():
+            exps = [0] * size
+            for t, e in zip(target, key):
+                if e:
+                    exps[t] = e
+            terms[exponent_key(exps)] = c
+        return Polynomial.from_keys(terms)
 
     def evaluate_all_ones(self) -> int:
-        return sum(self._terms.values())
+        return sum(self.key_terms.values())
 
     def is_nonnegative(self) -> tuple[bool, tuple[Monomial, int] | None]:
         """True iff no coefficient is negative; else the first negative term in canonical order."""
-        if not any(coef < 0 for coef in self._terms.values()):
+        negative = [key for key, coef in self.key_terms.items() if coef < 0]
+        if not negative:
             return True, None
-        return next((False, (mon, coef)) for mon, coef in self.terms() if coef < 0)
+        key = _canonical(negative)[0]
+        return False, (Monomial.from_key(key), self.key_terms[key])
 
     def variables(self) -> set[int]:
-        return {v for m in self._terms for v in m.variables()}
+        return {i for key in self.key_terms for i, e in enumerate(key, start=1) if e}
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self, nvars: int | None = None) -> dict:
         n = nvars if nvars is not None else max(self.variables(), default=0)
         terms = []
-        for mon, coef in self.terms():
-            exp = [0] * n
-            for v, e in mon.exps:
-                exp[v - 1] = e
-            terms.append({"exp": exp, "coef": str(coef)})
+        for key in _canonical(self.key_terms):
+            if len(key) > n:
+                raise ValueError(f"variable {len(key)} is beyond nvars {n}")
+            exp = list(key) + [0] * (n - len(key))
+            terms.append({"exp": exp, "coef": str(self.key_terms[key])})
         return {"vars": n, "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
-        terms = {}
-        for t in data["terms"]:
-            mon = Monomial({i + 1: e for i, e in enumerate(t["exp"]) if e})
-            terms[mon] = int(t["coef"])
-        return cls(terms)
+        return cls(
+            {Monomial(dict(enumerate(t["exp"], start=1))): int(t["coef"]) for t in data["terms"]}
+        )
 
     def dumps(self, nvars: int | None = None) -> str:
         return json.dumps(self.to_json(nvars), separators=(",", ":"))
@@ -302,22 +332,13 @@ class Polynomial:
         return cls.from_json(json.loads(s))
 
     def format(self, name: str = "x") -> str:
-        if not self._terms:
-            return "0"
-        parts = []
+        out = ""
         for mon, coef in self.terms():
-            if not mon:
-                parts.append(str(coef))
-            elif coef == 1:
-                parts.append(mon.format(name))
-            elif coef == -1:
-                parts.append(f"-{mon.format(name)}")
-            else:
-                parts.append(f"{coef}*{mon.format(name)}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            c = abs(coef)
+            text = str(c) if not mon else mon.format(name) if c == 1 else f"{c}*{mon.format(name)}"
+            sign = "-" if coef < 0 else "+"
+            out += (f" {sign} " if out else "-" * (coef < 0)) + text
+        return out or "0"
 
     def __str__(self) -> str:
         return self.format()

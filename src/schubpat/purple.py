@@ -23,7 +23,7 @@ from .diagrams import (
 from .errors import NotInFamilyError
 from .permwords import Permutation
 from .polyx import Monomial, Polynomial
-from .schubert import schubert_divdiff, schubert_skipping
+from .schubert import schubert_polynomial, schubert_skipping
 
 
 def purple_boxes(D: Diagram, k: int, l: int) -> frozenset[tuple[int, int]]:
@@ -118,18 +118,20 @@ def purple_family(D: Diagram, k: int, l: int) -> PurpleFamily:
 
 def verify_theorem_gen(
     family: PurpleFamily, K: Diagram, chi_D: Polynomial, chi_hat_k: Polynomial
-) -> tuple[bool, Polynomial]:
+) -> tuple[bool, Polynomial | None]:
     """Check chi_D - x^K * chi_hat_k has no negative term, for K in the family.
 
     chi_D is the dual character of the family's diagram D, and chi_hat_k that
     of restrict_remove(D, k, l) with x_k = 0 substituted; the caller builds
-    both once per family and passes them for every member.
+    both once per family and passes them for every member.  The difference
+    is built, and returned with the verdict, only when the check fails.
     """
     if K not in family.members:
         raise NotInFamilyError(f"{K} is not a member of the purple family of {family.D}")
-    diff = chi_D - chi_hat_k * Polynomial.from_monomial(row_monomial(K))
-    ok, _ = diff.is_nonnegative()
-    return ok, diff
+    m = row_monomial(K)
+    if chi_D.nonnegative_after_subtracting(m, chi_hat_k):
+        return True, None
+    return False, chi_D - chi_hat_k * m
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ def characterize_monomials(sigma: Permutation, k: int) -> MonomialCharacterizati
     D = rothe(sigma)
     l = sigma(k)
     family = purple_family(D, k, l)
-    s_sigma = schubert_divdiff(sigma)
+    s_sigma = schubert_polynomial(sigma)
     sub = schubert_skipping(sigma, k)
     degree = len(family.seed)
     mu0 = min(sub.support(), key=Monomial.sort_key, default=Monomial())
@@ -165,9 +167,7 @@ def characterize_monomials(sigma: Permutation, k: int) -> MonomialCharacterizati
     candidates |= family.monomials
     working = set()
     for M in candidates:
-        diff = s_sigma - sub * Polynomial.from_monomial(M)
-        ok, _ = diff.is_nonnegative()
-        if ok:
+        if s_sigma.nonnegative_after_subtracting(M, sub):
             working.add(M)
     return MonomialCharacterization(
         sigma,

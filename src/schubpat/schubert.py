@@ -1,96 +1,117 @@
-"""Schubert polynomials by divided differences and by diagram sums.
+"""Schubert polynomials by the transition equation, divided differences and diagram sums.
 
-The divided-difference route works for every permutation; the diagram-sum
-route requires the permutation to avoid 1432 and 1423, where both agree.
-The principal specialization S_w(1) is an integer computation by the
-transition recursion; the divided-difference polynomial evaluated at 1
-and the reduced-word identity (`macdonald_oracle`) are its oracles.
+The production route is the Lascoux-Schuetzenberger transition equation on
+exponent keys (`schubert_polynomial`); divided differences are its oracle,
+and so is the diagram sum for permutations avoiding 1432 and 1423.  S_w(1)
+runs the same recursion on integers, with the divided-difference polynomial
+at 1 and the reduced-word identity (`macdonald_oracle`) as its oracles.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .diagrams import enumerate_dominated, rothe, row_monomial
 from .errors import LengthGuardError, PatternViolationError
 from .permwords import Permutation, avoids, flatten, remove_position
-from .polyx import Monomial, Polynomial
+from .polyx import Monomial, Polynomial, exponent_key, monomial_key
 
 
 def divided_difference(p: Polynomial, i: int) -> Polynomial:
-    """(p - p with x_i and x_{i+1} exchanged) / (x_i - x_{i+1}), exactly.
+    """(p - p with x_i and x_{i+1} exchanged) / (x_i - x_{i+1}), term by term.
 
-    The quotient is computed by synthetic division in x_i; a nonzero
-    remainder means the numerator was not antisymmetric in x_i, x_{i+1}
-    and signals an internal bug.
+    With a, b the exponents of x_i, x_{i+1} in a term, lo <= hi the two
+    sorted, (x_i^a x_{i+1}^b - x_i^b x_{i+1}^a) / (x_i - x_{i+1}) is the sum
+    of x_i^(lo+hi-1-e) x_{i+1}^e over lo <= e < hi, negated when a < b.
     """
-    variables = p.variables() | {i, i + 1}
-    swap = {v: v for v in variables}
-    swap[i], swap[i + 1] = i + 1, i
-    g = p - p.substitute_variables(swap)
-    if not g:
-        return Polynomial.zero()
-
-    # Split g by the exponent of x_i: g = sum_k c_k * x_i^k.
-    coeffs: dict[int, Polynomial] = {}
-    for mon, coef in g.terms():
-        k = mon.exponent(i)
-        rest = mon / Monomial({i: k})
-        coeffs[k] = coeffs.get(k, Polynomial.zero()) + Polynomial.from_monomial(rest, coef)
-    d = max(coeffs)
-    xi1 = Polynomial.variable(i + 1)
-    # Horner division by (x_i - x_{i+1}): q_{k-1} = c_k + x_{i+1} * q_k.
-    q: dict[int, Polynomial] = {}
-    carry = Polynomial.zero()
-    for k in range(d, 0, -1):
-        qk = coeffs.get(k, Polynomial.zero()) + xi1 * carry
-        q[k - 1] = qk
-        carry = qk
-    remainder = coeffs.get(0, Polynomial.zero()) + xi1 * carry
-    if remainder:
-        raise ArithmeticError(f"divided difference left a remainder: {remainder}")
-    result = Polynomial.zero()
-    for k, poly in q.items():
-        result = result + poly * Monomial({i: k})
-    return result
+    terms: dict[tuple[int, ...], int] = {}
+    for key, coef in p.key_terms.items():
+        exps = list(key) + [0] * (i + 1 - len(key))
+        a, b = exps[i - 1], exps[i]
+        lo, hi, c = (b, a, coef) if a > b else (a, b, -coef)
+        for e in range(lo, hi):
+            exps[i - 1], exps[i] = lo + hi - 1 - e, e
+            k = exponent_key(exps)
+            terms[k] = terms.get(k, 0) + c
+    return Polynomial.from_keys({k: c for k, c in terms.items() if c})
 
 
-def _longest_element_polynomial(n: int) -> Polynomial:
-    return Polynomial.from_monomial(Monomial({i: n - i for i in range(1, n)}))
+def schubert_divdiff(w: Permutation) -> Polynomial:
+    """The Schubert polynomial of w via divided differences: the oracle of the transition route.
 
-
-def _compute_schubert(w: Permutation, pick_ascent: Callable[[list[int]], int]) -> Polynomial:
-    """Walk up to the longest element along ascents chosen by pick_ascent."""
+    Walks up to the longest element of S_n, x_1^(n-1) x_2^(n-2) ... x_(n-1),
+    along first ascents; not memoized.
+    """
     ascents = w.ascents()
     if not ascents:
-        return _longest_element_polynomial(w.n)
-    i = pick_ascent(ascents)
-    return divided_difference(_compute_schubert(w.swap_positions(i), pick_ascent), i)
+        return Polynomial.from_keys({tuple(range(w.n - 1, 0, -1)): 1})
+    i = ascents[0]
+    return divided_difference(schubert_divdiff(w.swap_positions(i)), i)
+
+
+def _transition(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+    """(r, v, children) of the transition equation at the last descent of w.
+
+    key is w's one-line notation, not the identity.  With r the last descent
+    of w (0-indexed here), s the largest j > r with w(j) < w(r) and
+    v = w t_{rs}, the children are the v t_{ir} over the i < r with
+    v(i) < v(r) and no v(j) strictly between them for i < j < r; then
+    S_w = x_{r+1} S_v + the sum of S_u over the children u.
+    """
+    n = len(key)
+    r = n - 2
+    while key[r] < key[r + 1]:
+        r -= 1
+    wr = key[r]
+    s = n - 1
+    while key[s] > wr:
+        s -= 1
+    v = list(key)
+    v[r], v[s] = v[s], wr
+    vr = v[r]
+    children = []
+    # Scanning leftwards, lo is the largest value below v(r) seen so far.
+    lo = 0
+    for i in range(r - 1, -1, -1):
+        vi = v[i]
+        if lo < vi < vr:
+            lo = vi
+            v[i], v[r] = vr, vi
+            children.append(tuple(v))
+            v[i], v[r] = vi, vr
+    return r, tuple(v), children
 
 
 _schubert_cache: dict[tuple[int, ...], Polynomial] = {}
 
 
-def schubert_divdiff(w: Permutation) -> Polynomial:
-    """The Schubert polynomial of w via divided differences (memoized).
+def schubert_polynomial(w: Permutation | tuple[int, ...]) -> Polynomial:
+    """S_w by the Lascoux-Schuetzenberger transition equation (memoized).
 
-    Trailing fixed points of w are stripped first; the polynomial is
-    unchanged by them.
+    w may also be its one-line notation as a plain tuple.  The recursion is
+    `_transition`'s, on exponent keys: x_{r+1} S_v shifts entry r of every
+    key of S_v, and the children add in with no cancellation.
     """
-    w = w.strip_trailing_fixed_points()
-    key = w.values
+    values = w.values if isinstance(w, Permutation) else w
+    n = len(values)
+    while n and values[n - 1] == n:
+        n -= 1
+    key = values[:n]
     cached = _schubert_cache.get(key)
     if cached is not None:
         return cached
     if not key:
         result = Polynomial.constant(1)
     else:
-        ascents = w.ascents()
-        if not ascents:
-            result = _longest_element_polynomial(w.n)
-        else:
-            i = ascents[0]
-            result = divided_difference(schubert_divdiff(w.swap_positions(i)), i)
+        r, v, children = _transition(key)
+        terms = {}
+        for k, c in schubert_polynomial(v).key_terms.items():
+            k += (0,) * (r + 1 - len(k))
+            terms[k[:r] + (k[r] + 1,) + k[r + 1 :]] = c
+        for u in children:
+            for k, c in schubert_polynomial(u).key_terms.items():
+                terms[k] = terms.get(k, 0) + c
+        result = Polynomial.from_keys(terms)
     _schubert_cache[key] = result
     return result
 
@@ -102,17 +123,9 @@ def schubert_skipping(sigma: Permutation, k: int) -> Polynomial:
     and x_{i+1} from k on.
     """
     pi = flatten(remove_position(sigma, k))
-    return schubert_divdiff(pi).substitute_variables(
+    return schubert_polynomial(pi).substitute_variables(
         {i: (i if i < k else i + 1) for i in range(1, sigma.n)}
     )
-
-
-def schubert_divdiff_alt(w: Permutation) -> Polynomial:
-    """Same polynomial via the last-ascent walk; used to test independence."""
-    w = w.strip_trailing_fixed_points()
-    if not w.values:
-        return Polynomial.constant(1)
-    return _compute_schubert(w, lambda ascents: ascents[-1])
 
 
 def schubert_diagram(w: Permutation) -> Polynomial:
@@ -125,11 +138,11 @@ def schubert_diagram(w: Permutation) -> Polynomial:
 def diagram_sum(w: Permutation) -> Polynomial:
     """Sum of x^C over C <= D(w) with no avoidance check (for testing both
     directions of the characterization)."""
-    terms: dict[Monomial, int] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for C in enumerate_dominated(rothe(w)):
-        m = row_monomial(C)
-        terms[m] = terms.get(m, 0) + 1
-    return Polynomial(terms)
+        key = monomial_key(i for (i, _) in C.boxes)
+        terms[key] = terms.get(key, 0) + 1
+    return Polynomial.from_keys(terms)
 
 
 def coefficient_by_counting(w: Permutation, m: Monomial) -> int:
@@ -145,10 +158,8 @@ _spec_cache: dict[tuple[int, ...], int] = {}
 def principal_specialization(w: Permutation | tuple[int, ...]) -> int:
     """S_w(1,...,1), for w or its one-line notation as a plain tuple (memoized).
 
-    Computed by the transition recursion at x = 1: with r the last descent
-    of w, s the largest j > r with w(j) < w(r) and v = w t_{rs},
-    S_w(1) = S_v(1) + sum of S_{v t_{ir}}(1) over the i < r with
-    v(i) < v(r) and no v(j) strictly between them for i < j < r.
+    Computed by the transition equation at x = 1 (see `_transition`):
+    S_w(1) = S_v(1) + the sum of S_u(1) over the children u.
     """
     values = w.values if isinstance(w, Permutation) else w
     n = len(values)
@@ -161,26 +172,8 @@ def principal_specialization(w: Permutation | tuple[int, ...]) -> int:
     if not key:
         result = 1
     else:
-        r = n - 2  # 0-indexed positions from here on
-        while key[r] < key[r + 1]:
-            r -= 1
-        wr = key[r]
-        s = n - 1
-        while key[s] > wr:
-            s -= 1
-        v = list(key)
-        v[r], v[s] = v[s], wr
-        result = principal_specialization(tuple(v))
-        vr = v[r]
-        # Scanning leftwards, lo is the largest value below v(r) seen so far.
-        lo = 0
-        for i in range(r - 1, -1, -1):
-            vi = v[i]
-            if lo < vi < vr:
-                lo = vi
-                v[i], v[r] = vr, vi
-                result += principal_specialization(tuple(v))
-                v[i], v[r] = vi, vr
+        _, v, children = _transition(key)
+        result = principal_specialization(v) + sum(map(principal_specialization, children))
     _spec_cache[key] = result
     return result
 

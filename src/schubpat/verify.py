@@ -176,7 +176,7 @@ def _run_chi_equality(shard: Shard, config: RunConfig) -> list[VerificationRepor
         character = weylchar.chi(rothe(w), budget=config.budget_dominated)
     except BudgetExceededError as exc:
         return [VerificationReport("thm2.4", subject, "budget-exceeded", str(exc))]
-    expected = schubert.schubert_divdiff(w)
+    expected = schubert.schubert_polynomial(w)
     if character != expected:
         delta = character - expected
         mon = min(delta.support(), key=Monomial.sort_key)
@@ -194,7 +194,7 @@ def _run_chi_equality(shard: Shard, config: RunConfig) -> list[VerificationRepor
 def _run_diagram_formula(shard: Shard, config: RunConfig) -> list[VerificationReport]:
     subject, values = shard
     w = Permutation(values)
-    equal = schubert.diagram_sum(w) == schubert.schubert_divdiff(w)
+    equal = schubert.diagram_sum(w) == schubert.schubert_polynomial(w)
     avoiding = avoids(w)
     if equal != avoiding:
         side = "equality" if equal else "inequality"
@@ -213,7 +213,7 @@ def _run_purple_members(shard: Shard, config: RunConfig) -> list[VerificationRep
     subject, values = shard
     w = Permutation(values)
     D = rothe(w)
-    chi_D = schubert.schubert_divdiff(w)
+    chi_D = schubert.schubert_polynomial(w)
     failures = []
     for k in range(1, w.n + 1):
         l = w(k)

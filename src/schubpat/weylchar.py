@@ -16,13 +16,12 @@ from .diagrams import (
     column_dominates,
     count_dominated,
     enumerate_dominated,
-    rothe,
     row_monomial,
 )
 from .errors import BudgetExceededError, NonemptyRowOrColumnError
 from .linalg import integer_rank
 from .permwords import Permutation
-from .polyx import Monomial, Polynomial, pair_index
+from .polyx import Monomial, Polynomial, monomial_key, pair_index
 
 DEFAULT_BUDGET = 10**6
 
@@ -58,9 +57,7 @@ def _det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
             break
         sign = -1 if t % 2 else 1
         minor = _det(rows[:t] + rows[t + 1 :], cols[1:])
-        result = result + minor * Polynomial.from_monomial(
-            Monomial.of(pair_index(r, c0)), sign
-        )
+        result = result + minor * Polynomial.from_keys({monomial_key((pair_index(r, c0),)): sign})
     _det_cache[(rows, cols)] = result
     return result
 
@@ -79,21 +76,18 @@ def determinant_product(C: Diagram, D: Diagram) -> Polynomial:
 
 def _span_rank(diagrams: list[Diagram], D: Diagram) -> int:
     """Rank of the span of the determinant products of the given diagrams."""
-    if not diagrams:
-        return 0
-    polys = [determinant_product(C, D) for C in diagrams]
-    columns: dict[Monomial, int] = {}
+    polys = [determinant_product(C, D).key_terms for C in diagrams]
+    # The rank does not depend on the order of the matrix columns.
+    columns: dict[tuple[int, ...], int] = {}
     for p in polys:
-        for mon, _ in p.terms():
-            if mon not in columns:
-                columns[mon] = len(columns)
-    if not columns:
-        return 0
+        for key in p:
+            if key not in columns:
+                columns[key] = len(columns)
     matrix = []
     for p in polys:
         row = [0] * len(columns)
-        for mon, coef in p.terms():
-            row[columns[mon]] = coef
+        for key, coef in p.items():
+            row[columns[key]] = coef
         matrix.append(row)
     return integer_rank(matrix)
 
@@ -126,15 +120,15 @@ def chi(D: Diagram, budget: int = DEFAULT_BUDGET) -> Polynomial:
 
 def _chi_by_rank(D: Diagram) -> Polynomial:
     """The dual character of D by one span rank per row monomial."""
-    groups: dict[Monomial, list[Diagram]] = {}
+    groups: dict[tuple[int, ...], list[Diagram]] = {}
     for C in enumerate_dominated(D):
-        groups.setdefault(row_monomial(C), []).append(C)
-    terms: dict[Monomial, int] = {}
-    for mon, diagrams in groups.items():
+        groups.setdefault(monomial_key(i for (i, _) in C.boxes), []).append(C)
+    terms: dict[tuple[int, ...], int] = {}
+    for key, diagrams in groups.items():
         coef = _span_rank(diagrams, D)
         if coef:
-            terms[mon] = coef
-    return Polynomial(terms)
+            terms[key] = coef
+    return Polynomial.from_keys(terms)
 
 
 def compress(D: Diagram, k: int, l: int) -> Diagram:
@@ -151,9 +145,12 @@ def compress(D: Diagram, k: int, l: int) -> Diagram:
 
 
 def diagram_permutation(D: Diagram) -> Permutation | None:
-    """The permutation whose Rothe diagram is D, or None if there is none."""
-    if D.n == 0:
-        return Permutation(())
+    """The permutation whose Rothe diagram is D, or None if there is none.
+
+    The row lengths of D are the code of the only candidate w, and D is
+    D(w) iff every box (i, j) has j < w(i) and w^{-1}(j) > i, since both
+    diagrams have as many boxes.  No diagram is built.
+    """
     code = [len(D.row(i)) for i in range(1, D.n + 1)]
     available = list(range(1, D.n + 1))
     values = []
@@ -161,8 +158,10 @@ def diagram_permutation(D: Diagram) -> Permutation | None:
         if c >= len(available):
             return None
         values.append(available.pop(c))
-    w = Permutation(tuple(values))
-    return w if rothe(w) == D else None
+    where = {a: p for p, a in enumerate(values, start=1)}
+    if all(j < values[i - 1] and where[j] > i for (i, j) in D.boxes):
+        return Permutation(tuple(values))
+    return None
 
 
 def chi_fast(D: Diagram, budget: int = DEFAULT_BUDGET) -> Polynomial:
@@ -173,11 +172,11 @@ def chi_fast(D: Diagram, budget: int = DEFAULT_BUDGET) -> Polynomial:
     computation remains available through chi() and is cross-checked in
     the verification suites.
     """
-    from .schubert import schubert_divdiff
+    from .schubert import schubert_polynomial
 
     w = diagram_permutation(D)
     if w is not None:
-        return schubert_divdiff(w)
+        return schubert_polynomial(w)
     return chi(D, budget)
 
 

@@ -1,6 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -312,3 +317,18 @@ def test_non_digits_are_a_usage_error(text):
     for argv in _perm_commands(text):
         _usage_error_line(argv)
     _usage_error_line(["alternating-sum", "1", text])
+
+
+def test_full_suite_summary_carries_the_report_digest(tmp_path):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = root / "scripts" / "run_full_suite.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "--max-n", "3", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    lines = out.splitlines()
+    assert len(lines) == len(list(tmp_path.glob("*.jsonl"))) == 9
+    for line in lines:
+        name, digest = line.split()[0], line.rsplit("sha256=", 1)[1]
+        assert digest == hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest()

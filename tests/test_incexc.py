@@ -115,7 +115,7 @@ def test_alternating_sum_homogeneous_terms(n):
         for t in r.per_term:
             product = t.schubert * Polynomial.from_monomial(t.monomial)
             if product:
-                assert product.is_homogeneous() and product.degree() == target
+                assert {m.degree() for m in product.support()} == {target}
 
 
 def _subword_at(w: Permutation, mask: int) -> Word:
@@ -199,7 +199,7 @@ def test_cw_augmentation_requires_avoidance():
 
 def test_cw_vanishes_with_fixed_last_point():
     for w in all_permutations(4):
-        embedded = w.embed(5)
+        embedded = Permutation(w.values + (5,))
         assert cw_inclusion_exclusion(embedded) == 0
         assert cw_recursive(embedded) == 0
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubpat.errors import UnmappedVariableError
-from schubpat.polyx import Monomial, Polynomial, pair_index, unpair_index, x
+from schubpat.polyx import Monomial, Polynomial, pair_index, x
 
 
 def poly_strategy(max_vars=4, max_exp=3, max_terms=5, max_coef=9):
@@ -123,10 +123,73 @@ def test_canonical_term_order():
 
 
 def test_pair_index_round_trip():
-    seen = set()
-    for j in range(1, 8):
-        for i in range(1, j + 1):
-            k = pair_index(i, j)
-            assert unpair_index(k) == (i, j)
-            assert k not in seen
-            seen.add(k)
+    # the pairs with j <= 7 take the indices 1..28, each once, in order of j then i
+    pairs = [(i, j) for j in range(1, 8) for i in range(1, j + 1)]
+    assert [pair_index(i, j) for i, j in pairs] == list(range(1, len(pairs) + 1))
+
+
+# -- exponent keys ---------------------------------------------------------
+
+monomials = st.dictionaries(st.integers(1, 5), st.integers(0, 3), max_size=5)
+
+
+def _canonical_keys(p):
+    return all(not key or key[-1] for key in p.key_terms)
+
+
+def _same(p, q):
+    return p == q and hash(p) == hash(q) and _canonical_keys(p) and _canonical_keys(q)
+
+
+@given(monomials)
+def test_monomial_routes_give_one_key(exps):
+    # zero exponents, split pairs and repeated variables all land on one key
+    pairs = [(v, e) for v, e in exps.items() for _ in range(e)]
+    m = Monomial(exps)
+    routes = [
+        Monomial([(v, 1) for v, _ in pairs] + [(v, 0) for v in exps]),
+        Monomial.of(*(v for v, _ in pairs)),
+        Monomial(dict(reversed(list(exps.items())))),
+        Monomial.from_key(m.key),
+    ]
+    assert not m.key or m.key[-1]
+    for r in routes:
+        assert r == m and hash(r) == hash(m) and r.key == m.key
+
+
+@settings(max_examples=150)
+@given(poly_strategy(max_vars=5), poly_strategy(max_vars=5))
+def test_polynomial_routes_give_one_key(p, q):
+    pairs = list(p.terms())
+    assert _same(Polynomial(dict(pairs)), p)
+    # pairs split in two, plus zero terms, merge to the same polynomial
+    split = [(m, c - 1) for m, c in pairs] + [(m, 1) for m, _ in pairs] + [(Monomial({3: 0}), 0)]
+    assert _same(Polynomial(split), p)
+    assert _same(p + q - q, p)
+    assert _same(q - q, Polynomial.zero())
+    assert _same((p * q) - (q * p), Polynomial.zero())
+    assert _same(p * Polynomial.constant(1), p)
+    assert _same(p * x(6) * Polynomial.constant(-1) + p * x(6), Polynomial.zero())
+    shift = {v: v + 1 for v in range(1, 6)}
+    back = {v + 1: v for v in range(1, 6)}
+    assert _same(p.substitute_variables(shift).substitute_variables(back), p)
+    no_x5 = Polynomial({m: c for m, c in pairs if m.key[4:5] in ((), (0,))})
+    assert _same(p.substitute_zero(5), no_x5)
+    assert _same(Polynomial.from_json(p.to_json(7)), p)
+    assert _same(Polynomial.loads(p.dumps()), p)
+
+
+@given(poly_strategy(max_vars=5))
+def test_terms_order_is_the_old_order_on_variable_exponent_pairs(p):
+    old = sorted(p.support(), key=lambda m: (m.degree(), tuple((v, -e) for v, e in m.exps)))
+    assert [m for m, _ in p.terms()] == old
+
+
+@settings(max_examples=200)
+@given(poly_strategy(max_vars=4), poly_strategy(max_vars=4), poly_strategy(max_vars=4), monomials)
+def test_lookup_subtraction_check_agrees_with_the_difference(p, q, t, exps):
+    m = Monomial(exps)
+    # S = p + m * q puts S's coefficients, negative ones too, on m * q's support.
+    s = p + q * m
+    for other in (t, q, q + t, Polynomial.zero()):
+        assert s.nonnegative_after_subtracting(m, other) == (s - other * m).is_nonnegative()[0]
