@@ -7,6 +7,7 @@ deleting an empty row/column and renumbering is a separate operation
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -105,7 +106,8 @@ def dominates(C: Diagram, D: Diagram) -> bool:
     return all(column_dominates(c, d) for c, d in zip(C.columns(), D.columns()))
 
 
-def _column_dominated_sets(d: tuple[int, ...]) -> list[tuple[int, ...]]:
+@functools.cache  # keyed by a column, a subset of [n]: at most 2^n entries
+def _column_dominated_sets(d: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All strictly increasing tuples c with c_t <= d_t, in lexicographic order."""
     out: list[tuple[int, ...]] = []
 
@@ -119,7 +121,7 @@ def _column_dominated_sets(d: tuple[int, ...]) -> list[tuple[int, ...]]:
             acc.pop()
 
     rec(0, 0, [])
-    return out
+    return tuple(out)
 
 
 def enumerate_dominated(D: Diagram) -> Iterator[Diagram]:

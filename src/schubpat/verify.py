@@ -1,27 +1,26 @@
 """Batch verification of the theorem and conjecture suites.
 
-Each claim has an input space sharded by permutation; a shard produces a
-list of reports.  Shard order is fixed, so report files are byte-stable
-for a given configuration regardless of the parallelism degree (timing
-is only recorded on request for the same reason).
+Each claim has an input space sharded by permutation; a shard is a tuple
+that starts with its subject.  A claim's `run(shard, config)` returns its
+failure witnesses, [] when the claim holds, or None when the subject is
+outside its scope; it may raise BudgetExceededError.  `_run_shard` alone
+turns that into the shard's one VerificationReport.  Shard order is fixed,
+so report files are byte-stable for a given configuration regardless of
+the parallelism degree (timing is only recorded on request for the same
+reason).
 """
 from __future__ import annotations
 
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import incexc, schubert, weylchar
 from .diagrams import restrict_remove, rothe
 from .errors import BudgetExceededError
-from .permwords import (
-    Permutation,
-    Word,
-    all_permutations,
-    avoids,
-)
+from .permwords import Permutation, Word, all_permutations, avoids
 from .polyx import Monomial
 from .purple import characterize_monomials, purple_family, verify_theorem_gen
 
@@ -64,26 +63,19 @@ class Claim:
     name: str
     description: str
     shards: Callable[[RunConfig], list[Shard]]
-    run: Callable[[Shard, RunConfig], list[VerificationReport]]
+    run: Callable[[Shard, RunConfig], list[str] | None]  # failures; None: outside scope
 
 
-def _perm_shards(config: RunConfig, n_min: int = 2, n_max: int | None = None) -> list[Shard]:
+def _perm_shards(config: RunConfig, n_max: int | None = None) -> list[Shard]:
     top = config.max_n if n_max is None else min(config.max_n, n_max)
-    return [
-        (str(w), w.values)
-        for n in range(n_min, top + 1)
-        for w in all_permutations(n)
-    ]
+    return [(str(w), w.values) for n in range(2, top + 1) for w in all_permutations(n)]
 
 
 # -- alternating-sum nonnegativity (avoiders) --------------------------------
 
 
 def _shards_alt_nonneg(config: RunConfig) -> list[Shard]:
-    shards: list[Shard] = []
-    for n in range(2, min(config.max_n, 5) + 1):
-        for w in all_permutations(n):
-            shards.append((str(w), w.values, None))
+    shards = [s + (None,) for s in _perm_shards(config, n_max=5)]
     if config.max_n >= 6:
         rng = random.Random(config.seed)
         for n in range(6, config.max_n + 1):
@@ -100,10 +92,10 @@ def _shards_alt_nonneg(config: RunConfig) -> list[Shard]:
     return shards
 
 
-def _run_alt_nonneg(shard: Shard, config: RunConfig) -> list[VerificationReport]:
-    subject, values, sampled = shard
+def _run_alt_nonneg(shard: Shard, config: RunConfig) -> list[str] | None:
+    _, values, sampled = shard
     if not avoids(Permutation(values)):
-        return [VerificationReport("thm1.1", subject, "outside-scope")]
+        return None
     # u is the subword of word(w) at a position mask: every mask, or the sampled ones.
     sums = incexc.alternating_sums(values)
     failures = []
@@ -112,16 +104,14 @@ def _run_alt_nonneg(shard: Shard, config: RunConfig) -> list[VerificationReport]
         if not ok:
             u = Word(tuple(a for i, a in enumerate(values) if mask >> i & 1))
             failures.append(f"u={u}: coeff {bad[1]} at {bad[0]}")
-    if failures:
-        return [VerificationReport("thm1.1", subject, "fails", "; ".join(failures))]
-    return [VerificationReport("thm1.1", subject, "holds")]
+    return failures
 
 
 # -- single-removal nonnegativity (all permutations) -------------------------
 
 
-def _run_single_step(shard: Shard, config: RunConfig) -> list[VerificationReport]:
-    subject, values = shard
+def _run_single_step(shard: Shard, config: RunConfig) -> list[str] | None:
+    _, values = shard
     sigma = Permutation(values)
     failures = []
     for k in range(1, sigma.n + 1):
@@ -129,9 +119,7 @@ def _run_single_step(shard: Shard, config: RunConfig) -> list[VerificationReport
         if not ok:
             _, bad = diff.is_nonnegative()
             failures.append(f"k={k}: coeff {bad[1]} at {bad[0]}")
-    if failures:
-        return [VerificationReport("thm1.0", subject, "fails", "; ".join(failures))]
-    return [VerificationReport("thm1.0", subject, "holds")]
+    return failures
 
 
 # -- c_w agreement between the counting and the alternating route ------------
@@ -141,18 +129,14 @@ def _shards_avoiders(config: RunConfig) -> list[Shard]:
     return [s for s in _perm_shards(config) if avoids(Permutation(s[1]))]
 
 
-def _run_cw_equality(shard: Shard, config: RunConfig) -> list[VerificationReport]:
-    subject, values = shard
+def _run_cw_equality(shard: Shard, config: RunConfig) -> list[str] | None:
+    _, values = shard
     w = Permutation(values)
     by_ie = incexc.cw_inclusion_exclusion(w)
     by_aug = incexc.cw_augmentation(w)
     if by_ie != by_aug:
-        return [
-            VerificationReport(
-                "thm1.2", subject, "fails", f"inclusion-exclusion {by_ie} != augmentation {by_aug}"
-            )
-        ]
-    return [VerificationReport("thm1.2", subject, "holds")]
+        return [f"inclusion-exclusion {by_ie} != augmentation {by_aug}"]
+    return []
 
 
 # -- dual character equals the Schubert polynomial ---------------------------
@@ -169,48 +153,37 @@ def _shards_chi(config: RunConfig) -> list[Shard]:
     return shards
 
 
-def _run_chi_equality(shard: Shard, config: RunConfig) -> list[VerificationReport]:
-    subject, values = shard
+def _run_chi_equality(shard: Shard, config: RunConfig) -> list[str] | None:
+    _, values = shard
     w = Permutation(values)
-    try:
-        character = weylchar.chi(rothe(w), budget=config.budget_dominated)
-    except BudgetExceededError as exc:
-        return [VerificationReport("thm2.4", subject, "budget-exceeded", str(exc))]
+    character = weylchar.chi(rothe(w), budget=config.budget_dominated)
     expected = schubert.schubert_polynomial(w)
     if character != expected:
         delta = character - expected
         mon = min(delta.support(), key=Monomial.sort_key)
-        return [
-            VerificationReport(
-                "thm2.4", subject, "fails", f"difference {delta.coefficient(mon)} at {mon}"
-            )
-        ]
-    return [VerificationReport("thm2.4", subject, "holds")]
+        return [f"difference {delta.coefficient(mon)} at {mon}"]
+    return []
 
 
 # -- diagram-sum formula holds exactly for avoiders --------------------------
 
 
-def _run_diagram_formula(shard: Shard, config: RunConfig) -> list[VerificationReport]:
-    subject, values = shard
+def _run_diagram_formula(shard: Shard, config: RunConfig) -> list[str] | None:
+    _, values = shard
     w = Permutation(values)
     equal = schubert.diagram_sum(w) == schubert.schubert_polynomial(w)
     avoiding = avoids(w)
     if equal != avoiding:
         side = "equality" if equal else "inequality"
-        return [
-            VerificationReport(
-                "thm2.7", subject, "fails", f"unexpected {side} for avoidance={avoiding}"
-            )
-        ]
-    return [VerificationReport("thm2.7", subject, "holds")]
+        return [f"unexpected {side} for avoidance={avoiding}"]
+    return []
 
 
 # -- purple-family subtraction ----------------------------------------------
 
 
-def _run_purple_members(shard: Shard, config: RunConfig) -> list[VerificationReport]:
-    subject, values = shard
+def _run_purple_members(shard: Shard, config: RunConfig) -> list[str] | None:
+    _, values = shard
     w = Permutation(values)
     D = rothe(w)
     chi_D = schubert.schubert_polynomial(w)
@@ -218,26 +191,21 @@ def _run_purple_members(shard: Shard, config: RunConfig) -> list[VerificationRep
     for k in range(1, w.n + 1):
         l = w(k)
         family = purple_family(D, k, l)
-        try:
-            chi_hat = weylchar.chi_fast(restrict_remove(D, k, l), budget=config.budget_dominated)
-        except BudgetExceededError as exc:
-            return [VerificationReport("thm4.1", subject, "budget-exceeded", str(exc))]
+        chi_hat = weylchar.chi_fast(restrict_remove(D, k, l), budget=config.budget_dominated)
         chi_hat_k = chi_hat.substitute_zero(k)
         for K in sorted(family.members, key=lambda d: d.box_list()):
             ok, diff = verify_theorem_gen(family, K, chi_D, chi_hat_k)
             if not ok:
                 _, bad = diff.is_nonnegative()
                 failures.append(f"k={k} K={K}: coeff {bad[1]} at {bad[0]}")
-    if failures:
-        return [VerificationReport("thm4.1", subject, "fails", "; ".join(failures))]
-    return [VerificationReport("thm4.1", subject, "holds")]
+    return failures
 
 
 # -- nonnegativity of the specialized alternating sums, all permutations -----
 
 
-def _run_cwu_nonneg(shard: Shard, config: RunConfig) -> list[VerificationReport]:
-    subject, values = shard
+def _run_cwu_nonneg(shard: Shard, config: RunConfig) -> list[str] | None:
+    _, values = shard
     n = len(values)
     # The alternating sums of thm1.1 at x = 1, for every u at once.
     g = incexc.superset_sums(incexc.signed_specializations(incexc.subword_patterns(values)))
@@ -245,18 +213,18 @@ def _run_cwu_nonneg(shard: Shard, config: RunConfig) -> list[VerificationReport]
     if bad:
         mask = bad[0]
         u = Word(tuple(values[i] for i in range(n) if (mask >> i) & 1))
-        return [VerificationReport("conj5.1", subject, "fails", f"u={u}: value {g[mask]}")]
-    return [VerificationReport("conj5.1", subject, "holds")]
+        return [f"u={u}: value {g[mask]}"]
+    return []
 
 
 # -- purple monomials characterize the working monomials (avoiders) ----------
 
 
-def _run_purple_characterization(shard: Shard, config: RunConfig) -> list[VerificationReport]:
-    subject, values = shard
+def _run_purple_characterization(shard: Shard, config: RunConfig) -> list[str] | None:
+    _, values = shard
     sigma = Permutation(values)
     if not avoids(sigma):
-        return [VerificationReport("conj5.3", subject, "outside-scope")]
+        return None
     failures = []
     for k in range(1, sigma.n + 1):
         result = characterize_monomials(sigma, k)
@@ -265,16 +233,14 @@ def _run_purple_characterization(shard: Shard, config: RunConfig) -> list[Verifi
             failures.append(f"k={k}: purple monomial not working: {sorted(map(str, missing))}")
         if result.extra:
             failures.append(f"k={k}: extra working monomials {sorted(map(str, result.extra))}")
-    if failures:
-        return [VerificationReport("conj5.3", subject, "fails", "; ".join(failures))]
-    return [VerificationReport("conj5.3", subject, "holds")]
+    return failures
 
 
 # -- specialization identity and vanishing ----------------------------------
 
 
-def _run_identity(shard: Shard, config: RunConfig) -> list[VerificationReport]:
-    subject, values = shard
+def _run_identity(shard: Shard, config: RunConfig) -> list[str] | None:
+    _, values = shard
     patterns = incexc.subword_patterns(values)
     # The pattern at the full mask is w itself; its c comes from these patterns.
     c_w = incexc.cw_inclusion_exclusion(values, patterns)
@@ -285,9 +251,7 @@ def _run_identity(shard: Shard, config: RunConfig) -> list[VerificationReport]:
         failures.append(f"sum of c over subwords = {total}, specialization = {spec}")
     if values[-1] == len(values) and c_w != 0:
         failures.append(f"c = {c_w} despite fixed last point")
-    if failures:
-        return [VerificationReport("identity", subject, "fails", "; ".join(failures))]
-    return [VerificationReport("identity", subject, "holds")]
+    return failures
 
 
 CLAIMS: dict[str, Claim] = {
@@ -348,20 +312,23 @@ CLAIMS: dict[str, Claim] = {
 }
 
 
-def _run_shard(claim: Claim, shard: Shard, config: RunConfig) -> list[VerificationReport]:
-    """The reports of one shard, stamped with its elapsed time if timing is on."""
+def _run_shard(claim: Claim, shard: Shard, config: RunConfig) -> VerificationReport:
+    """The report of one shard, stamped with its elapsed time if timing is on."""
     start = time.monotonic()
-    reports = claim.run(shard, config)
-    if config.include_timing:
-        elapsed_ms = round((time.monotonic() - start) * 1000, 3)
-        reports = [replace(r, elapsed_ms=elapsed_ms) for r in reports]
-    return reports
+    try:
+        failures = claim.run(shard, config)
+    except BudgetExceededError as exc:
+        verdict, witness = "budget-exceeded", str(exc)
+    else:
+        verdict = "outside-scope" if failures is None else "fails" if failures else "holds"
+        witness = "; ".join(failures) if failures else None
+    elapsed_ms = round((time.monotonic() - start) * 1000, 3) if config.include_timing else None
+    return VerificationReport(claim.name, shard[0], verdict, witness, elapsed_ms)
 
 
-def _shard_worker(args: tuple[str, Shard, dict]) -> list[dict]:
-    claim_name, shard, config_dict = args
-    reports = _run_shard(CLAIMS[claim_name], shard, RunConfig(**config_dict))
-    return [r.as_dict() for r in reports]
+def _shard_worker(args: tuple[str, Shard, RunConfig]) -> VerificationReport:
+    claim_name, shard, config = args
+    return _run_shard(CLAIMS[claim_name], shard, config)
 
 
 def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport]:
@@ -370,14 +337,11 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
     shards = claim.shards(config)
     if config.jobs <= 1:
         for shard in shards:
-            yield from _run_shard(claim, shard, config)
+            yield _run_shard(claim, shard, config)
     else:
-        config_dict = asdict(config)
-        args = [(claim_name, shard, config_dict) for shard in shards]
+        args = [(claim_name, shard, config) for shard in shards]
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for dicts in pool.map(_shard_worker, args, chunksize=8):
-                for d in dicts:
-                    yield VerificationReport(**d)
+            yield from pool.map(_shard_worker, args, chunksize=8)
 
 
 def exit_code(reports: Iterable[VerificationReport]) -> int:

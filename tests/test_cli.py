@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubpat import cli
+from schubpat import cli, verify
 
 
 def run(capsys, *argv):
@@ -332,3 +333,21 @@ def test_full_suite_summary_carries_the_report_digest(tmp_path):
     for line in lines:
         name, digest = line.split()[0], line.rsplit("sha256=", 1)[1]
         assert digest == hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest()
+
+
+def test_full_suite_exit_code_prefers_a_counterexample_to_a_refusal(monkeypatch, capsys):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = root / "scripts" / "run_full_suite.py"
+    spec = importlib.util.spec_from_file_location("run_full_suite", script)
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+    # conj5.1 is run first, thm4.1 last: a later refusal must not mask the counterexample.
+    verdicts = {"conj5.1": ("fails", "w"), "thm4.1": ("budget-exceeded", "m")}
+
+    def fake_run_claim(name, config):
+        yield verify.VerificationReport(name, "12", *verdicts.get(name, ("holds", None)))
+
+    monkeypatch.setattr(suite, "run_claim", fake_run_claim)
+    monkeypatch.setattr(sys, "argv", ["run_full_suite.py", "--max-n", "2"])
+    assert suite.main() == 2
+    assert "counterexample 12: w" in capsys.readouterr().out

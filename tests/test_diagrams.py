@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from schubpat.diagrams import (
     Diagram,
+    _column_dominated_sets,
+    _count_column,
     augment,
     column_dominates,
     count_dominated,
@@ -104,6 +106,21 @@ def test_enumerate_and_count_agree(n):
         assert len(set(members)) == len(members)
         assert all(dominates(C, D) for C in members)
         assert D in members
+
+
+def test_column_dominated_sets_match_a_filter_of_combinations():
+    # Every column of an n-grid, n <= 6: a strictly increasing tuple of rows.
+    for n in range(1, 7):
+        rows = range(1, n + 1)
+        for m in range(n + 1):
+            for d in itertools.combinations(rows, m):
+                expected = tuple(
+                    c for c in itertools.combinations(rows, m) if all(a <= b for a, b in zip(c, d))
+                )
+                got = _column_dominated_sets(d)
+                assert isinstance(got, tuple)
+                assert got == expected
+                assert len(got) == _count_column(d)
 
 
 def test_enumerate_dominated_example():

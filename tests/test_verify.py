@@ -4,7 +4,15 @@ from collections import Counter
 import pytest
 
 from schubpat import incexc, purple, verify, weylchar
-from schubpat.verify import CLAIMS, RunConfig, VerificationReport, exit_code, run_claim
+from schubpat.errors import BudgetExceededError
+from schubpat.verify import (
+    CLAIMS,
+    Claim,
+    RunConfig,
+    VerificationReport,
+    exit_code,
+    run_claim,
+)
 
 
 def test_registry_names():
@@ -69,6 +77,35 @@ def test_budget_maps_to_exit_code_3():
     reports = list(run_claim("thm2.4", RunConfig(max_n=4, budget_dominated=2)))
     assert any(r.verdict == "budget-exceeded" for r in reports)
     assert exit_code(reports) == 3
+
+
+def test_runner_builds_the_report_from_what_a_claim_returns(monkeypatch):
+    def run(shard, config):
+        returned = {"none": None, "empty": [], "two": ["a", "b"]}
+        if shard[0] == "budget":
+            raise BudgetExceededError("m")
+        return returned[shard[0]]
+
+    shards = [("none",), ("empty",), ("two",), ("budget",)]
+    monkeypatch.setitem(CLAIMS, "stub", Claim("stub", "a stub claim", lambda c: shards, run))
+    assert list(run_claim("stub", RunConfig())) == [
+        VerificationReport("stub", "none", "outside-scope"),
+        VerificationReport("stub", "empty", "holds"),
+        VerificationReport("stub", "two", "fails", "a; b"),
+        VerificationReport("stub", "budget", "budget-exceeded", "m"),
+    ]
+    timed = list(run_claim("stub", RunConfig(include_timing=True)))
+    assert [r.verdict for r in timed] == ["outside-scope", "holds", "fails", "budget-exceeded"]
+    assert all(isinstance(r.elapsed_ms, float) for r in timed)
+    assert all("elapsed_ms" in r.as_dict() for r in timed)
+
+
+def test_thm4_1_budget_refusal_is_reported_under_any_jobs():
+    config = RunConfig(max_n=5, budget_dominated=10)
+    reports = list(run_claim("thm4.1", config))
+    assert any(r.verdict == "budget-exceeded" for r in reports)
+    assert exit_code(reports) == 3
+    assert list(run_claim("thm4.1", RunConfig(max_n=5, budget_dominated=10, jobs=2))) == reports
 
 
 def test_exit_code_priorities():
