@@ -29,11 +29,14 @@ EXIT_COUNTEREXAMPLE = 2
 EXIT_BUDGET = 3
 
 
-def _env_default(name: str, fallback):
+def _env_default(name: str, fallback, choices: list[str] | None = None):
+    """A flag's default from its SCHUBPAT_* variable, checked here: argparse checks no default."""
     variable = ENV_PREFIX + name.upper().replace("-", "_")
     raw = os.environ.get(variable)
     if raw is None:
         return fallback
+    if choices is not None and raw not in choices:
+        raise UsageError(f"{variable} must be one of {', '.join(choices)}, got {raw!r}")
     if isinstance(fallback, int):
         try:
             return int(raw)
@@ -51,11 +54,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=["text", "json", "csv"],
-        default=_env_default("format", "text"),
-    )
+    formats = ["text", "json", "csv"]
+    common.add_argument("--format", choices=formats, default=_env_default("format", "text", formats))
     common.add_argument("--out", default=_env_default("out", None), help="write output to PATH")
     common.add_argument("--jobs", type=int, default=_env_default("jobs", 1))
     common.add_argument("--max-n", type=int, default=_env_default("max_n", 5))
@@ -184,6 +184,8 @@ def _cmd_cw(args) -> int:
 
 
 def _cmd_cw_table(args) -> int:
+    if args.n < 0:
+        raise UsageError(f"n must be nonnegative, got {args.n}")
     lines = ["w,length,c_w,methods_agree"]
     for w in all_permutations(args.n):
         ie = incexc.cw_inclusion_exclusion(w)

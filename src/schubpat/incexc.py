@@ -17,6 +17,7 @@ instead, so the two routes check each other as well as the counting.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .diagrams import (
@@ -139,18 +140,10 @@ def bv_count(w: Permutation, u: Word, m: Monomial) -> int:
     return count
 
 
-_positions: dict[int, list[tuple[int, ...]]] = {}
-_cw_cache: dict[tuple[int, ...], int] = {}
-_cw_ie_cache: dict[tuple[int, ...], int] = {}
-
-
-def _mask_positions(n: int) -> list[tuple[int, ...]]:
+@functools.cache  # keyed by the number of positions
+def _mask_positions(n: int) -> tuple[tuple[int, ...], ...]:
     """The kept positions (0-indexed) of every mask over n positions."""
-    positions = _positions.get(n)
-    if positions is None:
-        positions = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
-        _positions[n] = positions
-    return positions
+    return tuple(tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n))
 
 
 def subword_patterns(values: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -197,22 +190,28 @@ def signed_specializations(patterns: list[tuple[int, ...]]) -> list[int]:
     ]
 
 
-def cw_inclusion_exclusion(
-    w: Permutation | tuple[int, ...], patterns: list[tuple[int, ...]] | None = None
-) -> int:
+def cw_inclusion_exclusion(w: Permutation | tuple[int, ...]) -> int:
     """c_w as the signed sum of principal specializations over subwords (memoized).
 
-    w may also be given as its one-line notation, a plain tuple; `patterns`,
-    if given, must be `subword_patterns` of it and saves recomputing them.
+    w may also be given as its one-line notation, a plain tuple.
     """
-    values = w.values if isinstance(w, Permutation) else w
-    cached = _cw_ie_cache.get(values)
-    if cached is None:
-        if patterns is None:
-            patterns = subword_patterns(values)
-        cached = sum(signed_specializations(patterns))
-        _cw_ie_cache[values] = cached
-    return cached
+    return _cw_ie(w.values if isinstance(w, Permutation) else w)[0]
+
+
+def cw_and_subword_sum(values: tuple[int, ...]) -> tuple[int, int]:
+    """(c_w, the sum of c_{perm(v)} over every subword v of word(w)) (memoized).
+
+    The specialization identity says that the sum equals S_w(1).
+    """
+    return _cw_ie(values)
+
+
+@functools.cache  # keyed by the one-line notation
+def _cw_ie(values: tuple[int, ...]) -> tuple[int, int]:
+    patterns = subword_patterns(values)
+    c_w = sum(signed_specializations(patterns))
+    # The pattern at the full mask is w itself; both sums use one list of patterns.
+    return c_w, sum(_cw_ie(p)[0] for p in patterns[:-1]) + c_w
 
 
 def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
@@ -247,18 +246,19 @@ def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
 
 
 def cw_recursive(w: Permutation) -> int:
-    """c_w by the defining recursion: S_w(1) minus c over all proper subwords."""
-    key = w.values
-    cached = _cw_cache.get(key)
-    if cached is not None:
-        return cached
+    """c_w by the defining recursion: S_w(1) minus c over all proper subwords (memoized)."""
+    return _cw_recursive(w.values)
+
+
+@functools.cache  # keyed by the one-line notation
+def _cw_recursive(values: tuple[int, ...]) -> int:
+    w = Permutation(values)
     total = principal_specialization(w)
     # c of the empty permutation is 1 and accounts for the classical -1.
     for v in subwords_between(Word(), w):
         if len(v) == len(w):
             continue
-        total -= cw_recursive(flatten(v)) if len(v) else 1
-    _cw_cache[key] = total
+        total -= _cw_recursive(flatten(v).values) if len(v) else 1
     return total
 
 
@@ -306,7 +306,3 @@ def verify_single_step(sigma: Permutation, k: int) -> tuple[bool, Polynomial | N
         return True, None
     return False, s_sigma - sub * m
 
-
-def clear_caches() -> None:
-    _cw_cache.clear()
-    _cw_ie_cache.clear()

@@ -8,6 +8,7 @@ at 1 and the reduced-word identity (`macdonald_oracle`) as its oracles.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -82,38 +83,37 @@ def _transition(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[
     return r, tuple(v), children
 
 
-_schubert_cache: dict[tuple[int, ...], Polynomial] = {}
-
-
 def schubert_polynomial(w: Permutation | tuple[int, ...]) -> Polynomial:
     """S_w by the Lascoux-Schuetzenberger transition equation (memoized).
 
-    w may also be its one-line notation as a plain tuple.  The recursion is
-    `_transition`'s, on exponent keys: x_{r+1} S_v shifts entry r of every
-    key of S_v, and the children add in with no cancellation.
+    w may also be its one-line notation as a plain tuple.
     """
-    values = w.values if isinstance(w, Permutation) else w
+    return _schubert(w.values if isinstance(w, Permutation) else w)
+
+
+@functools.cache  # keyed by the one-line notation as given
+def _schubert(values: tuple[int, ...]) -> Polynomial:
+    """The recursion of `_transition`, on exponent keys.
+
+    x_{r+1} S_v shifts entry r of every key of S_v, and the children add in
+    with no cancellation.  Trailing fixed points are stripped on a miss.
+    """
     n = len(values)
     while n and values[n - 1] == n:
         n -= 1
-    key = values[:n]
-    cached = _schubert_cache.get(key)
-    if cached is not None:
-        return cached
-    if not key:
-        result = Polynomial.constant(1)
-    else:
-        r, v, children = _transition(key)
-        terms = {}
-        for k, c in schubert_polynomial(v).key_terms.items():
-            k += (0,) * (r + 1 - len(k))
-            terms[k[:r] + (k[r] + 1,) + k[r + 1 :]] = c
-        for u in children:
-            for k, c in schubert_polynomial(u).key_terms.items():
-                terms[k] = terms.get(k, 0) + c
-        result = Polynomial.from_keys(terms)
-    _schubert_cache[key] = result
-    return result
+    if n < len(values):
+        return _schubert(values[:n])
+    if not values:
+        return Polynomial.constant(1)
+    r, v, children = _transition(values)
+    terms = {}
+    for k, c in _schubert(v).key_terms.items():
+        k += (0,) * (r + 1 - len(k))
+        terms[k[:r] + (k[r] + 1,) + k[r + 1 :]] = c
+    for u in children:
+        for k, c in _schubert(u).key_terms.items():
+            terms[k] = terms.get(k, 0) + c
+    return Polynomial.from_keys(terms)
 
 
 def schubert_skipping(sigma: Permutation, k: int) -> Polynomial:
@@ -152,30 +152,27 @@ def coefficient_by_counting(w: Permutation, m: Monomial) -> int:
     return sum(1 for C in enumerate_dominated(rothe(w)) if row_monomial(C) == m)
 
 
-_spec_cache: dict[tuple[int, ...], int] = {}
-
-
 def principal_specialization(w: Permutation | tuple[int, ...]) -> int:
-    """S_w(1,...,1), for w or its one-line notation as a plain tuple (memoized).
+    """S_w(1,...,1), for w or its one-line notation as a plain tuple (memoized)."""
+    return _spec(w.values if isinstance(w, Permutation) else w)
 
-    Computed by the transition equation at x = 1 (see `_transition`):
-    S_w(1) = S_v(1) + the sum of S_u(1) over the children u.
+
+@functools.cache  # keyed by the one-line notation as given
+def _spec(values: tuple[int, ...]) -> int:
+    """The transition equation at x = 1 (see `_transition`).
+
+    S_w(1) = S_v(1) + the sum of S_u(1) over the children u.  Trailing fixed
+    points are stripped on a miss.
     """
-    values = w.values if isinstance(w, Permutation) else w
     n = len(values)
     while n and values[n - 1] == n:
         n -= 1
-    key = values[:n]
-    cached = _spec_cache.get(key)
-    if cached is not None:
-        return cached
-    if not key:
-        result = 1
-    else:
-        _, v, children = _transition(key)
-        result = principal_specialization(v) + sum(map(principal_specialization, children))
-    _spec_cache[key] = result
-    return result
+    if n < len(values):
+        return _spec(values[:n])
+    if not values:
+        return 1
+    _, v, children = _transition(values)
+    return _spec(v) + sum(map(_spec, children))
 
 
 def reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
@@ -203,7 +200,3 @@ def macdonald_oracle(w: Permutation, max_length: int = 12) -> int:
     assert rem == 0, "reduced-word sum must be divisible by l!"
     return value
 
-
-def clear_caches() -> None:
-    _schubert_cache.clear()
-    _spec_cache.clear()

@@ -241,10 +241,7 @@ def _run_purple_characterization(shard: Shard, config: RunConfig) -> list[str] |
 
 def _run_identity(shard: Shard, config: RunConfig) -> list[str] | None:
     _, values = shard
-    patterns = incexc.subword_patterns(values)
-    # The pattern at the full mask is w itself; its c comes from these patterns.
-    c_w = incexc.cw_inclusion_exclusion(values, patterns)
-    total = sum(incexc.cw_inclusion_exclusion(p) for p in patterns[:-1]) + c_w
+    c_w, total = incexc.cw_and_subword_sum(values)
     spec = schubert.principal_specialization(values)
     failures = []
     if total != spec:

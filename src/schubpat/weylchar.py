@@ -11,8 +11,12 @@ index (i, j) -> polyx.pair_index(i, j).
 """
 from __future__ import annotations
 
+import functools
+import itertools
+
 from .diagrams import (
     Diagram,
+    _column_dominated_sets,
     column_dominates,
     count_dominated,
     enumerate_dominated,
@@ -24,10 +28,6 @@ from .permwords import Permutation
 from .polyx import Monomial, Polynomial, monomial_key, pair_index
 
 DEFAULT_BUDGET = 10**6
-
-_det_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
-# chi keyed by the sorted tuple of D's nonempty columns (see chi).
-_chi_cache: dict[tuple[tuple[int, ...], ...], Polynomial] = {}
 
 
 def y_determinant(rows, cols) -> Polynomial:
@@ -43,12 +43,10 @@ def y_determinant(rows, cols) -> Polynomial:
     return _det(r, c)
 
 
+@functools.cache  # keyed by the (rows, cols) pair
 def _det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
     if not rows:
         return Polynomial.constant(1)
-    cached = _det_cache.get((rows, cols))
-    if cached is not None:
-        return cached
     # Entry (i, j) of Y is y_{ij} when i <= j and 0 below the diagonal.
     result = Polynomial.zero()
     c0 = cols[0]
@@ -58,7 +56,6 @@ def _det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
         sign = -1 if t % 2 else 1
         minor = _det(rows[:t] + rows[t + 1 :], cols[1:])
         result = result + minor * Polynomial.from_keys({monomial_key((pair_index(r, c0),)): sign})
-    _det_cache[(rows, cols)] = result
     return result
 
 
@@ -74,9 +71,8 @@ def determinant_product(C: Diagram, D: Diagram) -> Polynomial:
     return result
 
 
-def _span_rank(diagrams: list[Diagram], D: Diagram) -> int:
-    """Rank of the span of the determinant products of the given diagrams."""
-    polys = [determinant_product(C, D).key_terms for C in diagrams]
+def _span_rank(polys: list[dict[tuple[int, ...], int]]) -> int:
+    """Rank of the span of polynomials given by their key terms."""
     # The rank does not depend on the order of the matrix columns.
     columns: dict[tuple[int, ...], int] = {}
     for p in polys:
@@ -95,37 +91,42 @@ def _span_rank(diagrams: list[Diagram], D: Diagram) -> int:
 def chi_coefficient(D: Diagram, m: Monomial) -> int:
     """Coefficient of m in the dual character of D's flagged Weyl module."""
     matching = [C for C in enumerate_dominated(D) if row_monomial(C) == m]
-    return _span_rank(matching, D)
+    return _span_rank([determinant_product(C, D).key_terms for C in matching])
 
 
 def chi(D: Diagram, budget: int = DEFAULT_BUDGET) -> Polynomial:
     """The full dual character; refuses when the dominated count is too big.
 
-    Memoized on the multiset of D's nonempty columns.  Enumeration, the row
-    monomial and the determinant product all factor over columns, each factor
-    depending only on the pair (C_j, D_j), so permuting D's columns or dropping
-    an empty one is a bijection of dominated diagrams that keeps every
-    monomial and product, hence every span rank.  The budget is checked
-    before the lookup, so a memo hit never skips a refusal.
+    Memoized on the multiset of D's nonempty columns (see `_chi_by_rank`).
+    The budget is checked before the lookup, so a memo hit never skips a
+    refusal.
     """
     total = count_dominated(D)
     if total > budget:
         raise BudgetExceededError(f"{total} dominated diagrams exceed budget {budget}")
-    key = tuple(sorted(c for c in D.columns() if c))
-    cached = _chi_cache.get(key)
-    if cached is None:
-        cached = _chi_cache[key] = _chi_by_rank(D)
-    return cached
+    return _chi_by_rank(tuple(sorted(c for c in D.columns() if c)))
 
 
-def _chi_by_rank(D: Diagram) -> Polynomial:
-    """The dual character of D by one span rank per row monomial."""
-    groups: dict[tuple[int, ...], list[Diagram]] = {}
-    for C in enumerate_dominated(D):
-        groups.setdefault(monomial_key(i for (i, _) in C.boxes), []).append(C)
+@functools.cache  # keyed by the sorted tuple of a diagram's nonempty columns
+def _chi_by_rank(columns: tuple[tuple[int, ...], ...]) -> Polynomial:
+    """The dual character of a diagram with these nonempty columns, one span rank per row monomial.
+
+    Enumeration, the row monomial and the determinant product all factor
+    over columns, each factor depending only on the pair (C_j, D_j), so
+    permuting D's columns or dropping an empty one is a bijection of
+    dominated diagrams that keeps every monomial and product, hence every
+    span rank.  A dominated diagram is one choice of a dominated set per
+    column; no `Diagram` is built.
+    """
+    groups: dict[tuple[int, ...], list[dict[tuple[int, ...], int]]] = {}
+    for choice in itertools.product(*map(_column_dominated_sets, columns)):
+        product = Polynomial.constant(1)
+        for c, d in zip(choice, columns):
+            product = product * _det(c, d)
+        groups.setdefault(monomial_key(i for c in choice for i in c), []).append(product.key_terms)
     terms: dict[tuple[int, ...], int] = {}
-    for key, diagrams in groups.items():
-        coef = _span_rank(diagrams, D)
+    for key, polys in groups.items():
+        coef = _span_rank(polys)
         if coef:
             terms[key] = coef
     return Polynomial.from_keys(terms)
@@ -179,7 +180,3 @@ def chi_fast(D: Diagram, budget: int = DEFAULT_BUDGET) -> Polynomial:
         return schubert_polynomial(w)
     return chi(D, budget)
 
-
-def clear_caches() -> None:
-    _det_cache.clear()
-    _chi_cache.clear()

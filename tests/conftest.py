@@ -1,13 +1,11 @@
 import pytest
 
-from schubpat import incexc, schubert, weylchar
+import schubpat
 
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Every test starts and ends with empty module-level memo tables."""
-    for module in (schubert, incexc, weylchar):
-        module.clear_caches()
+    """Every test starts and ends with empty memo tables."""
+    schubpat.clear_caches()
     yield
-    for module in (schubert, incexc, weylchar):
-        module.clear_caches()
+    schubpat.clear_caches()

@@ -228,8 +228,9 @@ def test_env_override_by_flag(capsys, monkeypatch):
     assert out.strip() == "{(1,1)}"
 
 
-@pytest.mark.parametrize("name", ["JOBS", "MAX_N", "SEED", "BUDGET_DOMINATED"])
+@pytest.mark.parametrize("name", ["JOBS", "MAX_N", "SEED", "BUDGET_DOMINATED", "FORMAT"])
 def test_non_integer_env_variable_is_a_usage_error(name, capsys, monkeypatch):
+    # "x" is no integer, and no --format choice either.
     monkeypatch.setenv(f"SCHUBPAT_{name}", "x")
     code = cli.main(["verify", "identity"])
     assert code == cli.EXIT_USAGE
@@ -351,3 +352,7 @@ def test_full_suite_exit_code_prefers_a_counterexample_to_a_refusal(monkeypatch,
     monkeypatch.setattr(sys, "argv", ["run_full_suite.py", "--max-n", "2"])
     assert suite.main() == 2
     assert "counterexample 12: w" in capsys.readouterr().out
+
+
+def test_negative_cw_table_size_is_a_usage_error():
+    assert "n must be nonnegative, got -1" in _usage_error_line(["cw-table", "-1"])

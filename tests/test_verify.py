@@ -1,10 +1,14 @@
+import importlib
 import math
+import pkgutil
 from collections import Counter
 
 import pytest
 
+import schubpat
 from schubpat import incexc, purple, verify, weylchar
 from schubpat.errors import BudgetExceededError
+from schubpat.permwords import Permutation
 from schubpat.verify import (
     CLAIMS,
     Claim,
@@ -165,24 +169,37 @@ def test_thm4_1_builds_one_purple_family_per_pair(monkeypatch):
 
 
 def test_thm4_1_takes_one_rank_route_character_per_column_multiset(monkeypatch):
-    lookups, calls = [], []
-    chi, by_rank = weylchar.chi, weylchar._chi_by_rank
+    lookups = []
+    chi = weylchar.chi
 
     def looked_up(D, budget):
         lookups.append(D)
         return chi(D, budget)
 
-    def counted(D):
-        calls.append(D)
-        return by_rank(D)
-
     monkeypatch.setattr(weylchar, "chi", looked_up)
-    monkeypatch.setattr(weylchar, "_chi_by_rank", counted)
     assert exit_code(run_claim("thm4.1", RunConfig(max_n=5))) == 0
     # 416 restricted diagrams are not Rothe diagrams; 61 column multisets among them.
     assert len(lookups) == 416
-    assert len(calls) == 61
-    assert len({tuple(sorted(c for c in D.columns() if c)) for D in calls}) == 61
+    info = weylchar._chi_by_rank.cache_info()
+    assert info.misses == info.currsize == 61
+    assert info.hits == 416 - 61
+
+
+def test_clear_caches_reaches_every_memo():
+    """After all nine claims, schubpat.clear_caches() empties every functools memo."""
+    for name in CLAIMS:
+        list(run_claim(name, RunConfig(max_n=4)))
+    incexc.cw_recursive(Permutation.from_string("1432"))  # the one oracle memo no claim uses
+    modules = [
+        importlib.import_module(f"schubpat.{m.name}") for m in pkgutil.iter_modules(schubpat.__path__)
+    ]
+    memos = {
+        id(obj): obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_clear")
+    }.values()
+    assert len(memos) == 8
+    assert all(memo.cache_info().currsize for memo in memos)
+    schubpat.clear_caches()
+    assert [memo for memo in memos if memo.cache_info().currsize] == []
 
 
 def test_thm1_1_samples_the_same_pairs_for_a_seed():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schubpat
 from schubpat import weylchar
 from schubpat.diagrams import (
     Diagram,
@@ -206,7 +207,7 @@ def _move_columns(D, n, target):
 
 
 def _cold_chi(D, budget=weylchar.DEFAULT_BUDGET):
-    weylchar._chi_cache.clear()
+    weylchar._chi_by_rank.cache_clear()
     return chi(D, budget)
 
 
@@ -218,7 +219,7 @@ def test_memoized_chi_equals_cold_rank_on_restricted_and_rothe_diagrams():
             diagrams.append(D)
             diagrams.extend(restrict_remove(D, k, w(k)) for k in range(1, n + 1))
     memoized = [chi(D) for D in diagrams]
-    assert len(weylchar._chi_cache) < len(diagrams)
+    assert weylchar._chi_by_rank.cache_info().currsize < len(diagrams)
     for D, p in zip(diagrams, memoized):
         assert _cold_chi(D) == p, D
 
@@ -246,7 +247,7 @@ def test_memo_hit_still_refuses_over_budget():
     with pytest.raises(BudgetExceededError) as cold:
         _cold_chi(moved, budget=3)
     chi(D)
-    assert weylchar._chi_cache
+    assert weylchar._chi_by_rank.cache_info().currsize
     with pytest.raises(BudgetExceededError) as warm:
         chi(moved, budget=3)
     assert str(warm.value) == str(cold.value)
@@ -254,9 +255,32 @@ def test_memo_hit_still_refuses_over_budget():
 
 def test_clear_caches_empties_the_chi_memo():
     chi(rothe(Permutation.from_string("1432")))
-    assert weylchar._chi_cache
-    weylchar.clear_caches()
-    assert not weylchar._chi_cache
+    assert weylchar._chi_by_rank.cache_info().currsize
+    schubpat.clear_caches()
+    assert not weylchar._chi_by_rank.cache_info().currsize
+
+
+def test_column_choice_route_equals_the_diagram_route():
+    """chi by column choices equals chi_coefficient on D for every row monomial.
+
+    Over every restricted diagram of S_<=5 that is not a Rothe diagram.  The
+    Diagram route enumerates C <= D and multiplies `determinant_product`, so
+    it shares neither the chi memo nor the column choices with `_chi_by_rank`.
+    """
+    diagrams = {
+        restrict_remove(rothe(w), k, w(k))
+        for n in range(6)
+        for w in all_permutations(n)
+        for k in range(1, n + 1)
+    }
+    diagrams = [D for D in diagrams if diagram_permutation(D) is None]
+    assert len(diagrams) == 184
+    for D in diagrams:
+        p = chi(D)
+        monomials = {row_monomial(C) for C in enumerate_dominated(D)}
+        assert set(p.support()) <= monomials, D
+        for m in monomials:
+            assert p.coefficient(m) == chi_coefficient(D, m), (D, m)
 
 
 # -- exact rank ----------------------------------------------------------
