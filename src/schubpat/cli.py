@@ -4,8 +4,8 @@ Subcommands: schubert | rothe | cw | cw-table | verify | purple | chi |
 alternating-sum.  Global flags may also be set through environment
 variables prefixed SCHUBPAT_ (e.g. SCHUBPAT_JOBS=4, SCHUBPAT_FORMAT=json).
 
-Exit codes: 0 success / all holds, 1 usage or crash, 2 mathematical
-counterexample, 3 budget exceeded somewhere.
+Exit codes: 0 success / all holds, 1 usage or crash (including verify
+--max-n below 2), 2 mathematical counterexample, 3 budget exceeded somewhere.
 """
 from __future__ import annotations
 
@@ -199,6 +199,8 @@ def _cmd_cw_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n < 2:
+        raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
     config = verify.RunConfig(
         max_n=args.max_n,
         jobs=args.jobs,

@@ -1,8 +1,8 @@
 """Batch verification of the theorem and conjecture suites.
 
-Each claim has an input space sharded by permutation; a shard is a tuple
-that starts with its subject.  A claim's `run(shard, config)` returns its
-failure witnesses, [] when the claim holds, or None when the subject is
+Each claim has an input space sharded by permutation; a shard is the
+Permutation itself, and its subject is `str(w)`.  A claim's `run(w, config)`
+returns its failure witnesses, [] when the claim holds, or None when w is
 outside its scope; it may raise BudgetExceededError.  `_run_shard` alone
 turns that into the shard's one VerificationReport.  Shard order is fixed,
 so report files are byte-stable for a given configuration regardless of
@@ -33,7 +33,6 @@ class RunConfig:
     jobs: int = 1
     seed: int = DEFAULT_SEED
     budget_dominated: int = weylchar.DEFAULT_BUDGET
-    sample_pairs_n6: int = 500
     sample_chi_n5: int = 50
     include_timing: bool = False
 
@@ -55,54 +54,31 @@ class VerificationReport:
         return d
 
 
-Shard = tuple  # (claim-specific payload, always starts with a subject string)
-
-
 @dataclass(frozen=True)
 class Claim:
     name: str
     description: str
-    shards: Callable[[RunConfig], list[Shard]]
-    run: Callable[[Shard, RunConfig], list[str] | None]  # failures; None: outside scope
+    shards: Callable[[RunConfig], list[Permutation]]
+    run: Callable[[Permutation, RunConfig], list[str] | None]  # failures; None: outside scope
 
 
-def _perm_shards(config: RunConfig, n_max: int | None = None) -> list[Shard]:
+def _perm_shards(config: RunConfig, n_max: int | None = None) -> list[Permutation]:
     top = config.max_n if n_max is None else min(config.max_n, n_max)
-    return [(str(w), w.values) for n in range(2, top + 1) for w in all_permutations(n)]
+    return [w for n in range(2, top + 1) for w in all_permutations(n)]
 
 
 # -- alternating-sum nonnegativity (avoiders) --------------------------------
 
 
-def _shards_alt_nonneg(config: RunConfig) -> list[Shard]:
-    shards = [s + (None,) for s in _perm_shards(config, n_max=5)]
-    if config.max_n >= 6:
-        rng = random.Random(config.seed)
-        for n in range(6, config.max_n + 1):
-            avoiders = [w for w in all_permutations(n) if avoids(w)]
-            # u is drawn as its position mask in w.  all_subwords(w) lists the
-            # 2^n subwords ascending by that mask, so a seed draws the same
-            # pairs as picking from that list did.
-            pairs: dict[tuple[int, ...], list[int]] = {}
-            for _ in range(config.sample_pairs_n6):
-                w = rng.choice(avoiders)
-                pairs.setdefault(w.values, []).append(rng.randrange(1 << n))
-            for values in sorted(pairs):
-                shards.append((str(Permutation(values)), values, tuple(pairs[values])))
-    return shards
-
-
-def _run_alt_nonneg(shard: Shard, config: RunConfig) -> list[str] | None:
-    _, values, sampled = shard
-    if not avoids(Permutation(values)):
+def _run_alt_nonneg(w: Permutation, config: RunConfig) -> list[str] | None:
+    if not avoids(w):
         return None
-    # u is the subword of word(w) at a position mask: every mask, or the sampled ones.
-    sums = incexc.alternating_sums(values)
+    # u is the subword of word(w) at a position mask; every mask is checked.
     failures = []
-    for mask in range(len(sums)) if sampled is None else sampled:
-        ok, bad = sums[mask].is_nonnegative()
+    for mask, total in enumerate(incexc.alternating_sums(w.values)):
+        ok, bad = total.is_nonnegative()
         if not ok:
-            u = Word(tuple(a for i, a in enumerate(values) if mask >> i & 1))
+            u = Word(tuple(a for i, a in enumerate(w.values) if mask >> i & 1))
             failures.append(f"u={u}: coeff {bad[1]} at {bad[0]}")
     return failures
 
@@ -110,9 +86,7 @@ def _run_alt_nonneg(shard: Shard, config: RunConfig) -> list[str] | None:
 # -- single-removal nonnegativity (all permutations) -------------------------
 
 
-def _run_single_step(shard: Shard, config: RunConfig) -> list[str] | None:
-    _, values = shard
-    sigma = Permutation(values)
+def _run_single_step(sigma: Permutation, config: RunConfig) -> list[str] | None:
     failures = []
     for k in range(1, sigma.n + 1):
         ok, diff = incexc.verify_single_step(sigma, k)
@@ -125,13 +99,11 @@ def _run_single_step(shard: Shard, config: RunConfig) -> list[str] | None:
 # -- c_w agreement between the counting and the alternating route ------------
 
 
-def _shards_avoiders(config: RunConfig) -> list[Shard]:
-    return [s for s in _perm_shards(config) if avoids(Permutation(s[1]))]
+def _shards_avoiders(config: RunConfig) -> list[Permutation]:
+    return [w for w in _perm_shards(config) if avoids(w)]
 
 
-def _run_cw_equality(shard: Shard, config: RunConfig) -> list[str] | None:
-    _, values = shard
-    w = Permutation(values)
+def _run_cw_equality(w: Permutation, config: RunConfig) -> list[str] | None:
     by_ie = incexc.cw_inclusion_exclusion(w)
     by_aug = incexc.cw_augmentation(w)
     if by_ie != by_aug:
@@ -142,20 +114,17 @@ def _run_cw_equality(shard: Shard, config: RunConfig) -> list[str] | None:
 # -- dual character equals the Schubert polynomial ---------------------------
 
 
-def _shards_chi(config: RunConfig) -> list[Shard]:
+def _shards_chi(config: RunConfig) -> list[Permutation]:
     shards = _perm_shards(config, n_max=4)
     if config.max_n >= 5:
         rng = random.Random(config.seed)
         perms = list(all_permutations(5))
         chosen = sorted({rng.randrange(len(perms)) for _ in range(config.sample_chi_n5 * 2)})
-        chosen = chosen[: config.sample_chi_n5]
-        shards.extend((str(perms[i]), perms[i].values) for i in chosen)
+        shards.extend(perms[i] for i in chosen[: config.sample_chi_n5])
     return shards
 
 
-def _run_chi_equality(shard: Shard, config: RunConfig) -> list[str] | None:
-    _, values = shard
-    w = Permutation(values)
+def _run_chi_equality(w: Permutation, config: RunConfig) -> list[str] | None:
     character = weylchar.chi(rothe(w), budget=config.budget_dominated)
     expected = schubert.schubert_polynomial(w)
     if character != expected:
@@ -168,9 +137,7 @@ def _run_chi_equality(shard: Shard, config: RunConfig) -> list[str] | None:
 # -- diagram-sum formula holds exactly for avoiders --------------------------
 
 
-def _run_diagram_formula(shard: Shard, config: RunConfig) -> list[str] | None:
-    _, values = shard
-    w = Permutation(values)
+def _run_diagram_formula(w: Permutation, config: RunConfig) -> list[str] | None:
     equal = schubert.diagram_sum(w) == schubert.schubert_polynomial(w)
     avoiding = avoids(w)
     if equal != avoiding:
@@ -182,9 +149,7 @@ def _run_diagram_formula(shard: Shard, config: RunConfig) -> list[str] | None:
 # -- purple-family subtraction ----------------------------------------------
 
 
-def _run_purple_members(shard: Shard, config: RunConfig) -> list[str] | None:
-    _, values = shard
-    w = Permutation(values)
+def _run_purple_members(w: Permutation, config: RunConfig) -> list[str] | None:
     D = rothe(w)
     chi_D = schubert.schubert_polynomial(w)
     failures = []
@@ -204,15 +169,14 @@ def _run_purple_members(shard: Shard, config: RunConfig) -> list[str] | None:
 # -- nonnegativity of the specialized alternating sums, all permutations -----
 
 
-def _run_cwu_nonneg(shard: Shard, config: RunConfig) -> list[str] | None:
-    _, values = shard
-    n = len(values)
+def _run_cwu_nonneg(w: Permutation, config: RunConfig) -> list[str] | None:
+    values = w.values
     # The alternating sums of thm1.1 at x = 1, for every u at once.
     g = incexc.superset_sums(incexc.signed_specializations(incexc.subword_patterns(values)))
-    bad = [mask for mask in range(1 << n) if g[mask] < 0]
+    bad = [mask for mask in range(1 << w.n) if g[mask] < 0]
     if bad:
         mask = bad[0]
-        u = Word(tuple(values[i] for i in range(n) if (mask >> i) & 1))
+        u = Word(tuple(values[i] for i in range(w.n) if (mask >> i) & 1))
         return [f"u={u}: value {g[mask]}"]
     return []
 
@@ -220,9 +184,7 @@ def _run_cwu_nonneg(shard: Shard, config: RunConfig) -> list[str] | None:
 # -- purple monomials characterize the working monomials (avoiders) ----------
 
 
-def _run_purple_characterization(shard: Shard, config: RunConfig) -> list[str] | None:
-    _, values = shard
-    sigma = Permutation(values)
+def _run_purple_characterization(sigma: Permutation, config: RunConfig) -> list[str] | None:
     if not avoids(sigma):
         return None
     failures = []
@@ -239,77 +201,80 @@ def _run_purple_characterization(shard: Shard, config: RunConfig) -> list[str] |
 # -- specialization identity and vanishing ----------------------------------
 
 
-def _run_identity(shard: Shard, config: RunConfig) -> list[str] | None:
-    _, values = shard
+def _run_identity(w: Permutation, config: RunConfig) -> list[str] | None:
+    values = w.values
     c_w, total = incexc.cw_and_subword_sum(values)
     spec = schubert.principal_specialization(values)
     failures = []
     if total != spec:
         failures.append(f"sum of c over subwords = {total}, specialization = {spec}")
-    if values[-1] == len(values) and c_w != 0:
+    if values[-1] == w.n and c_w != 0:
         failures.append(f"c = {c_w} despite fixed last point")
     return failures
 
 
 CLAIMS: dict[str, Claim] = {
-    "thm1.1": Claim(
-        "thm1.1",
-        "alternating pattern expansion is nonnegative for 1432/1423-avoiders",
-        _shards_alt_nonneg,
-        _run_alt_nonneg,
-    ),
-    "thm1.0": Claim(
-        "thm1.0",
-        "single-removal monomial subtraction is nonnegative for all permutations",
-        _perm_shards,
-        _run_single_step,
-    ),
-    "thm1.2": Claim(
-        "thm1.2",
-        "non-augmentation count equals the alternating specialization (avoiders)",
-        _shards_avoiders,
-        _run_cw_equality,
-    ),
-    "thm2.4": Claim(
-        "thm2.4",
-        "dual character of the Rothe diagram equals the Schubert polynomial",
-        _shards_chi,
-        _run_chi_equality,
-    ),
-    "thm2.7": Claim(
-        "thm2.7",
-        "diagram-sum formula holds exactly when 1432 and 1423 are avoided",
-        _perm_shards,
-        _run_diagram_formula,
-    ),
-    "thm4.1": Claim(
-        "thm4.1",
-        "every purple-family monomial is a valid subtraction factor",
-        _perm_shards,
-        _run_purple_members,
-    ),
-    "conj5.1": Claim(
-        "conj5.1",
-        "all alternating specializations are nonnegative (all permutations)",
-        _perm_shards,
-        _run_cwu_nonneg,
-    ),
-    "conj5.3": Claim(
-        "conj5.3",
-        "purple monomials are exactly the working monomials for avoiders",
-        _perm_shards,
-        _run_purple_characterization,
-    ),
-    "identity": Claim(
-        "identity",
-        "subword c-sum equals the principal specialization; c vanishes on fixed last point",
-        _perm_shards,
-        _run_identity,
-    ),
+    c.name: c
+    for c in (
+        Claim(
+            "thm1.1",
+            "alternating pattern expansion is nonnegative for 1432/1423-avoiders",
+            _perm_shards,
+            _run_alt_nonneg,
+        ),
+        Claim(
+            "thm1.0",
+            "single-removal monomial subtraction is nonnegative for all permutations",
+            _perm_shards,
+            _run_single_step,
+        ),
+        Claim(
+            "thm1.2",
+            "non-augmentation count equals the alternating specialization (avoiders)",
+            _shards_avoiders,
+            _run_cw_equality,
+        ),
+        Claim(
+            "thm2.4",
+            "dual character of the Rothe diagram equals the Schubert polynomial",
+            _shards_chi,
+            _run_chi_equality,
+        ),
+        Claim(
+            "thm2.7",
+            "diagram-sum formula holds exactly when 1432 and 1423 are avoided",
+            _perm_shards,
+            _run_diagram_formula,
+        ),
+        Claim(
+            "thm4.1",
+            "every purple-family monomial is a valid subtraction factor",
+            _perm_shards,
+            _run_purple_members,
+        ),
+        Claim(
+            "conj5.1",
+            "all alternating specializations are nonnegative (all permutations)",
+            _perm_shards,
+            _run_cwu_nonneg,
+        ),
+        Claim(
+            "conj5.3",
+            "purple monomials are exactly the working monomials for avoiders",
+            _perm_shards,
+            _run_purple_characterization,
+        ),
+        Claim(
+            "identity",
+            "subword c-sum equals the principal specialization; c vanishes on fixed last point",
+            _perm_shards,
+            _run_identity,
+        ),
+    )
 }
 
 
-def _run_shard(claim: Claim, shard: Shard, config: RunConfig) -> VerificationReport:
+def _run_shard(claim: Claim, shard: Permutation, config: RunConfig) -> VerificationReport:
     """The report of one shard, stamped with its elapsed time if timing is on."""
     start = time.monotonic()
     try:
@@ -320,10 +285,10 @@ def _run_shard(claim: Claim, shard: Shard, config: RunConfig) -> VerificationRep
         verdict = "outside-scope" if failures is None else "fails" if failures else "holds"
         witness = "; ".join(failures) if failures else None
     elapsed_ms = round((time.monotonic() - start) * 1000, 3) if config.include_timing else None
-    return VerificationReport(claim.name, shard[0], verdict, witness, elapsed_ms)
+    return VerificationReport(claim.name, str(shard), verdict, witness, elapsed_ms)
 
 
-def _shard_worker(args: tuple[str, Shard, RunConfig]) -> VerificationReport:
+def _shard_worker(args: tuple[str, Permutation, RunConfig]) -> VerificationReport:
     claim_name, shard, config = args
     return _run_shard(CLAIMS[claim_name], shard, config)
 

@@ -114,7 +114,7 @@ def test_criterion_3_theorem_suites(report):
     _claim_clean("thm1.0", RunConfig(max_n=5))
     _claim_clean("thm4.1", RunConfig(max_n=5))
     _claim_clean("thm1.2", RunConfig(max_n=6))
-    report(3000.0, "thm1.1 S_5 full + 500 sampled S_6 pairs, thm1.0 S_5, thm4.1 S_5, thm1.2 S_6")
+    report(3000.0, "thm1.1 S_≤6 full, thm1.0 S_5, thm4.1 S_5, thm1.2 S_6")
 
 
 def test_criterion_4_conjecture_scans(report):

@@ -106,12 +106,10 @@ def test_verify_deterministic_output(tmp_path):
 def test_verify_jobs_parity(tmp_path):
     serial = tmp_path / "serial.txt"
     parallel = tmp_path / "parallel.txt"
-    assert cli.main(["verify", "thm1.2", "--max-n", "4", "--out", str(serial)]) == 0
-    assert (
-        cli.main(["verify", "thm1.2", "--max-n", "4", "--jobs", "2", "--out", str(parallel)])
-        == 0
-    )
-    assert serial.read_bytes() == parallel.read_bytes()
+    for argv in (["thm1.2", "--max-n", "4"], ["thm1.1", "--max-n", "6", "--format", "json"]):
+        assert cli.main(["verify", *argv, "--out", str(serial)]) == 0
+        assert cli.main(["verify", *argv, "--jobs", "2", "--out", str(parallel)]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_budget_exit_code(capsys):
@@ -249,6 +247,17 @@ def _usage_error_line(argv: list[str]) -> str:
     lines = err.getvalue().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
     return lines[0]
+
+
+@pytest.mark.parametrize("max_n", ["-1", "1"])
+def test_verify_rejects_max_n_below_2(max_n):
+    line = _usage_error_line(["verify", "thm2.7", "--max-n", max_n])
+    assert line == f"error: --max-n must be at least 2, got {max_n}"
+
+
+def test_verify_rejects_max_n_below_2_from_the_environment(monkeypatch):
+    monkeypatch.setenv("SCHUBPAT_MAX_N", "0")
+    assert _usage_error_line(["verify", "thm2.7"]) == "error: --max-n must be at least 2, got 0"
 
 
 @pytest.mark.parametrize(

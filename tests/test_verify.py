@@ -8,7 +8,7 @@ import pytest
 import schubpat
 from schubpat import incexc, purple, verify, weylchar
 from schubpat.errors import BudgetExceededError
-from schubpat.permwords import Permutation
+from schubpat.permwords import Permutation, avoids
 from schubpat.verify import (
     CLAIMS,
     Claim,
@@ -54,6 +54,14 @@ def test_shards_cover_scope_markers():
     assert verdicts["2143"] == "holds"
 
 
+def test_thm1_1_checks_every_permutation_at_n6():
+    reports = list(run_claim("thm1.1", RunConfig(max_n=6)))
+    assert len(reports) == sum(math.factorial(n) for n in range(2, 7)) == 872
+    verdicts = Counter(r.verdict for r in reports)
+    assert verdicts == {"holds": 514, "outside-scope": 358}
+    assert all(r.verdict == "holds" for r in reports if avoids(Permutation.from_string(r.subject)))
+
+
 def test_jobs_produce_identical_reports():
     config = RunConfig(max_n=4)
     serial = list(run_claim("thm2.7", config))
@@ -84,19 +92,20 @@ def test_budget_maps_to_exit_code_3():
 
 
 def test_runner_builds_the_report_from_what_a_claim_returns(monkeypatch):
-    def run(shard, config):
-        returned = {"none": None, "empty": [], "two": ["a", "b"]}
-        if shard[0] == "budget":
-            raise BudgetExceededError("m")
-        return returned[shard[0]]
+    returned = {"12": None, "21": [], "123": ["a", "b"]}
 
-    shards = [("none",), ("empty",), ("two",), ("budget",)]
+    def run(w, config):
+        if str(w) == "132":
+            raise BudgetExceededError("m")
+        return returned[str(w)]
+
+    shards = [Permutation.from_string(s) for s in ("12", "21", "123", "132")]
     monkeypatch.setitem(CLAIMS, "stub", Claim("stub", "a stub claim", lambda c: shards, run))
     assert list(run_claim("stub", RunConfig())) == [
-        VerificationReport("stub", "none", "outside-scope"),
-        VerificationReport("stub", "empty", "holds"),
-        VerificationReport("stub", "two", "fails", "a; b"),
-        VerificationReport("stub", "budget", "budget-exceeded", "m"),
+        VerificationReport("stub", "12", "outside-scope"),
+        VerificationReport("stub", "21", "holds"),
+        VerificationReport("stub", "123", "fails", "a; b"),
+        VerificationReport("stub", "132", "budget-exceeded", "m"),
     ]
     timed = list(run_claim("stub", RunConfig(include_timing=True)))
     assert [r.verdict for r in timed] == ["outside-scope", "holds", "fails", "budget-exceeded"]
@@ -146,8 +155,8 @@ def test_identity_builds_the_patterns_once_per_shard(monkeypatch):
     config = RunConfig(max_n=5)
     shards = CLAIMS["identity"].shards(config)
     assert exit_code(run_claim("identity", config)) == 0
-    for _, values in shards:
-        assert calls[values] == 1
+    for w in shards:
+        assert calls[w.values] == 1
     # Besides the shards, only the patterns of size 0 and 1 meet a memo miss.
     assert sum(calls.values()) == len(shards) + 2
 
@@ -201,17 +210,3 @@ def test_clear_caches_reaches_every_memo():
     schubpat.clear_caches()
     assert [memo for memo in memos if memo.cache_info().currsize] == []
 
-
-def test_thm1_1_samples_the_same_pairs_for_a_seed():
-    # (w, u) pairs drawn at n = 6 with the default seed; u as a word.
-    shards = [s for s in CLAIMS["thm1.1"].shards(RunConfig(max_n=6)) if s[2] is not None]
-    assert len(shards) == 285
-    pairs = [
-        (subject, ["".join(str(a) for i, a in enumerate(values) if m >> i & 1) for m in masks])
-        for subject, values, masks in shards[:3]
-    ]
-    assert pairs == [
-        ("123465", ["23465", "12465"]),
-        ("123546", ["235"]),
-        ("123564", ["254", "134", "264", "6"]),
-    ]
