@@ -9,6 +9,9 @@ appear.
 
 Usage:
     python scripts/explore_extra_monomials.py [--max-n N] [--avoiders-only]
+
+Exits 2, the counterexample code, if some avoider has extra working
+monomials, since that refutes the characterization; else 0.
 """
 import argparse
 import sys
@@ -23,7 +26,7 @@ def main() -> int:
     parser.add_argument("--avoiders-only", action="store_true")
     args = parser.parse_args()
 
-    total = with_extra = 0
+    total = with_extra = avoider_extra = 0
     for n in range(2, args.max_n + 1):
         for sigma in all_permutations(n):
             if args.avoiders_only and not avoids(sigma):
@@ -33,12 +36,14 @@ def main() -> int:
                 total += 1
                 if result.extra:
                     with_extra += 1
-                    tag = "avoider" if avoids(sigma) else "non-avoider"
+                    avoider = avoids(sigma)
+                    avoider_extra += avoider
+                    tag = "avoider" if avoider else "non-avoider"
                     extras = ", ".join(sorted(str(m) for m in result.extra))
                     print(f"{sigma} k={k} ({tag}): extra {{{extras}}}")
     print(f"\n{with_extra} of {total} (sigma, k) pairs have extra working monomials")
-    # a nonzero count among avoiders would refute the characterization
-    return 0
+    # a nonzero count among avoiders refutes the characterization
+    return 2 if avoider_extra else 0
 
 
 if __name__ == "__main__":

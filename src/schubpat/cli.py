@@ -240,11 +240,14 @@ def _cmd_purple(args) -> int:
         if value is not None and not 1 <= value <= D.n:
             raise UsageError(f"{flag} {value} is outside 1..{D.n}")
     l = args.l if args.l is not None else sigma(args.k)
-    family = purple_family(D, args.k, l)
-    payload = family.to_json()
     if args.characterize:
         if sigma is None:
             raise UsageError("--characterize requires permutation input")
+        if l != sigma(args.k):
+            raise UsageError(f"--characterize needs --l {sigma(args.k)} = sigma(k), not {l}")
+    family = purple_family(D, args.k, l)
+    payload = family.to_json()
+    if args.characterize:
         result = characterize_monomials(sigma, args.k)
         payload["working"] = sorted(str(m) for m in result.working)
         payload["extra"] = sorted(str(m) for m in result.extra)

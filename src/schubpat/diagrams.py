@@ -1,9 +1,8 @@
 """Box diagrams in [n] x [n], Rothe diagrams and the dominance order.
 
 A diagram is a set of boxes (i, j) with 1 <= i, j <= n; column j is the
-set of row indices occupied in that column.  Restriction never reindexes;
-deleting an empty row/column and renumbering is a separate operation
-(see weylchar.compress).
+set of row indices occupied in that column.  Restriction never reindexes:
+a removed row or column stays in place, empty.
 """
 from __future__ import annotations
 

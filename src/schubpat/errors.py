@@ -29,10 +29,6 @@ class AugmentationOverlapError(SchubpatError):
     """Raised when the diagram to augment already meets the removed row/column."""
 
 
-class NonemptyRowOrColumnError(SchubpatError):
-    """Raised when compressing a diagram whose removed row/column is not empty."""
-
-
 class UnmappedVariableError(SchubpatError):
     """Raised when a variable substitution does not cover every variable present."""
 

@@ -123,8 +123,10 @@ def verify_theorem_gen(
 
     chi_D is the dual character of the family's diagram D, and chi_hat_k that
     of restrict_remove(D, k, l) with x_k = 0 substituted; the caller builds
-    both once per family and passes them for every member.  The difference
-    is built, and returned with the verdict, only when the check fails.
+    both once per family and passes them for every member.  For D = D(sigma)
+    and l = sigma(k) these are S_sigma and S_pi skipping x_k
+    (schubert_skipping).  The difference is built, and returned with the
+    verdict, only when the check fails.
     """
     if K not in family.members:
         raise NotInFamilyError(f"{K} is not a member of the purple family of {family.D}")

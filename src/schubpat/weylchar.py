@@ -22,9 +22,8 @@ from .diagrams import (
     enumerate_dominated,
     row_monomial,
 )
-from .errors import BudgetExceededError, NonemptyRowOrColumnError
+from .errors import BudgetExceededError
 from .linalg import integer_rank
-from .permwords import Permutation
 from .polyx import Monomial, Polynomial, monomial_key, pair_index
 
 DEFAULT_BUDGET = 10**6
@@ -130,53 +129,3 @@ def _chi_by_rank(columns: tuple[tuple[int, ...], ...]) -> Polynomial:
         if coef:
             terms[key] = coef
     return Polynomial.from_keys(terms)
-
-
-def compress(D: Diagram, k: int, l: int) -> Diagram:
-    """Delete the (empty) row k and column l and renumber past them."""
-    bad = [b for b in D.boxes if b[0] == k or b[1] == l]
-    if bad:
-        raise NonemptyRowOrColumnError(
-            f"row {k}/column {l} not empty: {sorted(bad)}"
-        )
-    boxes = frozenset(
-        (i - (i > k), j - (j > l)) for (i, j) in D.boxes
-    )
-    return Diagram(max(D.n - 1, 0), boxes)
-
-
-def diagram_permutation(D: Diagram) -> Permutation | None:
-    """The permutation whose Rothe diagram is D, or None if there is none.
-
-    The row lengths of D are the code of the only candidate w, and D is
-    D(w) iff every box (i, j) has j < w(i) and w^{-1}(j) > i, since both
-    diagrams have as many boxes.  No diagram is built.
-    """
-    code = [len(D.row(i)) for i in range(1, D.n + 1)]
-    available = list(range(1, D.n + 1))
-    values = []
-    for c in code:
-        if c >= len(available):
-            return None
-        values.append(available.pop(c))
-    where = {a: p for p, a in enumerate(values, start=1)}
-    if all(j < values[i - 1] and where[j] > i for (i, j) in D.boxes):
-        return Permutation(tuple(values))
-    return None
-
-
-def chi_fast(D: Diagram, budget: int = DEFAULT_BUDGET) -> Polynomial:
-    """chi(D), taking the Schubert shortcut when D is a Rothe diagram.
-
-    The shortcut is legitimate for every permutation (the dual character
-    of a Rothe diagram is the Schubert polynomial); the direct rank
-    computation remains available through chi() and is cross-checked in
-    the verification suites.
-    """
-    from .schubert import schubert_polynomial
-
-    w = diagram_permutation(D)
-    if w is not None:
-        return schubert_polynomial(w)
-    return chi(D, budget)
-

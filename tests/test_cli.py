@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +131,14 @@ def test_purple_characterize(capsys):
     assert code == 0
     data = json.loads(out)
     assert "x1*x2" in data["extra"]
+    argv = ["purple", "15243", "--k", "4", "--l", "4", "--characterize", "--format", "json"]
+    assert run(capsys, *argv) == (code, out)
+
+
+def test_purple_characterize_rejects_an_l_other_than_sigma_k():
+    # working and extra are sigma(k)'s, so another --l would print two families as one
+    line = _usage_error_line(["purple", "15243", "--k", "4", "--l", "1", "--characterize"])
+    assert line == "error: --characterize needs --l 4 = sigma(k), not 1"
 
 
 def test_alternating_sum_command(capsys):
@@ -361,6 +370,27 @@ def test_full_suite_exit_code_prefers_a_counterexample_to_a_refusal(monkeypatch,
     monkeypatch.setattr(sys, "argv", ["run_full_suite.py", "--max-n", "2"])
     assert suite.main() == 2
     assert "counterexample 12: w" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra_at, code", [("1432", 0), ("2143", 2)])
+def test_explore_extra_monomials_exits_2_on_an_avoider_with_extras(
+    monkeypatch, capsys, extra_at, code
+):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = root / "scripts" / "explore_extra_monomials.py"
+    spec = importlib.util.spec_from_file_location("explore_extra_monomials", script)
+    explore = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(explore)
+
+    def fake_characterize(sigma, k):
+        extra = {"x1"} if str(sigma) == extra_at and k == 1 else set()
+        return types.SimpleNamespace(extra=frozenset(extra))
+
+    # 1432 contains a forbidden pattern, so its extras refute nothing; 2143 avoids both.
+    monkeypatch.setattr(explore, "characterize_monomials", fake_characterize)
+    monkeypatch.setattr(sys, "argv", ["explore_extra_monomials.py", "--max-n", "4"])
+    assert explore.main() == code
+    assert f"{extra_at} k=1 " in capsys.readouterr().out
 
 
 def test_negative_cw_table_size_is_a_usage_error():

@@ -22,7 +22,7 @@ from schubpat.weylchar import chi
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(lambda v: Permutation(tuple(v)))
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_schubert_skipping_is_the_restricted_character(n):
     # The restricted Rothe diagram's character by exact rank, not by divided differences.
     for w in all_permutations(n):

@@ -113,12 +113,13 @@ def test_runner_builds_the_report_from_what_a_claim_returns(monkeypatch):
     assert all("elapsed_ms" in r.as_dict() for r in timed)
 
 
-def test_thm4_1_budget_refusal_is_reported_under_any_jobs():
+def test_thm2_4_budget_refusal_is_reported_under_any_jobs():
     config = RunConfig(max_n=5, budget_dominated=10)
-    reports = list(run_claim("thm4.1", config))
-    assert any(r.verdict == "budget-exceeded" for r in reports)
+    reports = list(run_claim("thm2.4", config))
+    verdicts = Counter(r.verdict for r in reports)
+    assert verdicts == {"holds": 73, "budget-exceeded": 9}
     assert exit_code(reports) == 3
-    assert list(run_claim("thm4.1", RunConfig(max_n=5, budget_dominated=10, jobs=2))) == reports
+    assert list(run_claim("thm2.4", RunConfig(max_n=5, budget_dominated=10, jobs=2))) == reports
 
 
 def test_exit_code_priorities():
@@ -177,21 +178,11 @@ def test_thm4_1_builds_one_purple_family_per_pair(monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def test_thm4_1_takes_one_rank_route_character_per_column_multiset(monkeypatch):
-    lookups = []
-    chi = weylchar.chi
-
-    def looked_up(D, budget):
-        lookups.append(D)
-        return chi(D, budget)
-
-    monkeypatch.setattr(weylchar, "chi", looked_up)
+def test_thm4_1_makes_no_rank_computation():
+    # S_pi skipping x_k comes from the transition route; the rank route is an oracle.
     assert exit_code(run_claim("thm4.1", RunConfig(max_n=5))) == 0
-    # 416 restricted diagrams are not Rothe diagrams; 61 column multisets among them.
-    assert len(lookups) == 416
-    info = weylchar._chi_by_rank.cache_info()
-    assert info.misses == info.currsize == 61
-    assert info.hits == 416 - 61
+    assert weylchar._chi_by_rank.cache_info().misses == 0
+    assert weylchar._det.cache_info().misses == 0
 
 
 def test_clear_caches_reaches_every_memo():

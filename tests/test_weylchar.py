@@ -13,7 +13,7 @@ from schubpat.diagrams import (
     rothe,
     row_monomial,
 )
-from schubpat.errors import BudgetExceededError, NonemptyRowOrColumnError
+from schubpat.errors import BudgetExceededError
 from schubpat.linalg import _rank_bareiss, _rank_mod_p, integer_rank
 from schubpat.permwords import Permutation, all_permutations, avoids
 from schubpat.polyx import Monomial, Polynomial, pair_index
@@ -21,12 +21,12 @@ from schubpat.schubert import diagram_sum, schubert_divdiff
 from schubpat.weylchar import (
     chi,
     chi_coefficient,
-    chi_fast,
-    compress,
     determinant_product,
-    diagram_permutation,
     y_determinant,
 )
+
+# Every Rothe diagram of S_<=5, by building it.
+ROTHE = {rothe(w) for n in range(6) for w in all_permutations(n)}
 
 
 def y(i, j):
@@ -115,7 +115,7 @@ def test_chi_support_is_dominated_and_bounded():
 def test_chi_on_non_rothe_diagram():
     # a northwest diagram that is not any Rothe diagram
     D = Diagram.of(3, [(1, 1), (1, 2), (2, 1), (2, 2)])
-    assert diagram_permutation(D) is None
+    assert D not in ROTHE
     p = chi(D)
     assert p.is_nonnegative()[0]
     assert {m.degree() for m in p.support()} == {4}
@@ -126,76 +126,6 @@ def test_chi_budget():
     D = rothe(Permutation.from_string("35142"))
     with pytest.raises(BudgetExceededError):
         chi(D, budget=3)
-
-
-def test_compress_examples():
-    D = Diagram.of(4, [(1, 1), (3, 3)])
-    assert compress(D, 2, 2) == Diagram.of(3, [(1, 1), (2, 2)])
-    assert compress(Diagram.of(2, []), 1, 2) == Diagram.of(1, [])
-    with pytest.raises(NonemptyRowOrColumnError):
-        compress(D, 1, 2)
-    with pytest.raises(NonemptyRowOrColumnError):
-        compress(D, 2, 3)
-
-
-@pytest.mark.parametrize("w_str,k", [("2143", 1), ("1342", 2), ("2413", 1), ("3142", 3)])
-def test_compress_bridge_with_zero_substitution(w_str, k):
-    # dropping row k and column l = w(k), then compressing, matches setting
-    # x_k = 0 in the uncompressed character and renumbering the variables
-    w = Permutation.from_string(w_str)
-    l = w(k)
-    D = rothe(w)
-    Dhat = restrict_remove(D, k, l)
-    uncompressed = chi(Dhat).substitute_zero(k)
-    small = chi(compress(Dhat, k, l))
-    sigma = {i: i - (i > k) for i in range(1, D.n + 1) if i != k}
-    assert uncompressed.substitute_variables(sigma) == small
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_diagram_permutation_round_trip(n):
-    for w in all_permutations(n):
-        assert diagram_permutation(rothe(w)) == w
-
-
-# Every Rothe diagram of S_<=5, by building it: the oracle for diagram_permutation.
-ROTHE = {rothe(w): w for n in range(6) for w in all_permutations(n)}
-
-
-def test_diagram_permutation_on_restricted_and_rothe_diagrams():
-    rothe_or_not = set()
-    for n in range(6):
-        for w in all_permutations(n):
-            D = rothe(w)
-            for E in [D] + [restrict_remove(D, k, w(k)) for k in range(1, n + 1)]:
-                assert diagram_permutation(E) == ROTHE.get(E), E
-                rothe_or_not.add(E in ROTHE)
-    assert rothe_or_not == {True, False}
-
-
-@settings(max_examples=300)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda n: st.tuples(
-            st.permutations(range(1, n + 1)),
-            st.sets(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4),
-        )
-    )
-)
-def test_diagram_permutation_on_toggled_rothe_diagrams(case):
-    # A Rothe diagram with a few boxes toggled: near misses share row lengths with it.
-    values, toggled = case
-    D = rothe(Permutation(tuple(values)))
-    E = Diagram.of(D.n, D.boxes ^ toggled)
-    assert diagram_permutation(E) == ROTHE.get(E)
-
-
-def test_chi_fast_agrees_with_chi():
-    for s in ["1432", "2143", "24153"]:
-        D = rothe(Permutation.from_string(s))
-        assert chi_fast(D) == chi(D)
-    D = Diagram.of(3, [(1, 1), (1, 2), (2, 1), (2, 2)])
-    assert chi_fast(D) == chi(D)
 
 
 # -- the column-multiset memo of chi ---------------------------------------
@@ -273,7 +203,7 @@ def test_column_choice_route_equals_the_diagram_route():
         for w in all_permutations(n)
         for k in range(1, n + 1)
     }
-    diagrams = [D for D in diagrams if diagram_permutation(D) is None]
+    diagrams = [D for D in diagrams if D not in ROTHE]
     assert len(diagrams) == 184
     for D in diagrams:
         p = chi(D)
