@@ -1,48 +1,30 @@
 """Command-line interface.
 
 Subcommands: schubert | rothe | cw | cw-table | verify | purple | chi |
-alternating-sum.  Global flags may also be set through environment
-variables prefixed SCHUBPAT_ (e.g. SCHUBPAT_JOBS=4, SCHUBPAT_FORMAT=json).
+alternating-sum.  `schubert --method divdiff`, `cw --method rec`, `cw-table`
+and `alternating-sum` print routes of `oracles`.
 
 Exit codes: 0 success / all holds, 1 usage or crash (including verify
---max-n below 2), 2 mathematical counterexample, 3 budget exceeded somewhere.
+--max-n below 2 or --jobs below 1), 2 mathematical counterexample, 3 budget
+exceeded somewhere.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from . import incexc, schubert, verify, weylchar
+from . import incexc, oracles, schubert, verify, weylchar
 from .diagrams import Diagram, rothe
 from .errors import BudgetExceededError, PatternViolationError, SchubpatError, UsageError
 from .permwords import Permutation, Word, all_permutations, avoids
 from .polyx import Polynomial
 from .purple import characterize_monomials, purple_family
 
-ENV_PREFIX = "SCHUBPAT_"
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_BUDGET = 3
-
-
-def _env_default(name: str, fallback, choices: list[str] | None = None):
-    """A flag's default from its SCHUBPAT_* variable, checked here: argparse checks no default."""
-    variable = ENV_PREFIX + name.upper().replace("-", "_")
-    raw = os.environ.get(variable)
-    if raw is None:
-        return fallback
-    if choices is not None and raw not in choices:
-        raise UsageError(f"{variable} must be one of {', '.join(choices)}, got {raw!r}")
-    if isinstance(fallback, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"{variable} must be an integer, got {raw!r}") from None
-    return raw
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,17 +36,12 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    formats = ["text", "json", "csv"]
-    common.add_argument("--format", choices=formats, default=_env_default("format", "text", formats))
-    common.add_argument("--out", default=_env_default("out", None), help="write output to PATH")
-    common.add_argument("--jobs", type=int, default=_env_default("jobs", 1))
-    common.add_argument("--max-n", type=int, default=_env_default("max_n", 5))
-    common.add_argument("--seed", type=int, default=_env_default("seed", verify.DEFAULT_SEED))
-    common.add_argument(
-        "--budget-dominated",
-        type=int,
-        default=_env_default("budget_dominated", weylchar.DEFAULT_BUDGET),
-    )
+    common.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    common.add_argument("--out", default=None, help="write output to PATH")
+    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--max-n", type=int, default=5)
+    common.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    common.add_argument("--budget-dominated", type=int, default=weylchar.DEFAULT_BUDGET)
     common.add_argument("--timing", action="store_true", help="record per-report timing")
 
     parser = _Parser(prog="schubpat", description=__doc__)
@@ -142,7 +119,7 @@ def _parse_diagram(s: str) -> Diagram:
 def _cmd_schubert(args) -> int:
     w = _parse(Permutation, args.perm)
     if args.method == "divdiff":
-        p = schubert.schubert_divdiff(w)
+        p = oracles.schubert_divdiff(w)
     elif args.method == "diagram":
         p = schubert.schubert_diagram(w)
     else:
@@ -164,7 +141,7 @@ def _cw_by(method: str, w: Permutation) -> int:
     if method == "ie":
         return incexc.cw_inclusion_exclusion(w)
     if method == "rec":
-        return incexc.cw_recursive(w)
+        return oracles.cw_recursive(w)
     return incexc.cw_augmentation(w)
 
 
@@ -189,7 +166,7 @@ def _cmd_cw_table(args) -> int:
     lines = ["w,length,c_w,methods_agree"]
     for w in all_permutations(args.n):
         ie = incexc.cw_inclusion_exclusion(w)
-        rec = incexc.cw_recursive(w)
+        rec = oracles.cw_recursive(w)
         agree = ie == rec
         if avoids(w):
             agree = agree and incexc.cw_augmentation(w) == ie
@@ -201,6 +178,8 @@ def _cmd_cw_table(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max_n < 2:
         raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     config = verify.RunConfig(
         max_n=args.max_n,
         jobs=args.jobs,
@@ -276,7 +255,7 @@ def _cmd_chi(args) -> int:
 def _cmd_alternating_sum(args) -> int:
     w = _parse(Permutation, args.perm)
     u = _parse(Word, args.u)
-    result = incexc.alternating_sum(w, u)
+    result = oracles.alternating_sum(w, u)
     if args.format == "json":
         _emit(json.dumps(result.to_json(), separators=(",", ":")), args)
     else:

@@ -11,8 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import AugmentationOverlapError, NotASubwordError
-from .permwords import Permutation, Word, is_subword, substitution_indices
+from .permwords import Permutation
 from .polyx import Monomial, monomial_key
 
 
@@ -36,9 +35,6 @@ class Diagram:
         """Sorted row indices of the boxes in column j."""
         return tuple(sorted(i for (i, jj) in self.boxes if jj == j))
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(j for (ii, j) in self.boxes if ii == i))
-
     def columns(self) -> list[tuple[int, ...]]:
         cols: list[list[int]] = [[] for _ in range(self.n)]
         for (i, j) in self.boxes:
@@ -54,9 +50,6 @@ class Diagram:
 
     def __contains__(self, box: tuple[int, int]) -> bool:
         return box in self.boxes
-
-    def difference(self, other: "Diagram") -> "Diagram":
-        return Diagram(self.n, self.boxes - other.boxes)
 
     def to_json(self) -> dict:
         return {"n": self.n, "boxes": [list(b) for b in self.box_list()]}
@@ -80,16 +73,6 @@ def rothe(w: Permutation) -> Diagram:
         if i < winv(j)
     }
     return Diagram(n, frozenset(boxes))
-
-
-def has_northwest_property(D: Diagram) -> bool:
-    """Whether (r,c') and (r',c) with r<r', c<c' always force (r,c)."""
-    boxes = D.boxes
-    for (r, cp) in boxes:
-        for (rp, c) in boxes:
-            if r < rp and c < cp and (r, c) not in boxes:
-                return False
-    return True
 
 
 def column_dominates(R: Iterable[int], S: Iterable[int]) -> bool:
@@ -151,12 +134,6 @@ def _count_column(d: tuple[int, ...]) -> int:
     return ways(0, 0)
 
 
-def restrict_keep(D: Diagram, K: Iterable[int], L: Iterable[int]) -> Diagram:
-    """Keep only boxes in rows K and columns L; same grid, no reindexing."""
-    ks, ls = set(K), set(L)
-    return Diagram(D.n, frozenset(b for b in D.boxes if b[0] in ks and b[1] in ls))
-
-
 def restrict_remove(D: Diagram, k: int, l: int) -> Diagram:
     """Remove every box in row k or column l."""
     return Diagram(D.n, frozenset(b for b in D.boxes if b[0] != k and b[1] != l))
@@ -165,25 +142,6 @@ def restrict_remove(D: Diagram, k: int, l: int) -> Diagram:
 def removed_boxes(D: Diagram, k: int, l: int) -> Diagram:
     """The seed of a single removal: the boxes of D in row k or column l."""
     return Diagram(D.n, frozenset(b for b in D.boxes if b[0] == k or b[1] == l))
-
-
-def hat_v(C: Diagram, w: Permutation, v: Word) -> Diagram:
-    """Restriction of C to the rows and columns corresponding to the subword v."""
-    if not is_subword(v, w.word()):
-        raise NotASubwordError(f"{v} is not a subword of {w.word()}")
-    K = substitution_indices(w, v)
-    L = v.letter_set()
-    return restrict_keep(C, K, L)
-
-
-def augment(Chat: Diagram, D: Diagram, k: int, l: int) -> Diagram:
-    """Chat plus all of D's boxes in row k and column l."""
-    overlap = removed_boxes(Chat, k, l)
-    if overlap:
-        raise AugmentationOverlapError(
-            f"diagram already has boxes in row {k}/column {l}: {overlap.box_list()}"
-        )
-    return Diagram(max(Chat.n, D.n), Chat.boxes | removed_boxes(D, k, l).boxes)
 
 
 def row_monomial(D: Diagram) -> Monomial:

@@ -25,10 +25,6 @@ class LengthGuardError(SchubpatError):
     """Raised when a reduced-word enumeration is refused as too long."""
 
 
-class AugmentationOverlapError(SchubpatError):
-    """Raised when the diagram to augment already meets the removed row/column."""
-
-
 class UnmappedVariableError(SchubpatError):
     """Raised when a variable substitution does not cover every variable present."""
 

@@ -2,142 +2,37 @@
 
 The central object is the signed sum over subwords v between u and w of
 M_{w,v} * S_{perm(v)} evaluated in the variables picked out by w^{-1};
-it is nonnegative whenever w avoids 1432 and 1423.  `alternating_sum`
-builds it term by term through `Word` subwords (the oracle, and the
-per-term output of the CLI); `alternating_sums` is the production route,
-one term per position mask of w and a superset-sum transform for every u
-at once.
+it is nonnegative whenever w avoids 1432 and 1423.  `alternating_sums` is
+the production route: one term per position mask of w and a superset-sum
+transform for every u at once.  Its oracle, `oracles.alternating_sum`,
+builds the sum term by term through `Word` subwords (and is the per-term
+output of the CLI).
 
 Setting all variables to 1 yields the coefficients c_w, computable three
 independent ways: by inclusion-exclusion, by the defining recursion, and
 (for avoiders) by counting non-augmentation diagrams.  Inclusion-exclusion
 is the production route: an integer loop over the position masks of w
-(`subword_patterns`).  The recursion walks `Word` subwords and `flatten`
-instead, so the two routes check each other as well as the counting.
+(`subword_patterns`).  The recursion, `oracles.cw_recursive`, walks `Word`
+subwords and `flatten` instead, so the two routes check each other as well
+as the counting (`cw_augmentation`, the subject of `thm1.2`).
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .diagrams import (
     Diagram,
     dominates,
     enumerate_dominated,
-    hat_v,
     removed_boxes,
     restrict_remove,
     rothe,
     row_monomial,
 )
 from .errors import PatternViolationError
-from .permwords import (
-    Permutation,
-    Word,
-    avoids,
-    flatten,
-    subwords_between,
-    substitution_indices,
-)
+from .permwords import Permutation, avoids
 from .polyx import Monomial, Polynomial, exponent_key, monomial_key
 from .schubert import principal_specialization, schubert_polynomial, schubert_skipping
-
-
-def m_monomial(w: Permutation, v: Word) -> Monomial:
-    """x over the boxes of D(w) outside the restriction to v's rows/columns."""
-    D = rothe(w)
-    return row_monomial(D.difference(hat_v(D, w, v)))
-
-
-def substituted_schubert(w: Permutation, v: Word) -> Polynomial:
-    """S_{perm(v)} with its i-th variable sent to x at w^{-1}(v(i))."""
-    indices = substitution_indices(w, v)
-    p = schubert_polynomial(flatten(v))
-    sigma = {i: indices[i - 1] for i in range(1, len(indices) + 1)}
-    return p.substitute_variables(sigma)
-
-
-@dataclass(frozen=True)
-class SumTerm:
-    v: Word
-    sign: int
-    monomial: Monomial
-    schubert: Polynomial
-
-
-@dataclass(frozen=True)
-class AlternatingSumResult:
-    w: Permutation
-    u: Word
-    total: Polynomial
-    per_term: tuple[SumTerm, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "w": str(self.w),
-            "u": str(self.u),
-            "sum": self.total.to_json(self.w.n),
-            "terms": [
-                {
-                    "v": str(t.v),
-                    "sign": t.sign,
-                    "M": Polynomial.from_monomial(t.monomial).to_json(self.w.n)["terms"][0]["exp"],
-                    "schubert": t.schubert.to_json(self.w.n),
-                }
-                for t in self.per_term
-            ],
-        }
-
-
-def alternating_sum(w: Permutation, u: Word) -> AlternatingSumResult:
-    """The signed sum of M_{w,v} * substituted Schubert over u <= v <= word(w)."""
-    total = Polynomial.zero()
-    terms: list[SumTerm] = []
-    for v in subwords_between(u, w):
-        sign = 1 if (len(w) - len(v)) % 2 == 0 else -1
-        m = m_monomial(w, v)
-        s = substituted_schubert(w, v)
-        total = total + s * Polynomial.from_monomial(m, sign)
-        terms.append(SumTerm(v, sign, m, s))
-    return AlternatingSumResult(w, u, total, tuple(terms))
-
-
-def restricted_diagram_count(w: Permutation, v: Word, m: Monomial) -> int:
-    """#{C <= hat(D(w))_v with x^C = m and boxes only in v's rows}."""
-    if not avoids(w):
-        raise PatternViolationError(f"{w} contains 1432 or 1423")
-    K = set(substitution_indices(w, v))
-    Dv = hat_v(rothe(w), w, v)
-    count = 0
-    for C in enumerate_dominated(Dv):
-        if row_monomial(C) == m and all(i in K for (i, _) in C.boxes):
-            count += 1
-    return count
-
-
-def bv_count(w: Permutation, u: Word, m: Monomial) -> int:
-    """|B_w minus the union of B_v over codimension-one v|, by enumeration.
-
-    B_v collects the diagrams C <= D(w) with x^C = m whose boxes outside
-    the v-restriction are exactly the boxes of D(w) outside its own
-    v-restriction.
-    """
-    if not avoids(w):
-        raise PatternViolationError(f"{w} contains 1432 or 1423")
-    D = rothe(w)
-    between = subwords_between(u, w)
-    codim_one = [v for v in between if len(v) == len(w) - 1]
-
-    def in_bv(C: Diagram, v: Word) -> bool:
-        return C.difference(hat_v(C, w, v)).boxes == D.difference(hat_v(D, w, v)).boxes
-
-    count = 0
-    for C in enumerate_dominated(D):
-        if row_monomial(C) != m:
-            continue
-        if not any(in_bv(C, v) for v in codim_one):
-            count += 1
-    return count
 
 
 @functools.cache  # keyed by the number of positions
@@ -217,12 +112,12 @@ def _cw_ie(values: tuple[int, ...]) -> tuple[int, int]:
 def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
     """The alternating sum A(w, u) for every subword u of word(w), indexed by mask.
 
-    Equals `alternating_sum(w, u).total` for u the subword at mask.  The
-    term of each subword v is built once: (-1)^(n - |v|) * M_{w,v} *
-    S_{perm(v)}(x_{w^{-1} v}), where w^{-1} v is the kept positions and
-    M_{w,v} is x over the boxes (i, j) of D(w) whose row i or column j is
-    not kept (row i is position i, column j the position of letter j).
-    `superset_sums` then adds the terms of all v >= u.
+    Equals `oracles.alternating_sum(w, u).total` for u the subword at
+    mask.  The term of each subword v is built once: (-1)^(n - |v|) *
+    M_{w,v} * S_{perm(v)}(x_{w^{-1} v}), where w^{-1} v is the kept
+    positions and M_{w,v} is x over the boxes (i, j) of D(w) whose row i
+    or column j is not kept (row i is position i, column j the position
+    of letter j).  `superset_sums` then adds the terms of all v >= u.
     """
     n = len(values)
     where = {a: p for p, a in enumerate(values)}
@@ -245,25 +140,12 @@ def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
     return superset_sums(terms)
 
 
-def cw_recursive(w: Permutation) -> int:
-    """c_w by the defining recursion: S_w(1) minus c over all proper subwords (memoized)."""
-    return _cw_recursive(w.values)
-
-
-@functools.cache  # keyed by the one-line notation
-def _cw_recursive(values: tuple[int, ...]) -> int:
-    w = Permutation(values)
-    total = principal_specialization(w)
-    # c of the empty permutation is 1 and accounts for the classical -1.
-    for v in subwords_between(Word(), w):
-        if len(v) == len(w):
-            continue
-        total -= _cw_recursive(flatten(v).values) if len(v) else 1
-    return total
-
-
 def is_augmentation(C: Diagram, D: Diagram, k: int, l: int) -> bool:
-    """Whether C = augment(Chat, D, k, l) for some Chat <= restrict_remove(D, k, l)."""
+    """Whether C is an augmentation of some Chat <= restrict_remove(D, k, l).
+
+    That is, removed_boxes(C, k, l) equals removed_boxes(D, k, l) and
+    restrict_remove(C, k, l) <= restrict_remove(D, k, l).
+    """
     if removed_boxes(C, k, l).boxes != removed_boxes(D, k, l).boxes:
         return False
     Chat = restrict_remove(C, k, l)

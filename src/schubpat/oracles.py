@@ -1,0 +1,308 @@
+"""Independent routes to quantities that have a faster production route.
+
+Each function here recomputes a quantity by the paper's slow definition,
+sharing as little code as it can with the production route, so that a test
+can compare the two exhaustively at small n:
+
+- S_w by divided differences (`schubert_divdiff`), S_w(1) by reduced words
+  (`macdonald_oracle`), and coefficients of S_w by counting dominated
+  diagrams (`coefficient_by_counting`);
+- c_w by its defining recursion (`cw_recursive`), the alternating sum term
+  by term through `Word` subwords (`alternating_sum`), and the lemma counts
+  `restricted_diagram_count` and `bv_count`;
+- coefficients of the dual character as span ranks over whole diagrams
+  (`chi_coefficient`, `determinant_product`);
+- purple boxes over whole dominated diagrams (`purple_boxes_bruteforce`);
+- pattern occurrences by brute force (`pattern_count`).
+
+No claim and no production module imports this one; a test enforces that.
+Only `cli` imports it, to print an oracle on request, and `__init__`, whose
+`clear_caches` empties its one memo.
+"""
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+from .diagrams import (
+    Diagram,
+    column_dominates,
+    enumerate_dominated,
+    restrict_remove,
+    rothe,
+    row_monomial,
+)
+from .errors import LengthGuardError, NotASubwordError, PatternViolationError
+from .permwords import (
+    Permutation,
+    Word,
+    avoids,
+    flatten,
+    is_subword,
+    subwords_between,
+    substitution_indices,
+)
+from .polyx import Monomial, Polynomial, exponent_key
+from .schubert import principal_specialization, schubert_polynomial
+from .weylchar import _det, _span_rank
+
+
+# -- Schubert polynomials and their specialization ---------------------------
+
+
+def divided_difference(p: Polynomial, i: int) -> Polynomial:
+    """(p - p with x_i and x_{i+1} exchanged) / (x_i - x_{i+1}), term by term.
+
+    With a, b the exponents of x_i, x_{i+1} in a term, lo <= hi the two
+    sorted, (x_i^a x_{i+1}^b - x_i^b x_{i+1}^a) / (x_i - x_{i+1}) is the sum
+    of x_i^(lo+hi-1-e) x_{i+1}^e over lo <= e < hi, negated when a < b.
+    """
+    terms: dict[tuple[int, ...], int] = {}
+    for key, coef in p.key_terms.items():
+        exps = list(key) + [0] * (i + 1 - len(key))
+        a, b = exps[i - 1], exps[i]
+        lo, hi, c = (b, a, coef) if a > b else (a, b, -coef)
+        for e in range(lo, hi):
+            exps[i - 1], exps[i] = lo + hi - 1 - e, e
+            k = exponent_key(exps)
+            terms[k] = terms.get(k, 0) + c
+    return Polynomial.from_keys({k: c for k, c in terms.items() if c})
+
+
+def schubert_divdiff(w: Permutation) -> Polynomial:
+    """The Schubert polynomial of w via divided differences: the oracle of the transition route.
+
+    Walks up to the longest element of S_n, x_1^(n-1) x_2^(n-2) ... x_(n-1),
+    along first ascents; not memoized.
+    """
+    ascents = w.ascents()
+    if not ascents:
+        return Polynomial.from_keys({tuple(range(w.n - 1, 0, -1)): 1})
+    i = ascents[0]
+    return divided_difference(schubert_divdiff(w.swap_positions(i)), i)
+
+
+def coefficient_by_counting(w: Permutation, m: Monomial) -> int:
+    """#{C <= D(w) : x^C = m}; equals the Schubert coefficient for avoiders."""
+    if not avoids(w):
+        raise PatternViolationError(f"{w} contains 1432 or 1423")
+    return sum(1 for C in enumerate_dominated(rothe(w)) if row_monomial(C) == m)
+
+
+def reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
+    """All reduced words a_1 ... a_l with w = s_{a_1} ... s_{a_l}."""
+    descents = w.descents()
+    if not descents:
+        yield ()
+        return
+    for i in descents:
+        for r in reduced_words(w.swap_positions(i)):
+            yield r + (i,)
+
+
+def macdonald_oracle(w: Permutation, max_length: int = 12) -> int:
+    """Principal specialization via the reduced-word summation identity.
+
+    Enumerates every reduced word of w and returns (sum of letter
+    products) / l!; the division is always exact.
+    """
+    length = w.inversions()
+    if length > max_length:
+        raise LengthGuardError(f"inversion count {length} exceeds guard {max_length}")
+    total = sum(math.prod(word) for word in reduced_words(w))
+    value, rem = divmod(total, math.factorial(length))
+    assert rem == 0, "reduced-word sum must be divisible by l!"
+    return value
+
+
+# -- alternating sums and the coefficients c_w -------------------------------
+
+
+def restrict_keep(D: Diagram, K: Iterable[int], L: Iterable[int]) -> Diagram:
+    """Keep only boxes in rows K and columns L; same grid, no reindexing."""
+    ks, ls = set(K), set(L)
+    return Diagram(D.n, frozenset(b for b in D.boxes if b[0] in ks and b[1] in ls))
+
+
+def hat_v(C: Diagram, w: Permutation, v: Word) -> Diagram:
+    """Restriction of C to the rows and columns corresponding to the subword v."""
+    if not is_subword(v, w.word()):
+        raise NotASubwordError(f"{v} is not a subword of {w.word()}")
+    K = substitution_indices(w, v)
+    L = v.letter_set()
+    return restrict_keep(C, K, L)
+
+
+def m_monomial(w: Permutation, v: Word) -> Monomial:
+    """x over the boxes of D(w) outside the restriction to v's rows/columns."""
+    D = rothe(w)
+    return row_monomial(Diagram(D.n, D.boxes - hat_v(D, w, v).boxes))
+
+
+def substituted_schubert(w: Permutation, v: Word) -> Polynomial:
+    """S_{perm(v)} with its i-th variable sent to x at w^{-1}(v(i))."""
+    indices = substitution_indices(w, v)
+    p = schubert_polynomial(flatten(v))
+    sigma = {i: indices[i - 1] for i in range(1, len(indices) + 1)}
+    return p.substitute_variables(sigma)
+
+
+@dataclass(frozen=True)
+class SumTerm:
+    v: Word
+    sign: int
+    monomial: Monomial
+    schubert: Polynomial
+
+
+@dataclass(frozen=True)
+class AlternatingSumResult:
+    w: Permutation
+    u: Word
+    total: Polynomial
+    per_term: tuple[SumTerm, ...]
+
+    def to_json(self) -> dict:
+        return {
+            "w": str(self.w),
+            "u": str(self.u),
+            "sum": self.total.to_json(self.w.n),
+            "terms": [
+                {
+                    "v": str(t.v),
+                    "sign": t.sign,
+                    "M": Polynomial.from_monomial(t.monomial).to_json(self.w.n)["terms"][0]["exp"],
+                    "schubert": t.schubert.to_json(self.w.n),
+                }
+                for t in self.per_term
+            ],
+        }
+
+
+def alternating_sum(w: Permutation, u: Word) -> AlternatingSumResult:
+    """The signed sum of M_{w,v} * substituted Schubert over u <= v <= word(w)."""
+    total = Polynomial.zero()
+    terms: list[SumTerm] = []
+    for v in subwords_between(u, w):
+        sign = 1 if (len(w) - len(v)) % 2 == 0 else -1
+        m = m_monomial(w, v)
+        s = substituted_schubert(w, v)
+        total = total + s * Polynomial.from_monomial(m, sign)
+        terms.append(SumTerm(v, sign, m, s))
+    return AlternatingSumResult(w, u, total, tuple(terms))
+
+
+def restricted_diagram_count(w: Permutation, v: Word, m: Monomial) -> int:
+    """#{C <= hat(D(w))_v with x^C = m and boxes only in v's rows}."""
+    if not avoids(w):
+        raise PatternViolationError(f"{w} contains 1432 or 1423")
+    K = set(substitution_indices(w, v))
+    Dv = hat_v(rothe(w), w, v)
+    count = 0
+    for C in enumerate_dominated(Dv):
+        if row_monomial(C) == m and all(i in K for (i, _) in C.boxes):
+            count += 1
+    return count
+
+
+def bv_count(w: Permutation, u: Word, m: Monomial) -> int:
+    """|B_w minus the union of B_v over codimension-one v|, by enumeration.
+
+    B_v collects the diagrams C <= D(w) with x^C = m whose boxes outside
+    the v-restriction are exactly the boxes of D(w) outside its own
+    v-restriction.
+    """
+    if not avoids(w):
+        raise PatternViolationError(f"{w} contains 1432 or 1423")
+    D = rothe(w)
+    between = subwords_between(u, w)
+    codim_one = [v for v in between if len(v) == len(w) - 1]
+
+    def in_bv(C: Diagram, v: Word) -> bool:
+        return C.boxes - hat_v(C, w, v).boxes == D.boxes - hat_v(D, w, v).boxes
+
+    count = 0
+    for C in enumerate_dominated(D):
+        if row_monomial(C) != m:
+            continue
+        if not any(in_bv(C, v) for v in codim_one):
+            count += 1
+    return count
+
+
+def cw_recursive(w: Permutation) -> int:
+    """c_w by the defining recursion: S_w(1) minus c over all proper subwords (memoized)."""
+    return _cw_recursive(w.values)
+
+
+@functools.cache  # keyed by the one-line notation
+def _cw_recursive(values: tuple[int, ...]) -> int:
+    w = Permutation(values)
+    total = principal_specialization(w)
+    # c of the empty permutation is 1 and accounts for the classical -1.
+    for v in subwords_between(Word(), w):
+        if len(v) == len(w):
+            continue
+        total -= _cw_recursive(flatten(v).values) if len(v) else 1
+    return total
+
+
+# -- dual characters over whole diagrams -------------------------------------
+
+
+def determinant_product(C: Diagram, D: Diagram) -> Polynomial:
+    """Product over columns j of det(Y^{C_j}_{D_j})."""
+    result = Polynomial.constant(1)
+    for cj, dj in zip(C.columns(), D.columns()):
+        if not cj and not dj:
+            continue
+        if not column_dominates(cj, dj):
+            return Polynomial.zero()
+        result = result * _det(tuple(cj), tuple(dj))
+    return result
+
+
+def chi_coefficient(D: Diagram, m: Monomial) -> int:
+    """Coefficient of m in the dual character of D's flagged Weyl module."""
+    matching = [C for C in enumerate_dominated(D) if row_monomial(C) == m]
+    return _span_rank([determinant_product(C, D).key_terms for C in matching])
+
+
+# -- purple boxes ------------------------------------------------------------
+
+
+def purple_boxes_bruteforce(D: Diagram, k: int, l: int) -> frozenset[tuple[int, int]]:
+    """Whole-diagram oracle for purple_boxes; use only on small diagrams."""
+    Dhat = restrict_remove(D, k, l)
+    reachable: set[tuple[int, int]] = set()
+    restricted: set[tuple[int, int]] = set()
+    for C in enumerate_dominated(D):
+        reachable.update(C.boxes)
+        Chat = restrict_remove(C, k, l)
+        cols_c, cols_d = Chat.columns(), Dhat.columns()
+        if all(len(a) == len(b) for a, b in zip(cols_c, cols_d)) and all(
+            column_dominates(a, b) for a, b in zip(cols_c, cols_d)
+        ):
+            restricted.update(Chat.boxes)
+    return frozenset(reachable - restricted)
+
+
+# -- patterns ----------------------------------------------------------------
+
+
+def pattern_count(u: Permutation, w: Permutation) -> int:
+    """Number of occurrences of u as a pattern in w."""
+    k, target = len(u), u.values
+    if k > len(w):
+        return 0
+    v = w.values
+    count = 0
+    for idx in itertools.combinations(range(len(v)), k):
+        sub = [v[i] for i in idx]
+        rank = {a: r for r, a in enumerate(sorted(sub), start=1)}
+        if tuple(rank[a] for a in sub) == target:
+            count += 1
+    return count

@@ -65,14 +65,6 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{len(self.values)}: {self.values}")
 
     @classmethod
-    def of(cls, *values: int) -> "Permutation":
-        return cls(tuple(values))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
     def from_string(cls, s: str) -> "Permutation":
         return cls(Word.from_string(s).letters)
 
@@ -128,23 +120,8 @@ def flatten(v: Word) -> Permutation:
     return Permutation(tuple(rank[a] for a in v.letters))
 
 
-def pattern_count(u: Permutation, w: Permutation) -> int:
-    """Number of occurrences of u as a pattern in w."""
-    k, target = len(u), u.values
-    if k > len(w):
-        return 0
-    v = w.values
-    count = 0
-    for idx in itertools.combinations(range(len(v)), k):
-        sub = [v[i] for i in idx]
-        rank = {a: r for r, a in enumerate(sorted(sub), start=1)}
-        if tuple(rank[a] for a in sub) == target:
-            count += 1
-    return count
-
-
 def avoids(w: Permutation) -> bool:
-    """Whether w avoids both 1432 and 1423 (`pattern_count` is the oracle).
+    """Whether w avoids both 1432 and 1423 (`oracles.pattern_count` is the oracle).
 
     w contains one of them iff some i < j < k < l has w_i < min(w_k, w_l)
     and max(w_k, w_l) < w_j.  The least entry left of j is the best w_i, so

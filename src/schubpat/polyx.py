@@ -263,12 +263,6 @@ class Polynomial:
         covered = {_mul_keys(mk, u) for u in t.key_terms}
         return all(key in covered for key, c in s.items() if c < 0)
 
-    def substitute_zero(self, k: int) -> "Polynomial":
-        """Set x_k = 0: drop every term with a positive exponent on k."""
-        return Polynomial.from_keys(
-            {key: c for key, c in self.key_terms.items() if len(key) < k or not key[k - 1]}
-        )
-
     def substitute_variables(self, sigma: Mapping[int, int]) -> "Polynomial":
         """Relabel variables by the injective map sigma; coefficients unchanged."""
         from .errors import UnmappedVariableError

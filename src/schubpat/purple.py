@@ -16,7 +16,6 @@ from .diagrams import (
     column_dominates,
     enumerate_dominated,
     removed_boxes,
-    restrict_remove,
     rothe,
     row_monomial,
 )
@@ -54,22 +53,6 @@ def purple_boxes(D: Diagram, k: int, l: int) -> frozenset[tuple[int, int]]:
                 restricted_reachable.update(s_hat)
         out.update((i, j) for i in reachable if i not in restricted_reachable)
     return frozenset(out)
-
-
-def purple_boxes_bruteforce(D: Diagram, k: int, l: int) -> frozenset[tuple[int, int]]:
-    """Whole-diagram oracle for purple_boxes; use only on small diagrams."""
-    Dhat = restrict_remove(D, k, l)
-    reachable: set[tuple[int, int]] = set()
-    restricted: set[tuple[int, int]] = set()
-    for C in enumerate_dominated(D):
-        reachable.update(C.boxes)
-        Chat = restrict_remove(C, k, l)
-        cols_c, cols_d = Chat.columns(), Dhat.columns()
-        if all(len(a) == len(b) for a, b in zip(cols_c, cols_d)) and all(
-            column_dominates(a, b) for a, b in zip(cols_c, cols_d)
-        ):
-            restricted.update(Chat.boxes)
-    return frozenset(reachable - restricted)
 
 
 @dataclass(frozen=True)

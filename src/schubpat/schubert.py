@@ -1,53 +1,20 @@
-"""Schubert polynomials by the transition equation, divided differences and diagram sums.
+"""Schubert polynomials by the transition equation and by diagram sums.
 
 The production route is the Lascoux-Schuetzenberger transition equation on
-exponent keys (`schubert_polynomial`); divided differences are its oracle,
-and so is the diagram sum for permutations avoiding 1432 and 1423.  S_w(1)
-runs the same recursion on integers, with the divided-difference polynomial
-at 1 and the reduced-word identity (`macdonald_oracle`) as its oracles.
+exponent keys (`schubert_polynomial`); the diagram sum is a second route for
+permutations avoiding 1432 and 1423, and the subject of `thm2.7`.  S_w(1)
+runs the same recursion on integers.  Their oracles live in `oracles`:
+divided differences (`schubert_divdiff`, also at 1) and the reduced-word
+identity (`macdonald_oracle`).
 """
 from __future__ import annotations
 
 import functools
-import math
-from typing import Iterator
 
-from .diagrams import enumerate_dominated, rothe, row_monomial
-from .errors import LengthGuardError, PatternViolationError
+from .diagrams import enumerate_dominated, rothe
+from .errors import PatternViolationError
 from .permwords import Permutation, avoids, flatten, remove_position
-from .polyx import Monomial, Polynomial, exponent_key, monomial_key
-
-
-def divided_difference(p: Polynomial, i: int) -> Polynomial:
-    """(p - p with x_i and x_{i+1} exchanged) / (x_i - x_{i+1}), term by term.
-
-    With a, b the exponents of x_i, x_{i+1} in a term, lo <= hi the two
-    sorted, (x_i^a x_{i+1}^b - x_i^b x_{i+1}^a) / (x_i - x_{i+1}) is the sum
-    of x_i^(lo+hi-1-e) x_{i+1}^e over lo <= e < hi, negated when a < b.
-    """
-    terms: dict[tuple[int, ...], int] = {}
-    for key, coef in p.key_terms.items():
-        exps = list(key) + [0] * (i + 1 - len(key))
-        a, b = exps[i - 1], exps[i]
-        lo, hi, c = (b, a, coef) if a > b else (a, b, -coef)
-        for e in range(lo, hi):
-            exps[i - 1], exps[i] = lo + hi - 1 - e, e
-            k = exponent_key(exps)
-            terms[k] = terms.get(k, 0) + c
-    return Polynomial.from_keys({k: c for k, c in terms.items() if c})
-
-
-def schubert_divdiff(w: Permutation) -> Polynomial:
-    """The Schubert polynomial of w via divided differences: the oracle of the transition route.
-
-    Walks up to the longest element of S_n, x_1^(n-1) x_2^(n-2) ... x_(n-1),
-    along first ascents; not memoized.
-    """
-    ascents = w.ascents()
-    if not ascents:
-        return Polynomial.from_keys({tuple(range(w.n - 1, 0, -1)): 1})
-    i = ascents[0]
-    return divided_difference(schubert_divdiff(w.swap_positions(i)), i)
+from .polyx import Polynomial, monomial_key
 
 
 def _transition(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
@@ -145,13 +112,6 @@ def diagram_sum(w: Permutation) -> Polynomial:
     return Polynomial.from_keys(terms)
 
 
-def coefficient_by_counting(w: Permutation, m: Monomial) -> int:
-    """#{C <= D(w) : x^C = m}; equals the Schubert coefficient for avoiders."""
-    if not avoids(w):
-        raise PatternViolationError(f"{w} contains 1432 or 1423")
-    return sum(1 for C in enumerate_dominated(rothe(w)) if row_monomial(C) == m)
-
-
 def principal_specialization(w: Permutation | tuple[int, ...]) -> int:
     """S_w(1,...,1), for w or its one-line notation as a plain tuple (memoized)."""
     return _spec(w.values if isinstance(w, Permutation) else w)
@@ -174,29 +134,4 @@ def _spec(values: tuple[int, ...]) -> int:
     _, v, children = _transition(values)
     return _spec(v) + sum(map(_spec, children))
 
-
-def reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
-    """All reduced words a_1 ... a_l with w = s_{a_1} ... s_{a_l}."""
-    descents = w.descents()
-    if not descents:
-        yield ()
-        return
-    for i in descents:
-        for r in reduced_words(w.swap_positions(i)):
-            yield r + (i,)
-
-
-def macdonald_oracle(w: Permutation, max_length: int = 12) -> int:
-    """Principal specialization via the reduced-word summation identity.
-
-    Enumerates every reduced word of w and returns (sum of letter
-    products) / l!; the division is always exact.
-    """
-    length = w.inversions()
-    if length > max_length:
-        raise LengthGuardError(f"inversion count {length} exceeds guard {max_length}")
-    total = sum(math.prod(word) for word in reduced_words(w))
-    value, rem = divmod(total, math.factorial(length))
-    assert rem == 0, "reduced-word sum must be divisible by l!"
-    return value
 

@@ -298,12 +298,14 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
     """Run one claim over its configured input space, in shard order."""
     claim = CLAIMS[claim_name]
     shards = claim.shards(config)
-    if config.jobs <= 1:
+    # A fork pool starts every worker at the first submit: start no more than there are shards.
+    workers = min(config.jobs, len(shards))
+    if workers <= 1:
         for shard in shards:
             yield _run_shard(claim, shard, config)
     else:
         args = [(claim_name, shard, config) for shard in shards]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_shard_worker, args, chunksize=8)
 
 

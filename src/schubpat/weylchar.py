@@ -8,42 +8,31 @@ the span of the products whose diagrams have row monomial m.
 
 y_{ij} variables live in the shared polynomial engine through the pair
 index (i, j) -> polyx.pair_index(i, j).
+
+`chi` factors the computation over columns.  Its oracle, in `oracles`,
+enumerates whole dominated diagrams and multiplies their determinant
+products (`chi_coefficient`, `determinant_product`).
 """
 from __future__ import annotations
 
 import functools
 import itertools
 
-from .diagrams import (
-    Diagram,
-    _column_dominated_sets,
-    column_dominates,
-    count_dominated,
-    enumerate_dominated,
-    row_monomial,
-)
+from .diagrams import Diagram, _column_dominated_sets, count_dominated
 from .errors import BudgetExceededError
 from .linalg import integer_rank
-from .polyx import Monomial, Polynomial, monomial_key, pair_index
+from .polyx import Polynomial, monomial_key, pair_index
 
 DEFAULT_BUDGET = 10**6
 
 
-def y_determinant(rows, cols) -> Polynomial:
-    """det of the submatrix of Y with the given rows and columns.
-
-    Zero unless the row set dominates the column set elementwise; the
-    expansion is exact, by cofactors along the first column, memoized on
-    the (rows, cols) pair.
-    """
-    r, c = tuple(sorted(rows)), tuple(sorted(cols))
-    if len(r) != len(c):
-        raise ValueError(f"size mismatch: rows {r} vs columns {c}")
-    return _det(r, c)
-
-
 @functools.cache  # keyed by the (rows, cols) pair
 def _det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+    """det of the submatrix of Y with these sorted rows and equally many sorted columns.
+
+    Zero unless the row set dominates the column set elementwise; the
+    expansion is exact, by cofactors along the first column.
+    """
     if not rows:
         return Polynomial.constant(1)
     # Entry (i, j) of Y is y_{ij} when i <= j and 0 below the diagonal.
@@ -55,18 +44,6 @@ def _det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
         sign = -1 if t % 2 else 1
         minor = _det(rows[:t] + rows[t + 1 :], cols[1:])
         result = result + minor * Polynomial.from_keys({monomial_key((pair_index(r, c0),)): sign})
-    return result
-
-
-def determinant_product(C: Diagram, D: Diagram) -> Polynomial:
-    """Product over columns j of det(Y^{C_j}_{D_j})."""
-    result = Polynomial.constant(1)
-    for cj, dj in zip(C.columns(), D.columns()):
-        if not cj and not dj:
-            continue
-        if not column_dominates(cj, dj):
-            return Polynomial.zero()
-        result = result * _det(tuple(cj), tuple(dj))
     return result
 
 
@@ -85,12 +62,6 @@ def _span_rank(polys: list[dict[tuple[int, ...], int]]) -> int:
             row[columns[key]] = coef
         matrix.append(row)
     return integer_rank(matrix)
-
-
-def chi_coefficient(D: Diagram, m: Monomial) -> int:
-    """Coefficient of m in the dual character of D's flagged Weyl module."""
-    matching = [C for C in enumerate_dominated(D) if row_monomial(C) == m]
-    return _span_rank([determinant_product(C, D).key_terms for C in matching])
 
 
 def chi(D: Diagram, budget: int = DEFAULT_BUDGET) -> Polynomial:

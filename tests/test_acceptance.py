@@ -11,22 +11,12 @@ import pytest
 
 from schubpat import cli
 from schubpat.diagrams import enumerate_dominated, rothe, row_monomial
-from schubpat.incexc import (
-    alternating_sum,
-    cw_augmentation,
-    cw_inclusion_exclusion,
-    cw_recursive,
-)
+from schubpat.incexc import cw_augmentation, cw_inclusion_exclusion
+from schubpat.oracles import alternating_sum, cw_recursive, macdonald_oracle, schubert_divdiff
 from schubpat.permwords import Permutation, Word, all_permutations, avoids
 from schubpat.polyx import Monomial, Polynomial, x
 from schubpat.purple import characterize_monomials, purple_family
-from schubpat.schubert import (
-    diagram_sum,
-    macdonald_oracle,
-    principal_specialization,
-    schubert_diagram,
-    schubert_divdiff,
-)
+from schubpat.schubert import diagram_sum, principal_specialization, schubert_diagram
 from schubpat.verify import RunConfig, exit_code, run_claim
 
 

@@ -7,7 +7,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,29 +220,12 @@ def test_verify_jobs_output_is_byte_identical(tmp_path, claim):
     assert b"elapsed_ms" not in outputs[0]
 
 
-def test_env_variable_defaults(capsys, monkeypatch):
+def test_schubpat_environment_variables_are_ignored(capsys, monkeypatch):
     monkeypatch.setenv("SCHUBPAT_FORMAT", "json")
-    code, out = run(capsys, "rothe", "21")
+    monkeypatch.setenv("SCHUBPAT_MAX_N", "0")
+    code, out = run(capsys, "verify", "identity", "--max-n", "2")
     assert code == 0
-    assert json.loads(out) == {"n": 2, "boxes": [[1, 1]]}
-
-
-def test_env_override_by_flag(capsys, monkeypatch):
-    monkeypatch.setenv("SCHUBPAT_FORMAT", "json")
-    code, out = run(capsys, "rothe", "21", "--format", "text")
-    assert code == 0
-    assert out.strip() == "{(1,1)}"
-
-
-@pytest.mark.parametrize("name", ["JOBS", "MAX_N", "SEED", "BUDGET_DOMINATED", "FORMAT"])
-def test_non_integer_env_variable_is_a_usage_error(name, capsys, monkeypatch):
-    # "x" is no integer, and no --format choice either.
-    monkeypatch.setenv(f"SCHUBPAT_{name}", "x")
-    code = cli.main(["verify", "identity"])
-    assert code == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"SCHUBPAT_{name}" in err
-    assert len(err.strip().splitlines()) == 1
+    assert out == "identity\t12\tholds\nidentity\t21\tholds\n"
 
 
 def _usage_error_line(argv: list[str]) -> str:
@@ -264,9 +246,36 @@ def test_verify_rejects_max_n_below_2(max_n):
     assert line == f"error: --max-n must be at least 2, got {max_n}"
 
 
-def test_verify_rejects_max_n_below_2_from_the_environment(monkeypatch):
-    monkeypatch.setenv("SCHUBPAT_MAX_N", "0")
-    assert _usage_error_line(["verify", "thm2.7"]) == "error: --max-n must be at least 2, got 0"
+@pytest.mark.parametrize("jobs", ["-1", "0"])
+def test_verify_rejects_jobs_below_1(jobs):
+    line = _usage_error_line(["verify", "thm2.7", "--jobs", jobs])
+    assert line == f"error: --jobs must be at least 1, got {jobs}"
+
+
+def test_verify_starts_no_more_workers_than_shards(capsys, monkeypatch):
+    # A fake pool records the size it is asked for; no process is started.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    serial = run(capsys, "verify", "identity", "--max-n", "3")
+    assert sizes == []
+    assert run(capsys, "verify", "identity", "--max-n", "3", "--jobs", "5000") == serial
+    assert sizes == [8]  # the 2 + 6 permutations of S_2 and S_3
+    code, _ = run(capsys, "verify", "identity", "--max-n", "2", "--jobs", "5000")
+    assert (code, sizes) == (0, [8, 2])
 
 
 @pytest.mark.parametrize(
@@ -370,27 +379,6 @@ def test_full_suite_exit_code_prefers_a_counterexample_to_a_refusal(monkeypatch,
     monkeypatch.setattr(sys, "argv", ["run_full_suite.py", "--max-n", "2"])
     assert suite.main() == 2
     assert "counterexample 12: w" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("extra_at, code", [("1432", 0), ("2143", 2)])
-def test_explore_extra_monomials_exits_2_on_an_avoider_with_extras(
-    monkeypatch, capsys, extra_at, code
-):
-    root = pathlib.Path(__file__).resolve().parent.parent
-    script = root / "scripts" / "explore_extra_monomials.py"
-    spec = importlib.util.spec_from_file_location("explore_extra_monomials", script)
-    explore = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(explore)
-
-    def fake_characterize(sigma, k):
-        extra = {"x1"} if str(sigma) == extra_at and k == 1 else set()
-        return types.SimpleNamespace(extra=frozenset(extra))
-
-    # 1432 contains a forbidden pattern, so its extras refute nothing; 2143 avoids both.
-    monkeypatch.setattr(explore, "characterize_monomials", fake_characterize)
-    monkeypatch.setattr(sys, "argv", ["explore_extra_monomials.py", "--max-n", "4"])
-    assert explore.main() == code
-    assert f"{extra_at} k=1 " in capsys.readouterr().out
 
 
 def test_negative_cw_table_size_is_a_usage_error():

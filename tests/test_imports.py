@@ -1,0 +1,34 @@
+"""One production route per quantity: no production module imports `oracles`."""
+import ast
+import pathlib
+
+import schubpat
+
+# cli prints oracles on request, and __init__ clears the oracle memo.
+MAY_IMPORT_ORACLES = {"__init__", "cli", "oracles"}
+
+
+def _imports(path: pathlib.Path) -> set[str]:
+    """Dotted names a module of the package imports, its relative imports resolved."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "schubpat" + (f".{base}" if base else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_production_module_imports_oracles():
+    package = pathlib.Path(schubpat.__file__).parent
+    imports = {path.stem: _imports(path) for path in package.glob("*.py")}
+    assert "schubpat.oracles" in imports["cli"]
+    offenders = sorted(
+        name for name, names in imports.items()
+        if name not in MAY_IMPORT_ORACLES and "schubpat.oracles" in names
+    )
+    assert offenders == []

@@ -40,12 +40,6 @@ def test_evaluate_all_ones_multiplicative(p, q):
     assert (p * q).evaluate_all_ones() == p.evaluate_all_ones() * q.evaluate_all_ones()
 
 
-def test_substitute_zero():
-    p = x(1) * x(1) + x(1) * x(2)
-    assert p.substitute_zero(2) == x(1) * x(1)
-    assert p.substitute_zero(3) == p
-
-
 @settings(max_examples=100)
 @given(poly_strategy(max_vars=4))
 def test_substitute_variables_round_trip(p):
@@ -173,8 +167,6 @@ def test_polynomial_routes_give_one_key(p, q):
     shift = {v: v + 1 for v in range(1, 6)}
     back = {v + 1: v for v in range(1, 6)}
     assert _same(p.substitute_variables(shift).substitute_variables(back), p)
-    no_x5 = Polynomial({m: c for m, c in pairs if m.key[4:5] in ((), (0,))})
-    assert _same(p.substitute_zero(5), no_x5)
     assert _same(Polynomial.from_json(p.to_json(7)), p)
     assert _same(Polynomial.loads(p.dumps()), p)
 

@@ -3,23 +3,31 @@ from hypothesis import given, settings, strategies as st
 
 from schubpat.diagrams import restrict_remove, rothe
 from schubpat.errors import LengthGuardError, PatternViolationError
-from schubpat.permwords import Permutation, all_permutations, avoids, pattern_count
-from schubpat.polyx import Monomial, Polynomial, x
-from schubpat.schubert import (
+from schubpat.oracles import (
     coefficient_by_counting,
-    diagram_sum,
     divided_difference,
     macdonald_oracle,
-    principal_specialization,
+    pattern_count,
     reduced_words,
-    schubert_diagram,
     schubert_divdiff,
+)
+from schubpat.permwords import Permutation, all_permutations, avoids
+from schubpat.polyx import Monomial, Polynomial, x
+from schubpat.schubert import (
+    diagram_sum,
+    principal_specialization,
+    schubert_diagram,
     schubert_polynomial,
     schubert_skipping,
 )
 from schubpat.weylchar import chi
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(lambda v: Permutation(tuple(v)))
+
+
+def _at_zero(p: Polynomial, k: int) -> Polynomial:
+    """p with x_k = 0: the terms without x_k."""
+    return Polynomial({m: c for m, c in p.terms() if k not in dict(m.exps)})
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -29,7 +37,7 @@ def test_schubert_skipping_is_the_restricted_character(n):
         for k in range(1, n + 1):
             got = schubert_skipping(w, k)
             assert k not in got.variables()
-            assert got == chi(restrict_remove(rothe(w), k, w(k))).substitute_zero(k), (w, k)
+            assert got == _at_zero(chi(restrict_remove(rothe(w), k, w(k))), k), (w, k)
 
 
 def test_divided_difference_examples():
@@ -62,7 +70,7 @@ def test_schubert_worked_examples():
     )
     assert schubert_divdiff(Permutation.from_string("132")) == x(1) + x(2)
     assert schubert_divdiff(Permutation.from_string("21")) == x(1)
-    assert schubert_divdiff(Permutation.identity(4)) == Polynomial.constant(1)
+    assert schubert_divdiff(Permutation.from_string("1234")) == Polynomial.constant(1)
     assert schubert_divdiff(Permutation(())) == Polynomial.constant(1)
 
 
@@ -120,7 +128,7 @@ def test_schubert_coefficients_nonnegative_and_homogeneous(n):
 
 def test_reduced_words_examples():
     assert set(reduced_words(Permutation.from_string("321"))) == {(1, 2, 1), (2, 1, 2)}
-    assert list(reduced_words(Permutation.identity(3))) == [()]
+    assert list(reduced_words(Permutation.from_string("123"))) == [()]
     assert set(reduced_words(Permutation.from_string("1342"))) == {(2, 3)}
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import schubpat
-from schubpat import incexc, purple, verify, weylchar
+from schubpat import incexc, oracles, purple, verify, weylchar
 from schubpat.errors import BudgetExceededError
 from schubpat.permwords import Permutation, avoids
 from schubpat.verify import (
@@ -189,7 +189,7 @@ def test_clear_caches_reaches_every_memo():
     """After all nine claims, schubpat.clear_caches() empties every functools memo."""
     for name in CLAIMS:
         list(run_claim(name, RunConfig(max_n=4)))
-    incexc.cw_recursive(Permutation.from_string("1432"))  # the one oracle memo no claim uses
+    oracles.cw_recursive(Permutation.from_string("1432"))  # the one oracle memo no claim uses
     modules = [
         importlib.import_module(f"schubpat.{m.name}") for m in pkgutil.iter_modules(schubpat.__path__)
     ]
