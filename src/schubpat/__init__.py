@@ -7,7 +7,7 @@ pattern-expansion coefficients c_w, and purple-box monomial families.
 from .permwords import Permutation, Word
 from .diagrams import Diagram
 from .polyx import Monomial, Polynomial
-from . import diagrams, incexc, oracles, schubert, weylchar
+from . import diagrams, incexc, oracles, purple, schubert, weylchar
 
 __all__ = ["Permutation", "Word", "Diagram", "Monomial", "Polynomial", "clear_caches"]
 __version__ = "0.1.0"
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every memo of the engine; each is a `functools.cache` on its key."""
-    for memo in (diagrams._column_dominated_sets, schubert._schubert, schubert._spec,
-                 weylchar._det, weylchar._chi_by_rank,
+    for memo in (diagrams._column_dominated_sets, purple._purple_rows,
+                 schubert._schubert, schubert._spec, weylchar._det, weylchar._chi_by_rank,
                  incexc._mask_positions, incexc._cw_ie, oracles._cw_recursive):
         memo.cache_clear()

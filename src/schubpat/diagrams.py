@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .permwords import Permutation
-from .polyx import Monomial, monomial_key
+from .polyx import Monomial, Polynomial, monomial_key
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,6 @@ class Diagram:
     @classmethod
     def of(cls, n: int, boxes: Iterable[tuple[int, int]]) -> "Diagram":
         return cls(n, frozenset(tuple(b) for b in boxes))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        """Sorted row indices of the boxes in column j."""
-        return tuple(sorted(i for (i, jj) in self.boxes if jj == j))
 
     def columns(self) -> list[tuple[int, ...]]:
         cols: list[list[int]] = [[] for _ in range(self.n)]
@@ -121,6 +117,22 @@ def count_dominated(D: Diagram) -> int:
     total = 1
     for d in D.columns():
         total *= _count_column(d)
+    return total
+
+
+def dominated_sum(D: Diagram) -> Polynomial:
+    """The sum of x^C over all C <= D, as a product over columns of D.
+
+    A dominated diagram is one independent choice of a set c <= D_j per
+    column j, and x^C is the product of the x^c, so the sum factors into
+    the column sums of x^c over `_column_dominated_sets(D_j)`.
+    """
+    total = Polynomial.constant(1)
+    for d in D.columns():
+        if d:
+            total = total * Polynomial.from_keys(
+                {monomial_key(c): 1 for c in _column_dominated_sets(d)}
+            )
     return total
 
 

@@ -29,9 +29,5 @@ class UnmappedVariableError(SchubpatError):
     """Raised when a variable substitution does not cover every variable present."""
 
 
-class NotInFamilyError(SchubpatError):
-    """Raised when a diagram is not a member of the requested purple family."""
-
-
 class UsageError(SchubpatError):
     """Raised for command-line input that the parser or a command rejects."""

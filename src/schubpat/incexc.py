@@ -27,7 +27,6 @@ from .diagrams import (
     removed_boxes,
     restrict_remove,
     rothe,
-    row_monomial,
 )
 from .errors import PatternViolationError
 from .permwords import Permutation, avoids
@@ -172,8 +171,15 @@ def cw_augmentation(w: Permutation) -> int:
 
 
 def single_step_monomial(sigma: Permutation, k: int) -> Monomial:
-    """x over the boxes of D(sigma) in row k or column sigma_k."""
-    return row_monomial(removed_boxes(rothe(sigma), k, sigma(k)))
+    """x over the boxes of D(sigma) in row k or column sigma_k.
+
+    Row k holds one box per later entry below sigma_k, and column sigma_k
+    one box in row i per earlier entry sigma_i above sigma_k.
+    """
+    values, s = sigma.values, sigma(k)
+    exps = [int(a > s) for a in values[: k - 1]]
+    exps.append(sum(a < s for a in values[k:]))
+    return Monomial.from_key(exponent_key(exps))
 
 
 def verify_single_step(sigma: Permutation, k: int) -> tuple[bool, Polynomial | None]:

@@ -12,8 +12,14 @@ can compare the two exhaustively at small n:
   `restricted_diagram_count` and `bv_count`;
 - coefficients of the dual character as span ranks over whole diagrams
   (`chi_coefficient`, `determinant_product`);
-- purple boxes over whole dominated diagrams (`purple_boxes_bruteforce`);
-- pattern occurrences by brute force (`pattern_count`).
+- the diagram sum over whole dominated diagrams
+  (`dominated_sum_by_enumeration`);
+- purple boxes and purple families over whole dominated diagrams
+  (`purple_boxes_bruteforce`, `purple_family_by_enumeration`), and the
+  subtraction check of one whole member (`verify_theorem_gen`);
+- pattern occurrences by brute force (`pattern_count`), and the subword
+  poset through `Word` (`is_subword`, `subwords_between`,
+  `substitution_indices`, `all_subwords`).
 
 No claim and no production module imports this one; a test enforces that.
 Only `cli` imports it, to print an oracle on request, and `__init__`, whose
@@ -31,23 +37,72 @@ from .diagrams import (
     Diagram,
     column_dominates,
     enumerate_dominated,
+    removed_boxes,
     restrict_remove,
     rothe,
     row_monomial,
 )
-from .errors import LengthGuardError, NotASubwordError, PatternViolationError
-from .permwords import (
-    Permutation,
-    Word,
-    avoids,
-    flatten,
-    is_subword,
-    subwords_between,
-    substitution_indices,
+from .errors import (
+    LengthGuardError,
+    LetterNotInWordError,
+    NotASubwordError,
+    PatternViolationError,
+    SchubpatError,
 )
-from .polyx import Monomial, Polynomial, exponent_key
+from .permwords import Permutation, Word, avoids, flatten
+from .polyx import Monomial, Polynomial, exponent_key, monomial_key
+from .purple import PurpleFamily
 from .schubert import principal_specialization, schubert_polynomial
 from .weylchar import _det, _span_rank
+
+
+# -- the subword poset -------------------------------------------------------
+
+
+def is_subword(u: Word, v: Word) -> bool:
+    """True iff u occurs as a (not necessarily contiguous) subsequence of v."""
+    it = iter(v.letters)
+    return all(a in it for a in u.letters)
+
+
+def subwords_between(u: Word, w: Permutation) -> list[Word]:
+    """All words v with u <= v <= word(w), each once.
+
+    Since the letters of w are distinct, these are the restrictions of
+    word(w) to the letter subsets containing the letters of u; ordered by
+    the bitmask of kept positions of w, ascending.  The order comes for free:
+    optional positions map to positions of w increasingly, so the kept mask
+    grows with the loop's mask.
+    """
+    word_w = w.word()
+    if not is_subword(u, word_w):
+        raise NotASubwordError(f"{u} is not a subword of {word_w}")
+    required = u.letter_set()
+    optional = [i for i in range(len(word_w)) if word_w.letters[i] not in required]
+    out = []
+    for mask in range(1 << len(optional)):
+        drop = {optional[t] for t in range(len(optional)) if not (mask >> t) & 1}
+        out.append(Word(tuple(a for i, a in enumerate(word_w.letters) if i not in drop)))
+    return out
+
+
+def substitution_indices(w: Permutation, v: Word) -> tuple[int, ...]:
+    """(w^{-1}(v(1)), ..., w^{-1}(v(|v|))); strictly increasing for v <= word(w)."""
+    winv = w.inverse()
+    values = set(w.values)
+    for a in v.letters:
+        if a not in values:
+            raise LetterNotInWordError(f"letter {a} does not occur in {w}")
+    if not is_subword(v, w.word()):
+        raise NotASubwordError(f"{v} is not a subword of {w.word()}")
+    out = tuple(winv(a) for a in v.letters)
+    assert all(out[i] < out[i + 1] for i in range(len(out) - 1)), "indices must ascend"
+    return out
+
+
+def all_subwords(w: Permutation) -> list[Word]:
+    """All subwords of word(w), the empty word included."""
+    return subwords_between(Word(), w)
 
 
 # -- Schubert polynomials and their specialization ---------------------------
@@ -83,6 +138,15 @@ def schubert_divdiff(w: Permutation) -> Polynomial:
         return Polynomial.from_keys({tuple(range(w.n - 1, 0, -1)): 1})
     i = ascents[0]
     return divided_difference(schubert_divdiff(w.swap_positions(i)), i)
+
+
+def dominated_sum_by_enumeration(D: Diagram) -> Polynomial:
+    """Sum of x^C over C <= D, one dominated diagram at a time."""
+    terms: dict[tuple[int, ...], int] = {}
+    for C in enumerate_dominated(D):
+        key = monomial_key(i for (i, _) in C.boxes)
+        terms[key] = terms.get(key, 0) + 1
+    return Polynomial.from_keys(terms)
 
 
 def coefficient_by_counting(w: Permutation, m: Monomial) -> int:
@@ -271,7 +335,7 @@ def chi_coefficient(D: Diagram, m: Monomial) -> int:
     return _span_rank([determinant_product(C, D).key_terms for C in matching])
 
 
-# -- purple boxes ------------------------------------------------------------
+# -- purple boxes and families -----------------------------------------------
 
 
 def purple_boxes_bruteforce(D: Diagram, k: int, l: int) -> frozenset[tuple[int, int]]:
@@ -288,6 +352,41 @@ def purple_boxes_bruteforce(D: Diagram, k: int, l: int) -> frozenset[tuple[int, 
         ):
             restricted.update(Chat.boxes)
     return frozenset(reachable - restricted)
+
+
+def purple_family_by_enumeration(
+    D: Diagram, k: int, l: int
+) -> tuple[frozenset[tuple[int, int]], frozenset[Diagram], frozenset[Monomial]]:
+    """(purple boxes, members, monomials) of the purple family, over whole diagrams.
+
+    The members are the C <= the seed that lie inside the purple boxes.
+    """
+    boxes = purple_boxes_bruteforce(D, k, l)
+    members = frozenset(C for C in enumerate_dominated(removed_boxes(D, k, l)) if C.boxes <= boxes)
+    return boxes, members, frozenset(map(row_monomial, members))
+
+
+class NotInFamilyError(SchubpatError):
+    """Raised when a diagram is not a member of the requested purple family."""
+
+
+def verify_theorem_gen(
+    family: PurpleFamily, K: Diagram, chi_D: Polynomial, chi_hat_k: Polynomial
+) -> tuple[bool, Polynomial | None]:
+    """Check chi_D - x^K * chi_hat_k has no negative term, for K in the family.
+
+    chi_D is the dual character of the family's diagram D, and chi_hat_k that
+    of restrict_remove(D, k, l) with x_k = 0 substituted.  The whole-diagram
+    form of `thm4.1`'s check, which reads each member's row monomial off the
+    family's per-column product instead; the difference is returned with the
+    verdict when the check fails.
+    """
+    if K not in family.members:
+        raise NotInFamilyError(f"{K} is not a member of the purple family of {family.D}")
+    m = row_monomial(K)
+    if chi_D.nonnegative_after_subtracting(m, chi_hat_k):
+        return True, None
+    return False, chi_D - chi_hat_k * m
 
 
 # -- patterns ----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Permutations, words with distinct letters, patterns and the subword poset.
+"""Permutations, words with distinct letters, and patterns.
 
 Everything is 1-indexed on the external surface: a permutation in S_n is
 its one-line notation over {1..n}, and word(w) is the word w_1 ... w_n.
@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
-
-from .errors import LetterNotInWordError, NotASubwordError
 
 
 @dataclass(frozen=True)
@@ -108,12 +106,6 @@ class Permutation:
         return str(self.word())
 
 
-def is_subword(u: Word, v: Word) -> bool:
-    """True iff u occurs as a (not necessarily contiguous) subsequence of v."""
-    it = iter(v.letters)
-    return all(a in it for a in u.letters)
-
-
 def flatten(v: Word) -> Permutation:
     """perm(v): replace the smallest letter by 1, the next by 2, and so on."""
     rank = {a: r for r, a in enumerate(sorted(v.letters), start=1)}
@@ -135,52 +127,7 @@ def avoids(w: Permutation) -> bool:
     return True
 
 
-def subwords_between(u: Word, w: Permutation) -> list[Word]:
-    """All words v with u <= v <= word(w), each once.
-
-    Since the letters of w are distinct, these are the restrictions of
-    word(w) to the letter subsets containing the letters of u; ordered by
-    the bitmask of kept positions of w, ascending.  The order comes for free:
-    optional positions map to positions of w increasingly, so the kept mask
-    grows with the loop's mask.
-    """
-    word_w = w.word()
-    if not is_subword(u, word_w):
-        raise NotASubwordError(f"{u} is not a subword of {word_w}")
-    required = u.letter_set()
-    optional = [i for i in range(len(word_w)) if word_w.letters[i] not in required]
-    out = []
-    for mask in range(1 << len(optional)):
-        drop = {optional[t] for t in range(len(optional)) if not (mask >> t) & 1}
-        out.append(Word(tuple(a for i, a in enumerate(word_w.letters) if i not in drop)))
-    return out
-
-
-def substitution_indices(w: Permutation, v: Word) -> tuple[int, ...]:
-    """(w^{-1}(v(1)), ..., w^{-1}(v(|v|))); strictly increasing for v <= word(w)."""
-    winv = w.inverse()
-    values = set(w.values)
-    for a in v.letters:
-        if a not in values:
-            raise LetterNotInWordError(f"letter {a} does not occur in {w}")
-    if not is_subword(v, w.word()):
-        raise NotASubwordError(f"{v} is not a subword of {w.word()}")
-    out = tuple(winv(a) for a in v.letters)
-    assert all(out[i] < out[i + 1] for i in range(len(out) - 1)), "indices must ascend"
-    return out
-
-
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order of one-line notation."""
     for values in itertools.permutations(range(1, n + 1)):
         yield Permutation(values)
-
-
-def all_subwords(w: Permutation) -> list[Word]:
-    """All subwords of word(w), the empty word included."""
-    return subwords_between(Word(), w)
-
-
-def remove_position(w: Permutation, k: int) -> Word:
-    """word(w) with the k-th letter removed."""
-    return Word(tuple(a for i, a in enumerate(w.values, start=1) if i != k))

@@ -256,8 +256,12 @@ class Polynomial:
         coefficient of self lies at some such m * u.
         """
         s, mk = self.key_terms, m.key
-        if any(s.get(_mul_keys(mk, u), 0) < c for u, c in t.key_terms.items()):
-            return False
+        get, lm = s.get, len(mk)
+        for u, c in t.key_terms.items():
+            # The key of m * u, as `_mul_keys` builds it.
+            lu = len(u)
+            if get(tuple(map(add, mk, u)) + (mk[lu:] if lm > lu else u[lm:]), 0) < c:
+                return False
         if min(s.values(), default=0) >= 0:
             return True
         covered = {_mul_keys(mk, u) for u in t.key_terms}

@@ -8,21 +8,39 @@ member is a valid factor in front of the restricted character.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
-from .diagrams import (
-    Diagram,
-    _column_dominated_sets,
-    column_dominates,
-    enumerate_dominated,
-    removed_boxes,
-    rothe,
-    row_monomial,
-)
-from .errors import NotInFamilyError
+from .diagrams import Diagram, _column_dominated_sets, column_dominates, removed_boxes, rothe
 from .permwords import Permutation
-from .polyx import Monomial, Polynomial
+from .polyx import Monomial, Polynomial, _mul_keys, monomial_key
 from .schubert import schubert_polynomial, schubert_skipping
+
+
+@functools.cache  # keyed by (column of D, k, whether it is column l): at most n * 2^(n+1) entries
+def _purple_rows(d: tuple[int, ...], k: int, is_l: bool) -> frozenset[int]:
+    """The purple rows of a nonempty column d of D: hit by some c <= d, by no restricted one.
+
+    A restricted one is c less row k, for c <= d that keeps row k exactly
+    when d does and whose rest is dominated by d less row k; column l
+    restricts to nothing.
+    """
+    subsets = _column_dominated_sets(d)
+    reachable = {i for c in subsets for i in c}
+    if is_l:
+        return frozenset(reachable)
+    k_in_d = k in d
+    d_hat = tuple(i for i in d if i != k)
+    restricted: set[int] = set()
+    for c in subsets:
+        if (k in c) != k_in_d:
+            continue
+        c_hat = tuple(i for i in c if i != k)
+        if column_dominates(c_hat, d_hat):
+            restricted.update(c_hat)
+    return frozenset(reachable - restricted)
 
 
 def purple_boxes(D: Diagram, k: int, l: int) -> frozenset[tuple[int, int]]:
@@ -30,43 +48,60 @@ def purple_boxes(D: Diagram, k: int, l: int) -> frozenset[tuple[int, int]]:
 
     Both conditions decompose columnwise: on every other column a
     dominated diagram can keep D's own column, which restricts to itself.
+    So the purple boxes are the union of the purple rows of D's columns.
     """
-    out: set[tuple[int, int]] = set()
-    for j in range(1, D.n + 1):
-        dj = D.column(j)
-        if not dj:
-            continue
-        subsets = _column_dominated_sets(dj)
-        reachable = {i for S in subsets for i in S}
-        if j == l:
-            # boxes of column l never survive the restriction
-            out.update((i, j) for i in reachable)
-            continue
-        k_in_d = k in dj
-        dj_hat = tuple(i for i in dj if i != k)
-        restricted_reachable: set[int] = set()
-        for S in subsets:
-            if (k in S) != k_in_d:
-                continue
-            s_hat = tuple(i for i in S if i != k)
-            if column_dominates(s_hat, dj_hat):
-                restricted_reachable.update(s_hat)
-        out.update((i, j) for i in reachable if i not in restricted_reachable)
-    return frozenset(out)
+    return frozenset(
+        (i, j) for j, d in enumerate(D.columns(), start=1) if d for i in _purple_rows(d, k, j == l)
+    )
 
 
 @dataclass(frozen=True)
 class PurpleFamily:
+    """The purple family of (D, k, l) as a product over the seed's columns.
+
+    `columns` holds, for each nonempty column j of the seed, the pair
+    (j, the sets c <= seed_j inside the purple rows of column j); a member
+    is one such set per column.  `boxes`, `members` and `monomials` are
+    derived.
+    """
+
     D: Diagram
     k: int
     l: int
-    boxes: frozenset[tuple[int, int]]
-    members: frozenset[Diagram]
-    monomials: frozenset[Monomial]
+    columns: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+
+    @property
+    def boxes(self) -> frozenset[tuple[int, int]]:
+        return purple_boxes(self.D, self.k, self.l)
 
     @property
     def seed(self) -> Diagram:
         return removed_boxes(self.D, self.k, self.l)
+
+    def choices(self) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Every member as its rows, one set per entry of `columns`."""
+        return itertools.product(*(sets for _, sets in self.columns))
+
+    def member(self, choice: tuple[tuple[int, ...], ...]) -> Diagram:
+        """The diagram of one of `choices()`."""
+        boxes = frozenset((i, j) for (j, _), rows in zip(self.columns, choice) for i in rows)
+        return Diagram(self.D.n, boxes)
+
+    def row_monomials(self) -> list[Monomial]:
+        """x^K for every member K, in the order of `choices()`."""
+        keys = [()]
+        for _, sets in self.columns:
+            column = [monomial_key(c) for c in sets]
+            keys = [_mul_keys(a, b) for a in keys for b in column]
+        return [Monomial.from_key(key) for key in keys]
+
+    @property
+    def members(self) -> frozenset[Diagram]:
+        return frozenset(map(self.member, self.choices()))
+
+    @property
+    def monomials(self) -> frozenset[Monomial]:
+        return frozenset(self.row_monomials())
 
     def to_json(self) -> dict:
         return {
@@ -87,36 +122,19 @@ def purple_family(D: Diagram, k: int, l: int) -> PurpleFamily:
 
     The defining closure descends one dominance step at a time; since
     dominance is transitive that reachable set is exactly the down-set of
-    the seed, which is what gets enumerated here.
+    the seed.  Dominance and the purple boxes are both columnwise, so it
+    is a product over the seed's columns: column l of D, and row k alone
+    in every other column of D that holds it.  The seed lies inside the
+    purple boxes, so it is a member.
     """
-    boxes = purple_boxes(D, k, l)
-    seed = removed_boxes(D, k, l)
-    members = {seed}
-    for K in enumerate_dominated(seed):
-        if K.boxes <= boxes:
-            members.add(K)
-    monomials = frozenset(row_monomial(K) for K in members)
-    return PurpleFamily(D, k, l, boxes, frozenset(members), monomials)
-
-
-def verify_theorem_gen(
-    family: PurpleFamily, K: Diagram, chi_D: Polynomial, chi_hat_k: Polynomial
-) -> tuple[bool, Polynomial | None]:
-    """Check chi_D - x^K * chi_hat_k has no negative term, for K in the family.
-
-    chi_D is the dual character of the family's diagram D, and chi_hat_k that
-    of restrict_remove(D, k, l) with x_k = 0 substituted; the caller builds
-    both once per family and passes them for every member.  For D = D(sigma)
-    and l = sigma(k) these are S_sigma and S_pi skipping x_k
-    (schubert_skipping).  The difference is built, and returned with the
-    verdict, only when the check fails.
-    """
-    if K not in family.members:
-        raise NotInFamilyError(f"{K} is not a member of the purple family of {family.D}")
-    m = row_monomial(K)
-    if chi_D.nonnegative_after_subtracting(m, chi_hat_k):
-        return True, None
-    return False, chi_D - chi_hat_k * m
+    columns = []
+    for j, d in enumerate(D.columns(), start=1):
+        seed_j = d if j == l else (k,) if k in d else ()
+        if seed_j:
+            rows = _purple_rows(d, k, j == l)
+            allowed = tuple(c for c in _column_dominated_sets(seed_j) if rows.issuperset(c))
+            columns.append((j, allowed))
+    return PurpleFamily(D, k, l, tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -142,14 +160,16 @@ def characterize_monomials(sigma: Permutation, k: int) -> MonomialCharacterizati
     family = purple_family(D, k, l)
     s_sigma = schubert_polynomial(sigma)
     sub = schubert_skipping(sigma, k)
-    degree = len(family.seed)
+    from_purple = family.monomials
+    # Every member has as many boxes per column as the seed.
+    degree = sum(len(sets[0]) for _, sets in family.columns)
     mu0 = min(sub.support(), key=Monomial.sort_key, default=Monomial())
     candidates = {
         m / mu0
         for m in s_sigma.support()
         if mu0.divides(m) and m.degree() - mu0.degree() == degree
     }
-    candidates |= family.monomials
+    candidates |= from_purple
     working = set()
     for M in candidates:
         if s_sigma.nonnegative_after_subtracting(M, sub):
@@ -158,6 +178,6 @@ def characterize_monomials(sigma: Permutation, k: int) -> MonomialCharacterizati
         sigma,
         k,
         frozenset(working),
-        frozenset(family.monomials),
-        frozenset(working - family.monomials),
+        from_purple,
+        frozenset(working - from_purple),
     )

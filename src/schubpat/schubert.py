@@ -1,20 +1,21 @@
 """Schubert polynomials by the transition equation and by diagram sums.
 
 The production route is the Lascoux-Schuetzenberger transition equation on
-exponent keys (`schubert_polynomial`); the diagram sum is a second route for
-permutations avoiding 1432 and 1423, and the subject of `thm2.7`.  S_w(1)
-runs the same recursion on integers.  Their oracles live in `oracles`:
-divided differences (`schubert_divdiff`, also at 1) and the reduced-word
-identity (`macdonald_oracle`).
+exponent keys (`schubert_polynomial`); the diagram sum, a product over the
+columns of D(w), is a second route for permutations avoiding 1432 and 1423,
+and the subject of `thm2.7`.  S_w(1) runs the same recursion on integers.
+Their oracles live in `oracles`: divided differences (`schubert_divdiff`,
+also at 1), the reduced-word identity (`macdonald_oracle`) and the diagram
+sum over whole dominated diagrams (`dominated_sum_by_enumeration`).
 """
 from __future__ import annotations
 
 import functools
 
-from .diagrams import enumerate_dominated, rothe
+from .diagrams import dominated_sum, rothe
 from .errors import PatternViolationError
-from .permwords import Permutation, avoids, flatten, remove_position
-from .polyx import Polynomial, monomial_key
+from .permwords import Permutation, avoids
+from .polyx import Polynomial
 
 
 def _transition(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
@@ -86,12 +87,18 @@ def _schubert(values: tuple[int, ...]) -> Polynomial:
 def schubert_skipping(sigma: Permutation, k: int) -> Polynomial:
     """S_pi(x_1, ..., x_{k-1}, x_{k+1}, ..., x_n), pi the pattern of sigma without position k.
 
-    The single-removal polynomial: variable i of S_pi becomes x_i below k
-    and x_{i+1} from k on.
+    The single-removal polynomial.  pi is sigma's one-line notation without
+    entry k, each entry above sigma_k lowered by one.  Variable i of S_pi
+    becomes x_i below k and x_{i+1} from k on: a 0 is inserted at entry
+    k - 1 of every key that reaches it.
     """
-    pi = flatten(remove_position(sigma, k))
-    return schubert_polynomial(pi).substitute_variables(
-        {i: (i if i < k else i + 1) for i in range(1, sigma.n)}
+    values, s = sigma.values, sigma(k)
+    pi = tuple(a - (a > s) for a in values[: k - 1] + values[k:])
+    return Polynomial.from_keys(
+        {
+            key[: k - 1] + (0,) + key[k - 1 :] if len(key) >= k else key: c
+            for key, c in schubert_polynomial(pi).key_terms.items()
+        }
     )
 
 
@@ -104,12 +111,8 @@ def schubert_diagram(w: Permutation) -> Polynomial:
 
 def diagram_sum(w: Permutation) -> Polynomial:
     """Sum of x^C over C <= D(w) with no avoidance check (for testing both
-    directions of the characterization)."""
-    terms: dict[tuple[int, ...], int] = {}
-    for C in enumerate_dominated(rothe(w)):
-        key = monomial_key(i for (i, _) in C.boxes)
-        terms[key] = terms.get(key, 0) + 1
-    return Polynomial.from_keys(terms)
+    directions of the characterization): a product over the columns of D(w)."""
+    return dominated_sum(rothe(w))
 
 
 def principal_specialization(w: Permutation | tuple[int, ...]) -> int:

@@ -125,6 +125,41 @@ def test_purple_command(capsys):
     assert len(data["members"]) == 5
 
 
+# `purple 15243 --k 5` prints these bytes, as its enumerating predecessor did.
+PURPLE_15243_K5_TEXT = (
+    "purple boxes: [(1, 3), (2, 3), (3, 3), (4, 3)]\n"
+    "members: ['{(1,3), (2,3)}', '{(1,3), (3,3)}', '{(1,3), (4,3)}', '{(2,3), (3,3)}', '{(2,3), (4,3)}']\n"
+    "monomials: ['x1*x2', 'x1*x3', 'x1*x4', 'x2*x3', 'x2*x4']\n"
+)
+PURPLE_15243_K5_JSON = (
+    '{"D":{"n":5,"boxes":[[2,2],[2,3],[2,4],[4,3]]},"k":5,"l":3,'
+    '"purple_boxes":[[1,3],[2,3],[3,3],[4,3]],'
+    '"members":[{"n":5,"boxes":[[1,3],[2,3]]},{"n":5,"boxes":[[1,3],[3,3]]},'
+    '{"n":5,"boxes":[[1,3],[4,3]]},{"n":5,"boxes":[[2,3],[3,3]]},{"n":5,"boxes":[[2,3],[4,3]]}],'
+    '"monomials":[[1,1,0,0,0],[1,0,1,0,0],[1,0,0,1,0],[0,1,1,0,0],[0,1,0,1,0]]}\n'
+)
+CHARACTERIZE_15243_K5_TEXT = PURPLE_15243_K5_TEXT + (
+    "working: ['x1*x2', 'x1*x3', 'x1*x4', 'x2*x3', 'x2*x4']\n"
+    "extra: []\n"
+)
+CHARACTERIZE_15243_K5_JSON = PURPLE_15243_K5_JSON[:-2] + (
+    ',"working":["x1*x2","x1*x3","x1*x4","x2*x3","x2*x4"],"extra":[]}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ((), PURPLE_15243_K5_TEXT),
+        (("--format", "json"), PURPLE_15243_K5_JSON),
+        (("--characterize",), CHARACTERIZE_15243_K5_TEXT),
+        (("--characterize", "--format", "json"), CHARACTERIZE_15243_K5_JSON),
+    ],
+)
+def test_purple_command_bytes(capsys, flags, expected):
+    assert run(capsys, "purple", "15243", "--k", "5", *flags) == (0, expected)
+
+
 def test_purple_characterize(capsys):
     code, out = run(capsys, "purple", "15243", "--k", "4", "--characterize", "--format", "json")
     assert code == 0

@@ -148,9 +148,7 @@ def test_dominated_complete_against_bruteforce():
     for r in range(len(D) + 1):
         for boxes in itertools.combinations(grid, r):
             C = Diagram.of(4, boxes)
-            cols_match = all(
-                len(C.column(j)) == len(D.column(j)) for j in range(1, 5)
-            )
+            cols_match = all(len(c) == len(d) for c, d in zip(C.columns(), D.columns()))
             if cols_match and dominates(C, D):
                 all_sub.add(C)
     assert all_sub == set(enumerate_dominated(D))

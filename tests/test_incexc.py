@@ -4,7 +4,7 @@ import pytest
 
 import schubpat
 from schubpat import incexc
-from schubpat.diagrams import Diagram, enumerate_dominated, rothe, row_monomial
+from schubpat.diagrams import Diagram, enumerate_dominated, removed_boxes, rothe, row_monomial
 from schubpat.errors import PatternViolationError
 from schubpat.incexc import (
     alternating_sums,
@@ -18,6 +18,7 @@ from schubpat.incexc import (
     verify_single_step,
 )
 from schubpat.oracles import (
+    all_subwords,
     alternating_sum,
     bv_count,
     cw_recursive,
@@ -29,7 +30,6 @@ from schubpat.permwords import (
     Permutation,
     Word,
     all_permutations,
-    all_subwords,
     avoids,
     flatten,
 )
@@ -263,6 +263,14 @@ def test_bv_count_matches_alternating_sum_coefficient():
                 assert bv_count(w, u, m) == total.coefficient(m)
             absent = Monomial({w.n: w.n})
             assert bv_count(w, u, absent) == 0 == total.coefficient(absent)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_single_step_monomial_is_the_seed_monomial(n):
+    for sigma in all_permutations(n):
+        D = rothe(sigma)
+        for k in range(1, n + 1):
+            assert single_step_monomial(sigma, k) == row_monomial(removed_boxes(D, k, sigma(k)))
 
 
 def test_single_step_monomial():

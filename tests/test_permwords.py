@@ -4,18 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schubpat.errors import LetterNotInWordError, NotASubwordError
-from schubpat.permwords import (
-    Permutation,
-    Word,
-    all_permutations,
+from schubpat.permwords import Permutation, Word, all_permutations, avoids, flatten
+from schubpat.oracles import (
     all_subwords,
-    avoids,
-    flatten,
     is_subword,
+    pattern_count,
     subwords_between,
     substitution_indices,
 )
-from schubpat.oracles import pattern_count
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(lambda v: Permutation(tuple(v)))
 

@@ -2,14 +2,31 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from schubpat.diagrams import Diagram, restrict_remove, rothe
-from schubpat.errors import NotInFamilyError
-from schubpat.oracles import purple_boxes_bruteforce
+from schubpat.oracles import (
+    NotInFamilyError,
+    purple_boxes_bruteforce,
+    purple_family_by_enumeration,
+    verify_theorem_gen,
+)
 from schubpat.permwords import Permutation, all_permutations, avoids
 from schubpat.polyx import Monomial, Polynomial
-from schubpat.purple import characterize_monomials, purple_boxes, purple_family, verify_theorem_gen
+from schubpat.purple import characterize_monomials, purple_boxes, purple_family
 from schubpat.weylchar import chi
+
+
+# A diagram in [n] x [n] with a removed row k and column l, each anywhere in 1..n.
+removals = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(
+        st.frozensets(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n * n).map(
+            lambda b: Diagram(n, b)
+        ),
+        st.integers(1, n),
+        st.integers(1, n),
+    )
+)
 
 
 def _frozen(*boxes):
@@ -103,7 +120,37 @@ def test_seed_always_in_family(n):
         for k in range(1, n + 1):
             family = purple_family(D, k, w(k))
             assert family.seed in family.members
-            assert all(K.boxes <= family.boxes or K == family.seed for K in family.members)
+            assert all(K.boxes <= family.boxes for K in family.members)
+
+
+@given(removals)
+def test_seed_lies_inside_the_purple_boxes(removal):
+    # Row k is purple in every column of D holding it, and column l is purple
+    # wherever a dominated set reaches: so the seed is a member of the product.
+    D, k, l = removal
+    family = purple_family(D, k, l)
+    assert family.seed.boxes <= family.boxes
+    assert family.seed in family.members
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_purple_family_matches_enumeration_on_rothe_diagrams(n):
+    for w in all_permutations(n):
+        D = rothe(w)
+        for k in range(1, n + 1):
+            family = purple_family(D, k, w(k))
+            expected = purple_family_by_enumeration(D, k, w(k))
+            assert (family.boxes, family.members, family.monomials) == expected, (w, k)
+
+
+@given(removals)
+def test_purple_family_matches_enumeration_off_rothe_diagrams(removal):
+    D, k, l = removal
+    assume(D not in {rothe(w) for w in all_permutations(D.n)})
+    family = purple_family(D, k, l)
+    expected = purple_family_by_enumeration(D, k, l)
+    assert (family.boxes, family.members, family.monomials) == expected
+    assert purple_boxes(D, k, l) == family.boxes
 
 
 def test_verify_theorem_gen_on_family_members():

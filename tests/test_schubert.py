@@ -1,17 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubpat.diagrams import restrict_remove, rothe
+from schubpat.diagrams import Diagram, count_dominated, dominated_sum, restrict_remove, rothe
 from schubpat.errors import LengthGuardError, PatternViolationError
 from schubpat.oracles import (
     coefficient_by_counting,
     divided_difference,
+    dominated_sum_by_enumeration,
     macdonald_oracle,
     pattern_count,
     reduced_words,
     schubert_divdiff,
 )
-from schubpat.permwords import Permutation, all_permutations, avoids
+from schubpat.permwords import Permutation, Word, all_permutations, avoids, flatten
 from schubpat.polyx import Monomial, Polynomial, x
 from schubpat.schubert import (
     diagram_sum,
@@ -23,6 +24,12 @@ from schubpat.schubert import (
 from schubpat.weylchar import chi
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(lambda v: Permutation(tuple(v)))
+
+diagrams = st.integers(1, 4).flatmap(
+    lambda n: st.frozensets(
+        st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n * n
+    ).map(lambda b: Diagram(n, b))
+)
 
 
 def _at_zero(p: Polynomial, k: int) -> Polynomial:
@@ -38,6 +45,16 @@ def test_schubert_skipping_is_the_restricted_character(n):
             got = schubert_skipping(w, k)
             assert k not in got.variables()
             assert got == _at_zero(chi(restrict_remove(rothe(w), k, w(k))), k), (w, k)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_schubert_skipping_inserts_what_relabelling_gives(n):
+    # pi by flatten on the word without letter k, its variables relabelled by substitution.
+    for w in all_permutations(n):
+        for k in range(1, n + 1):
+            pi = flatten(Word(w.values[: k - 1] + w.values[k:]))
+            relabel = {i: i if i < k else i + 1 for i in range(1, n)}
+            assert schubert_skipping(w, k) == schubert_polynomial(pi).substitute_variables(relabel)
 
 
 def test_divided_difference_examples():
@@ -100,6 +117,28 @@ def test_schubert_diagram_rejects_forbidden_patterns():
         schubert_diagram(Permutation.from_string("1432"))
     with pytest.raises(PatternViolationError):
         schubert_diagram(Permutation.from_string("15243"))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_diagram_sum_matches_enumeration(n):
+    for w in all_permutations(n):
+        assert diagram_sum(w) == dominated_sum_by_enumeration(rothe(w)), w
+
+
+@given(diagrams)
+def test_dominated_sum_matches_enumeration_on_any_diagram(D):
+    assert dominated_sum(D) == dominated_sum_by_enumeration(D)
+    assert dominated_sum(D).evaluate_all_ones() == count_dominated(D)
+
+
+def test_count_certificate_decides_as_the_full_comparison():
+    # thm2.7 rules equality out when count_dominated(D(w)) != S_w(1).  On S_<=7
+    # that verdict is the full comparison's, and it decides every non-avoider.
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            s_w = schubert_polynomial(w)
+            certified = count_dominated(rothe(w)) == s_w.evaluate_all_ones()
+            assert certified == (diagram_sum(w) == s_w) == avoids(w), w
 
 
 def test_diagram_sum_overcounts_on_1432():

@@ -6,9 +6,10 @@ from collections import Counter
 import pytest
 
 import schubpat
-from schubpat import incexc, oracles, purple, verify, weylchar
+from schubpat import incexc, oracles, purple, schubert, verify, weylchar
 from schubpat.errors import BudgetExceededError
 from schubpat.permwords import Permutation, avoids
+from schubpat.polyx import x
 from schubpat.verify import (
     CLAIMS,
     Claim,
@@ -185,6 +186,69 @@ def test_thm4_1_makes_no_rank_computation():
     assert weylchar._det.cache_info().misses == 0
 
 
+# Witnesses of thm4.1 on 136254 when S_pi skipping x_k gains a term x1*x2: some
+# members fail (one of three at k=3), each in box_list order within its k.
+STUBBED_THM4_1_WITNESS = "; ".join([
+    'k=1 K={}: coeff -1 at x1*x2',
+    'k=2 K={(2,2)}: coeff -1 at x1*x2^2',
+    'k=3 K={(3,2), (3,4), (3,5)}: coeff -1 at x1*x2*x3^3',
+    'k=4 K={(1,2), (2,2)}: coeff -1 at x1^2*x2^2',
+    'k=4 K={(1,2), (3,2)}: coeff -1 at x1^2*x2*x3',
+    'k=4 K={(2,2), (3,2)}: coeff -1 at x1*x2^2*x3',
+    'k=5 K={(1,5), (4,4)}: coeff -1 at x1^2*x2*x4',
+    'k=5 K={(1,5), (5,4)}: coeff -1 at x1^2*x2*x5',
+    'k=5 K={(2,5), (4,4)}: coeff -1 at x1*x2^2*x4',
+    'k=5 K={(2,5), (5,4)}: coeff -1 at x1*x2^2*x5',
+    'k=5 K={(3,5), (4,4)}: coeff -1 at x1*x2*x3*x4',
+    'k=5 K={(3,5), (5,4)}: coeff -1 at x1*x2*x3*x5',
+    'k=6 K={(1,4), (2,4)}: coeff -1 at x1^2*x2^2',
+    'k=6 K={(1,4), (3,4)}: coeff -1 at x1^2*x2*x3',
+    'k=6 K={(1,4), (4,4)}: coeff -1 at x1^2*x2*x4',
+    'k=6 K={(1,4), (5,4)}: coeff -1 at x1^2*x2*x5',
+    'k=6 K={(2,4), (3,4)}: coeff -1 at x1*x2^2*x3',
+    'k=6 K={(2,4), (4,4)}: coeff -1 at x1*x2^2*x4',
+    'k=6 K={(2,4), (5,4)}: coeff -1 at x1*x2^2*x5',
+    'k=6 K={(3,4), (4,4)}: coeff -1 at x1*x2*x3*x4',
+    'k=6 K={(3,4), (5,4)}: coeff -1 at x1*x2*x3*x5',
+])
+
+
+def test_thm4_1_witness_lists_failing_members_in_box_order(monkeypatch):
+    skipping = schubert.schubert_skipping
+    monkeypatch.setattr(schubert, "schubert_skipping", lambda w, k: skipping(w, k) + x(1) * x(2))
+    claim = CLAIMS["thm4.1"]
+    report = verify._run_shard(claim, Permutation.from_string("136254"), RunConfig())
+    assert report.verdict == "fails"
+    assert report.witness == STUBBED_THM4_1_WITNESS
+
+
+@pytest.mark.parametrize("stub", ["count_dominated", "dominated_sum"])
+def test_thm2_7_unexpected_inequality_witness(monkeypatch, stub):
+    # An avoider fails by the count certificate or by the full comparison alike.
+    monkeypatch.setattr(verify, stub, lambda D: 0)
+    report = verify._run_shard(CLAIMS["thm2.7"], Permutation.from_string("13254"), RunConfig())
+    assert (report.verdict, report.witness) == ("fails", "unexpected inequality for avoidance=True")
+
+
+def test_thm2_7_unexpected_equality_witness(monkeypatch):
+    w = Permutation.from_string("1432")
+    s_w = schubert.schubert_polynomial(w)
+    monkeypatch.setattr(verify, "count_dominated", lambda D: s_w.evaluate_all_ones())
+    monkeypatch.setattr(verify, "dominated_sum", lambda D: s_w)
+    report = verify._run_shard(CLAIMS["thm2.7"], w, RunConfig())
+    assert (report.verdict, report.witness) == ("fails", "unexpected equality for avoidance=False")
+
+
+def test_thm2_7_builds_no_product_for_a_certified_non_avoider(monkeypatch):
+    def refuse(D):
+        raise AssertionError("the count certificate should decide")
+
+    monkeypatch.setattr(verify, "dominated_sum", refuse)
+    for w in ("1432", "1423", "15243"):
+        report = verify._run_shard(CLAIMS["thm2.7"], Permutation.from_string(w), RunConfig())
+        assert report.verdict == "holds"
+
+
 def test_clear_caches_reaches_every_memo():
     """After all nine claims, schubpat.clear_caches() empties every functools memo."""
     for name in CLAIMS:
@@ -196,7 +260,7 @@ def test_clear_caches_reaches_every_memo():
     memos = {
         id(obj): obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_clear")
     }.values()
-    assert len(memos) == 8
+    assert len(memos) == 9
     assert all(memo.cache_info().currsize for memo in memos)
     schubpat.clear_caches()
     assert [memo for memo in memos if memo.cache_info().currsize] == []
