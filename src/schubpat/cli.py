@@ -227,7 +227,7 @@ def _cmd_purple(args) -> int:
     family = purple_family(D, args.k, l)
     payload = family.to_json()
     if args.characterize:
-        result = characterize_monomials(sigma, args.k)
+        result = characterize_monomials(sigma)[args.k - 1]
         payload["working"] = sorted(str(m) for m in result.working)
         payload["extra"] = sorted(str(m) for m in result.extra)
     if args.format == "json":

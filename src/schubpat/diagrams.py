@@ -7,9 +7,8 @@ a removed row or column stays in place, empty.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .permwords import Permutation
 from .polyx import Monomial, Polynomial, monomial_key
@@ -77,11 +76,14 @@ def column_dominates(R: Iterable[int], S: Iterable[int]) -> bool:
     return len(r) == len(s) and all(a <= b for a, b in zip(r, s))
 
 
-def dominates(C: Diagram, D: Diagram) -> bool:
-    """C <= D columnwise."""
-    if C.n != D.n:
-        raise ValueError(f"size mismatch: {C.n} vs {D.n}")
-    return all(column_dominates(c, d) for c, d in zip(C.columns(), D.columns()))
+def restricts(c: tuple[int, ...], d: tuple[int, ...], k: int) -> bool:
+    """Whether a column c <= d keeps row k exactly when d does, and c less k <= d less k.
+
+    c and d have equal sizes, so the sizes of c less k and d less k, which
+    `column_dominates` compares, agree exactly when c keeps row k as d
+    does.  This is the single-removal restriction test of every column but l.
+    """
+    return column_dominates([i for i in c if i != k], [i for i in d if i != k])
 
 
 @functools.cache  # keyed by a column, a subset of [n]: at most 2^n entries
@@ -102,18 +104,8 @@ def _column_dominated_sets(d: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def enumerate_dominated(D: Diagram) -> Iterator[Diagram]:
-    """Stream every C <= D exactly once (cartesian product over columns)."""
-    per_column = [_column_dominated_sets(d) for d in D.columns()]
-    for choice in itertools.product(*per_column):
-        boxes = frozenset(
-            (i, j) for j, rows in enumerate(choice, start=1) for i in rows
-        )
-        yield Diagram(D.n, boxes)
-
-
 def count_dominated(D: Diagram) -> int:
-    """len(list(enumerate_dominated(D))) without materializing anything."""
+    """The number of C <= D, without materializing any."""
     total = 1
     for d in D.columns():
         total *= _count_column(d)
@@ -144,11 +136,6 @@ def _count_column(d: tuple[int, ...]) -> int:
         return sum(ways(t + 1, c) for c in range(lo + 1, d[t] + 1))
 
     return ways(0, 0)
-
-
-def restrict_remove(D: Diagram, k: int, l: int) -> Diagram:
-    """Remove every box in row k or column l."""
-    return Diagram(D.n, frozenset(b for b in D.boxes if b[0] != k and b[1] != l))
 
 
 def removed_boxes(D: Diagram, k: int, l: int) -> Diagram:

@@ -14,20 +14,15 @@ independent ways: by inclusion-exclusion, by the defining recursion, and
 is the production route: an integer loop over the position masks of w
 (`subword_patterns`).  The recursion, `oracles.cw_recursive`, walks `Word`
 subwords and `flatten` instead, so the two routes check each other as well
-as the counting (`cw_augmentation`, the subject of `thm1.2`).
+as the counting (`cw_augmentation`, the subject of `thm1.2`), which builds
+no diagram: it decides augmentations column by column (`diagrams.restricts`).
 """
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
-from .diagrams import (
-    Diagram,
-    dominates,
-    enumerate_dominated,
-    removed_boxes,
-    restrict_remove,
-    rothe,
-)
+from .diagrams import _column_dominated_sets, restricts, rothe
 from .errors import PatternViolationError
 from .permwords import Permutation, avoids
 from .polyx import Monomial, Polynomial, exponent_key, monomial_key
@@ -139,35 +134,36 @@ def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
     return superset_sums(terms)
 
 
-def is_augmentation(C: Diagram, D: Diagram, k: int, l: int) -> bool:
-    """Whether C is an augmentation of some Chat <= restrict_remove(D, k, l).
-
-    That is, removed_boxes(C, k, l) equals removed_boxes(D, k, l) and
-    restrict_remove(C, k, l) <= restrict_remove(D, k, l).
-    """
-    if removed_boxes(C, k, l).boxes != removed_boxes(D, k, l).boxes:
-        return False
-    Chat = restrict_remove(C, k, l)
-    Dhat = restrict_remove(D, k, l)
-    cols_c, cols_d = Chat.columns(), Dhat.columns()
-    if any(len(a) != len(b) for a, b in zip(cols_c, cols_d)):
-        return False
-    return dominates(Chat, Dhat)
-
-
 def cw_augmentation(w: Permutation) -> int:
-    """c_w as the number of dominated diagrams that are not augmentations.
+    """c_w as the number of C <= D(w) that are augmentations for no removed pair (k, w_k).
 
-    The removed pairs range over (k, w_k) for every position k.
+    C is one for (k, l) when its column l is D's and every other column
+    `restricts` to D's at row k.  So each column c allows a mask of pairs,
+    and the count runs over the columns on a Counter of AND-of-masks; the
+    non-augmentations end on mask 0.
     """
     if not avoids(w):
         raise PatternViolationError(f"{w} contains 1432 or 1423")
-    D = rothe(w)
-    count = 0
-    for C in enumerate_dominated(D):
-        if not any(is_augmentation(C, D, k, w(k)) for k in range(1, w.n + 1)):
-            count += 1
-    return count
+    n, winv = w.n, w.inverse()
+    counts = Counter({(1 << n) - 1: 1})
+    for j, d in enumerate(rothe(w).columns(), start=1):
+        if not d:
+            continue  # an empty column allows every pair
+        k_j = winv(j)  # the pair whose removed column is j
+        column_masks = Counter(
+            sum(
+                1 << (k - 1)
+                for k in range(1, n + 1)
+                if (c == d if k == k_j else restricts(c, d, k))
+            )
+            for c in _column_dominated_sets(d)
+        )
+        new_counts: Counter[int] = Counter()
+        for mask, count in counts.items():
+            for column_mask, ways in column_masks.items():
+                new_counts[mask & column_mask] += count * ways
+        counts = new_counts
+    return counts[0]
 
 
 def single_step_monomial(sigma: Permutation, k: int) -> Monomial:

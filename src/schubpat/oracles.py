@@ -4,6 +4,8 @@ Each function here recomputes a quantity by the paper's slow definition,
 sharing as little code as it can with the production route, so that a test
 can compare the two exhaustively at small n:
 
+- whole dominated diagrams, which production replaces by per-column data:
+  `dominates`, `enumerate_dominated` and `restrict_remove`;
 - S_w by divided differences (`schubert_divdiff`), S_w(1) by reduced words
   (`macdonald_oracle`), and coefficients of S_w by counting dominated
   diagrams (`coefficient_by_counting`);
@@ -35,10 +37,9 @@ from typing import Iterable, Iterator
 
 from .diagrams import (
     Diagram,
+    _column_dominated_sets,
     column_dominates,
-    enumerate_dominated,
     removed_boxes,
-    restrict_remove,
     rothe,
     row_monomial,
 )
@@ -54,6 +55,31 @@ from .polyx import Monomial, Polynomial, exponent_key, monomial_key
 from .purple import PurpleFamily
 from .schubert import principal_specialization, schubert_polynomial
 from .weylchar import _det, _span_rank
+
+
+# -- whole dominated diagrams ------------------------------------------------
+
+
+def dominates(C: Diagram, D: Diagram) -> bool:
+    """C <= D columnwise."""
+    if C.n != D.n:
+        raise ValueError(f"size mismatch: {C.n} vs {D.n}")
+    return all(column_dominates(c, d) for c, d in zip(C.columns(), D.columns()))
+
+
+def enumerate_dominated(D: Diagram) -> Iterator[Diagram]:
+    """Stream every C <= D exactly once (cartesian product over columns)."""
+    per_column = [_column_dominated_sets(d) for d in D.columns()]
+    for choice in itertools.product(*per_column):
+        boxes = frozenset(
+            (i, j) for j, rows in enumerate(choice, start=1) for i in rows
+        )
+        yield Diagram(D.n, boxes)
+
+
+def restrict_remove(D: Diagram, k: int, l: int) -> Diagram:
+    """Remove every box in row k or column l."""
+    return Diagram(D.n, frozenset(b for b in D.boxes if b[0] != k and b[1] != l))
 
 
 # -- the subword poset -------------------------------------------------------
@@ -346,10 +372,7 @@ def purple_boxes_bruteforce(D: Diagram, k: int, l: int) -> frozenset[tuple[int, 
     for C in enumerate_dominated(D):
         reachable.update(C.boxes)
         Chat = restrict_remove(C, k, l)
-        cols_c, cols_d = Chat.columns(), Dhat.columns()
-        if all(len(a) == len(b) for a, b in zip(cols_c, cols_d)) and all(
-            column_dominates(a, b) for a, b in zip(cols_c, cols_d)
-        ):
+        if dominates(Chat, Dhat):
             restricted.update(Chat.boxes)
     return frozenset(reachable - restricted)
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .diagrams import Diagram, _column_dominated_sets, column_dominates, removed_boxes, rothe
+from .diagrams import Diagram, _column_dominated_sets, removed_boxes, restricts, rothe
 from .permwords import Permutation
 from .polyx import Monomial, Polynomial, _mul_keys, monomial_key
 from .schubert import schubert_polynomial, schubert_skipping
@@ -23,23 +23,12 @@ from .schubert import schubert_polynomial, schubert_skipping
 def _purple_rows(d: tuple[int, ...], k: int, is_l: bool) -> frozenset[int]:
     """The purple rows of a nonempty column d of D: hit by some c <= d, by no restricted one.
 
-    A restricted one is c less row k, for c <= d that keeps row k exactly
-    when d does and whose rest is dominated by d less row k; column l
-    restricts to nothing.
+    A restricted one is c less row k, for c <= d that `restricts` to d at
+    row k; column l restricts to nothing.
     """
     subsets = _column_dominated_sets(d)
     reachable = {i for c in subsets for i in c}
-    if is_l:
-        return frozenset(reachable)
-    k_in_d = k in d
-    d_hat = tuple(i for i in d if i != k)
-    restricted: set[int] = set()
-    for c in subsets:
-        if (k in c) != k_in_d:
-            continue
-        c_hat = tuple(i for i in c if i != k)
-        if column_dominates(c_hat, d_hat):
-            restricted.update(c_hat)
+    restricted = set() if is_l else {i for c in subsets if restricts(c, d, k) for i in c if i != k}
     return frozenset(reachable - restricted)
 
 
@@ -146,38 +135,34 @@ class MonomialCharacterization:
     extra: frozenset[Monomial]
 
 
-def characterize_monomials(sigma: Permutation, k: int) -> MonomialCharacterization:
-    """All monomials M with S_sigma - M * S_pi(skip x_k) nonnegative.
+def characterize_monomials(sigma: Permutation) -> tuple[MonomialCharacterization, ...]:
+    """For every position k, all monomials M with S_sigma - M * S_pi(skip x_k) nonnegative.
 
-    pi is the single-removal pattern at position k.  A working M must
-    send every monomial of the substituted S_pi into the support of
-    S_sigma, so the candidates are the exact quotients of support
-    monomials by one fixed monomial of the substituted S_pi; that set is
-    a provably complete superset.
+    Entry k - 1 is position k's; pi is the single-removal pattern at
+    position k.  A working M must send every monomial of the substituted
+    S_pi into the support of S_sigma, so the candidates are the exact
+    quotients of support monomials by one fixed monomial of the
+    substituted S_pi; that set is a provably complete superset.  D(sigma),
+    S_sigma and its support are built once for all k.
     """
     D = rothe(sigma)
-    l = sigma(k)
-    family = purple_family(D, k, l)
     s_sigma = schubert_polynomial(sigma)
-    sub = schubert_skipping(sigma, k)
-    from_purple = family.monomials
-    # Every member has as many boxes per column as the seed.
-    degree = sum(len(sets[0]) for _, sets in family.columns)
-    mu0 = min(sub.support(), key=Monomial.sort_key, default=Monomial())
-    candidates = {
-        m / mu0
-        for m in s_sigma.support()
-        if mu0.divides(m) and m.degree() - mu0.degree() == degree
-    }
-    candidates |= from_purple
-    working = set()
-    for M in candidates:
-        if s_sigma.nonnegative_after_subtracting(M, sub):
-            working.add(M)
-    return MonomialCharacterization(
-        sigma,
-        k,
-        frozenset(working),
-        from_purple,
-        frozenset(working - from_purple),
-    )
+    support = s_sigma.support()
+    results = []
+    for k in range(1, sigma.n + 1):
+        family = purple_family(D, k, sigma(k))
+        sub = schubert_skipping(sigma, k)
+        from_purple = family.monomials
+        # Every member has as many boxes per column as the seed.
+        degree = sum(len(sets[0]) for _, sets in family.columns)
+        mu0 = min(sub.support(), key=Monomial.sort_key, default=Monomial())
+        candidates = {
+            m / mu0
+            for m in support
+            if mu0.divides(m) and m.degree() - mu0.degree() == degree
+        }
+        candidates |= from_purple
+        working = frozenset(M for M in candidates if s_sigma.nonnegative_after_subtracting(M, sub))
+        extra = working - from_purple
+        results.append(MonomialCharacterization(sigma, k, working, from_purple, extra))
+    return tuple(results)

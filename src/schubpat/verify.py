@@ -195,8 +195,7 @@ def _run_purple_characterization(sigma: Permutation, config: RunConfig) -> list[
     if not avoids(sigma):
         return None
     failures = []
-    for k in range(1, sigma.n + 1):
-        result = characterize_monomials(sigma, k)
+    for k, result in enumerate(characterize_monomials(sigma), start=1):
         missing = result.from_purple - result.working
         if missing:
             failures.append(f"k={k}: purple monomial not working: {sorted(map(str, missing))}")

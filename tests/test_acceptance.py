@@ -10,9 +10,15 @@ import time
 import pytest
 
 from schubpat import cli
-from schubpat.diagrams import enumerate_dominated, rothe, row_monomial
+from schubpat.diagrams import rothe, row_monomial
 from schubpat.incexc import cw_augmentation, cw_inclusion_exclusion
-from schubpat.oracles import alternating_sum, cw_recursive, macdonald_oracle, schubert_divdiff
+from schubpat.oracles import (
+    alternating_sum,
+    cw_recursive,
+    enumerate_dominated,
+    macdonald_oracle,
+    schubert_divdiff,
+)
 from schubpat.permwords import Permutation, Word, all_permutations, avoids
 from schubpat.polyx import Monomial, Polynomial, x
 from schubpat.purple import characterize_monomials, purple_family
@@ -67,14 +73,14 @@ def test_criterion_1_worked_examples(report):
         Monomial.of(2, 3),
         Monomial.of(1, 3),
     }
-    result44 = characterize_monomials(Permutation.from_string("15243"), 4)
+    result44 = characterize_monomials(Permutation.from_string("15243"))[3]
     assert Monomial.of(1, 2) in result44.extra
 
     sigma = Permutation.from_string("1432")
-    r3 = characterize_monomials(sigma, 3)
+    r3 = characterize_monomials(sigma)[2]
     assert r3.from_purple == {Monomial.of(1, 3), Monomial.of(2, 3)}
     assert r3.extra == {Monomial.of(1, 2)}
-    r4 = characterize_monomials(sigma, 4)
+    r4 = characterize_monomials(sigma)[3]
     assert r4.from_purple == {Monomial.of(1, 2), Monomial.of(1, 3), Monomial.of(2, 3)}
     assert r4.extra == frozenset()
 

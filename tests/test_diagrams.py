@@ -9,14 +9,11 @@ from schubpat.diagrams import (
     _count_column,
     column_dominates,
     count_dominated,
-    dominates,
-    enumerate_dominated,
     removed_boxes,
-    restrict_remove,
     rothe,
     row_monomial,
 )
-from schubpat.oracles import hat_v, restrict_keep
+from schubpat.oracles import dominates, enumerate_dominated, hat_v, restrict_keep, restrict_remove
 from schubpat.permwords import Permutation, Word, all_permutations
 from schubpat.polyx import Monomial
 

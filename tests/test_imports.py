@@ -32,3 +32,15 @@ def test_no_production_module_imports_oracles():
         if name not in MAY_IMPORT_ORACLES and "schubpat.oracles" in names
     )
     assert offenders == []
+
+
+# Routes over whole dominated diagrams; production works column by column.
+WHOLE_DIAGRAM_ROUTES = {"dominates", "enumerate_dominated", "restrict_remove", "is_augmentation"}
+
+
+def test_whole_diagram_routes_are_defined_only_in_oracles():
+    package = pathlib.Path(schubpat.__file__).parent
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert path.stem == "oracles" or not defined & WHOLE_DIAGRAM_ROUTES, path.stem

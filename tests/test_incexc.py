@@ -4,13 +4,12 @@ import pytest
 
 import schubpat
 from schubpat import incexc
-from schubpat.diagrams import Diagram, enumerate_dominated, removed_boxes, rothe, row_monomial
+from schubpat.diagrams import Diagram, removed_boxes, rothe, row_monomial
 from schubpat.errors import PatternViolationError
 from schubpat.incexc import (
     alternating_sums,
     cw_augmentation,
     cw_inclusion_exclusion,
-    is_augmentation,
     single_step_monomial,
     signed_specializations,
     subword_patterns,
@@ -22,7 +21,10 @@ from schubpat.oracles import (
     alternating_sum,
     bv_count,
     cw_recursive,
+    dominates,
+    enumerate_dominated,
     m_monomial,
+    restrict_remove,
     restricted_diagram_count,
     substituted_schubert,
 )
@@ -217,6 +219,23 @@ def test_cw_sums_to_specialization(n):
         assert total == principal_specialization(w)
 
 
+def is_augmentation(C: Diagram, D: Diagram, k: int, l: int) -> bool:
+    """The definition: C has D's boxes in row k and column l, and the rest of C <= the rest of D."""
+    return removed_boxes(C, k, l) == removed_boxes(D, k, l) and dominates(
+        restrict_remove(C, k, l), restrict_remove(D, k, l)
+    )
+
+
+def non_augmentations(w: Permutation) -> list[Diagram]:
+    """The C <= D(w) that are augmentations for no removed pair (k, w_k), over whole diagrams."""
+    D = rothe(w)
+    return [
+        C
+        for C in enumerate_dominated(D)
+        if not any(is_augmentation(C, D, k, w(k)) for k in range(1, w.n + 1))
+    ]
+
+
 def test_is_augmentation_examples():
     w = Permutation.from_string("12453")
     D = rothe(w)  # {(3,3), (4,3)}
@@ -230,14 +249,24 @@ def test_is_augmentation_examples():
 def test_cw_augmentation_census():
     # 6 diagrams dominated by D(12453), exactly one is never an augmentation
     w = Permutation.from_string("12453")
-    D = rothe(w)
-    non_aug = [
-        C
-        for C in enumerate_dominated(D)
-        if not any(is_augmentation(C, D, k, w(k)) for k in range(1, 6))
-    ]
-    assert non_aug == [Diagram.of(5, [(1, 3), (2, 3)])]
+    assert non_augmentations(w) == [Diagram.of(5, [(1, 3), (2, 3)])]
     assert cw_augmentation(w) == 1
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_cw_augmentation_counts_the_definition(n):
+    # The column-by-column count against whole diagrams, on every avoider of S_n.
+    for w in all_permutations(n):
+        if avoids(w):
+            assert cw_augmentation(w) == len(non_augmentations(w)), w
+
+
+@pytest.mark.parametrize("n", range(6, 8))
+def test_cw_augmentation_equals_inclusion_exclusion(n):
+    # n <= 5 is in test_cw_methods_agree.
+    for w in all_permutations(n):
+        if avoids(w):
+            assert cw_augmentation(w) == cw_inclusion_exclusion(w), w
 
 
 def test_restricted_diagram_count_matches_coefficient():

@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from schubpat.diagrams import Diagram, restrict_remove, rothe
+from schubpat.diagrams import Diagram, rothe
 from schubpat.oracles import (
     NotInFamilyError,
     purple_boxes_bruteforce,
     purple_family_by_enumeration,
+    restrict_remove,
     verify_theorem_gen,
 )
 from schubpat.permwords import Permutation, all_permutations, avoids
@@ -194,7 +195,7 @@ def test_verify_theorem_gen_on_random_northwest_diagrams():
 
 def test_characterize_single_column_example():
     # every working monomial comes from the family here
-    result = characterize_monomials(Permutation.from_string("15243"), 5)
+    result = characterize_monomials(Permutation.from_string("15243"))[4]
     assert result.working == result.from_purple
     assert not result.extra
     assert result.working == {
@@ -208,7 +209,7 @@ def test_characterize_single_column_example():
 
 def test_characterize_two_column_example():
     # here x_1 x_2 works even though it is outside the family
-    result = characterize_monomials(Permutation.from_string("15243"), 4)
+    result = characterize_monomials(Permutation.from_string("15243"))[3]
     assert result.from_purple == {
         Monomial.of(2, 4),
         Monomial.of(1, 4),
@@ -222,8 +223,9 @@ def test_characterize_two_column_example():
 @pytest.mark.parametrize("n", range(2, 5))
 def test_characterize_family_monomials_always_work(n):
     for w in all_permutations(n):
-        for k in range(1, n + 1):
-            result = characterize_monomials(w, k)
+        results = characterize_monomials(w)
+        assert [result.k for result in results] == list(range(1, n + 1))
+        for result in results:
             assert result.from_purple <= result.working
             if avoids(w):
                 assert len(result.working) >= 1

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubpat.diagrams import Diagram, count_dominated, dominated_sum, restrict_remove, rothe
+from schubpat.diagrams import Diagram, count_dominated, dominated_sum, rothe
 from schubpat.errors import LengthGuardError, PatternViolationError
 from schubpat.oracles import (
     coefficient_by_counting,
@@ -10,6 +10,7 @@ from schubpat.oracles import (
     macdonald_oracle,
     pattern_count,
     reduced_words,
+    restrict_remove,
     schubert_divdiff,
 )
 from schubpat.permwords import Permutation, Word, all_permutations, avoids, flatten

@@ -6,16 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 import schubpat
 from schubpat import weylchar
-from schubpat.diagrams import (
-    Diagram,
-    enumerate_dominated,
-    restrict_remove,
-    rothe,
-    row_monomial,
-)
+from schubpat.diagrams import Diagram, rothe, row_monomial
 from schubpat.errors import BudgetExceededError
 from schubpat.linalg import _rank_bareiss, _rank_mod_p, integer_rank
-from schubpat.oracles import chi_coefficient, determinant_product, schubert_divdiff
+from schubpat.oracles import (
+    chi_coefficient,
+    determinant_product,
+    enumerate_dominated,
+    restrict_remove,
+    schubert_divdiff,
+)
 from schubpat.permwords import Permutation, all_permutations, avoids
 from schubpat.polyx import Monomial, Polynomial, pair_index
 from schubpat.schubert import diagram_sum
