@@ -4,9 +4,16 @@ Subcommands: schubert | rothe | cw | cw-table | verify | purple | chi |
 alternating-sum.  `schubert --method divdiff`, `cw --method rec`, `cw-table`
 and `alternating-sum` print routes of `oracles`.
 
-Exit codes: 0 success / all holds, 1 usage or crash (including verify
---max-n below 2 or --jobs below 1), 2 mathematical counterexample, 3 budget
-exceeded somewhere.
+Each subcommand takes only the options its handler reads.  Every one but
+`cw-table` and `verify` takes `--format {text,json}` and `--out`;
+`cw-table` always writes CSV and takes only `--out`.  `verify` takes
+`--format {text,json,csv}`, `--out`, `--jobs`, `--max-n`, `--seed`,
+`--budget-dominated` and `--timing`; `chi` takes `--budget-dominated` too.
+
+Exit codes: 0 success / all holds, 1 usage or crash (including an option
+the subcommand does not take, verify --max-n below 2 or --jobs below 1),
+2 mathematical counterexample (including a `cw-table` row whose methods
+disagree), 3 budget exceeded somewhere.
 """
 from __future__ import annotations
 
@@ -35,47 +42,53 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    common.add_argument("--out", default=None, help="write output to PATH")
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--max-n", type=int, default=5)
-    common.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    common.add_argument("--budget-dominated", type=int, default=weylchar.DEFAULT_BUDGET)
-    common.add_argument("--timing", action="store_true", help="record per-report timing")
+    out = _Parser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to PATH")
+    output = _Parser(add_help=False, parents=[out])
+    output.add_argument("--format", choices=["text", "json"], default="text")
 
     parser = _Parser(prog="schubpat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("schubert", parents=[common], help="print a Schubert polynomial")
+    p = sub.add_parser("schubert", parents=[output], help="print a Schubert polynomial")
     p.add_argument("perm")
-    p.add_argument("--method", choices=["divdiff", "diagram", "weyl"], default="divdiff")
+    p.add_argument("--method", choices=["divdiff", "diagram"], default="divdiff")
 
-    p = sub.add_parser("rothe", parents=[common], help="print a Rothe diagram")
+    p = sub.add_parser("rothe", parents=[output], help="print a Rothe diagram")
     p.add_argument("perm")
 
-    p = sub.add_parser("cw", parents=[common], help="print the coefficient c_w")
+    p = sub.add_parser("cw", parents=[output], help="print the coefficient c_w")
     p.add_argument("perm")
-    p.add_argument("--method", choices=["ie", "rec", "aug"], default="ie")
-    p.add_argument("--all-methods", action="store_true")
+    methods = p.add_mutually_exclusive_group()
+    # No default: argparse sees `--method ie` as unset when it is the default
+    # object, and would then let it pass with --all-methods.
+    methods.add_argument("--method", choices=["ie", "rec", "aug"], help="default: ie")
+    methods.add_argument("--all-methods", action="store_true")
 
-    p = sub.add_parser("cw-table", parents=[common], help="CSV table of c_w over S_n")
+    p = sub.add_parser("cw-table", parents=[out], help="CSV table of c_w over S_n")
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[out], help="run a verification suite")
     p.add_argument("claim", choices=sorted(verify.CLAIMS))
+    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--budget-dominated", type=int, default=weylchar.DEFAULT_BUDGET)
+    p.add_argument("--timing", action="store_true", help="record per-report timing")
 
-    p = sub.add_parser("purple", parents=[common], help="purple boxes, family and monomials")
+    p = sub.add_parser("purple", parents=[output], help="purple boxes, family and monomials")
     p.add_argument("perm_or_diagram", help="permutation string or diagram JSON")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--characterize", action="store_true")
 
-    p = sub.add_parser("chi", parents=[common], help="dual character of a diagram")
+    p = sub.add_parser("chi", parents=[output], help="dual character of a diagram")
     p.add_argument("diagram", help="diagram JSON or a permutation string (its Rothe diagram)")
+    p.add_argument("--budget-dominated", type=int, default=weylchar.DEFAULT_BUDGET)
 
     p = sub.add_parser(
-        "alternating-sum", parents=[common], help="the signed subword expansion for (w, u)"
+        "alternating-sum", parents=[output], help="the signed subword expansion for (w, u)"
     )
     p.add_argument("perm")
     p.add_argument("u")
@@ -118,12 +131,7 @@ def _parse_diagram(s: str) -> Diagram:
 
 def _cmd_schubert(args) -> int:
     w = _parse(Permutation, args.perm)
-    if args.method == "divdiff":
-        p = oracles.schubert_divdiff(w)
-    elif args.method == "diagram":
-        p = schubert.schubert_diagram(w)
-    else:
-        p = weylchar.chi(rothe(w), budget=args.budget_dominated)
+    p = oracles.schubert_divdiff(w) if args.method == "divdiff" else schubert.schubert_diagram(w)
     _emit(_poly_out(p, args, w.n), args)
     return EXIT_OK
 
@@ -147,7 +155,10 @@ def _cw_by(method: str, w: Permutation) -> int:
 
 def _cmd_cw(args) -> int:
     w = _parse(Permutation, args.perm)
-    methods = ["ie", "rec"] + (["aug"] if avoids(w) else []) if args.all_methods else [args.method]
+    if args.all_methods:
+        methods = ["ie", "rec"] + (["aug"] if avoids(w) else [])
+    else:
+        methods = [args.method or "ie"]
     values = {m: _cw_by(m, w) for m in methods}
     if len(set(values.values())) > 1:
         _emit(f"DISAGREE: {values}", args)
@@ -164,15 +175,17 @@ def _cmd_cw_table(args) -> int:
     if args.n < 0:
         raise UsageError(f"n must be nonnegative, got {args.n}")
     lines = ["w,length,c_w,methods_agree"]
+    all_agree = True
     for w in all_permutations(args.n):
         ie = incexc.cw_inclusion_exclusion(w)
         rec = oracles.cw_recursive(w)
         agree = ie == rec
         if avoids(w):
             agree = agree and incexc.cw_augmentation(w) == ie
+        all_agree = all_agree and agree
         lines.append(f"{w},{w.inversions()},{ie},{str(agree).lower()}")
     _emit("\n".join(lines), args)
-    return EXIT_OK
+    return EXIT_OK if all_agree else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_verify(args) -> int:
@@ -191,14 +204,17 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         text = "\n".join(json.dumps(r.as_dict(), separators=(",", ":")) for r in reports)
     elif args.format == "csv":
-        rows = ["claim,subject,verdict,witness"]
+        rows = ["claim,subject,verdict,witness" + (",elapsed_ms" if args.timing else "")]
         for r in reports:
             witness = (r.witness or "").replace(",", ";")
-            rows.append(f"{r.claim},{r.subject},{r.verdict},{witness}")
+            timing = f",{r.elapsed_ms}" if args.timing else ""
+            rows.append(f"{r.claim},{r.subject},{r.verdict},{witness}{timing}")
         text = "\n".join(rows)
     else:
         text = "\n".join(
-            f"{r.claim}\t{r.subject}\t{r.verdict}" + (f"\t{r.witness}" if r.witness else "")
+            f"{r.claim}\t{r.subject}\t{r.verdict}"
+            + (f"\t{r.witness}" if r.witness else "")
+            + (f"\telapsed_ms={r.elapsed_ms}" if args.timing else "")
             for r in reports
         )
     _emit(text, args)

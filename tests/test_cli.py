@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -5,13 +6,15 @@ import io
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubpat import cli, verify
+from schubpat import cli, oracles, verify
 
 
 def run(capsys, *argv):
@@ -27,9 +30,12 @@ def test_schubert_text(capsys):
 
 
 def test_schubert_methods_agree(capsys):
+    # divided differences, the diagram sum and the dual character by exact rank
+    argvs = [["schubert", "2143", "--method", m] for m in ("divdiff", "diagram")]
+    argvs.append(["chi", "2143"])
     outputs = set()
-    for method in ["divdiff", "diagram", "weyl"]:
-        code, out = run(capsys, "schubert", "2143", "--method", method)
+    for argv in argvs:
+        code, out = run(capsys, *argv)
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
@@ -73,6 +79,16 @@ def test_cw_table(capsys):
     assert len(lines) == 7
     assert "132,1,1,true" in lines
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_cw_table_exits_2_when_methods_disagree(capsys, monkeypatch):
+    cw_recursive = oracles.cw_recursive
+    monkeypatch.setattr(oracles, "cw_recursive", lambda w: cw_recursive(w) + 1)
+    code, out = run(capsys, "cw-table", "3")
+    assert code == cli.EXIT_COUNTEREXAMPLE
+    lines = out.strip().splitlines()
+    assert len(lines) == 7
+    assert all(line.endswith(",false") for line in lines[1:])
 
 
 def test_verify_text(capsys):
@@ -239,6 +255,35 @@ def test_verify_timing_under_jobs(tmp_path):
     reports = [json.loads(line) for line in out.read_text().splitlines()]
     assert reports
     assert all(isinstance(r["elapsed_ms"], float) for r in reports)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_timing_shows_in_every_format(capsys, fmt):
+    argv = ["verify", "thm1.0", "--max-n", "2", "--format", fmt]
+    code, plain = run(capsys, *argv)
+    assert code == 0
+    code, timed = run(capsys, *argv, "--timing")
+    assert code == 0
+    lines = timed.splitlines()
+    header = []
+    if fmt == "csv":
+        header = [lines.pop(0).removesuffix(",elapsed_ms")]
+    untimed = []
+    for line in lines:
+        if fmt == "json":
+            report = json.loads(line)
+            elapsed = report.pop("elapsed_ms")
+            untimed.append(json.dumps(report, separators=(",", ":")))
+        else:
+            rest, _, field = line.rpartition("\t" if fmt == "text" else ",")
+            untimed.append(rest)
+            label = "elapsed_ms=" if fmt == "text" else ""
+            assert field.startswith(label)
+            elapsed = float(field[len(label):])
+        assert isinstance(elapsed, float) and elapsed >= 0
+    # the timing is each report's only addition; without --timing the bytes are as before
+    assert "\n".join(header + untimed) + "\n" == plain
+    assert len(lines) == 2 and "elapsed_ms" not in plain
 
 
 @pytest.mark.parametrize(
@@ -418,3 +463,101 @@ def test_full_suite_exit_code_prefers_a_counterexample_to_a_refusal(monkeypatch,
 
 def test_negative_cw_table_size_is_a_usage_error():
     assert "n must be nonnegative, got -1" in _usage_error_line(["cw-table", "-1"])
+
+
+# The options of each subcommand, each one read by its handler.
+SUBCOMMAND_OPTIONS = {
+    "schubert": {"--format", "--out", "--method"},
+    "rothe": {"--format", "--out"},
+    "cw": {"--format", "--out", "--method", "--all-methods"},
+    "cw-table": {"--out"},
+    "verify": {
+        "--format", "--out", "--jobs", "--max-n", "--seed", "--budget-dominated", "--timing",
+    },
+    "purple": {"--format", "--out", "--k", "--l", "--characterize"},
+    "chi": {"--format", "--out", "--budget-dominated"},
+    "alternating-sum": {"--format", "--out"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = cli.build_parser()
+    subcommands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    options = {
+        name: {
+            a.option_strings[0]: a.choices
+            for a in p._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        }
+        for name, p in subcommands.items()
+    }
+    assert {name: set(opts) for name, opts in options.items()} == SUBCOMMAND_OPTIONS
+    assert sum(map(len, options.values())) == 27
+    assert options["verify"]["--format"] == ["text", "json", "csv"]
+    for name in SUBCOMMAND_OPTIONS.keys() - {"verify", "cw-table"}:
+        assert options[name]["--format"] == ["text", "json"]
+    assert options["schubert"]["--method"] == ["divdiff", "diagram"]
+
+
+# One call of each subcommand but verify, with the options it needs.
+CALLS = {
+    "schubert": ["schubert", "2143"],
+    "rothe": ["rothe", "2143"],
+    "cw": ["cw", "2143"],
+    "cw-table": ["cw-table", "2"],
+    "purple": ["purple", "2143", "--k", "1"],
+    "chi": ["chi", "2143"],
+    "alternating-sum": ["alternating-sum", "2143", "21"],
+}
+VERIFY_ONLY = [
+    ["--jobs", "2"],
+    ["--max-n", "3"],
+    ["--seed", "1"],
+    ["--timing"],
+    ["--budget-dominated", "5"],
+    ["--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", CALLS.values(), ids=list(CALLS))
+def test_each_call_runs_without_an_extra_option(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        call + option
+        for name, call in CALLS.items()
+        for option in VERIFY_ONLY
+        if (name, option[0]) != ("chi", "--budget-dominated")
+    ]
+    + [
+        ["cw-table", "2", "--format", "text"],
+        ["schubert", "2143", "--method", "weyl"],
+        ["cw", "2143", "--method", "ie", "--all-methods"],
+        ["cw", "2143", "--all-methods", "--method", "rec"],
+    ],
+    ids=" ".join,
+)
+def test_an_option_the_subcommand_does_not_take_is_a_usage_error(argv):
+    _usage_error_line(argv)
+
+
+def _readme_cli_examples() -> list[str]:
+    """The `schubpat ...` lines of the sh block under README's "## CLI"."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("schubpat ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples())
+def test_readme_cli_examples_run_and_print_their_comment(capsys, line):
+    # A trailing `# ...` comment is the exact output of the line.
+    command, comment = re.fullmatch(r"schubpat (.*?)(?:\s+# (.*))?", line).groups()
+    code, out = run(capsys, *shlex.split(command))
+    assert code == 0
+    if comment is not None:
+        assert out == comment + "\n"

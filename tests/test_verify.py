@@ -8,7 +8,7 @@ import pytest
 import schubpat
 from schubpat import incexc, oracles, purple, schubert, verify, weylchar
 from schubpat.errors import BudgetExceededError
-from schubpat.permwords import Permutation, avoids
+from schubpat.permwords import Permutation, all_permutations, avoids
 from schubpat.polyx import x
 from schubpat.verify import (
     CLAIMS,
@@ -247,6 +247,21 @@ def test_thm2_7_builds_no_product_for_a_certified_non_avoider(monkeypatch):
     for w in ("1432", "1423", "15243"):
         report = verify._run_shard(CLAIMS["thm2.7"], Permutation.from_string(w), RunConfig())
         assert report.verdict == "holds"
+
+
+def test_avoider_claims_hold_s_w_only_for_patterns_of_avoiders():
+    # The n=9 memory plan rests on this: S_w of every permutation does not fit.
+    schubpat.clear_caches()
+    for name in ("thm1.1", "conj5.3", "thm1.2"):
+        assert exit_code(list(run_claim(name, RunConfig(max_n=6)))) == 0
+    after_claims = schubert._schubert.cache_info().currsize
+    schubpat.clear_caches()
+    for n in range(2, 7):
+        for w in all_permutations(n):
+            if avoids(w):
+                for pattern in incexc.subword_patterns(w.values):
+                    schubert.schubert_polynomial(pattern)
+    assert after_claims == schubert._schubert.cache_info().currsize
 
 
 def test_clear_caches_reaches_every_memo():
