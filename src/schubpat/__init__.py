@@ -17,5 +17,6 @@ def clear_caches() -> None:
     """Empty every memo of the engine; each is a `functools.cache` on its key."""
     for memo in (diagrams._column_dominated_sets, purple._purple_rows,
                  schubert._schubert, schubert._spec, weylchar._det, weylchar._chi_by_rank,
-                 incexc._mask_positions, incexc._cw_ie, oracles._cw_recursive):
+                 incexc._mask_positions, incexc._alternating, incexc._coefficients,
+                 oracles._cw_recursive):
         memo.cache_clear()

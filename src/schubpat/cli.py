@@ -12,8 +12,8 @@ Each subcommand takes only the options its handler reads.  Every one but
 
 Exit codes: 0 success / all holds, 1 usage or crash (including an option
 the subcommand does not take, verify --max-n below 2 or --jobs below 1),
-2 mathematical counterexample (including a `cw-table` row whose methods
-disagree), 3 budget exceeded somewhere.
+2 mathematical counterexample (including a `cw-table` row or a
+`cw --all-methods` whose methods disagree), 3 budget exceeded somewhere.
 """
 from __future__ import annotations
 
@@ -160,15 +160,14 @@ def _cmd_cw(args) -> int:
     else:
         methods = [args.method or "ie"]
     values = {m: _cw_by(m, w) for m in methods}
-    if len(set(values.values())) > 1:
-        _emit(f"DISAGREE: {values}", args)
-        return EXIT_COUNTEREXAMPLE
-    value = next(iter(values.values()))
-    if args.format == "json":
-        _emit(json.dumps({"w": str(w), "c": value, "methods": methods}), args)
+    agree = len(set(values.values())) == 1
+    if agree:
+        value = values[methods[0]]
+        out, text = {"w": str(w), "c": value, "methods": methods}, str(value)
     else:
-        _emit(str(value), args)
-    return EXIT_OK
+        out, text = {"w": str(w), "disagree": values}, f"DISAGREE: {values}"
+    _emit(json.dumps(out) if args.format == "json" else text, args)
+    return EXIT_OK if agree else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_cw_table(args) -> int:

@@ -8,23 +8,27 @@ transform for every u at once.  Its oracle, `oracles.alternating_sum`,
 builds the sum term by term through `Word` subwords (and is the per-term
 output of the CLI).
 
-Setting all variables to 1 yields the coefficients c_w, computable three
-independent ways: by inclusion-exclusion, by the defining recursion, and
-(for avoiders) by counting non-augmentation diagrams.  Inclusion-exclusion
-is the production route: an integer loop over the position masks of w
-(`subword_patterns`).  The recursion, `oracles.cw_recursive`, walks `Word`
-subwords and `flatten` instead, so the two routes check each other as well
-as the counting (`cw_augmentation`, the subject of `thm1.2`), which builds
-no diagram: it decides augmentations column by column (`diagrams.restricts`).
+At x = 1 the sums are integers, and every table over the masks of w is
+copied from the tables of its n one-letter deletions: a mask that drops
+position i is a mask of w without position i.  `alternating_specializations`
+(the subject of `conj5.1`) and `pattern_coefficients` (c of the pattern at
+every mask, the subject of `identity`) do a few slice operations per
+deletion, memoized on the deletions only.  c_w itself is
+`cw_inclusion_exclusion`, entry 0 of the alternating table.  Its
+independent routes are the recursion, `oracles.cw_recursive`, which walks
+`Word` subwords and `flatten`, and the counting (`cw_augmentation`, the
+subject of `thm1.2`), which builds no diagram: it decides augmentations
+column by column (`diagrams.restricts`).
 """
 from __future__ import annotations
 
 import functools
 from collections import Counter
+from operator import sub
 
 from .diagrams import _column_dominated_sets, restricts, rothe
 from .errors import PatternViolationError
-from .permwords import Permutation, avoids
+from .permwords import Permutation, avoids, without_position
 from .polyx import Monomial, Polynomial, exponent_key, monomial_key
 from .schubert import principal_specialization, schubert_polynomial, schubert_skipping
 
@@ -67,40 +71,67 @@ def superset_sums(g: list) -> list:
     return g
 
 
-def signed_specializations(patterns: list[tuple[int, ...]]) -> list[int]:
-    """(-1)^(n - |v|) * S_{perm(v)}(1) for every subword v of word(w), indexed by mask.
+def alternating_specializations(values: tuple[int, ...]) -> list[int]:
+    """A(w, u) at x = 1 for every subword u of word(w), indexed by mask (not memoized).
 
-    `patterns` is `subword_patterns` of w; its last entry is w itself.
+    g[u] is the sum over v >= u of (-1)^(n - |v|) * S_{perm(v)}(1), and
+    g[full] = S_w(1).  A mask u that drops position i is g[u + 2^i] (the v
+    that keep i) less the table of w without position i at u squeezed (the
+    v that drop it).  Taking i the lowest clear bit of u, the masks
+    lo::2^(i+1), lo = 2^i - 1, squeeze to lo::2^i; filling i from n - 1 down
+    sets g[u + 2^i] before g[u].
     """
-    n = len(patterns[-1])
-    return [
-        principal_specialization(p) if (n - len(p)) % 2 == 0 else -principal_specialization(p)
-        for p in patterns
-    ]
+    n = len(values)
+    g = [0] * (1 << n)
+    g[-1] = principal_specialization(values)
+    for i in reversed(range(n)):
+        lo, bit = (1 << i) - 1, 1 << i
+        deleted = _alternating(without_position(values, i))
+        g[lo :: 2 * bit] = map(sub, g[lo + bit :: 2 * bit], deleted[lo::bit])
+    return g
+
+
+def pattern_coefficients(values: tuple[int, ...]) -> list[int]:
+    """c_{perm(v)} for every subword v of word(w), indexed by mask (not memoized).
+
+    A mask that drops position i is a mask of w without position i: with i
+    its lowest clear bit, the masks lo::2^(i+1) copy that table at lo::2^i.
+    The full mask is c_w.  The specialization identity says the table sums
+    to S_w(1).
+    """
+    n = len(values)
+    t = [0] * (1 << n)
+    for i in range(n):
+        lo, bit = (1 << i) - 1, 1 << i
+        t[lo :: 2 * bit] = _coefficients(without_position(values, i))[lo::bit]
+    t[-1] = cw_inclusion_exclusion(values)
+    return t
 
 
 def cw_inclusion_exclusion(w: Permutation | tuple[int, ...]) -> int:
-    """c_w as the signed sum of principal specializations over subwords (memoized).
+    """c_w, the signed sum of S_{perm(v)}(1) over every subword v of word(w).
 
-    w may also be given as its one-line notation, a plain tuple.
+    w may also be given as its one-line notation, a plain tuple.  This is
+    g[0] of `alternating_specializations`, read down the chain of masks
+    2^i - 1: g[2^i - 1] = g[2^(i+1) - 1] less entry 2^i - 1 of the table of
+    w without position i.
     """
-    return _cw_ie(w.values if isinstance(w, Permutation) else w)[0]
+    values = w.values if isinstance(w, Permutation) else w
+    return principal_specialization(values) - sum(
+        _alternating(without_position(values, i))[(1 << i) - 1] for i in range(len(values))
+    )
 
 
-def cw_and_subword_sum(values: tuple[int, ...]) -> tuple[int, int]:
-    """(c_w, the sum of c_{perm(v)} over every subword v of word(w)) (memoized).
+# The tables of the one-letter deletions, keyed by their one-line notation.  A
+# run to max_n holds them for S_<=max_n-1 only; the lists are never mutated.
+@functools.cache
+def _alternating(values: tuple[int, ...]) -> list[int]:
+    return alternating_specializations(values)
 
-    The specialization identity says that the sum equals S_w(1).
-    """
-    return _cw_ie(values)
 
-
-@functools.cache  # keyed by the one-line notation
-def _cw_ie(values: tuple[int, ...]) -> tuple[int, int]:
-    patterns = subword_patterns(values)
-    c_w = sum(signed_specializations(patterns))
-    # The pattern at the full mask is w itself; both sums use one list of patterns.
-    return c_w, sum(_cw_ie(p)[0] for p in patterns[:-1]) + c_w
+@functools.cache
+def _coefficients(values: tuple[int, ...]) -> list[int]:
+    return pattern_coefficients(values)
 
 
 def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:

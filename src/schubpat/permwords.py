@@ -112,6 +112,15 @@ def flatten(v: Word) -> Permutation:
     return Permutation(tuple(rank[a] for a in v.letters))
 
 
+def without_position(values: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The pattern of a one-line tuple without position i (0-indexed).
+
+    Each entry above the deleted one is lowered by one.
+    """
+    a = values[i]
+    return tuple(b - (b > a) for b in values[:i] + values[i + 1 :])
+
+
 def avoids(w: Permutation) -> bool:
     """Whether w avoids both 1432 and 1423 (`oracles.pattern_count` is the oracle).
 

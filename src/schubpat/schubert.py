@@ -14,7 +14,7 @@ import functools
 
 from .diagrams import dominated_sum, rothe
 from .errors import PatternViolationError
-from .permwords import Permutation, avoids
+from .permwords import Permutation, avoids, without_position
 from .polyx import Polynomial
 
 
@@ -92,8 +92,7 @@ def schubert_skipping(sigma: Permutation, k: int) -> Polynomial:
     becomes x_i below k and x_{i+1} from k on: a 0 is inserted at entry
     k - 1 of every key that reaches it.
     """
-    values, s = sigma.values, sigma(k)
-    pi = tuple(a - (a > s) for a in values[: k - 1] + values[k:])
+    pi = without_position(sigma.values, k - 1)
     return Polynomial.from_keys(
         {
             key[: k - 1] + (0,) + key[k - 1 :] if len(key) >= k else key: c

@@ -179,13 +179,12 @@ def _run_purple_members(w: Permutation, config: RunConfig) -> list[str] | None:
 def _run_cwu_nonneg(w: Permutation, config: RunConfig) -> list[str] | None:
     values = w.values
     # The alternating sums of thm1.1 at x = 1, for every u at once.
-    g = incexc.superset_sums(incexc.signed_specializations(incexc.subword_patterns(values)))
-    bad = [mask for mask in range(1 << w.n) if g[mask] < 0]
-    if bad:
-        mask = bad[0]
-        u = Word(tuple(values[i] for i in range(w.n) if (mask >> i) & 1))
-        return [f"u={u}: value {g[mask]}"]
-    return []
+    g = incexc.alternating_specializations(values)
+    if min(g) >= 0:
+        return []
+    mask = next(mask for mask, value in enumerate(g) if value < 0)
+    u = Word(tuple(values[i] for i in range(w.n) if (mask >> i) & 1))
+    return [f"u={u}: value {g[mask]}"]
 
 
 # -- purple monomials characterize the working monomials (avoiders) ----------
@@ -209,7 +208,8 @@ def _run_purple_characterization(sigma: Permutation, config: RunConfig) -> list[
 
 def _run_identity(w: Permutation, config: RunConfig) -> list[str] | None:
     values = w.values
-    c_w, total = incexc.cw_and_subword_sum(values)
+    t = incexc.pattern_coefficients(values)
+    c_w, total = t[-1], sum(t)
     spec = schubert.principal_specialization(values)
     failures = []
     if total != spec:
@@ -310,8 +310,11 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
             yield _run_shard(claim, shard, config)
     else:
         args = [(claim_name, shard, config) for shard in shards]
+        # About 16 tasks per worker: few enough to keep the pool's overhead
+        # small, enough to balance shards of uneven cost.
+        chunksize = -(-len(shards) // (16 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_shard_worker, args, chunksize=8)
+            yield from pool.map(_shard_worker, args, chunksize=chunksize)
 
 
 def exit_code(reports: Iterable[VerificationReport]) -> int:

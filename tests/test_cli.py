@@ -81,6 +81,17 @@ def test_cw_table(capsys):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+def test_cw_all_methods_disagreeing_prints_json_under_format_json(capsys, monkeypatch):
+    cw_recursive = oracles.cw_recursive
+    monkeypatch.setattr(oracles, "cw_recursive", lambda w: cw_recursive(w) + 1)
+    code, out = run(capsys, "cw", "2143", "--all-methods", "--format", "json")
+    assert code == cli.EXIT_COUNTEREXAMPLE
+    assert json.loads(out) == {"w": "2143", "disagree": {"ie": 0, "rec": 1, "aug": 0}}
+    code, out = run(capsys, "cw", "2143", "--all-methods")
+    assert code == cli.EXIT_COUNTEREXAMPLE
+    assert out.strip() == "DISAGREE: {'ie': 0, 'rec': 1, 'aug': 0}"
+
+
 def test_cw_table_exits_2_when_methods_disagree(capsys, monkeypatch):
     cw_recursive = oracles.cw_recursive
     monkeypatch.setattr(oracles, "cw_recursive", lambda w: cw_recursive(w) + 1)

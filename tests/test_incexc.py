@@ -7,11 +7,12 @@ from schubpat import incexc
 from schubpat.diagrams import Diagram, removed_boxes, rothe, row_monomial
 from schubpat.errors import PatternViolationError
 from schubpat.incexc import (
+    alternating_specializations,
     alternating_sums,
     cw_augmentation,
     cw_inclusion_exclusion,
+    pattern_coefficients,
     single_step_monomial,
-    signed_specializations,
     subword_patterns,
     superset_sums,
     verify_single_step,
@@ -139,10 +140,36 @@ def test_alternating_sums_match_the_oracle_exhaustively(n):
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_alternating_sums_at_ones_match_the_integer_transform(n):
-    # At x = 1 the table is the conj5.1 value, reached by integers only.
+    # At x = 1 the polynomial table is the conj5.1 table, reached by integers only.
     for w in all_permutations(n):
         ones = [p.evaluate_all_ones() for p in alternating_sums(w.values)]
-        assert ones == superset_sums(signed_specializations(subword_patterns(w.values)))
+        assert ones == alternating_specializations(w.values)
+
+
+def per_mask_alternating(values):
+    """The table by one lookup per mask: superset sums of the signed S_{perm(v)}(1)."""
+    n = len(values)
+    return superset_sums([
+        principal_specialization(p) * (-1) ** (n - len(p)) for p in subword_patterns(values)
+    ])
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_deletion_tables_match_the_per_mask_route(n):
+    for w in all_permutations(n):
+        g = alternating_specializations(w.values)
+        assert g == per_mask_alternating(w.values)
+        assert cw_inclusion_exclusion(w) == g[0]
+        assert pattern_coefficients(w.values) == [
+            per_mask_alternating(p)[0] for p in subword_patterns(w.values)
+        ]
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_pattern_coefficients_match_the_recursion(n):
+    for w in all_permutations(n):
+        for mask, c in enumerate(pattern_coefficients(w.values)):
+            assert c == cw_recursive(flatten(_subword_at(w, mask))), (w, mask)
 
 
 @pytest.mark.parametrize("n", range(0, 5))
@@ -182,19 +209,23 @@ def test_subword_patterns_flatten_the_subwords_in_mask_order(n):
             assert p == flatten(v).values
 
 
-def test_signed_specializations_examples():
-    assert signed_specializations(subword_patterns(())) == [1]
-    # masks of 21: (), 2, 1, 21
-    assert signed_specializations(subword_patterns((2, 1))) == [1, -1, -1, 1]
-    assert sum(signed_specializations(subword_patterns((1, 4, 3, 2)))) == cw_inclusion_exclusion((1, 4, 3, 2)) == 1
+def test_alternating_specializations_examples():
+    assert alternating_specializations(()) == [1]
+    # masks of 21: (), 2, 1, 21; g[u] sums (-1)^(2 - |v|) S_v(1) over v >= u
+    assert alternating_specializations((2, 1)) == [0, 0, 0, 1]
+    assert pattern_coefficients((2, 1)) == [1, 0, 0, 0]
+    g = alternating_specializations((1, 4, 3, 2))
+    assert g[0] == cw_inclusion_exclusion((1, 4, 3, 2)) == 1
+    assert sum(pattern_coefficients((1, 4, 3, 2))) == principal_specialization((1, 4, 3, 2)) == 5
 
 
-def test_clear_caches_reaches_the_cw_memo():
-    w = Permutation.from_string("1432")
-    assert cw_inclusion_exclusion(w) == 1
-    assert incexc._cw_ie.cache_info().currsize
+def test_clear_caches_reaches_the_deletion_memos():
+    assert pattern_coefficients((1, 4, 3, 2))[-1] == 1
+    assert incexc._alternating.cache_info().currsize
+    assert incexc._coefficients.cache_info().currsize
     schubpat.clear_caches()
-    assert not incexc._cw_ie.cache_info().currsize
+    assert not incexc._alternating.cache_info().currsize
+    assert not incexc._coefficients.cache_info().currsize
 
 
 def test_cw_augmentation_requires_avoidance():

@@ -145,22 +145,29 @@ def test_report_as_dict_omits_empty_fields():
     }
 
 
-def test_identity_builds_the_patterns_once_per_shard(monkeypatch):
+def test_identity_builds_each_table_once_per_shard(monkeypatch):
     calls: Counter = Counter()
-    patterns = incexc.subword_patterns
+    builders = {
+        name: getattr(incexc, name) for name in ("alternating_specializations", "pattern_coefficients")
+    }
 
-    def counted(values):
-        calls[values] += 1
-        return patterns(values)
+    def counted(name):
+        def build(values):
+            calls[name, values] += 1
+            return builders[name](values)
+        return build
 
-    monkeypatch.setattr(incexc, "subword_patterns", counted)
+    for name in builders:
+        monkeypatch.setattr(incexc, name, counted(name))
     config = RunConfig(max_n=5)
     shards = CLAIMS["identity"].shards(config)
     assert exit_code(run_claim("identity", config)) == 0
-    for w in shards:
-        assert calls[w.values] == 1
-    # Besides the shards, only the patterns of size 0 and 1 meet a memo miss.
-    assert sum(calls.values()) == len(shards) + 2
+    # The claim builds each shard's c table once and reads c_w off the deletions'
+    # alternating tables; the memo builds each deletion's tables once, on S_0 .. S_4.
+    deletions = Counter(
+        (name, w.values) for name in builders for n in range(5) for w in all_permutations(n)
+    )
+    assert calls == deletions + Counter(("pattern_coefficients", w.values) for w in shards)
 
 
 def test_thm4_1_builds_one_purple_family_per_pair(monkeypatch):
@@ -222,6 +229,25 @@ def test_thm4_1_witness_lists_failing_members_in_box_order(monkeypatch):
     assert report.witness == STUBBED_THM4_1_WITNESS
 
 
+def test_conj5_1_witness_is_the_first_negative_mask(monkeypatch):
+    # Masks of 231 in order: (), 2, 3, 23, 1, 21, 31, 231.
+    table = [0, 1, 0, -2, -1, 0, 0, 1]
+    monkeypatch.setattr(incexc, "alternating_specializations", lambda values: table)
+    report = verify._run_shard(CLAIMS["conj5.1"], Permutation.from_string("231"), RunConfig())
+    assert (report.verdict, report.witness) == ("fails", "u=23: value -2")
+
+
+def test_identity_witnesses_read_the_coefficient_table(monkeypatch):
+    # The stub's table sums to 5 and puts c = 1 at the full mask; S_1243(1) = 3, S_2134(1) = 1.
+    monkeypatch.setattr(incexc, "pattern_coefficients", lambda values: [1, 1, 1, 1] + [0] * 11 + [1])
+    report = verify._run_shard(CLAIMS["identity"], Permutation.from_string("1243"), RunConfig())
+    assert (report.verdict, report.witness) == ("fails", "sum of c over subwords = 5, specialization = 3")
+    report = verify._run_shard(CLAIMS["identity"], Permutation.from_string("2134"), RunConfig())
+    assert report.witness == (
+        "sum of c over subwords = 5, specialization = 1; c = 1 despite fixed last point"
+    )
+
+
 @pytest.mark.parametrize("stub", ["count_dominated", "dominated_sum"])
 def test_thm2_7_unexpected_inequality_witness(monkeypatch, stub):
     # An avoider fails by the count certificate or by the full comparison alike.
@@ -264,6 +290,21 @@ def test_avoider_claims_hold_s_w_only_for_patterns_of_avoiders():
     assert after_claims == schubert._schubert.cache_info().currsize
 
 
+def test_subword_claims_hold_tables_of_the_deletions_only():
+    # The n=9 memory plan rests on this: the tables of S_9 would not fit.
+    schubpat.clear_caches()
+    for name in ("identity", "conj5.1"):
+        assert exit_code(list(run_claim(name, RunConfig(max_n=6)))) == 0
+    smaller = [w.values for n in range(6) for w in all_permutations(n)]
+    for memo in (incexc._alternating, incexc._coefficients):
+        assert memo.cache_info().currsize == len(smaller) == 154
+        # Every key of S_0 .. S_5 is a hit, so the memo holds no key of length 6.
+        misses = memo.cache_info().misses
+        for values in smaller:
+            memo(values)
+        assert memo.cache_info().misses == misses
+
+
 def test_clear_caches_reaches_every_memo():
     """After all nine claims, schubpat.clear_caches() empties every functools memo."""
     for name in CLAIMS:
@@ -275,7 +316,7 @@ def test_clear_caches_reaches_every_memo():
     memos = {
         id(obj): obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_clear")
     }.values()
-    assert len(memos) == 9
+    assert len(memos) == 10
     assert all(memo.cache_info().currsize for memo in memos)
     schubpat.clear_caches()
     assert [memo for memo in memos if memo.cache_info().currsize] == []
