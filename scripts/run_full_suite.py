@@ -45,7 +45,7 @@ def main() -> int:
         summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
         report = "".join(json.dumps(r.as_dict(), separators=(",", ":")) + "\n" for r in reports)
         digest = hashlib.sha256(report.encode("utf-8")).hexdigest()
-        print(f"{name:9s} exit={code} {elapsed:6.1f}s  {summary}  sha256={digest}")
+        print(f"{name:9s} exit={code} {elapsed * 1000:9.1f}ms  {summary}  sha256={digest}")
         for r in reports:
             if r.verdict == "fails":
                 print(f"  counterexample {r.subject}: {r.witness}")

@@ -30,11 +30,16 @@ class Diagram:
     def of(cls, n: int, boxes: Iterable[tuple[int, int]]) -> "Diagram":
         return cls(n, frozenset(tuple(b) for b in boxes))
 
-    def columns(self) -> list[tuple[int, ...]]:
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted rows of each column, column j at index j - 1."""
+        return self._columns
+
+    @functools.cached_property  # built once per diagram; the fields stay frozen
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
         cols: list[list[int]] = [[] for _ in range(self.n)]
         for (i, j) in self.boxes:
             cols[j - 1].append(i)
-        return [tuple(sorted(c)) for c in cols]
+        return tuple(tuple(sorted(c)) for c in cols)
 
     def box_list(self) -> list[tuple[int, int]]:
         """Boxes sorted row-major; the canonical serialization order."""

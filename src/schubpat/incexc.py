@@ -2,23 +2,25 @@
 
 The central object is the signed sum over subwords v between u and w of
 M_{w,v} * S_{perm(v)} evaluated in the variables picked out by w^{-1};
-it is nonnegative whenever w avoids 1432 and 1423.  `alternating_sums` is
-the production route: one term per position mask of w and a superset-sum
-transform for every u at once.  Its oracle, `oracles.alternating_sum`,
-builds the sum term by term through `Word` subwords (and is the per-term
-output of the CLI).
-
-At x = 1 the sums are integers, and every table over the masks of w is
-copied from the tables of its n one-letter deletions: a mask that drops
-position i is a mask of w without position i.  `alternating_specializations`
+it is nonnegative whenever w avoids 1432 and 1423.  Every table over the
+masks of w is built from the tables of its n one-letter deletions: a mask
+that drops position i is a mask of w without position i.
+`alternating_polynomials` (the subject of `thm1.1`) is A(w, u) for every u
+at once: the full mask is S_w, and a mask whose lowest clear bit is i is
+the mask with i kept less M_i times the deletion's entry with x_{i+1}
+skipped.  At x = 1 the sums are integers: `alternating_specializations`
 (the subject of `conj5.1`) and `pattern_coefficients` (c of the pattern at
 every mask, the subject of `identity`) do a few slice operations per
-deletion, memoized on the deletions only.  c_w itself is
-`cw_inclusion_exclusion`, entry 0 of the alternating table.  Its
-independent routes are the recursion, `oracles.cw_recursive`, which walks
-`Word` subwords and `flatten`, and the counting (`cw_augmentation`, the
-subject of `thm1.2`), which builds no diagram: it decides augmentations
-column by column (`diagrams.restricts`).
+deletion.  All three are memoized on the deletions only.  Their oracles are
+the per-mask route, one term per subword and a superset-sum transform
+(`oracles.alternating_sums`), and the term-by-term sum through `Word`
+subwords (`oracles.alternating_sum`, the per-term output of the CLI).
+
+c_w itself is `cw_inclusion_exclusion`, entry 0 of the alternating table.
+Its independent routes are the recursion, `oracles.cw_recursive`, which
+walks `Word` subwords and `flatten`, and the counting (`cw_augmentation`,
+the subject of `thm1.2`), which builds no diagram: it decides
+augmentations column by column (`diagrams.restricts`).
 """
 from __future__ import annotations
 
@@ -29,46 +31,8 @@ from operator import sub
 from .diagrams import _column_dominated_sets, restricts, rothe
 from .errors import PatternViolationError
 from .permwords import Permutation, avoids, without_position
-from .polyx import Monomial, Polynomial, exponent_key, monomial_key
+from .polyx import Monomial, Polynomial, _mul_keys, exponent_key, skip_variable
 from .schubert import principal_specialization, schubert_polynomial, schubert_skipping
-
-
-@functools.cache  # keyed by the number of positions
-def _mask_positions(n: int) -> tuple[tuple[int, ...], ...]:
-    """The kept positions (0-indexed) of every mask over n positions."""
-    return tuple(tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n))
-
-
-def subword_patterns(values: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """perm(v) for every subword v of word(w), indexed by the mask of kept positions.
-
-    w is given by its one-line notation `values`; bit i of a mask keeps
-    position i + 1.  The letter at position i ranks among the kept letters
-    by the kept positions j whose letter is smaller, read off a bitmask.
-    """
-    n = len(values)
-    below = [sum(1 << j for j in range(n) if values[j] < a) for a in values]
-    return [
-        tuple([(mask & below[i]).bit_count() + 1 for i in kept])
-        for mask, kept in enumerate(_mask_positions(n))
-    ]
-
-
-def superset_sums(g: list) -> list:
-    """Replace g[mask] by the sum of g over all supersets of mask, in place; return g.
-
-    g has 2^n entries indexed by position masks, ints or polynomials alike
-    (only `+` is used): n * 2^(n-1) additions.  With g[v] the signed term of
-    the subword v, g[u] becomes the alternating sum over all v >= u.
-    """
-    size = len(g)
-    b = 1
-    while b < size:
-        for mask in range(size):
-            if not mask & b:
-                g[mask] = g[mask] + g[mask | b]
-        b <<= 1
-    return g
 
 
 def alternating_specializations(values: tuple[int, ...]) -> list[int]:
@@ -134,35 +98,48 @@ def _coefficients(values: tuple[int, ...]) -> list[int]:
     return pattern_coefficients(values)
 
 
-def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
-    """The alternating sum A(w, u) for every subword u of word(w), indexed by mask.
+def alternating_polynomials(values: tuple[int, ...]) -> list[Polynomial]:
+    """The alternating sum A(w, u) for every subword u of word(w), indexed by mask (not memoized).
 
-    Equals `oracles.alternating_sum(w, u).total` for u the subword at
-    mask.  The term of each subword v is built once: (-1)^(n - |v|) *
-    M_{w,v} * S_{perm(v)}(x_{w^{-1} v}), where w^{-1} v is the kept
-    positions and M_{w,v} is x over the boxes (i, j) of D(w) whose row i
-    or column j is not kept (row i is position i, column j the position
-    of letter j).  `superset_sums` then adds the terms of all v >= u.
+    Entry u equals `oracles.alternating_sum(w, u).total`; the full mask is
+    S_w.  The term of a subword v that drops position i is minus M_i times
+    its term in w without position i, whose variables are sent past x_{i+1}
+    (`polyx.skip_variable`); M_i = `single_step_monomial(w, i + 1)` is x over
+    the boxes of D(w) in row i + 1 or column w_{i+1}.  So, with i the lowest
+    clear bit of u, A(w, u) is A(w, u + 2^i) (the v that keep i) less M_i
+    times the deletion's entry at u squeezed (the v that drop it).  The
+    masks lo::2^(i+1), lo = 2^i - 1, are filled from i = n - 1 down, as in
+    `alternating_specializations`.  Row full - 2^i is `thm1.0`'s difference
+    S_w - M_i * S_pi(x_1, ..., skip x_{i+1}, ..., x_n).
     """
     n = len(values)
-    where = {a: p for p, a in enumerate(values)}
-    # A box lies in the kept rows and columns iff its mask bits are all kept.
-    boxes = [(i, 1 << (i - 1) | 1 << where[j]) for (i, j) in rothe(Permutation(values)).boxes]
-    patterns = subword_patterns(values)
-    terms = []
-    for mask, kept in enumerate(_mask_positions(n)):
-        m = list(monomial_key(i for (i, bits) in boxes if mask & bits != bits))
-        m += [0] * (n - len(m))
-        sign = 1 if (n - len(kept)) % 2 == 0 else -1
-        term = {}
-        # Variable t of S_{perm(v)} becomes x at the t-th kept position.
-        for key, c in schubert_polynomial(patterns[mask]).key_terms.items():
-            exps = m[:]
-            for i, e in zip(kept, key):
-                exps[i] += e
-            term[exponent_key(exps)] = sign * c
-        terms.append(Polynomial.from_keys(term))
-    return superset_sums(terms)
+    g = [Polynomial.zero()] * (1 << n)
+    g[-1] = schubert_polynomial(values)
+    for i in reversed(range(n)):
+        lo, bit, k = (1 << i) - 1, 1 << i, i + 1
+        m = single_step_monomial(values, k).key
+        deleted = _polynomials(without_position(values, i))[lo::bit]
+        rows = []
+        for kept, dropped in zip(g[lo + bit :: 2 * bit], deleted):
+            terms = dict(kept.key_terms)
+            get = terms.get
+            for key, c in dropped.key_terms.items():
+                key = _mul_keys(m, skip_variable(key, k))
+                c = get(key, 0) - c
+                if c:
+                    terms[key] = c
+                else:
+                    del terms[key]
+            rows.append(Polynomial.from_keys(terms))
+        g[lo :: 2 * bit] = rows
+    return g
+
+
+# The polynomial tables of the one-letter deletions, as above; deletions of
+# avoiders are avoiders, so a `thm1.1` run holds only avoiders' tables.
+@functools.cache
+def _polynomials(values: tuple[int, ...]) -> list[Polynomial]:
+    return alternating_polynomials(values)
 
 
 def cw_augmentation(w: Permutation) -> int:
@@ -197,13 +174,15 @@ def cw_augmentation(w: Permutation) -> int:
     return counts[0]
 
 
-def single_step_monomial(sigma: Permutation, k: int) -> Monomial:
+def single_step_monomial(sigma: Permutation | tuple[int, ...], k: int) -> Monomial:
     """x over the boxes of D(sigma) in row k or column sigma_k.
 
-    Row k holds one box per later entry below sigma_k, and column sigma_k
-    one box in row i per earlier entry sigma_i above sigma_k.
+    sigma may also be given as its one-line notation, a plain tuple.  Row k
+    holds one box per later entry below sigma_k, and column sigma_k one box
+    in row i per earlier entry sigma_i above sigma_k.
     """
-    values, s = sigma.values, sigma(k)
+    values = sigma.values if isinstance(sigma, Permutation) else sigma
+    s = values[k - 1]
     exps = [int(a > s) for a in values[: k - 1]]
     exps.append(sum(a < s for a in values[k:]))
     return Monomial.from_key(exponent_key(exps))

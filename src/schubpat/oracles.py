@@ -12,6 +12,9 @@ can compare the two exhaustively at small n:
 - c_w by its defining recursion (`cw_recursive`), the alternating sum term
   by term through `Word` subwords (`alternating_sum`), and the lemma counts
   `restricted_diagram_count` and `bv_count`;
+- the per-mask route to the tables over the masks of w: perm(v) of every
+  subword by bitmask ranks (`subword_patterns`), one signed term per mask
+  and a superset-sum transform (`alternating_sums`, `superset_sums`);
 - coefficients of the dual character as span ranks over whole diagrams
   (`chi_coefficient`, `determinant_product`);
 - the diagram sum over whole dominated diagrams
@@ -25,7 +28,7 @@ can compare the two exhaustively at small n:
 
 No claim and no production module imports this one; a test enforces that.
 Only `cli` imports it, to print an oracle on request, and `__init__`, whose
-`clear_caches` empties its one memo.
+`clear_caches` empties its memos.
 """
 from __future__ import annotations
 
@@ -321,6 +324,75 @@ def bv_count(w: Permutation, u: Word, m: Monomial) -> int:
         if not any(in_bv(C, v) for v in codim_one):
             count += 1
     return count
+
+
+@functools.cache  # keyed by the number of positions
+def _mask_positions(n: int) -> tuple[tuple[int, ...], ...]:
+    """The kept positions (0-indexed) of every mask over n positions."""
+    return tuple(tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n))
+
+
+def subword_patterns(values: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """perm(v) for every subword v of word(w), indexed by the mask of kept positions.
+
+    w is given by its one-line notation `values`; bit i of a mask keeps
+    position i + 1.  The letter at position i ranks among the kept letters
+    by the kept positions j whose letter is smaller, read off a bitmask.
+    """
+    n = len(values)
+    below = [sum(1 << j for j in range(n) if values[j] < a) for a in values]
+    return [
+        tuple([(mask & below[i]).bit_count() + 1 for i in kept])
+        for mask, kept in enumerate(_mask_positions(n))
+    ]
+
+
+def superset_sums(g: list) -> list:
+    """Replace g[mask] by the sum of g over all supersets of mask, in place; return g.
+
+    g has 2^n entries indexed by position masks, ints or polynomials alike
+    (only `+` is used): n * 2^(n-1) additions.  With g[v] the signed term of
+    the subword v, g[u] becomes the alternating sum over all v >= u.
+    """
+    size = len(g)
+    b = 1
+    while b < size:
+        for mask in range(size):
+            if not mask & b:
+                g[mask] = g[mask] + g[mask | b]
+        b <<= 1
+    return g
+
+
+def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
+    """The alternating sum A(w, u) for every subword u of word(w), indexed by mask.
+
+    Equals `oracles.alternating_sum(w, u).total` for u the subword at
+    mask.  The term of each subword v is built once: (-1)^(n - |v|) *
+    M_{w,v} * S_{perm(v)}(x_{w^{-1} v}), where w^{-1} v is the kept
+    positions and M_{w,v} is x over the boxes (i, j) of D(w) whose row i
+    or column j is not kept (row i is position i, column j the position
+    of letter j).  `superset_sums` then adds the terms of all v >= u.
+    """
+    n = len(values)
+    where = {a: p for p, a in enumerate(values)}
+    # A box lies in the kept rows and columns iff its mask bits are all kept.
+    boxes = [(i, 1 << (i - 1) | 1 << where[j]) for (i, j) in rothe(Permutation(values)).boxes]
+    patterns = subword_patterns(values)
+    terms = []
+    for mask, kept in enumerate(_mask_positions(n)):
+        m = list(monomial_key(i for (i, bits) in boxes if mask & bits != bits))
+        m += [0] * (n - len(m))
+        sign = 1 if (n - len(kept)) % 2 == 0 else -1
+        term = {}
+        # Variable t of S_{perm(v)} becomes x at the t-th kept position.
+        for key, c in schubert_polynomial(patterns[mask]).key_terms.items():
+            exps = m[:]
+            for i, e in zip(kept, key):
+                exps[i] += e
+            term[exponent_key(exps)] = sign * c
+        terms.append(Polynomial.from_keys(term))
+    return superset_sums(terms)
 
 
 def cw_recursive(w: Permutation) -> int:

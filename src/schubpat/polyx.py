@@ -45,6 +45,15 @@ def exponent_key(exps: list[int]) -> tuple[int, ...]:
     return tuple(exps[:n])
 
 
+def skip_variable(key: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The key with variable i sent to x_i below k and to x_{i+1} from k on.
+
+    A 0 is inserted at entry k - 1 of a key that reaches it; a shorter key
+    is unchanged.
+    """
+    return key[: k - 1] + (0,) + key[k - 1 :] if len(key) >= k else key
+
+
 def _mul_keys(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) < len(b):
         a, b = b, a

@@ -32,6 +32,17 @@ def _purple_rows(d: tuple[int, ...], k: int, is_l: bool) -> frozenset[int]:
     return frozenset(reachable - restricted)
 
 
+@functools.cache  # keyed like `_purple_rows`
+def _purple_sets(d: tuple[int, ...], k: int, is_l: bool) -> tuple[tuple[int, ...], ...]:
+    """The sets c <= seed inside the purple rows of a column d of D that holds a seed box.
+
+    The seed is d itself for column l and row k alone in any other column.
+    """
+    rows = _purple_rows(d, k, is_l)
+    seed = d if is_l else (k,)
+    return tuple(c for c in _column_dominated_sets(seed) if rows.issuperset(c))
+
+
 def purple_boxes(D: Diagram, k: int, l: int) -> frozenset[tuple[int, int]]:
     """Boxes hit by some dominated diagram but by no row/column-restricted one.
 
@@ -114,16 +125,15 @@ def purple_family(D: Diagram, k: int, l: int) -> PurpleFamily:
     the seed.  Dominance and the purple boxes are both columnwise, so it
     is a product over the seed's columns: column l of D, and row k alone
     in every other column of D that holds it.  The seed lies inside the
-    purple boxes, so it is a member.
+    purple boxes, so it is a member.  Each column's sets are memoized
+    (`_purple_sets`), so the family is a product of lookups.
     """
-    columns = []
-    for j, d in enumerate(D.columns(), start=1):
-        seed_j = d if j == l else (k,) if k in d else ()
-        if seed_j:
-            rows = _purple_rows(d, k, j == l)
-            allowed = tuple(c for c in _column_dominated_sets(seed_j) if rows.issuperset(c))
-            columns.append((j, allowed))
-    return PurpleFamily(D, k, l, tuple(columns))
+    columns = tuple(
+        (j, _purple_sets(d, k, j == l))
+        for j, d in enumerate(D.columns(), start=1)
+        if k in d or (j == l and d)
+    )
+    return PurpleFamily(D, k, l, columns)
 
 
 @dataclass(frozen=True)

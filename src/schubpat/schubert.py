@@ -15,7 +15,7 @@ import functools
 from .diagrams import dominated_sum, rothe
 from .errors import PatternViolationError
 from .permwords import Permutation, avoids, without_position
-from .polyx import Polynomial
+from .polyx import Polynomial, skip_variable
 
 
 def _transition(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
@@ -89,15 +89,11 @@ def schubert_skipping(sigma: Permutation, k: int) -> Polynomial:
 
     The single-removal polynomial.  pi is sigma's one-line notation without
     entry k, each entry above sigma_k lowered by one.  Variable i of S_pi
-    becomes x_i below k and x_{i+1} from k on: a 0 is inserted at entry
-    k - 1 of every key that reaches it.
+    becomes x_i below k and x_{i+1} from k on (`polyx.skip_variable`).
     """
     pi = without_position(sigma.values, k - 1)
     return Polynomial.from_keys(
-        {
-            key[: k - 1] + (0,) + key[k - 1 :] if len(key) >= k else key: c
-            for key, c in schubert_polynomial(pi).key_terms.items()
-        }
+        {skip_variable(key, k): c for key, c in schubert_polynomial(pi).key_terms.items()}
     )
 
 

@@ -75,7 +75,7 @@ def _run_alt_nonneg(w: Permutation, config: RunConfig) -> list[str] | None:
         return None
     # u is the subword of word(w) at a position mask; every mask is checked.
     failures = []
-    for mask, total in enumerate(incexc.alternating_sums(w.values)):
+    for mask, total in enumerate(incexc.alternating_polynomials(w.values)):
         ok, bad = total.is_nonnegative()
         if not ok:
             u = Word(tuple(a for i, a in enumerate(w.values) if mask >> i & 1))

@@ -7,19 +7,18 @@ from schubpat import incexc
 from schubpat.diagrams import Diagram, removed_boxes, rothe, row_monomial
 from schubpat.errors import PatternViolationError
 from schubpat.incexc import (
+    alternating_polynomials,
     alternating_specializations,
-    alternating_sums,
     cw_augmentation,
     cw_inclusion_exclusion,
     pattern_coefficients,
     single_step_monomial,
-    subword_patterns,
-    superset_sums,
     verify_single_step,
 )
 from schubpat.oracles import (
     all_subwords,
     alternating_sum,
+    alternating_sums,
     bv_count,
     cw_recursive,
     dominates,
@@ -28,6 +27,8 @@ from schubpat.oracles import (
     restrict_remove,
     restricted_diagram_count,
     substituted_schubert,
+    subword_patterns,
+    superset_sums,
 )
 from schubpat.permwords import (
     Permutation,
@@ -37,7 +38,7 @@ from schubpat.permwords import (
     flatten,
 )
 from schubpat.polyx import Monomial, Polynomial, x
-from schubpat.schubert import principal_specialization
+from schubpat.schubert import principal_specialization, schubert_polynomial, schubert_skipping
 
 
 def test_m_monomial_examples():
@@ -140,10 +141,29 @@ def test_alternating_sums_match_the_oracle_exhaustively(n):
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_alternating_sums_at_ones_match_the_integer_transform(n):
-    # At x = 1 the polynomial table is the conj5.1 table, reached by integers only.
+    # At x = 1 both polynomial tables are the conj5.1 table, reached by integers only.
     for w in all_permutations(n):
         ones = [p.evaluate_all_ones() for p in alternating_sums(w.values)]
         assert ones == alternating_specializations(w.values)
+        assert [p.evaluate_all_ones() for p in alternating_polynomials(w.values)] == ones
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_deletion_polynomial_tables_match_the_per_mask_route(n):
+    # Every w, avoider or not: the production table against the per-mask oracle.
+    for w in all_permutations(n):
+        assert alternating_polynomials(w.values) == alternating_sums(w.values), w
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_row_without_one_position_is_the_single_step_difference(n):
+    # Row full - 2^i is thm1.0's S_w - M * S_pi(skip x_{i+1}) at k = i + 1.
+    for w in all_permutations(n):
+        table = alternating_polynomials(w.values)
+        for i in range(n):
+            k = i + 1
+            expected = schubert_polynomial(w) - schubert_skipping(w, k) * single_step_monomial(w, k)
+            assert table[-1 - (1 << i)] == expected, (w, k)
 
 
 def per_mask_alternating(values):
@@ -221,11 +241,11 @@ def test_alternating_specializations_examples():
 
 def test_clear_caches_reaches_the_deletion_memos():
     assert pattern_coefficients((1, 4, 3, 2))[-1] == 1
-    assert incexc._alternating.cache_info().currsize
-    assert incexc._coefficients.cache_info().currsize
+    assert alternating_polynomials((1, 4, 3, 2))[-1] == schubert_polynomial((1, 4, 3, 2))
+    memos = (incexc._alternating, incexc._coefficients, incexc._polynomials)
+    assert all(memo.cache_info().currsize for memo in memos)
     schubpat.clear_caches()
-    assert not incexc._alternating.cache_info().currsize
-    assert not incexc._coefficients.cache_info().currsize
+    assert not any(memo.cache_info().currsize for memo in memos)
 
 
 def test_cw_augmentation_requires_avoidance():

@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import json
 import math
 import pkgutil
 from collections import Counter
@@ -285,7 +287,7 @@ def test_avoider_claims_hold_s_w_only_for_patterns_of_avoiders():
     for n in range(2, 7):
         for w in all_permutations(n):
             if avoids(w):
-                for pattern in incexc.subword_patterns(w.values):
+                for pattern in oracles.subword_patterns(w.values):
                     schubert.schubert_polynomial(pattern)
     assert after_claims == schubert._schubert.cache_info().currsize
 
@@ -305,18 +307,45 @@ def test_subword_claims_hold_tables_of_the_deletions_only():
         assert memo.cache_info().misses == misses
 
 
+def test_thm1_1_holds_tables_of_avoiders_deletions_only():
+    # The tables of S_<=n-1 avoiders are kept; a shard's own table is dropped.
+    schubpat.clear_caches()
+    assert exit_code(list(run_claim("thm1.1", RunConfig(max_n=6)))) == 0
+    memo = incexc._polynomials
+    avoiders = [w.values for n in range(6) for w in all_permutations(n) if avoids(w)]
+    assert memo.cache_info().currsize == len(avoiders)
+    # Every key is a hit among the avoiders of S_0 .. S_5, so none has length 6.
+    misses = memo.cache_info().misses
+    for values in avoiders:
+        memo(values)
+    assert memo.cache_info().misses == misses
+
+
+def test_thm1_1_report_at_six_is_pinned():
+    # The digest that the per-mask route (`oracles.alternating_sums`) also gives.
+    report = "".join(
+        json.dumps(r.as_dict(), separators=(",", ":")) + "\n"
+        for r in run_claim("thm1.1", RunConfig(max_n=6))
+    )
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == (
+        "684f7b31b9eab6388865dd16fc1d1eb43c6f92d84885091e58f23c4cb279e28e"
+    )
+
+
 def test_clear_caches_reaches_every_memo():
     """After all nine claims, schubpat.clear_caches() empties every functools memo."""
     for name in CLAIMS:
         list(run_claim(name, RunConfig(max_n=4)))
-    oracles.cw_recursive(Permutation.from_string("1432"))  # the one oracle memo no claim uses
+    # The oracle memos, which no claim uses.
+    oracles.cw_recursive(Permutation.from_string("1432"))
+    oracles.subword_patterns((2, 1))
     modules = [
         importlib.import_module(f"schubpat.{m.name}") for m in pkgutil.iter_modules(schubpat.__path__)
     ]
     memos = {
         id(obj): obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_clear")
     }.values()
-    assert len(memos) == 10
+    assert len(memos) == 12
     assert all(memo.cache_info().currsize for memo in memos)
     schubpat.clear_caches()
     assert [memo for memo in memos if memo.cache_info().currsize] == []
