@@ -8,7 +8,8 @@ Each summary line ends with the SHA-256 of the claim's JSON-lines report,
 so two checkouts can be compared byte for byte from their summaries.
 With --out, each claim additionally gets that report as a file in DIR.
 The process exit code is verify.exit_code over every claim's reports:
-2 if any claim has a counterexample, else 3 on a budget refusal, else 0.
+2 if any claim has a counterexample, else 3 on a budget refusal, else 0;
+a size below 2 or fewer than one job prints one error line and exits 1.
 """
 import argparse
 import hashlib
@@ -17,6 +18,7 @@ import pathlib
 import sys
 import time
 
+from schubpat.errors import UsageError
 from schubpat.verify import CLAIMS, DEFAULT_SEED, RunConfig, exit_code, run_claim
 
 
@@ -28,7 +30,11 @@ def main() -> int:
     parser.add_argument("--out", type=pathlib.Path, default=None)
     args = parser.parse_args()
 
-    config = RunConfig(max_n=args.max_n, jobs=args.jobs, seed=args.seed)
+    try:
+        config = RunConfig(max_n=args.max_n, jobs=args.jobs, seed=args.seed)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
 

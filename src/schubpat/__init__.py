@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every memo of the engine; each is a `functools.cache` on its key."""
-    for memo in (diagrams._column_dominated_sets, purple._purple_rows, purple._purple_sets,
+    for memo in (diagrams._column_dominated_sets, purple._purple_sets,
                  schubert._schubert, schubert._spec, weylchar._det, weylchar._chi_by_rank,
                  incexc._alternating, incexc._coefficients, incexc._polynomials,
                  oracles._mask_positions, oracles._cw_recursive):

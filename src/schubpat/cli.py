@@ -188,10 +188,6 @@ def _cmd_cw_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_n < 2:
-        raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     config = verify.RunConfig(
         max_n=args.max_n,
         jobs=args.jobs,

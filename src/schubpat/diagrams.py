@@ -7,6 +7,7 @@ a removed row or column stays in place, empty.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -134,13 +135,15 @@ def dominated_sum(D: Diagram) -> Polynomial:
 
 
 def _count_column(d: tuple[int, ...]) -> int:
-    # chains c_1 < ... < c_m with c_t <= d_t, counted by recursion on t
-    def ways(t: int, lo: int) -> int:
-        if t == len(d):
-            return 1
-        return sum(ways(t + 1, c) for c in range(lo + 1, d[t] + 1))
+    """The chains c_1 < ... < c_m with c_t <= d_t, counted by prefix sums over t.
 
-    return ways(0, 0)
+    After step t, ends[v] is the number of chains c_1 < ... < c_t with
+    c_t = v; entry 0 stands for the empty chain before step 1.
+    """
+    ends = [1]
+    for bound in d:
+        ends = [0, *itertools.accumulate(ends + [0] * (bound - len(ends)))]
+    return sum(ends)
 
 
 def removed_boxes(D: Diagram, k: int, l: int) -> Diagram:

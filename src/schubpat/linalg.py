@@ -1,44 +1,18 @@
 """Exact rank of integer matrices.
 
 Fraction-free (Bareiss) elimination over Python ints gives the rank over
-the rationals with no rounding.  A cheap mod-p elimination runs first:
-its rank is a lower bound on the true rank, so when it already equals
-the row count the exact pass can be skipped.
+the rationals with no rounding.
 """
 from __future__ import annotations
 
-_PRIME = (1 << 61) - 1
 
-
-def _rank_mod_p(rows: list[list[int]], p: int = _PRIME) -> int:
-    m = [[a % p for a in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        prow = m[rank]
-        for r in range(rank + 1, nrows):
-            f = (m[r][col] * inv) % p
-            if f:
-                row = m[r]
-                for c in range(col, ncols):
-                    row[c] = (row[c] - f * prow[c]) % p
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_bareiss(rows: list[list[int]]) -> int:
+def integer_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals of an integer matrix given as a row list."""
+    if not rows or not rows[0]:
+        return 0
     m = [list(row) for row in rows]
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    ncols = len(m[0])
     rank = 0
     col = 0
     prev = 1
@@ -58,13 +32,3 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix given as a row list."""
-    if not rows or not rows[0]:
-        return 0
-    lower = _rank_mod_p(rows)
-    if lower == len(rows):
-        return lower
-    return _rank_bareiss(rows)

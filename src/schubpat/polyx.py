@@ -71,8 +71,7 @@ class Monomial:
     __slots__ = ("key",)
 
     def __init__(self, exps: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        # The dict test first skips typing.Mapping's slower subclass check.
-        items = exps.items() if isinstance(exps, dict) or isinstance(exps, Mapping) else exps
+        items = exps.items() if isinstance(exps, Mapping) else exps
         dense: list[int] = []
         for var, exp in items:
             if var < 1:
@@ -149,7 +148,7 @@ class Polynomial:
     __slots__ = ("key_terms",)  # the dict from keys to coefficients; immutable by convention
 
     def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
-        items = terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, Mapping) else terms
         merged: dict[tuple[int, ...], int] = {}
         for mon, coef in items:
             key = mon.key

@@ -19,7 +19,6 @@ from .polyx import Monomial, Polynomial, _mul_keys, monomial_key
 from .schubert import schubert_polynomial, schubert_skipping
 
 
-@functools.cache  # keyed by (column of D, k, whether it is column l): at most n * 2^(n+1) entries
 def _purple_rows(d: tuple[int, ...], k: int, is_l: bool) -> frozenset[int]:
     """The purple rows of a nonempty column d of D: hit by some c <= d, by no restricted one.
 
@@ -32,7 +31,7 @@ def _purple_rows(d: tuple[int, ...], k: int, is_l: bool) -> frozenset[int]:
     return frozenset(reachable - restricted)
 
 
-@functools.cache  # keyed like `_purple_rows`
+@functools.cache  # keyed by (column of D, k, whether it is column l): at most n * 2^(n+1) entries
 def _purple_sets(d: tuple[int, ...], k: int, is_l: bool) -> tuple[tuple[int, ...], ...]:
     """The sets c <= seed inside the purple rows of a column d of D that holds a seed box.
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import incexc, schubert, weylchar
 from .diagrams import Diagram, count_dominated, dominated_sum, rothe, row_monomial
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, UsageError
 from .permwords import Permutation, Word, all_permutations, avoids
 from .polyx import Monomial
 from .purple import characterize_monomials, purple_family
@@ -35,6 +35,13 @@ class RunConfig:
     budget_dominated: int = weylchar.DEFAULT_BUDGET
     sample_chi_n5: int = 50
     include_timing: bool = False
+
+    def __post_init__(self):
+        # Every shard is a permutation of S_2 .. S_max_n: a smaller max_n would verify nothing.
+        if self.max_n < 2:
+            raise UsageError(f"--max-n must be at least 2, got {self.max_n}")
+        if self.jobs < 1:
+            raise UsageError(f"--jobs must be at least 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -139,9 +146,12 @@ def _run_chi_equality(w: Permutation, config: RunConfig) -> list[str] | None:
 
 def _run_diagram_formula(w: Permutation, config: RunConfig) -> list[str] | None:
     D = rothe(w)
-    s_w = schubert.schubert_polynomial(w)
-    # The diagram sum is count_dominated(D) at x = 1: a different S_w(1) rules equality out.
-    equal = count_dominated(D) == s_w.evaluate_all_ones() and dominated_sum(D) == s_w
+    # The diagram sum is count_dominated(D) at x = 1: a different S_w(1) rules equality out,
+    # so S_w is built only when the counts agree.
+    equal = (
+        count_dominated(D) == schubert.principal_specialization(w)
+        and dominated_sum(D) == schubert.schubert_polynomial(w)
+    )
     avoiding = avoids(w)
     if equal != avoiding:
         side = "equality" if equal else "inequality"

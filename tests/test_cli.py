@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +143,18 @@ def test_verify_jobs_parity(tmp_path):
 def test_budget_exit_code(capsys):
     code = cli.main(["chi", "35142", "--budget-dominated", "3"])
     assert code == cli.EXIT_BUDGET
+
+
+def test_budget_refusal_counts_without_walking_the_chains(capsys):
+    # One column of 13 boxes in rows 14..26 has 10,400,600 dominated sets.
+    blob = json.dumps({"n": 26, "boxes": [[i, 1] for i in range(14, 27)]})
+    start = time.monotonic()
+    code = cli.main(["chi", blob, "--budget-dominated", "1000"])
+    assert time.monotonic() - start < 1
+    assert code == cli.EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "budget exceeded: 10400600 dominated diagrams exceed budget 1000\n"
+    )
 
 
 def test_purple_command(capsys):
@@ -454,12 +467,17 @@ def test_full_suite_summary_carries_the_report_digest(tmp_path):
         assert digest == hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest()
 
 
-def test_full_suite_exit_code_prefers_a_counterexample_to_a_refusal(monkeypatch, capsys):
+def _full_suite_module():
     root = pathlib.Path(__file__).resolve().parent.parent
     script = root / "scripts" / "run_full_suite.py"
     spec = importlib.util.spec_from_file_location("run_full_suite", script)
     suite = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(suite)
+    return suite
+
+
+def test_full_suite_exit_code_prefers_a_counterexample_to_a_refusal(monkeypatch, capsys):
+    suite = _full_suite_module()
     # conj5.1 is run first, thm4.1 last: a later refusal must not mask the counterexample.
     verdicts = {"conj5.1": ("fails", "w"), "thm4.1": ("budget-exceeded", "m")}
 
@@ -470,6 +488,21 @@ def test_full_suite_exit_code_prefers_a_counterexample_to_a_refusal(monkeypatch,
     monkeypatch.setattr(sys, "argv", ["run_full_suite.py", "--max-n", "2"])
     assert suite.main() == 2
     assert "counterexample 12: w" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--max-n", "1"], "error: --max-n must be at least 2, got 1"),
+        (["--jobs", "0"], "error: --jobs must be at least 1, got 0"),
+    ],
+)
+def test_full_suite_rejects_the_sizes_verify_rejects(monkeypatch, capsys, argv, line):
+    suite = _full_suite_module()
+    monkeypatch.setattr(sys, "argv", ["run_full_suite.py", *argv])
+    assert suite.main() == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", line + "\n")
 
 
 def test_negative_cw_table_size_is_a_usage_error():

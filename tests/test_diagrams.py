@@ -112,8 +112,8 @@ def test_enumerate_and_count_agree(n):
 
 
 def test_column_dominated_sets_match_a_filter_of_combinations():
-    # Every column of an n-grid, n <= 6: a strictly increasing tuple of rows.
-    for n in range(1, 7):
+    # Every column of an n-grid, n <= 8: a strictly increasing tuple of rows.
+    for n in range(1, 9):
         rows = range(1, n + 1)
         for m in range(n + 1):
             for d in itertools.combinations(rows, m):

@@ -279,8 +279,9 @@ def test_thm2_7_builds_no_product_for_a_certified_non_avoider(monkeypatch):
 
 def test_avoider_claims_hold_s_w_only_for_patterns_of_avoiders():
     # The n=9 memory plan rests on this: S_w of every permutation does not fit.
+    # thm2.7 builds S_w only where the counts agree, which at n <= 6 is the avoiders.
     schubpat.clear_caches()
-    for name in ("thm1.1", "conj5.3", "thm1.2"):
+    for name in ("thm1.1", "conj5.3", "thm1.2", "thm2.7"):
         assert exit_code(list(run_claim(name, RunConfig(max_n=6)))) == 0
     after_claims = schubert._schubert.cache_info().currsize
     schubpat.clear_caches()
@@ -339,14 +340,30 @@ def test_clear_caches_reaches_every_memo():
     # The oracle memos, which no claim uses.
     oracles.cw_recursive(Permutation.from_string("1432"))
     oracles.subword_patterns((2, 1))
+    memos = _memos()
+    assert len(memos) == 11
+    assert all(memo.cache_info().currsize for memo in memos)
+    schubpat.clear_caches()
+    assert [memo for memo in memos if memo.cache_info().currsize] == []
+
+
+def _memos() -> list:
+    """Every functools memo at the top level of a schubpat module, once each."""
     modules = [
         importlib.import_module(f"schubpat.{m.name}") for m in pkgutil.iter_modules(schubpat.__path__)
     ]
     memos = {
         id(obj): obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_clear")
-    }.values()
-    assert len(memos) == 12
-    assert all(memo.cache_info().currsize for memo in memos)
+    }
+    return list(memos.values())
+
+
+def test_every_production_memo_hits_on_the_claims():
+    # A memo that never hits only costs memory; the oracle memos serve tests, not claims.
     schubpat.clear_caches()
-    assert [memo for memo in memos if memo.cache_info().currsize] == []
+    for name in CLAIMS:
+        list(run_claim(name, RunConfig(max_n=5)))
+    memos = [memo for memo in _memos() if memo.__module__ != "schubpat.oracles"]
+    assert len(memos) == 9
+    assert [memo.__qualname__ for memo in memos if not memo.cache_info().hits] == []
 
