@@ -7,7 +7,7 @@ Usage:
 Each summary line ends with the SHA-256 of the claim's JSON-lines report,
 so two checkouts can be compared byte for byte from their summaries.
 With --out, each claim additionally gets that report as a file in DIR.
-The process exit code is verify.exit_code over every claim's reports:
+The process exit code folds the claims' exit codes, claim by claim:
 2 if any claim has a counterexample, else 3 on a budget refusal, else 0;
 a size below 2 or fewer than one job prints one error line and exits 1.
 """
@@ -19,7 +19,7 @@ import sys
 import time
 
 from schubpat.errors import UsageError
-from schubpat.verify import CLAIMS, DEFAULT_SEED, RunConfig, exit_code, run_claim
+from schubpat.verify import CLAIMS, DEFAULT_SEED, RunConfig, exit_code, run_claim, worse_code
 
 
 def main() -> int:
@@ -38,13 +38,13 @@ def main() -> int:
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
 
-    every_report = []
+    worst = 0
     for name in sorted(CLAIMS):
         start = time.monotonic()
         reports = list(run_claim(name, config))
         elapsed = time.monotonic() - start
         code = exit_code(reports)
-        every_report.extend(reports)
+        worst = worse_code(worst, code)
         counts = {}
         for r in reports:
             counts[r.verdict] = counts.get(r.verdict, 0) + 1
@@ -57,7 +57,7 @@ def main() -> int:
                 print(f"  counterexample {r.subject}: {r.witness}")
         if args.out:
             (args.out / f"{name}.jsonl").write_text(report, encoding="utf-8")
-    return exit_code(every_report)
+    return worst
 
 
 if __name__ == "__main__":

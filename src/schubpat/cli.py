@@ -18,6 +18,7 @@ the subcommand does not take, verify --max-n below 2 or --jobs below 1),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -96,12 +97,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, args) -> None:
+@contextlib.contextmanager
+def _output(args):
+    """The file named by --out, or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            yield fh
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        yield sys.stdout
+
+
+def _emit(text: str, args) -> None:
+    with _output(args) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _poly_out(p: Polynomial, args, nvars: int) -> str:
@@ -187,6 +195,20 @@ def _cmd_cw_table(args) -> int:
     return EXIT_OK if all_agree else EXIT_COUNTEREXAMPLE
 
 
+def _report_line(r: verify.VerificationReport, args) -> str:
+    if args.format == "json":
+        return json.dumps(r.as_dict(), separators=(",", ":"))
+    if args.format == "csv":
+        witness = (r.witness or "").replace(",", ";")
+        timing = f",{r.elapsed_ms}" if args.timing else ""
+        return f"{r.claim},{r.subject},{r.verdict},{witness}{timing}"
+    return (
+        f"{r.claim}\t{r.subject}\t{r.verdict}"
+        + (f"\t{r.witness}" if r.witness else "")
+        + (f"\telapsed_ms={r.elapsed_ms}" if args.timing else "")
+    )
+
+
 def _cmd_verify(args) -> int:
     config = verify.RunConfig(
         max_n=args.max_n,
@@ -195,25 +217,15 @@ def _cmd_verify(args) -> int:
         budget_dominated=args.budget_dominated,
         include_timing=args.timing,
     )
-    reports = list(verify.run_claim(args.claim, config))
-    if args.format == "json":
-        text = "\n".join(json.dumps(r.as_dict(), separators=(",", ":")) for r in reports)
-    elif args.format == "csv":
-        rows = ["claim,subject,verdict,witness" + (",elapsed_ms" if args.timing else "")]
-        for r in reports:
-            witness = (r.witness or "").replace(",", ";")
-            timing = f",{r.elapsed_ms}" if args.timing else ""
-            rows.append(f"{r.claim},{r.subject},{r.verdict},{witness}{timing}")
-        text = "\n".join(rows)
-    else:
-        text = "\n".join(
-            f"{r.claim}\t{r.subject}\t{r.verdict}"
-            + (f"\t{r.witness}" if r.witness else "")
-            + (f"\telapsed_ms={r.elapsed_ms}" if args.timing else "")
-            for r in reports
-        )
-    _emit(text, args)
-    return verify.exit_code(reports)
+    # Each line is written as its report arrives, and the exit code folded along the way.
+    code = EXIT_OK
+    with _output(args) as fh:
+        if args.format == "csv":
+            fh.write("claim,subject,verdict,witness" + (",elapsed_ms" if args.timing else "") + "\n")
+        for r in verify.run_claim(args.claim, config):
+            fh.write(_report_line(r, args) + "\n")
+            code = verify.worse_code(code, verify.report_code(r))
+    return code
 
 
 def _cmd_purple(args) -> int:

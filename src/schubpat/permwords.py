@@ -103,7 +103,11 @@ class Permutation:
         return [i for i in range(1, len(self.values)) if self.values[i - 1] < self.values[i]]
 
     def __str__(self) -> str:
-        return str(self.word())
+        # str(self.word()) without building and checking a Word; the largest letter is n.
+        v = self.values
+        if not v:
+            return "()"
+        return ",".join(map(str, v)) if len(v) > 9 else "".join(map(str, v))
 
 
 def flatten(v: Word) -> Permutation:

@@ -8,12 +8,22 @@ turns that into the shard's one VerificationReport.  Shard order is fixed,
 so report files are byte-stable for a given configuration regardless of
 the parallelism degree (timing is only recorded on request for the same
 reason).
+
+Under `jobs` > 1, `run_claim` forks its workers: each inherits the shard
+list, so nothing is pickled on the way in.  The shards are cut into
+consecutive blocks, dealt to the workers in turn; each worker sends the
+reports of a block down its own pipe, and the parent yields them in shard
+order, reading no worker that is two blocks ahead of it.  Forking needs a
+platform that has it (not Windows), and a parent with no other thread.
 """
 from __future__ import annotations
 
+import collections
+import functools
+import multiprocessing
+import multiprocessing.connection
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -309,30 +319,108 @@ def _shard_worker(args: tuple[str, Permutation, RunConfig]) -> VerificationRepor
     return _run_shard(CLAIMS[claim_name], shard, config)
 
 
+_FORK = multiprocessing.get_context("fork")
+# A worker stops being read while it holds this many blocks the parent has not yet reached.
+_BLOCKS_AHEAD = 2
+
+
+def _work(claim_name: str, shards: list[Permutation], config: RunConfig, blocks, conn) -> None:
+    """A forked worker: send `(reports, error)` for each block of shards, then None.
+
+    A shard that raises ends the worker: its block goes out with the reports
+    before it and the exception.  `_shard_worker` is looked up at each call,
+    so a wrapper installed on the module reaches the workers too.
+    """
+    try:
+        for block in blocks:
+            reports = []
+            try:
+                for shard in shards[block]:
+                    reports.append(_shard_worker((claim_name, shard, config)))
+            except Exception as exc:
+                conn.send((reports, exc))
+                return
+            conn.send((reports, None))
+        conn.send(None)
+    except BrokenPipeError:
+        pass  # the parent closed the run early and reads no more
+    finally:
+        conn.close()
+
+
 def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport]:
     """Run one claim over its configured input space, in shard order."""
     claim = CLAIMS[claim_name]
     shards = claim.shards(config)
-    # A fork pool starts every worker at the first submit: start no more than there are shards.
     workers = min(config.jobs, len(shards))
     if workers <= 1:
         for shard in shards:
             yield _run_shard(claim, shard, config)
-    else:
-        args = [(claim_name, shard, config) for shard in shards]
-        # About 16 tasks per worker: few enough to keep the pool's overhead
-        # small, enough to balance shards of uneven cost.
-        chunksize = -(-len(shards) // (16 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_shard_worker, args, chunksize=chunksize)
+        return
+    # About 16 blocks per worker: few enough to keep the messages few, enough to
+    # balance shards of uneven cost.  Blocks are consecutive: S_n dealt one shard
+    # at a time would split it by a pattern of its last entries, and with it the cost.
+    size = -(-len(shards) // (16 * workers))
+    blocks = [slice(start, start + size) for start in range(0, len(shards), size)]
+    procs, conns = [], []
+    finished = False
+    try:
+        for w in range(workers):
+            conn, send_end = _FORK.Pipe(duplex=False)
+            conns.append(conn)
+            proc = _FORK.Process(
+                target=_work,
+                args=(claim_name, shards, config, blocks[w::workers], send_end),
+                daemon=True,  # an interpreter that exits with the run still open ends them
+            )
+            proc.start()
+            procs.append(proc)
+            # Else the next worker inherits it, and a crashed worker's pipe never ends.
+            send_end.close()
+        pending = [collections.deque() for _ in range(workers)]
+        reading = set(range(workers))
+        for b in range(len(blocks)):
+            owner = b % workers
+            while not pending[owner]:
+                ready = multiprocessing.connection.wait(
+                    [conns[w] for w in reading if len(pending[w]) < _BLOCKS_AHEAD]
+                )
+                for conn in ready:
+                    w = conns.index(conn)
+                    try:
+                        message = conn.recv()
+                    except EOFError:
+                        procs[w].join()
+                        crash = f"verify worker {procs[w].pid} exited with code {procs[w].exitcode}"
+                        message = ([], RuntimeError(crash + " before its last report"))
+                    if message is None or message[1] is not None:
+                        reading.discard(w)
+                    if message is not None:
+                        pending[w].append(message)
+            reports, error = pending[owner].popleft()
+            yield from reports
+            if error is not None:
+                raise error
+        finished = True
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            if not finished:  # an error or an early close: the rest of the work is unwanted
+                proc.terminate()
+            proc.join()
+
+
+def worse_code(a: int, b: int) -> int:
+    """The exit code of two parts of a run: a counterexample (2) beats a refusal (3)."""
+    return 2 if 2 in (a, b) else max(a, b)
+
+
+def report_code(report: VerificationReport) -> int:
+    """2 for a counterexample, 3 for a budget refusal, else 0."""
+    return {"fails": 2, "budget-exceeded": 3}.get(report.verdict, 0)
 
 
 def exit_code(reports: Iterable[VerificationReport]) -> int:
     """0 all holds, 2 counterexample, 3 budget exceeded somewhere."""
-    code = 0
-    for r in reports:
-        if r.verdict == "fails":
-            return 2
-        if r.verdict == "budget-exceeded":
-            code = 3
-    return code
+    return functools.reduce(worse_code, map(report_code, reports), 0)

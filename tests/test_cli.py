@@ -357,29 +357,27 @@ def test_verify_rejects_jobs_below_1(jobs):
 
 
 def test_verify_starts_no_more_workers_than_shards(capsys, monkeypatch):
-    # A fake pool records the size it is asked for; no process is started.
+    # Workers forked per run, counted in the parent as os.fork returns there.
     sizes = []
+    real_fork = os.fork
 
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def fork():
+        pid = real_fork()
+        if pid:
+            sizes[-1] += 1
+        return pid
 
-        def __enter__(self):
-            return self
+    def verify_identity(*argv):
+        sizes.append(0)
+        return run(capsys, "verify", "identity", *argv)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
-    serial = run(capsys, "verify", "identity", "--max-n", "3")
-    assert sizes == []
-    assert run(capsys, "verify", "identity", "--max-n", "3", "--jobs", "5000") == serial
-    assert sizes == [8]  # the 2 + 6 permutations of S_2 and S_3
-    code, _ = run(capsys, "verify", "identity", "--max-n", "2", "--jobs", "5000")
-    assert (code, sizes) == (0, [8, 2])
+    monkeypatch.setattr(os, "fork", fork)
+    serial = verify_identity("--max-n", "3")
+    assert sizes == [0]
+    assert verify_identity("--max-n", "3", "--jobs", "5000") == serial
+    assert sizes == [0, 8]  # the 2 + 6 permutations of S_2 and S_3
+    code, _ = verify_identity("--max-n", "2", "--jobs", "5000")
+    assert (code, sizes) == (0, [0, 8, 2])
 
 
 @pytest.mark.parametrize(
@@ -478,16 +476,22 @@ def _full_suite_module():
 
 def test_full_suite_exit_code_prefers_a_counterexample_to_a_refusal(monkeypatch, capsys):
     suite = _full_suite_module()
-    # conj5.1 is run first, thm4.1 last: a later refusal must not mask the counterexample.
-    verdicts = {"conj5.1": ("fails", "w"), "thm4.1": ("budget-exceeded", "m")}
-
-    def fake_run_claim(name, config):
-        yield verify.VerificationReport(name, "12", *verdicts.get(name, ("holds", None)))
-
-    monkeypatch.setattr(suite, "run_claim", fake_run_claim)
+    # conj5.1 is run first, thm4.1 last: a refusal before or after a counterexample must not mask it.
+    cases = [
+        ({}, 0),
+        ({"thm4.1": ("budget-exceeded", "m")}, 3),
+        ({"conj5.1": ("fails", "w"), "thm4.1": ("budget-exceeded", "m")}, 2),
+        ({"conj5.1": ("budget-exceeded", "m"), "thm4.1": ("fails", "w")}, 2),
+    ]
     monkeypatch.setattr(sys, "argv", ["run_full_suite.py", "--max-n", "2"])
-    assert suite.main() == 2
-    assert "counterexample 12: w" in capsys.readouterr().out
+    for verdicts, code in cases:
+
+        def fake_run_claim(name, config):
+            yield verify.VerificationReport(name, "12", *verdicts.get(name, ("holds", None)))
+
+        monkeypatch.setattr(suite, "run_claim", fake_run_claim)
+        assert suite.main() == code, verdicts
+        assert ("counterexample 12: w" in capsys.readouterr().out) == (code == 2)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,13 @@
-"""One production route per quantity: no production module imports `oracles`."""
+"""What the package imports.
+
+One production route per quantity: no production module imports `oracles`.
+The CLI starts without `concurrent.futures`: verify forks its own workers.
+"""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import schubpat
 
@@ -44,3 +51,14 @@ def test_whole_diagram_routes_are_defined_only_in_oracles():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert path.stem == "oracles" or not defined & WHOLE_DIAGRAM_ROUTES, path.stem
+
+
+def test_cli_imports_no_concurrent_futures():
+    code = "import sys, schubpat.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    src = pathlib.Path(schubpat.__file__).parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    ).stdout
+    assert out == "[]\n"

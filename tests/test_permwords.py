@@ -150,6 +150,14 @@ def test_word_string_round_trip():
         assert str(Word.from_string(s)) == s
 
 
+def test_permutation_string_is_its_word_string():
+    perms = [w for n in range(7) for w in all_permutations(n)]
+    perms.append(Permutation((2, 1, 3, 4, 5, 6, 7, 8, 9, 11, 10)))
+    for w in perms:
+        assert str(w) == str(Word(w.values))
+    assert str(perms[0]) == "()" and str(perms[-1]) == "2,1,3,4,5,6,7,8,9,11,10"
+
+
 def test_word_rejects_duplicates():
     with pytest.raises(ValueError):
         Word.of(3, 3)

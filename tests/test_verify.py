@@ -2,14 +2,18 @@ import hashlib
 import importlib
 import json
 import math
+import multiprocessing
+import os
 import pkgutil
+import signal
+import time
 from collections import Counter
 
 import pytest
 
 import schubpat
 from schubpat import incexc, oracles, purple, schubert, verify, weylchar
-from schubpat.errors import BudgetExceededError
+from schubpat.errors import BudgetExceededError, PatternViolationError
 from schubpat.permwords import Permutation, all_permutations, avoids
 from schubpat.polyx import x
 from schubpat.verify import (
@@ -125,6 +129,82 @@ def test_thm2_4_budget_refusal_is_reported_under_any_jobs():
     assert list(run_claim("thm2.4", RunConfig(max_n=5, budget_dominated=10, jobs=2))) == reports
 
 
+def _stub_claim(monkeypatch, run):
+    """Register a claim "stub" over S_2 .. S_5 that runs `run`."""
+    shards = [w for n in range(2, 6) for w in all_permutations(n)]
+    monkeypatch.setitem(CLAIMS, "stub", Claim("stub", "a stub claim", lambda c: shards, run))
+    return [str(w) for w in shards]
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs longer than 30 s, where a hung worker would leave it waiting."""
+
+    def timeout(signum, frame):
+        raise TimeoutError("run_claim hung")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_worker_error_is_raised_after_the_earlier_reports(monkeypatch, alarm):
+    def run(w, config):
+        if str(w) == "2143":
+            raise PatternViolationError("no 2143 here")
+        return []
+
+    subjects = _stub_claim(monkeypatch, run)
+    seen = []
+    with pytest.raises(PatternViolationError, match="^no 2143 here$"):
+        for r in run_claim("stub", RunConfig(jobs=2)):
+            seen.append(r.subject)
+    assert seen == subjects[: subjects.index("2143")]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_makes_the_run_raise(monkeypatch, alarm):
+    def run(w, config):
+        if str(w) == "2143":
+            os._exit(1)
+        return []
+
+    _stub_claim(monkeypatch, run)
+    with pytest.raises(RuntimeError, match="exited with code 1 before its last report"):
+        list(run_claim("stub", RunConfig(jobs=2)))
+    assert multiprocessing.active_children() == []
+
+
+def test_closing_the_run_early_ends_its_workers(monkeypatch, alarm):
+    subjects = _stub_claim(monkeypatch, lambda w, config: [])
+    reports = run_claim("stub", RunConfig(jobs=2))
+    assert next(reports).subject == subjects[0]
+    reports.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_the_parent_reads_no_worker_far_ahead_of_it(monkeypatch, alarm, tmp_path):
+    # Worker 0 stalls on the first shard while worker 1 runs ahead, each shard leaving
+    # a file. Its blocks are too large for a pipe's buffer, so worker 1 waits on its
+    # send as soon as the parent stops reading it: two blocks held, one being sent.
+    def run(w, config):
+        if str(w) == "12":
+            time.sleep(1)
+            return [str(len(list(tmp_path.iterdir())))]
+        (tmp_path / str(w)).touch()
+        return ["x" * 100_000]
+
+    _stub_claim(monkeypatch, run)
+    reports = run_claim("stub", RunConfig(jobs=2))
+    ahead = int(next(reports).witness)
+    reports.close()
+    # 152 shards in blocks of 5; worker 1 holds half of them.
+    assert ahead <= 3 * 5
+    assert multiprocessing.active_children() == []
+
+
 def test_exit_code_priorities():
     holds = VerificationReport("x", "s", "holds")
     fails = VerificationReport("x", "s", "fails", "w")
@@ -132,6 +212,8 @@ def test_exit_code_priorities():
     assert exit_code([holds]) == 0
     assert exit_code([holds, budget]) == 3
     assert exit_code([budget, fails]) == 2
+    assert exit_code([fails, budget]) == 2
+    assert exit_code([]) == 0
 
 
 def test_report_as_dict_omits_empty_fields():
