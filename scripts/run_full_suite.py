@@ -7,11 +7,14 @@ Usage:
 Each summary line ends with the SHA-256 of the claim's JSON-lines report,
 so two checkouts can be compared byte for byte from their summaries.
 With --out, each claim additionally gets that report as a file in DIR.
+Reports are folded in as they arrive; only a claim's failing ones are held.
 The process exit code folds the claims' exit codes, claim by claim:
 2 if any claim has a counterexample, else 3 on a budget refusal, else 0;
 a size below 2 or fewer than one job prints one error line and exits 1.
 """
 import argparse
+import collections
+import contextlib
 import hashlib
 import json
 import pathlib
@@ -19,7 +22,7 @@ import sys
 import time
 
 from schubpat.errors import UsageError
-from schubpat.verify import CLAIMS, DEFAULT_SEED, RunConfig, exit_code, run_claim, worse_code
+from schubpat.verify import CLAIMS, DEFAULT_SEED, RunConfig, report_code, run_claim, worse_code
 
 
 def main() -> int:
@@ -41,22 +44,24 @@ def main() -> int:
     worst = 0
     for name in sorted(CLAIMS):
         start = time.monotonic()
-        reports = list(run_claim(name, config))
+        digest, counts, code, failing = hashlib.sha256(), collections.Counter(), 0, []
+        sink = open(args.out / f"{name}.jsonl", "w", encoding="utf-8") if args.out else None
+        with sink or contextlib.nullcontext() as fh:
+            for r in run_claim(name, config):
+                line = json.dumps(r.as_dict(), separators=(",", ":")) + "\n"
+                digest.update(line.encode("utf-8"))
+                if fh:
+                    fh.write(line)
+                counts[r.verdict] += 1
+                code = worse_code(code, report_code(r))
+                if r.verdict == "fails":
+                    failing.append(r)
         elapsed = time.monotonic() - start
-        code = exit_code(reports)
         worst = worse_code(worst, code)
-        counts = {}
-        for r in reports:
-            counts[r.verdict] = counts.get(r.verdict, 0) + 1
         summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-        report = "".join(json.dumps(r.as_dict(), separators=(",", ":")) + "\n" for r in reports)
-        digest = hashlib.sha256(report.encode("utf-8")).hexdigest()
-        print(f"{name:9s} exit={code} {elapsed * 1000:9.1f}ms  {summary}  sha256={digest}")
-        for r in reports:
-            if r.verdict == "fails":
-                print(f"  counterexample {r.subject}: {r.witness}")
-        if args.out:
-            (args.out / f"{name}.jsonl").write_text(report, encoding="utf-8")
+        print(f"{name:9s} exit={code} {elapsed * 1000:9.1f}ms  {summary}  sha256={digest.hexdigest()}")
+        for r in failing:
+            print(f"  counterexample {r.subject}: {r.witness}")
     return worst
 
 

@@ -22,8 +22,8 @@ import contextlib
 import json
 import sys
 
-from . import incexc, oracles, schubert, verify, weylchar
-from .diagrams import Diagram, rothe
+from . import incexc, oracles, verify, weylchar
+from .diagrams import Diagram, dominated_sum, rothe
 from .errors import BudgetExceededError, PatternViolationError, SchubpatError, UsageError
 from .permwords import Permutation, Word, all_permutations, avoids
 from .polyx import Polynomial
@@ -139,7 +139,9 @@ def _parse_diagram(s: str) -> Diagram:
 
 def _cmd_schubert(args) -> int:
     w = _parse(Permutation, args.perm)
-    p = oracles.schubert_divdiff(w) if args.method == "divdiff" else schubert.schubert_diagram(w)
+    if args.method == "diagram" and not avoids(w):
+        raise PatternViolationError(f"{w} contains 1432 or 1423")
+    p = oracles.schubert_divdiff(w) if args.method == "divdiff" else dominated_sum(rothe(w))
     _emit(_poly_out(p, args, w.n), args)
     return EXIT_OK
 
@@ -161,17 +163,22 @@ def _cw_by(method: str, w: Permutation) -> int:
     return incexc.cw_augmentation(w)
 
 
+def _cw_all_methods(w: Permutation) -> tuple[dict[str, int], bool]:
+    """c_w by `ie`, `rec` and, for an avoider, `aug`; and whether they give one value."""
+    values = {m: _cw_by(m, w) for m in ["ie", "rec"] + (["aug"] if avoids(w) else [])}
+    return values, len(set(values.values())) == 1
+
+
 def _cmd_cw(args) -> int:
     w = _parse(Permutation, args.perm)
     if args.all_methods:
-        methods = ["ie", "rec"] + (["aug"] if avoids(w) else [])
+        values, agree = _cw_all_methods(w)
     else:
-        methods = [args.method or "ie"]
-    values = {m: _cw_by(m, w) for m in methods}
-    agree = len(set(values.values())) == 1
+        method = args.method or "ie"
+        values, agree = {method: _cw_by(method, w)}, True
     if agree:
-        value = values[methods[0]]
-        out, text = {"w": str(w), "c": value, "methods": methods}, str(value)
+        value = next(iter(values.values()))
+        out, text = {"w": str(w), "c": value, "methods": list(values)}, str(value)
     else:
         out, text = {"w": str(w), "disagree": values}, f"DISAGREE: {values}"
     _emit(json.dumps(out) if args.format == "json" else text, args)
@@ -184,13 +191,9 @@ def _cmd_cw_table(args) -> int:
     lines = ["w,length,c_w,methods_agree"]
     all_agree = True
     for w in all_permutations(args.n):
-        ie = incexc.cw_inclusion_exclusion(w)
-        rec = oracles.cw_recursive(w)
-        agree = ie == rec
-        if avoids(w):
-            agree = agree and incexc.cw_augmentation(w) == ie
+        values, agree = _cw_all_methods(w)
         all_agree = all_agree and agree
-        lines.append(f"{w},{w.inversions()},{ie},{str(agree).lower()}")
+        lines.append(f"{w},{w.inversions()},{values['ie']},{str(agree).lower()}")
     _emit("\n".join(lines), args)
     return EXIT_OK if all_agree else EXIT_COUNTEREXAMPLE
 

@@ -146,11 +146,6 @@ def _count_column(d: tuple[int, ...]) -> int:
     return sum(ends)
 
 
-def removed_boxes(D: Diagram, k: int, l: int) -> Diagram:
-    """The seed of a single removal: the boxes of D in row k or column l."""
-    return Diagram(D.n, frozenset(b for b in D.boxes if b[0] == k or b[1] == l))
-
-
 def row_monomial(D: Diagram) -> Monomial:
     """x^D: one factor x_i per box of D in row i."""
     return Monomial.from_key(monomial_key(i for (i, _) in D.boxes))

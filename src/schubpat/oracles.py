@@ -5,7 +5,8 @@ sharing as little code as it can with the production route, so that a test
 can compare the two exhaustively at small n:
 
 - whole dominated diagrams, which production replaces by per-column data:
-  `dominates`, `enumerate_dominated` and `restrict_remove`;
+  `dominates`, `enumerate_dominated`, `restrict_remove` and
+  `removed_boxes`;
 - S_w by divided differences (`schubert_divdiff`), S_w(1) by reduced words
   (`macdonald_oracle`), and coefficients of S_w by counting dominated
   diagrams (`coefficient_by_counting`);
@@ -42,7 +43,6 @@ from .diagrams import (
     Diagram,
     _column_dominated_sets,
     column_dominates,
-    removed_boxes,
     rothe,
     row_monomial,
 )
@@ -83,6 +83,11 @@ def enumerate_dominated(D: Diagram) -> Iterator[Diagram]:
 def restrict_remove(D: Diagram, k: int, l: int) -> Diagram:
     """Remove every box in row k or column l."""
     return Diagram(D.n, frozenset(b for b in D.boxes if b[0] != k and b[1] != l))
+
+
+def removed_boxes(D: Diagram, k: int, l: int) -> Diagram:
+    """The seed of a single removal: the boxes of D in row k or column l."""
+    return Diagram(D.n, frozenset(b for b in D.boxes if b[0] == k or b[1] == l))
 
 
 # -- the subword poset -------------------------------------------------------

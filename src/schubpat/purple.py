@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .diagrams import Diagram, _column_dominated_sets, removed_boxes, restricts, rothe
+from .diagrams import Diagram, _column_dominated_sets, restricts, rothe
 from .permwords import Permutation
 from .polyx import Monomial, Polynomial, _mul_keys, monomial_key
 from .schubert import schubert_polynomial, schubert_skipping
@@ -72,10 +72,6 @@ class PurpleFamily:
     @property
     def boxes(self) -> frozenset[tuple[int, int]]:
         return purple_boxes(self.D, self.k, self.l)
-
-    @property
-    def seed(self) -> Diagram:
-        return removed_boxes(self.D, self.k, self.l)
 
     def choices(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         """Every member as its rows, one set per entry of `columns`."""
@@ -170,7 +166,6 @@ def characterize_monomials(sigma: Permutation) -> tuple[MonomialCharacterization
             for m in support
             if mu0.divides(m) and m.degree() - mu0.degree() == degree
         }
-        candidates |= from_purple
         working = frozenset(M for M in candidates if s_sigma.nonnegative_after_subtracting(M, sub))
         extra = working - from_purple
         results.append(MonomialCharacterization(sigma, k, working, from_purple, extra))

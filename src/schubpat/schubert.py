@@ -1,20 +1,19 @@
-"""Schubert polynomials by the transition equation and by diagram sums.
+"""Schubert polynomials by the transition equation.
 
 The production route is the Lascoux-Schuetzenberger transition equation on
-exponent keys (`schubert_polynomial`); the diagram sum, a product over the
-columns of D(w), is a second route for permutations avoiding 1432 and 1423,
-and the subject of `thm2.7`.  S_w(1) runs the same recursion on integers.
-Their oracles live in `oracles`: divided differences (`schubert_divdiff`,
-also at 1), the reduced-word identity (`macdonald_oracle`) and the diagram
-sum over whole dominated diagrams (`dominated_sum_by_enumeration`).
+exponent keys (`schubert_polynomial`); S_w(1) runs the same recursion on
+integers.  The diagram sum `diagrams.dominated_sum(rothe(w))`, a product
+over the columns of D(w), equals S_w exactly when w avoids 1432 and 1423:
+that is `thm2.7`.  The oracles live in `oracles`: divided differences
+(`schubert_divdiff`, also at 1), the reduced-word identity
+(`macdonald_oracle`) and the diagram sum over whole dominated diagrams
+(`dominated_sum_by_enumeration`).
 """
 from __future__ import annotations
 
 import functools
 
-from .diagrams import dominated_sum, rothe
-from .errors import PatternViolationError
-from .permwords import Permutation, avoids, without_position
+from .permwords import Permutation, without_position
 from .polyx import Polynomial, skip_variable
 
 
@@ -95,19 +94,6 @@ def schubert_skipping(sigma: Permutation, k: int) -> Polynomial:
     return Polynomial.from_keys(
         {skip_variable(key, k): c for key, c in schubert_polynomial(pi).key_terms.items()}
     )
-
-
-def schubert_diagram(w: Permutation) -> Polynomial:
-    """Sum of x^C over all C <= D(w); valid for 1432/1423-avoiding w."""
-    if not avoids(w):
-        raise PatternViolationError(f"{w} contains 1432 or 1423")
-    return diagram_sum(w)
-
-
-def diagram_sum(w: Permutation) -> Polynomial:
-    """Sum of x^C over C <= D(w) with no avoidance check (for testing both
-    directions of the characterization): a product over the columns of D(w)."""
-    return dominated_sum(rothe(w))
 
 
 def principal_specialization(w: Permutation | tuple[int, ...]) -> int:

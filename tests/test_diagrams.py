@@ -9,11 +9,17 @@ from schubpat.diagrams import (
     _count_column,
     column_dominates,
     count_dominated,
-    removed_boxes,
     rothe,
     row_monomial,
 )
-from schubpat.oracles import dominates, enumerate_dominated, hat_v, restrict_keep, restrict_remove
+from schubpat.oracles import (
+    dominates,
+    enumerate_dominated,
+    hat_v,
+    removed_boxes,
+    restrict_keep,
+    restrict_remove,
+)
 from schubpat.permwords import Permutation, Word, all_permutations
 from schubpat.polyx import Monomial
 

@@ -42,7 +42,9 @@ def test_no_production_module_imports_oracles():
 
 
 # Routes over whole dominated diagrams; production works column by column.
-WHOLE_DIAGRAM_ROUTES = {"dominates", "enumerate_dominated", "restrict_remove", "is_augmentation"}
+WHOLE_DIAGRAM_ROUTES = {
+    "dominates", "enumerate_dominated", "restrict_remove", "removed_boxes", "is_augmentation"
+}
 
 
 def test_whole_diagram_routes_are_defined_only_in_oracles():

@@ -4,7 +4,7 @@ import pytest
 
 import schubpat
 from schubpat import incexc
-from schubpat.diagrams import Diagram, removed_boxes, rothe, row_monomial
+from schubpat.diagrams import Diagram, rothe, row_monomial
 from schubpat.errors import PatternViolationError
 from schubpat.incexc import (
     alternating_polynomials,
@@ -24,6 +24,7 @@ from schubpat.oracles import (
     dominates,
     enumerate_dominated,
     m_monomial,
+    removed_boxes,
     restrict_remove,
     restricted_diagram_count,
     substituted_schubert,

@@ -7,11 +7,12 @@ from schubpat.errors import UnmappedVariableError
 from schubpat.polyx import Monomial, Polynomial, pair_index, x
 
 
-def poly_strategy(max_vars=4, max_exp=3, max_terms=5, max_coef=9):
+def poly_strategy(max_vars=4, max_exp=3, max_terms=5, max_coef=9, min_coef=None):
     mono = st.dictionaries(
         st.integers(1, max_vars), st.integers(1, max_exp), max_size=max_vars
     ).map(Monomial)
-    term = st.tuples(mono, st.integers(-max_coef, max_coef))
+    low = -max_coef if min_coef is None else min_coef
+    term = st.tuples(mono, st.integers(low, max_coef))
     return st.lists(term, max_size=max_terms).map(Polynomial)
 
 
@@ -178,10 +179,16 @@ def test_terms_order_is_the_old_order_on_variable_exponent_pairs(p):
 
 
 @settings(max_examples=200)
-@given(poly_strategy(max_vars=4), poly_strategy(max_vars=4), poly_strategy(max_vars=4), monomials)
+@given(
+    poly_strategy(max_vars=4, min_coef=1),
+    poly_strategy(max_vars=4, min_coef=1),
+    poly_strategy(max_vars=4),
+    monomials,
+)
 def test_lookup_subtraction_check_agrees_with_the_difference(p, q, t, exps):
     m = Monomial(exps)
-    # S = p + m * q puts S's coefficients, negative ones too, on m * q's support.
+    # The check assumes S has no negative coefficient, as S_sigma and a dual
+    # character have none; S = p + m * q puts some of them on m * q's support.
     s = p + q * m
     for other in (t, q, q + t, Polynomial.zero()):
         assert s.nonnegative_after_subtracting(m, other) == (s - other * m).is_nonnegative()[0]

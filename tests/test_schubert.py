@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schubpat import cli
 from schubpat.diagrams import Diagram, count_dominated, dominated_sum, rothe
-from schubpat.errors import LengthGuardError, PatternViolationError
+from schubpat.errors import LengthGuardError
 from schubpat.oracles import (
     coefficient_by_counting,
     divided_difference,
@@ -15,13 +16,7 @@ from schubpat.oracles import (
 )
 from schubpat.permwords import Permutation, Word, all_permutations, avoids, flatten
 from schubpat.polyx import Monomial, Polynomial, x
-from schubpat.schubert import (
-    diagram_sum,
-    principal_specialization,
-    schubert_diagram,
-    schubert_polynomial,
-    schubert_skipping,
-)
+from schubpat.schubert import principal_specialization, schubert_polynomial, schubert_skipping
 from schubpat.weylchar import chi
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(lambda v: Permutation(tuple(v)))
@@ -106,24 +101,32 @@ def test_ascent_walks_agree(n):
         assert schubert_polynomial(w.values) is schubert_polynomial(w)
 
 
+def test_schubert_polynomials_have_positive_coefficients():
+    # `Polynomial.nonnegative_after_subtracting` takes S_sigma as a minuend
+    # with no negative coefficient.
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            assert min(schubert_polynomial(w).key_terms.values()) > 0, w
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_diagram_sum_matches_divdiff_on_avoiders(n):
     for w in all_permutations(n):
         if avoids(w):
-            assert schubert_diagram(w) == schubert_divdiff(w)
+            assert dominated_sum(rothe(w)) == schubert_divdiff(w)
 
 
-def test_schubert_diagram_rejects_forbidden_patterns():
-    with pytest.raises(PatternViolationError):
-        schubert_diagram(Permutation.from_string("1432"))
-    with pytest.raises(PatternViolationError):
-        schubert_diagram(Permutation.from_string("15243"))
+def test_schubert_diagram_rejects_forbidden_patterns(capsys):
+    # `schubert --method diagram` prints the diagram sum only where it is S_w.
+    for w in ("1432", "15243"):
+        assert cli.main(["schubert", w, "--method", "diagram"]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", f"pattern violation: {w} contains 1432 or 1423\n")
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_diagram_sum_matches_enumeration(n):
     for w in all_permutations(n):
-        assert diagram_sum(w) == dominated_sum_by_enumeration(rothe(w)), w
+        assert dominated_sum(rothe(w)) == dominated_sum_by_enumeration(rothe(w)), w
 
 
 @given(diagrams)
@@ -139,12 +142,12 @@ def test_count_certificate_decides_as_the_full_comparison():
         for w in all_permutations(n):
             s_w = schubert_polynomial(w)
             certified = count_dominated(rothe(w)) == s_w.evaluate_all_ones()
-            assert certified == (diagram_sum(w) == s_w) == avoids(w), w
+            assert certified == (dominated_sum(rothe(w)) == s_w) == avoids(w), w
 
 
 def test_diagram_sum_overcounts_on_1432():
     w = Permutation.from_string("1432")
-    s, d = schubert_divdiff(w), diagram_sum(w)
+    s, d = schubert_divdiff(w), dominated_sum(rothe(w))
     assert s != d
     # the diagram sum dominates coefficientwise and strictly somewhere
     assert (d - s).is_nonnegative()[0]
