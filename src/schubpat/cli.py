@@ -130,7 +130,7 @@ def _parse_diagram(s: str) -> Diagram:
     """Diagram JSON, or the Rothe diagram of a permutation; bad input is a usage error."""
     s = s.strip()
     if not s.startswith("{"):
-        return rothe(_parse(Permutation, s))
+        return rothe(_parse(Permutation, s).values)
     try:
         return Diagram.from_json(json.loads(s))
     except (ValueError, KeyError, TypeError) as exc:
@@ -139,15 +139,15 @@ def _parse_diagram(s: str) -> Diagram:
 
 def _cmd_schubert(args) -> int:
     w = _parse(Permutation, args.perm)
-    if args.method == "diagram" and not avoids(w):
+    if args.method == "diagram" and not avoids(w.values):
         raise PatternViolationError(f"{w} contains 1432 or 1423")
-    p = oracles.schubert_divdiff(w) if args.method == "divdiff" else dominated_sum(rothe(w))
+    p = oracles.schubert_divdiff(w) if args.method == "divdiff" else dominated_sum(rothe(w.values))
     _emit(_poly_out(p, args, w.n), args)
     return EXIT_OK
 
 
 def _cmd_rothe(args) -> int:
-    D = rothe(_parse(Permutation, args.perm))
+    D = rothe(_parse(Permutation, args.perm).values)
     if args.format == "json":
         _emit(json.dumps(D.to_json(), separators=(",", ":")), args)
     else:
@@ -157,15 +157,15 @@ def _cmd_rothe(args) -> int:
 
 def _cw_by(method: str, w: Permutation) -> int:
     if method == "ie":
-        return incexc.cw_inclusion_exclusion(w)
+        return incexc.cw_inclusion_exclusion(w.values)
     if method == "rec":
         return oracles.cw_recursive(w)
-    return incexc.cw_augmentation(w)
+    return incexc.cw_augmentation(w.values)
 
 
 def _cw_all_methods(w: Permutation) -> tuple[dict[str, int], bool]:
     """c_w by `ie`, `rec` and, for an avoider, `aug`; and whether they give one value."""
-    values = {m: _cw_by(m, w) for m in ["ie", "rec"] + (["aug"] if avoids(w) else [])}
+    values = {m: _cw_by(m, w) for m in ["ie", "rec"] + (["aug"] if avoids(w.values) else [])}
     return values, len(set(values.values())) == 1
 
 
@@ -240,7 +240,7 @@ def _cmd_purple(args) -> int:
         sigma = None
     else:
         sigma = _parse(Permutation, s)
-        D = rothe(sigma)
+        D = rothe(sigma.values)
     for flag, value in (("--k", args.k), ("--l", args.l)):
         if value is not None and not 1 <= value <= D.n:
             raise UsageError(f"{flag} {value} is outside 1..{D.n}")
@@ -253,7 +253,7 @@ def _cmd_purple(args) -> int:
     family = purple_family(D, args.k, l)
     payload = family.to_json()
     if args.characterize:
-        result = characterize_monomials(sigma)[args.k - 1]
+        result = characterize_monomials(sigma.values)[args.k - 1]
         payload["working"] = sorted(str(m) for m in result.working)
         payload["extra"] = sorted(str(m) for m in result.extra)
     if args.format == "json":

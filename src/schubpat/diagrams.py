@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .permwords import Permutation
 from .polyx import Monomial, Polynomial, monomial_key
 
 
@@ -63,17 +62,13 @@ class Diagram:
         return "{" + ", ".join(f"({i},{j})" for (i, j) in self.box_list()) + "}"
 
 
-def rothe(w: Permutation) -> Diagram:
-    """The inversion diagram {(i,j) : i < w^{-1}(j) and j < w(i)}."""
-    winv = w.inverse()
-    n = w.n
-    boxes = {
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, w(i))
-        if i < winv(j)
-    }
-    return Diagram(n, frozenset(boxes))
+def rothe(values: tuple[int, ...]) -> Diagram:
+    """The inversion diagram {(i,j) : i < w^{-1}(j) and j < w(i)} of w in one-line notation."""
+    winv = [0] * (len(values) + 1)  # winv[j] = w^{-1}(j); entry 0 is unused
+    for i, a in enumerate(values, start=1):
+        winv[a] = i
+    boxes = {(i, j) for i, a in enumerate(values, start=1) for j in range(1, a) if i < winv[j]}
+    return Diagram(len(values), frozenset(boxes))
 
 
 def column_dominates(R: Iterable[int], S: Iterable[int]) -> bool:

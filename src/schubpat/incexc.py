@@ -15,6 +15,7 @@ deletion.  All three are memoized on the deletions only.  Their oracles are
 the per-mask route, one term per subword and a superset-sum transform
 (`oracles.alternating_sums`), and the term-by-term sum through `Word`
 subwords (`oracles.alternating_sum`, the per-term output of the CLI).
+Every function here takes w as its one-line notation, a plain tuple.
 
 c_w itself is `cw_inclusion_exclusion`, entry 0 of the alternating table.
 Its independent routes are the recursion, `oracles.cw_recursive`, which
@@ -30,7 +31,7 @@ from operator import sub
 
 from .diagrams import _column_dominated_sets, restricts, rothe
 from .errors import PatternViolationError
-from .permwords import Permutation, avoids, without_position
+from .permwords import avoids, one_line, without_position
 from .polyx import Monomial, Polynomial, _mul_keys, exponent_key, skip_variable
 from .schubert import principal_specialization, schubert_polynomial, schubert_skipping
 
@@ -72,15 +73,13 @@ def pattern_coefficients(values: tuple[int, ...]) -> list[int]:
     return t
 
 
-def cw_inclusion_exclusion(w: Permutation | tuple[int, ...]) -> int:
+def cw_inclusion_exclusion(values: tuple[int, ...]) -> int:
     """c_w, the signed sum of S_{perm(v)}(1) over every subword v of word(w).
 
-    w may also be given as its one-line notation, a plain tuple.  This is
-    g[0] of `alternating_specializations`, read down the chain of masks
-    2^i - 1: g[2^i - 1] = g[2^(i+1) - 1] less entry 2^i - 1 of the table of
-    w without position i.
+    This is g[0] of `alternating_specializations`, read down the chain of
+    masks 2^i - 1: g[2^i - 1] = g[2^(i+1) - 1] less entry 2^i - 1 of the
+    table of w without position i.
     """
-    values = w.values if isinstance(w, Permutation) else w
     return principal_specialization(values) - sum(
         _alternating(without_position(values, i))[(1 << i) - 1] for i in range(len(values))
     )
@@ -142,7 +141,7 @@ def _polynomials(values: tuple[int, ...]) -> list[Polynomial]:
     return alternating_polynomials(values)
 
 
-def cw_augmentation(w: Permutation) -> int:
+def cw_augmentation(values: tuple[int, ...]) -> int:
     """c_w as the number of C <= D(w) that are augmentations for no removed pair (k, w_k).
 
     C is one for (k, l) when its column l is D's and every other column
@@ -150,14 +149,14 @@ def cw_augmentation(w: Permutation) -> int:
     and the count runs over the columns on a Counter of AND-of-masks; the
     non-augmentations end on mask 0.
     """
-    if not avoids(w):
-        raise PatternViolationError(f"{w} contains 1432 or 1423")
-    n, winv = w.n, w.inverse()
+    if not avoids(values):
+        raise PatternViolationError(f"{one_line(values)} contains 1432 or 1423")
+    n = len(values)
     counts = Counter({(1 << n) - 1: 1})
-    for j, d in enumerate(rothe(w).columns(), start=1):
+    for j, d in enumerate(rothe(values).columns(), start=1):
         if not d:
             continue  # an empty column allows every pair
-        k_j = winv(j)  # the pair whose removed column is j
+        k_j = values.index(j) + 1  # the pair whose removed column is j
         column_masks = Counter(
             sum(
                 1 << (k - 1)
@@ -174,21 +173,19 @@ def cw_augmentation(w: Permutation) -> int:
     return counts[0]
 
 
-def single_step_monomial(sigma: Permutation | tuple[int, ...], k: int) -> Monomial:
+def single_step_monomial(sigma: tuple[int, ...], k: int) -> Monomial:
     """x over the boxes of D(sigma) in row k or column sigma_k.
 
-    sigma may also be given as its one-line notation, a plain tuple.  Row k
-    holds one box per later entry below sigma_k, and column sigma_k one box
-    in row i per earlier entry sigma_i above sigma_k.
+    Row k holds one box per later entry below sigma_k, and column sigma_k
+    one box in row i per earlier entry sigma_i above sigma_k.
     """
-    values = sigma.values if isinstance(sigma, Permutation) else sigma
-    s = values[k - 1]
-    exps = [int(a > s) for a in values[: k - 1]]
-    exps.append(sum(a < s for a in values[k:]))
+    s = sigma[k - 1]
+    exps = [int(a > s) for a in sigma[: k - 1]]
+    exps.append(sum(a < s for a in sigma[k:]))
     return Monomial.from_key(exponent_key(exps))
 
 
-def verify_single_step(sigma: Permutation, k: int) -> tuple[bool, Polynomial | None]:
+def verify_single_step(sigma: tuple[int, ...], k: int) -> tuple[bool, Polynomial | None]:
     """Check S_sigma - M * S_pi(x_1,...,skip x_k,...,x_n) has no negative term.
 
     pi is the pattern of sigma at the positions other than k.  The difference

@@ -185,9 +185,9 @@ def dominated_sum_by_enumeration(D: Diagram) -> Polynomial:
 
 def coefficient_by_counting(w: Permutation, m: Monomial) -> int:
     """#{C <= D(w) : x^C = m}; equals the Schubert coefficient for avoiders."""
-    if not avoids(w):
+    if not avoids(w.values):
         raise PatternViolationError(f"{w} contains 1432 or 1423")
-    return sum(1 for C in enumerate_dominated(rothe(w)) if row_monomial(C) == m)
+    return sum(1 for C in enumerate_dominated(rothe(w.values)) if row_monomial(C) == m)
 
 
 def reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
@@ -236,14 +236,14 @@ def hat_v(C: Diagram, w: Permutation, v: Word) -> Diagram:
 
 def m_monomial(w: Permutation, v: Word) -> Monomial:
     """x over the boxes of D(w) outside the restriction to v's rows/columns."""
-    D = rothe(w)
+    D = rothe(w.values)
     return row_monomial(Diagram(D.n, D.boxes - hat_v(D, w, v).boxes))
 
 
 def substituted_schubert(w: Permutation, v: Word) -> Polynomial:
     """S_{perm(v)} with its i-th variable sent to x at w^{-1}(v(i))."""
     indices = substitution_indices(w, v)
-    p = schubert_polynomial(flatten(v))
+    p = schubert_polynomial(flatten(v).values)
     sigma = {i: indices[i - 1] for i in range(1, len(indices) + 1)}
     return p.substitute_variables(sigma)
 
@@ -295,10 +295,10 @@ def alternating_sum(w: Permutation, u: Word) -> AlternatingSumResult:
 
 def restricted_diagram_count(w: Permutation, v: Word, m: Monomial) -> int:
     """#{C <= hat(D(w))_v with x^C = m and boxes only in v's rows}."""
-    if not avoids(w):
+    if not avoids(w.values):
         raise PatternViolationError(f"{w} contains 1432 or 1423")
     K = set(substitution_indices(w, v))
-    Dv = hat_v(rothe(w), w, v)
+    Dv = hat_v(rothe(w.values), w, v)
     count = 0
     for C in enumerate_dominated(Dv):
         if row_monomial(C) == m and all(i in K for (i, _) in C.boxes):
@@ -313,9 +313,9 @@ def bv_count(w: Permutation, u: Word, m: Monomial) -> int:
     the v-restriction are exactly the boxes of D(w) outside its own
     v-restriction.
     """
-    if not avoids(w):
+    if not avoids(w.values):
         raise PatternViolationError(f"{w} contains 1432 or 1423")
-    D = rothe(w)
+    D = rothe(w.values)
     between = subwords_between(u, w)
     codim_one = [v for v in between if len(v) == len(w) - 1]
 
@@ -382,7 +382,7 @@ def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
     n = len(values)
     where = {a: p for p, a in enumerate(values)}
     # A box lies in the kept rows and columns iff its mask bits are all kept.
-    boxes = [(i, 1 << (i - 1) | 1 << where[j]) for (i, j) in rothe(Permutation(values)).boxes]
+    boxes = [(i, 1 << (i - 1) | 1 << where[j]) for (i, j) in rothe(values).boxes]
     patterns = subword_patterns(values)
     terms = []
     for mask, kept in enumerate(_mask_positions(n)):
@@ -408,7 +408,7 @@ def cw_recursive(w: Permutation) -> int:
 @functools.cache  # keyed by the one-line notation
 def _cw_recursive(values: tuple[int, ...]) -> int:
     w = Permutation(values)
-    total = principal_specialization(w)
+    total = principal_specialization(values)
     # c of the empty permutation is 1 and accounts for the classical -1.
     for v in subwords_between(Word(), w):
         if len(v) == len(w):

@@ -2,15 +2,26 @@
 
 Everything is 1-indexed on the external surface: a permutation in S_n is
 its one-line notation over {1..n}, and word(w) is the word w_1 ... w_n.
+Inside the engine a permutation is that one-line notation as a plain tuple
+of ints, `values`, and every engine function takes it.  `Permutation` and
+`Word` parse and validate outside input (the CLI's arguments), and carry
+the oracles' subword and reduced-word routes.
 
-Textual formats: "15243" (compact digits) or "2,14,3" (comma separated,
-used whenever a letter exceeds 9); the empty word is "()".
+Textual formats (`one_line`): "15243" (compact digits) or "2,14,3" (comma
+separated, used whenever a letter exceeds 9); the empty word is "()".
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
+
+
+def one_line(letters: tuple[int, ...]) -> str:
+    """The text of a word or of a one-line notation, in the format above."""
+    if not letters:
+        return "()"
+    return ",".join(map(str, letters)) if max(letters) > 9 else "".join(map(str, letters))
 
 
 @dataclass(frozen=True)
@@ -45,11 +56,7 @@ class Word:
         return frozenset(self.letters)
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "()"
-        if max(self.letters) > 9:
-            return ",".join(str(a) for a in self.letters)
-        return "".join(str(a) for a in self.letters)
+        return one_line(self.letters)
 
 
 @dataclass(frozen=True)
@@ -103,11 +110,7 @@ class Permutation:
         return [i for i in range(1, len(self.values)) if self.values[i - 1] < self.values[i]]
 
     def __str__(self) -> str:
-        # str(self.word()) without building and checking a Word; the largest letter is n.
-        v = self.values
-        if not v:
-            return "()"
-        return ",".join(map(str, v)) if len(v) > 9 else "".join(map(str, v))
+        return one_line(self.values)
 
 
 def flatten(v: Word) -> Permutation:
@@ -125,14 +128,13 @@ def without_position(values: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(b - (b > a) for b in values[:i] + values[i + 1 :])
 
 
-def avoids(w: Permutation) -> bool:
-    """Whether w avoids both 1432 and 1423 (`oracles.pattern_count` is the oracle).
+def avoids(v: tuple[int, ...]) -> bool:
+    """Whether w, one-line v, avoids both 1432 and 1423 (`oracles.pattern_count` is the oracle).
 
     w contains one of them iff some i < j < k < l has w_i < min(w_k, w_l)
     and max(w_k, w_l) < w_j.  The least entry left of j is the best w_i, so
     it suffices to find a j with two later entries between that and w_j.
     """
-    v = w.values
     for j in range(1, len(v) - 2):
         lo, hi = min(v[:j]), v[j]
         if sum(1 for a in v[j + 1 :] if lo < a < hi) >= 2:

@@ -206,6 +206,9 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.key_terms == other.key_terms
 
     def __hash__(self) -> int:
+        # A constant equals its int, so it hashes as that int.
+        if self.key_terms.keys() <= {()}:
+            return hash(self.key_terms.get((), 0))
         return hash(frozenset(self.key_terms.items()))
 
     def _plus(self, other: "Polynomial | int", sign: int) -> "Polynomial":

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .diagrams import Diagram, _column_dominated_sets, restricts, rothe
-from .permwords import Permutation
 from .polyx import Monomial, Polynomial, _mul_keys, monomial_key
 from .schubert import schubert_polynomial, schubert_skipping
 
@@ -133,14 +132,14 @@ def purple_family(D: Diagram, k: int, l: int) -> PurpleFamily:
 
 @dataclass(frozen=True)
 class MonomialCharacterization:
-    sigma: Permutation
+    sigma: tuple[int, ...]
     k: int
     working: frozenset[Monomial]
     from_purple: frozenset[Monomial]
     extra: frozenset[Monomial]
 
 
-def characterize_monomials(sigma: Permutation) -> tuple[MonomialCharacterization, ...]:
+def characterize_monomials(sigma: tuple[int, ...]) -> tuple[MonomialCharacterization, ...]:
     """For every position k, all monomials M with S_sigma - M * S_pi(skip x_k) nonnegative.
 
     Entry k - 1 is position k's; pi is the single-removal pattern at
@@ -154,8 +153,8 @@ def characterize_monomials(sigma: Permutation) -> tuple[MonomialCharacterization
     s_sigma = schubert_polynomial(sigma)
     support = s_sigma.support()
     results = []
-    for k in range(1, sigma.n + 1):
-        family = purple_family(D, k, sigma(k))
+    for k, l in enumerate(sigma, start=1):
+        family = purple_family(D, k, l)
         sub = schubert_skipping(sigma, k)
         from_purple = family.monomials
         # Every member has as many boxes per column as the seed.

@@ -2,7 +2,8 @@
 
 The production route is the Lascoux-Schuetzenberger transition equation on
 exponent keys (`schubert_polynomial`); S_w(1) runs the same recursion on
-integers.  The diagram sum `diagrams.dominated_sum(rothe(w))`, a product
+integers.  Every function takes w as its one-line notation, a plain tuple,
+which is also the memo key.  The diagram sum `diagrams.dominated_sum(rothe(w))`, a product
 over the columns of D(w), equals S_w exactly when w avoids 1432 and 1423:
 that is `thm2.7`.  The oracles live in `oracles`: divided differences
 (`schubert_divdiff`, also at 1), the reduced-word identity
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import functools
 
-from .permwords import Permutation, without_position
+from .permwords import without_position
 from .polyx import Polynomial, skip_variable
 
 
@@ -50,12 +51,9 @@ def _transition(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[
     return r, tuple(v), children
 
 
-def schubert_polynomial(w: Permutation | tuple[int, ...]) -> Polynomial:
-    """S_w by the Lascoux-Schuetzenberger transition equation (memoized).
-
-    w may also be its one-line notation as a plain tuple.
-    """
-    return _schubert(w.values if isinstance(w, Permutation) else w)
+def schubert_polynomial(values: tuple[int, ...]) -> Polynomial:
+    """S_w by the Lascoux-Schuetzenberger transition equation (memoized)."""
+    return _schubert(values)
 
 
 @functools.cache  # keyed by the one-line notation as given
@@ -83,22 +81,22 @@ def _schubert(values: tuple[int, ...]) -> Polynomial:
     return Polynomial.from_keys(terms)
 
 
-def schubert_skipping(sigma: Permutation, k: int) -> Polynomial:
+def schubert_skipping(sigma: tuple[int, ...], k: int) -> Polynomial:
     """S_pi(x_1, ..., x_{k-1}, x_{k+1}, ..., x_n), pi the pattern of sigma without position k.
 
     The single-removal polynomial.  pi is sigma's one-line notation without
     entry k, each entry above sigma_k lowered by one.  Variable i of S_pi
     becomes x_i below k and x_{i+1} from k on (`polyx.skip_variable`).
     """
-    pi = without_position(sigma.values, k - 1)
+    pi = without_position(sigma, k - 1)
     return Polynomial.from_keys(
         {skip_variable(key, k): c for key, c in schubert_polynomial(pi).key_terms.items()}
     )
 
 
-def principal_specialization(w: Permutation | tuple[int, ...]) -> int:
-    """S_w(1,...,1), for w or its one-line notation as a plain tuple (memoized)."""
-    return _spec(w.values if isinstance(w, Permutation) else w)
+def principal_specialization(values: tuple[int, ...]) -> int:
+    """S_w(1,...,1), w in one-line notation (memoized)."""
+    return _spec(values)
 
 
 @functools.cache  # keyed by the one-line notation as given
@@ -117,5 +115,3 @@ def _spec(values: tuple[int, ...]) -> int:
         return 1
     _, v, children = _transition(values)
     return _spec(v) + sum(map(_spec, children))
-
-

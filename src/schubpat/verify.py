@@ -1,7 +1,8 @@
 """Batch verification of the theorem and conjecture suites.
 
 Each claim has an input space sharded by permutation; a shard is the
-Permutation itself, and its subject is `str(w)`.  A claim's `run(w, config)`
+permutation's one-line notation, a plain tuple as `itertools.permutations`
+makes it, and its subject is `one_line(w)`.  A claim's `run(w, config)`
 returns its failure witnesses, [] when the claim holds, or None when w is
 outside its scope; it may raise BudgetExceededError.  `_run_shard` alone
 turns that into the shard's one VerificationReport.  Shard order is fixed,
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import multiprocessing
 import multiprocessing.connection
 import random
@@ -30,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 from . import incexc, schubert, weylchar
 from .diagrams import Diagram, count_dominated, dominated_sum, rothe, row_monomial
 from .errors import BudgetExceededError, UsageError
-from .permwords import Permutation, Word, all_permutations, avoids
+from .permwords import avoids, one_line
 from .polyx import Monomial
 from .purple import characterize_monomials, purple_family
 
@@ -75,27 +77,27 @@ class VerificationReport:
 class Claim:
     name: str
     description: str
-    shards: Callable[[RunConfig], list[Permutation]]
-    run: Callable[[Permutation, RunConfig], list[str] | None]  # failures; None: outside scope
+    shards: Callable[[RunConfig], list[tuple[int, ...]]]
+    run: Callable[[tuple[int, ...], RunConfig], list[str] | None]  # failures; None: outside scope
 
 
-def _perm_shards(config: RunConfig, n_max: int | None = None) -> list[Permutation]:
+def _perm_shards(config: RunConfig, n_max: int | None = None) -> list[tuple[int, ...]]:
     top = config.max_n if n_max is None else min(config.max_n, n_max)
-    return [w for n in range(2, top + 1) for w in all_permutations(n)]
+    return [w for n in range(2, top + 1) for w in itertools.permutations(range(1, n + 1))]
 
 
 # -- alternating-sum nonnegativity (avoiders) --------------------------------
 
 
-def _run_alt_nonneg(w: Permutation, config: RunConfig) -> list[str] | None:
+def _run_alt_nonneg(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
     if not avoids(w):
         return None
     # u is the subword of word(w) at a position mask; every mask is checked.
     failures = []
-    for mask, total in enumerate(incexc.alternating_polynomials(w.values)):
+    for mask, total in enumerate(incexc.alternating_polynomials(w)):
         ok, bad = total.is_nonnegative()
         if not ok:
-            u = Word(tuple(a for i, a in enumerate(w.values) if mask >> i & 1))
+            u = one_line(tuple(a for i, a in enumerate(w) if mask >> i & 1))
             failures.append(f"u={u}: coeff {bad[1]} at {bad[0]}")
     return failures
 
@@ -103,9 +105,9 @@ def _run_alt_nonneg(w: Permutation, config: RunConfig) -> list[str] | None:
 # -- single-removal nonnegativity (all permutations) -------------------------
 
 
-def _run_single_step(sigma: Permutation, config: RunConfig) -> list[str] | None:
+def _run_single_step(sigma: tuple[int, ...], config: RunConfig) -> list[str] | None:
     failures = []
-    for k in range(1, sigma.n + 1):
+    for k in range(1, len(sigma) + 1):
         ok, diff = incexc.verify_single_step(sigma, k)
         if not ok:
             _, bad = diff.is_nonnegative()
@@ -116,11 +118,11 @@ def _run_single_step(sigma: Permutation, config: RunConfig) -> list[str] | None:
 # -- c_w agreement between the counting and the alternating route ------------
 
 
-def _shards_avoiders(config: RunConfig) -> list[Permutation]:
+def _shards_avoiders(config: RunConfig) -> list[tuple[int, ...]]:
     return [w for w in _perm_shards(config) if avoids(w)]
 
 
-def _run_cw_equality(w: Permutation, config: RunConfig) -> list[str] | None:
+def _run_cw_equality(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
     by_ie = incexc.cw_inclusion_exclusion(w)
     by_aug = incexc.cw_augmentation(w)
     if by_ie != by_aug:
@@ -131,17 +133,17 @@ def _run_cw_equality(w: Permutation, config: RunConfig) -> list[str] | None:
 # -- dual character equals the Schubert polynomial ---------------------------
 
 
-def _shards_chi(config: RunConfig) -> list[Permutation]:
+def _shards_chi(config: RunConfig) -> list[tuple[int, ...]]:
     shards = _perm_shards(config, n_max=4)
     if config.max_n >= 5:
         rng = random.Random(config.seed)
-        perms = list(all_permutations(5))
+        perms = list(itertools.permutations(range(1, 6)))
         chosen = sorted({rng.randrange(len(perms)) for _ in range(config.sample_chi_n5 * 2)})
         shards.extend(perms[i] for i in chosen[: config.sample_chi_n5])
     return shards
 
 
-def _run_chi_equality(w: Permutation, config: RunConfig) -> list[str] | None:
+def _run_chi_equality(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
     character = weylchar.chi(rothe(w), budget=config.budget_dominated)
     expected = schubert.schubert_polynomial(w)
     if character != expected:
@@ -154,7 +156,7 @@ def _run_chi_equality(w: Permutation, config: RunConfig) -> list[str] | None:
 # -- diagram-sum formula holds exactly for avoiders --------------------------
 
 
-def _run_diagram_formula(w: Permutation, config: RunConfig) -> list[str] | None:
+def _run_diagram_formula(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
     D = rothe(w)
     # The diagram sum is count_dominated(D) at x = 1: a different S_w(1) rules equality out,
     # so S_w is built only when the counts agree.
@@ -172,12 +174,12 @@ def _run_diagram_formula(w: Permutation, config: RunConfig) -> list[str] | None:
 # -- purple-family subtraction ----------------------------------------------
 
 
-def _run_purple_members(w: Permutation, config: RunConfig) -> list[str] | None:
+def _run_purple_members(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
     D = rothe(w)
     chi_D = schubert.schubert_polynomial(w)
     failures = []
-    for k in range(1, w.n + 1):
-        family = purple_family(D, k, w(k))
+    for k, l in enumerate(w, start=1):
+        family = purple_family(D, k, l)
         # chi of D(w) less row k and column l, at x_k = 0, is S_pi skipping x_k:
         # deleting that row and column maps its dominated diagrams onto D(pi)'s.
         chi_hat_k = schubert.schubert_skipping(w, k)
@@ -196,21 +198,20 @@ def _run_purple_members(w: Permutation, config: RunConfig) -> list[str] | None:
 # -- nonnegativity of the specialized alternating sums, all permutations -----
 
 
-def _run_cwu_nonneg(w: Permutation, config: RunConfig) -> list[str] | None:
-    values = w.values
+def _run_cwu_nonneg(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
     # The alternating sums of thm1.1 at x = 1, for every u at once.
-    g = incexc.alternating_specializations(values)
+    g = incexc.alternating_specializations(w)
     if min(g) >= 0:
         return []
     mask = next(mask for mask, value in enumerate(g) if value < 0)
-    u = Word(tuple(values[i] for i in range(w.n) if (mask >> i) & 1))
+    u = one_line(tuple(a for i, a in enumerate(w) if mask >> i & 1))
     return [f"u={u}: value {g[mask]}"]
 
 
 # -- purple monomials characterize the working monomials (avoiders) ----------
 
 
-def _run_purple_characterization(sigma: Permutation, config: RunConfig) -> list[str] | None:
+def _run_purple_characterization(sigma: tuple[int, ...], config: RunConfig) -> list[str] | None:
     if not avoids(sigma):
         return None
     failures = []
@@ -226,15 +227,14 @@ def _run_purple_characterization(sigma: Permutation, config: RunConfig) -> list[
 # -- specialization identity and vanishing ----------------------------------
 
 
-def _run_identity(w: Permutation, config: RunConfig) -> list[str] | None:
-    values = w.values
-    t = incexc.pattern_coefficients(values)
+def _run_identity(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
+    t = incexc.pattern_coefficients(w)
     c_w, total = t[-1], sum(t)
-    spec = schubert.principal_specialization(values)
+    spec = schubert.principal_specialization(w)
     failures = []
     if total != spec:
         failures.append(f"sum of c over subwords = {total}, specialization = {spec}")
-    if values[-1] == w.n and c_w != 0:
+    if w[-1] == len(w) and c_w != 0:
         failures.append(f"c = {c_w} despite fixed last point")
     return failures
 
@@ -300,7 +300,7 @@ CLAIMS: dict[str, Claim] = {
 }
 
 
-def _run_shard(claim: Claim, shard: Permutation, config: RunConfig) -> VerificationReport:
+def _run_shard(claim: Claim, shard: tuple[int, ...], config: RunConfig) -> VerificationReport:
     """The report of one shard, stamped with its elapsed time if timing is on."""
     start = time.monotonic()
     try:
@@ -311,10 +311,10 @@ def _run_shard(claim: Claim, shard: Permutation, config: RunConfig) -> Verificat
         verdict = "outside-scope" if failures is None else "fails" if failures else "holds"
         witness = "; ".join(failures) if failures else None
     elapsed_ms = round((time.monotonic() - start) * 1000, 3) if config.include_timing else None
-    return VerificationReport(claim.name, str(shard), verdict, witness, elapsed_ms)
+    return VerificationReport(claim.name, one_line(shard), verdict, witness, elapsed_ms)
 
 
-def _shard_worker(args: tuple[str, Permutation, RunConfig]) -> VerificationReport:
+def _shard_worker(args: tuple[str, tuple[int, ...], RunConfig]) -> VerificationReport:
     claim_name, shard, config = args
     return _run_shard(CLAIMS[claim_name], shard, config)
 
@@ -324,7 +324,7 @@ _FORK = multiprocessing.get_context("fork")
 _BLOCKS_AHEAD = 2
 
 
-def _work(claim_name: str, shards: list[Permutation], config: RunConfig, blocks, conn) -> None:
+def _work(claim_name: str, shards: list[tuple[int, ...]], config: RunConfig, blocks, conn) -> None:
     """A forked worker: send `(reports, error)` for each block of shards, then None.
 
     A shard that raises ends the worker: its block goes out with the reports

@@ -55,6 +55,30 @@ def test_whole_diagram_routes_are_defined_only_in_oracles():
         assert path.stem == "oracles" or not defined & WHOLE_DIAGRAM_ROUTES, path.stem
 
 
+# Inside the engine a permutation is its one-line tuple; these modules parse
+# outside input or carry the oracles' subword and reduced-word routes.
+MAY_IMPORT_PERMUTATION = {"__init__", "cli", "oracles", "permwords"}
+
+
+def test_only_the_input_layer_and_oracles_import_permutation_or_word():
+    package = pathlib.Path(schubpat.__file__).parent
+    forbidden = {"schubpat.permwords.Permutation", "schubpat.permwords.Word"}
+    offenders = sorted(
+        path.stem for path in package.glob("*.py")
+        if path.stem not in MAY_IMPORT_PERMUTATION and _imports(path) & forbidden
+    )
+    assert offenders == []
+
+
+def test_no_module_branches_on_permutation_type():
+    package = pathlib.Path(schubpat.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+                assert "Permutation" not in names, path.stem
+
+
 def test_cli_imports_no_concurrent_futures():
     code = "import sys, schubpat.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     src = pathlib.Path(schubpat.__file__).parent.parent

@@ -88,7 +88,7 @@ def test_alternating_sum_term_count():
 @pytest.mark.parametrize("n", range(2, 6))
 def test_alternating_sum_nonnegative_for_avoiders(n):
     rng = random.Random(5)
-    ws = [w for w in all_permutations(n) if avoids(w)]
+    ws = [w for w in all_permutations(n) if avoids(w.values)]
     for w in ws:
         subs = all_subwords(w)
         picks = subs if len(subs) <= 8 else rng.sample(subs, 8)
@@ -100,7 +100,7 @@ def test_alternating_sum_nonnegative_for_avoiders(n):
 def test_alternating_sum_can_go_negative_without_avoidance():
     found = False
     for w in all_permutations(4):
-        if avoids(w):
+        if avoids(w.values):
             continue
         for u in all_subwords(w):
             if not alternating_sum(w, u).total.is_nonnegative()[0]:
@@ -163,7 +163,9 @@ def test_row_without_one_position_is_the_single_step_difference(n):
         table = alternating_polynomials(w.values)
         for i in range(n):
             k = i + 1
-            expected = schubert_polynomial(w) - schubert_skipping(w, k) * single_step_monomial(w, k)
+            expected = schubert_polynomial(w.values) - (
+                schubert_skipping(w.values, k) * single_step_monomial(w.values, k)
+            )
             assert table[-1 - (1 << i)] == expected, (w, k)
 
 
@@ -180,7 +182,7 @@ def test_deletion_tables_match_the_per_mask_route(n):
     for w in all_permutations(n):
         g = alternating_specializations(w.values)
         assert g == per_mask_alternating(w.values)
-        assert cw_inclusion_exclusion(w) == g[0]
+        assert cw_inclusion_exclusion(w.values) == g[0]
         assert pattern_coefficients(w.values) == [
             per_mask_alternating(p)[0] for p in subword_patterns(w.values)
         ]
@@ -202,20 +204,20 @@ def test_superset_sums_by_brute_force(n):
 
 
 def test_cw_examples():
-    assert cw_inclusion_exclusion(Permutation.from_string("1342")) == 0
-    assert cw_inclusion_exclusion(Permutation.from_string("12453")) == 1
-    assert cw_inclusion_exclusion(Permutation.from_string("132")) == 1
-    assert cw_inclusion_exclusion(Permutation.from_string("123")) == 0
-    assert cw_inclusion_exclusion(Permutation.from_string("1432")) == 1
+    assert cw_inclusion_exclusion((1, 3, 4, 2)) == 0
+    assert cw_inclusion_exclusion((1, 2, 4, 5, 3)) == 1
+    assert cw_inclusion_exclusion((1, 3, 2)) == 1
+    assert cw_inclusion_exclusion((1, 2, 3)) == 0
+    assert cw_inclusion_exclusion((1, 4, 3, 2)) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_cw_methods_agree(n):
     for w in all_permutations(n):
-        ie = cw_inclusion_exclusion(w)
+        ie = cw_inclusion_exclusion(w.values)
         assert cw_recursive(w) == ie
-        if avoids(w):
-            assert cw_augmentation(w) == ie
+        if avoids(w.values):
+            assert cw_augmentation(w.values) == ie
             assert ie >= 0
 
 
@@ -251,13 +253,13 @@ def test_clear_caches_reaches_the_deletion_memos():
 
 def test_cw_augmentation_requires_avoidance():
     with pytest.raises(PatternViolationError):
-        cw_augmentation(Permutation.from_string("1432"))
+        cw_augmentation((1, 4, 3, 2))
 
 
 def test_cw_vanishes_with_fixed_last_point():
     for w in all_permutations(4):
         embedded = Permutation(w.values + (5,))
-        assert cw_inclusion_exclusion(embedded) == 0
+        assert cw_inclusion_exclusion(embedded.values) == 0
         assert cw_recursive(embedded) == 0
 
 
@@ -265,10 +267,10 @@ def test_cw_vanishes_with_fixed_last_point():
 def test_cw_sums_to_specialization(n):
     for w in all_permutations(n):
         total = sum(
-            cw_inclusion_exclusion(flatten(v)) if len(v) else 1
+            cw_inclusion_exclusion(flatten(v).values) if len(v) else 1
             for v in all_subwords(w)
         )
-        assert total == principal_specialization(w)
+        assert total == principal_specialization(w.values)
 
 
 def is_augmentation(C: Diagram, D: Diagram, k: int, l: int) -> bool:
@@ -280,7 +282,7 @@ def is_augmentation(C: Diagram, D: Diagram, k: int, l: int) -> bool:
 
 def non_augmentations(w: Permutation) -> list[Diagram]:
     """The C <= D(w) that are augmentations for no removed pair (k, w_k), over whole diagrams."""
-    D = rothe(w)
+    D = rothe(w.values)
     return [
         C
         for C in enumerate_dominated(D)
@@ -290,7 +292,7 @@ def non_augmentations(w: Permutation) -> list[Diagram]:
 
 def test_is_augmentation_examples():
     w = Permutation.from_string("12453")
-    D = rothe(w)  # {(3,3), (4,3)}
+    D = rothe(w.values)  # {(3,3), (4,3)}
     # the seed for (k, l) = (5, 3) is the whole of D
     assert is_augmentation(D, D, 5, 3)
     C = Diagram.of(5, [(1, 3), (2, 3)])
@@ -302,28 +304,28 @@ def test_cw_augmentation_census():
     # 6 diagrams dominated by D(12453), exactly one is never an augmentation
     w = Permutation.from_string("12453")
     assert non_augmentations(w) == [Diagram.of(5, [(1, 3), (2, 3)])]
-    assert cw_augmentation(w) == 1
+    assert cw_augmentation(w.values) == 1
 
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_cw_augmentation_counts_the_definition(n):
     # The column-by-column count against whole diagrams, on every avoider of S_n.
     for w in all_permutations(n):
-        if avoids(w):
-            assert cw_augmentation(w) == len(non_augmentations(w)), w
+        if avoids(w.values):
+            assert cw_augmentation(w.values) == len(non_augmentations(w)), w
 
 
 @pytest.mark.parametrize("n", range(6, 8))
 def test_cw_augmentation_equals_inclusion_exclusion(n):
     # n <= 5 is in test_cw_methods_agree.
     for w in all_permutations(n):
-        if avoids(w):
-            assert cw_augmentation(w) == cw_inclusion_exclusion(w), w
+        if avoids(w.values):
+            assert cw_augmentation(w.values) == cw_inclusion_exclusion(w.values), w
 
 
 def test_restricted_diagram_count_matches_coefficient():
     rng = random.Random(3)
-    ws = [w for w in all_permutations(4) if avoids(w)]
+    ws = [w for w in all_permutations(4) if avoids(w.values)]
     for w in ws:
         for v in all_subwords(w):
             if not len(v):
@@ -336,7 +338,7 @@ def test_restricted_diagram_count_matches_coefficient():
 
 def test_bv_count_matches_alternating_sum_coefficient():
     rng = random.Random(13)
-    for w in [p for p in all_permutations(4) if avoids(p)]:
+    for w in [p for p in all_permutations(4) if avoids(p.values)]:
         subs = all_subwords(w)
         for u in rng.sample(subs, min(4, len(subs))):
             total = alternating_sum(w, u).total
@@ -349,23 +351,24 @@ def test_bv_count_matches_alternating_sum_coefficient():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_single_step_monomial_is_the_seed_monomial(n):
     for sigma in all_permutations(n):
-        D = rothe(sigma)
+        D = rothe(sigma.values)
         for k in range(1, n + 1):
-            assert single_step_monomial(sigma, k) == row_monomial(removed_boxes(D, k, sigma(k)))
+            seed = removed_boxes(D, k, sigma(k))
+            assert single_step_monomial(sigma.values, k) == row_monomial(seed)
 
 
 def test_single_step_monomial():
     sigma = Permutation.from_string("2143")
-    assert single_step_monomial(sigma, 1) == Monomial.of(1)
-    assert single_step_monomial(sigma, 3) == Monomial.of(3)
+    assert single_step_monomial(sigma.values, 1) == Monomial.of(1)
+    assert single_step_monomial(sigma.values, 3) == Monomial.of(3)
     # (1,1) sits in column sigma(2) = 1
-    assert single_step_monomial(sigma, 2) == Monomial.of(1)
-    assert single_step_monomial(Permutation.from_string("123"), 2) == Monomial()
+    assert single_step_monomial(sigma.values, 2) == Monomial.of(1)
+    assert single_step_monomial((1, 2, 3), 2) == Monomial()
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_verify_single_step(n):
     for w in all_permutations(n):
         for k in range(1, n + 1):
-            ok, diff = verify_single_step(w, k)
+            ok, diff = verify_single_step(w.values, k)
             assert ok, (str(w), k, diff)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schubpat.errors import LetterNotInWordError, NotASubwordError
-from schubpat.permwords import Permutation, Word, all_permutations, avoids, flatten
+from schubpat.permwords import Permutation, Word, all_permutations, avoids, flatten, one_line
 from schubpat.oracles import (
     all_subwords,
     is_subword,
@@ -58,16 +58,16 @@ def test_pattern_count_examples():
 
 
 def test_avoids_examples():
-    assert avoids(Permutation.from_string("2143"))
-    assert not avoids(Permutation.from_string("1432"))
-    assert not avoids(Permutation.from_string("15243"))
+    assert avoids((2, 1, 4, 3))
+    assert not avoids((1, 4, 3, 2))
+    assert not avoids((1, 5, 2, 4, 3))
 
 
 @pytest.mark.parametrize("n", range(0, 8))
 def test_avoids_against_pattern_count_exhaustive(n):
     forbidden = [Permutation.from_string("1432"), Permutation.from_string("1423")]
     for w in all_permutations(n):
-        assert avoids(w) == all(pattern_count(p, w) == 0 for p in forbidden), w
+        assert avoids(w.values) == all(pattern_count(p, w) == 0 for p in forbidden), w
 
 
 def test_subwords_between_examples():
@@ -154,8 +154,10 @@ def test_permutation_string_is_its_word_string():
     perms = [w for n in range(7) for w in all_permutations(n)]
     perms.append(Permutation((2, 1, 3, 4, 5, 6, 7, 8, 9, 11, 10)))
     for w in perms:
-        assert str(w) == str(Word(w.values))
+        assert str(w) == str(Word(w.values)) == one_line(w.values)
     assert str(perms[0]) == "()" and str(perms[-1]) == "2,1,3,4,5,6,7,8,9,11,10"
+    assert one_line(()) == str(Word()) == "()"
+    assert one_line((2, 14, 3)) == str(Word.of(2, 14, 3)) == "2,14,3"
 
 
 def test_word_rejects_duplicates():

@@ -88,6 +88,14 @@ def test_constructors_take_any_mapping():
     assert Polynomial(MappingProxyType({m: 2})) == Polynomial({m: 2})
 
 
+@pytest.mark.parametrize("c", [0, 1, -3])
+def test_a_constant_hashes_as_the_int_it_equals(c):
+    p = Polynomial.constant(c)
+    assert p == c and hash(p) == hash(c)
+    assert len({c, p}) == len({p, c}) == 1
+    assert {c: "x"}.get(p) == "x" and {p: "x"}.get(c) == "x"
+
+
 def test_coefficient():
     s2143 = x(1) * x(1) + x(1) * x(2) + x(1) * x(3)
     assert s2143.coefficient(Monomial({1: 2})) == 1

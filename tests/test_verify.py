@@ -14,7 +14,7 @@ import pytest
 import schubpat
 from schubpat import incexc, oracles, purple, schubert, verify, weylchar
 from schubpat.errors import BudgetExceededError, PatternViolationError
-from schubpat.permwords import Permutation, all_permutations, avoids
+from schubpat.permwords import Permutation, all_permutations, avoids, one_line
 from schubpat.polyx import x
 from schubpat.verify import (
     CLAIMS,
@@ -66,7 +66,7 @@ def test_thm1_1_checks_every_permutation_at_n6():
     assert len(reports) == sum(math.factorial(n) for n in range(2, 7)) == 872
     verdicts = Counter(r.verdict for r in reports)
     assert verdicts == {"holds": 514, "outside-scope": 358}
-    assert all(r.verdict == "holds" for r in reports if avoids(Permutation.from_string(r.subject)))
+    assert all(r.verdict == "holds" for r in reports if avoids(Permutation.from_string(r.subject).values))
 
 
 def test_jobs_produce_identical_reports():
@@ -102,11 +102,11 @@ def test_runner_builds_the_report_from_what_a_claim_returns(monkeypatch):
     returned = {"12": None, "21": [], "123": ["a", "b"]}
 
     def run(w, config):
-        if str(w) == "132":
+        if one_line(w) == "132":
             raise BudgetExceededError("m")
-        return returned[str(w)]
+        return returned[one_line(w)]
 
-    shards = [Permutation.from_string(s) for s in ("12", "21", "123", "132")]
+    shards = [Permutation.from_string(s).values for s in ("12", "21", "123", "132")]
     monkeypatch.setitem(CLAIMS, "stub", Claim("stub", "a stub claim", lambda c: shards, run))
     assert list(run_claim("stub", RunConfig())) == [
         VerificationReport("stub", "12", "outside-scope"),
@@ -131,9 +131,9 @@ def test_thm2_4_budget_refusal_is_reported_under_any_jobs():
 
 def _stub_claim(monkeypatch, run):
     """Register a claim "stub" over S_2 .. S_5 that runs `run`."""
-    shards = [w for n in range(2, 6) for w in all_permutations(n)]
+    shards = [w.values for n in range(2, 6) for w in all_permutations(n)]
     monkeypatch.setitem(CLAIMS, "stub", Claim("stub", "a stub claim", lambda c: shards, run))
-    return [str(w) for w in shards]
+    return [one_line(w) for w in shards]
 
 
 @pytest.fixture
@@ -152,7 +152,7 @@ def alarm():
 
 def test_a_worker_error_is_raised_after_the_earlier_reports(monkeypatch, alarm):
     def run(w, config):
-        if str(w) == "2143":
+        if one_line(w) == "2143":
             raise PatternViolationError("no 2143 here")
         return []
 
@@ -167,7 +167,7 @@ def test_a_worker_error_is_raised_after_the_earlier_reports(monkeypatch, alarm):
 
 def test_a_worker_that_dies_makes_the_run_raise(monkeypatch, alarm):
     def run(w, config):
-        if str(w) == "2143":
+        if one_line(w) == "2143":
             os._exit(1)
         return []
 
@@ -190,10 +190,10 @@ def test_the_parent_reads_no_worker_far_ahead_of_it(monkeypatch, alarm, tmp_path
     # a file. Its blocks are too large for a pipe's buffer, so worker 1 waits on its
     # send as soon as the parent stops reading it: two blocks held, one being sent.
     def run(w, config):
-        if str(w) == "12":
+        if one_line(w) == "12":
             time.sleep(1)
             return [str(len(list(tmp_path.iterdir())))]
-        (tmp_path / str(w)).touch()
+        (tmp_path / one_line(w)).touch()
         return ["x" * 100_000]
 
     _stub_claim(monkeypatch, run)
@@ -251,7 +251,7 @@ def test_identity_builds_each_table_once_per_shard(monkeypatch):
     deletions = Counter(
         (name, w.values) for name in builders for n in range(5) for w in all_permutations(n)
     )
-    assert calls == deletions + Counter(("pattern_coefficients", w.values) for w in shards)
+    assert calls == deletions + Counter(("pattern_coefficients", w) for w in shards)
 
 
 def test_thm4_1_builds_one_purple_family_per_pair(monkeypatch):
@@ -308,7 +308,7 @@ def test_thm4_1_witness_lists_failing_members_in_box_order(monkeypatch):
     skipping = schubert.schubert_skipping
     monkeypatch.setattr(schubert, "schubert_skipping", lambda w, k: skipping(w, k) + x(1) * x(2))
     claim = CLAIMS["thm4.1"]
-    report = verify._run_shard(claim, Permutation.from_string("136254"), RunConfig())
+    report = verify._run_shard(claim, (1, 3, 6, 2, 5, 4), RunConfig())
     assert report.verdict == "fails"
     assert report.witness == STUBBED_THM4_1_WITNESS
 
@@ -317,16 +317,16 @@ def test_conj5_1_witness_is_the_first_negative_mask(monkeypatch):
     # Masks of 231 in order: (), 2, 3, 23, 1, 21, 31, 231.
     table = [0, 1, 0, -2, -1, 0, 0, 1]
     monkeypatch.setattr(incexc, "alternating_specializations", lambda values: table)
-    report = verify._run_shard(CLAIMS["conj5.1"], Permutation.from_string("231"), RunConfig())
+    report = verify._run_shard(CLAIMS["conj5.1"], (2, 3, 1), RunConfig())
     assert (report.verdict, report.witness) == ("fails", "u=23: value -2")
 
 
 def test_identity_witnesses_read_the_coefficient_table(monkeypatch):
     # The stub's table sums to 5 and puts c = 1 at the full mask; S_1243(1) = 3, S_2134(1) = 1.
     monkeypatch.setattr(incexc, "pattern_coefficients", lambda values: [1, 1, 1, 1] + [0] * 11 + [1])
-    report = verify._run_shard(CLAIMS["identity"], Permutation.from_string("1243"), RunConfig())
+    report = verify._run_shard(CLAIMS["identity"], (1, 2, 4, 3), RunConfig())
     assert (report.verdict, report.witness) == ("fails", "sum of c over subwords = 5, specialization = 3")
-    report = verify._run_shard(CLAIMS["identity"], Permutation.from_string("2134"), RunConfig())
+    report = verify._run_shard(CLAIMS["identity"], (2, 1, 3, 4), RunConfig())
     assert report.witness == (
         "sum of c over subwords = 5, specialization = 1; c = 1 despite fixed last point"
     )
@@ -336,16 +336,16 @@ def test_identity_witnesses_read_the_coefficient_table(monkeypatch):
 def test_thm2_7_unexpected_inequality_witness(monkeypatch, stub):
     # An avoider fails by the count certificate or by the full comparison alike.
     monkeypatch.setattr(verify, stub, lambda D: 0)
-    report = verify._run_shard(CLAIMS["thm2.7"], Permutation.from_string("13254"), RunConfig())
+    report = verify._run_shard(CLAIMS["thm2.7"], (1, 3, 2, 5, 4), RunConfig())
     assert (report.verdict, report.witness) == ("fails", "unexpected inequality for avoidance=True")
 
 
 def test_thm2_7_unexpected_equality_witness(monkeypatch):
     w = Permutation.from_string("1432")
-    s_w = schubert.schubert_polynomial(w)
+    s_w = schubert.schubert_polynomial(w.values)
     monkeypatch.setattr(verify, "count_dominated", lambda D: s_w.evaluate_all_ones())
     monkeypatch.setattr(verify, "dominated_sum", lambda D: s_w)
-    report = verify._run_shard(CLAIMS["thm2.7"], w, RunConfig())
+    report = verify._run_shard(CLAIMS["thm2.7"], w.values, RunConfig())
     assert (report.verdict, report.witness) == ("fails", "unexpected equality for avoidance=False")
 
 
@@ -355,7 +355,7 @@ def test_thm2_7_builds_no_product_for_a_certified_non_avoider(monkeypatch):
 
     monkeypatch.setattr(verify, "dominated_sum", refuse)
     for w in ("1432", "1423", "15243"):
-        report = verify._run_shard(CLAIMS["thm2.7"], Permutation.from_string(w), RunConfig())
+        report = verify._run_shard(CLAIMS["thm2.7"], Permutation.from_string(w).values, RunConfig())
         assert report.verdict == "holds"
 
 
@@ -369,7 +369,7 @@ def test_avoider_claims_hold_s_w_only_for_patterns_of_avoiders():
     schubpat.clear_caches()
     for n in range(2, 7):
         for w in all_permutations(n):
-            if avoids(w):
+            if avoids(w.values):
                 for pattern in oracles.subword_patterns(w.values):
                     schubert.schubert_polynomial(pattern)
     assert after_claims == schubert._schubert.cache_info().currsize
@@ -395,7 +395,7 @@ def test_thm1_1_holds_tables_of_avoiders_deletions_only():
     schubpat.clear_caches()
     assert exit_code(list(run_claim("thm1.1", RunConfig(max_n=6)))) == 0
     memo = incexc._polynomials
-    avoiders = [w.values for n in range(6) for w in all_permutations(n) if avoids(w)]
+    avoiders = [w.values for n in range(6) for w in all_permutations(n) if avoids(w.values)]
     assert memo.cache_info().currsize == len(avoiders)
     # Every key is a hit among the avoiders of S_0 .. S_5, so none has length 6.
     misses = memo.cache_info().misses
