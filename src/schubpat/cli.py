@@ -114,7 +114,7 @@ def _emit(text: str, args) -> None:
 
 def _poly_out(p: Polynomial, args, nvars: int) -> str:
     if args.format == "json":
-        return json.dumps(p.to_json(nvars), separators=(",", ":"))
+        return p.dumps(nvars)
     return p.format()
 
 

@@ -19,9 +19,9 @@ Every function here takes w as its one-line notation, a plain tuple.
 
 c_w itself is `cw_inclusion_exclusion`, entry 0 of the alternating table.
 Its independent routes are the recursion, `oracles.cw_recursive`, which
-walks `Word` subwords and `flatten`, and the counting (`cw_augmentation`,
-the subject of `thm1.2`), which builds no diagram: it decides
-augmentations column by column (`diagrams.restricts`).
+walks `Word` subwords and `oracles.flatten`, and the counting
+(`cw_augmentation`, the subject of `thm1.2`), which builds no diagram: it
+decides augmentations column by column (`diagrams.restricts`).
 """
 from __future__ import annotations
 

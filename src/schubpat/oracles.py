@@ -8,10 +8,12 @@ can compare the two exhaustively at small n:
   `dominates`, `enumerate_dominated`, `restrict_remove` and
   `removed_boxes`;
 - S_w by divided differences (`schubert_divdiff`), S_w(1) by reduced words
-  (`macdonald_oracle`), and coefficients of S_w by counting dominated
-  diagrams (`coefficient_by_counting`);
+  (`macdonald_oracle`) or as a coefficient sum (`evaluate_all_ones`), and
+  coefficients of S_w by counting dominated diagrams
+  (`coefficient_by_counting`);
 - c_w by its defining recursion (`cw_recursive`), the alternating sum term
-  by term through `Word` subwords (`alternating_sum`), and the lemma counts
+  by term through `Word` subwords and relabelled variables
+  (`alternating_sum`, `substitute_variables`), and the lemma counts
   `restricted_diagram_count` and `bv_count`;
 - the per-mask route to the tables over the masks of w: perm(v) of every
   subword by bitmask ranks (`subword_patterns`), one signed term per mask
@@ -24,8 +26,13 @@ can compare the two exhaustively at small n:
   (`purple_boxes_bruteforce`, `purple_family_by_enumeration`), and the
   subtraction check of one whole member (`verify_theorem_gen`);
 - pattern occurrences by brute force (`pattern_count`), and the subword
-  poset through `Word` (`is_subword`, `subwords_between`,
-  `substitution_indices`, `all_subwords`).
+  poset through `Permutation` and `Word` (`inverse`, `swap_positions`,
+  `flatten`, `is_subword`, `subwords_between`, `substitution_indices`,
+  `all_subwords`).
+
+The errors these routes raise (`NotASubwordError`, `LetterNotInWordError`,
+`LengthGuardError`, `UnmappedVariableError`, `NotInFamilyError`) are
+defined here too.
 
 No claim and no production module imports this one; a test enforces that.
 Only `cli` imports it, to print an oracle on request, and `__init__`, whose
@@ -37,7 +44,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .diagrams import (
     Diagram,
@@ -46,18 +53,32 @@ from .diagrams import (
     rothe,
     row_monomial,
 )
-from .errors import (
-    LengthGuardError,
-    LetterNotInWordError,
-    NotASubwordError,
-    PatternViolationError,
-    SchubpatError,
-)
-from .permwords import Permutation, Word, avoids, flatten
+from .errors import PatternViolationError, SchubpatError
+from .permwords import Permutation, Word, avoids
 from .polyx import Monomial, Polynomial, exponent_key, monomial_key
 from .purple import PurpleFamily
 from .schubert import principal_specialization, schubert_polynomial
 from .weylchar import _det, _span_rank
+
+
+class NotASubwordError(SchubpatError):
+    """Raised when an operation requires u <= v in the subword order."""
+
+
+class LetterNotInWordError(SchubpatError):
+    """Raised when a word contains a letter that is not a value of the permutation."""
+
+
+class LengthGuardError(SchubpatError):
+    """Raised when a reduced-word enumeration is refused as too long."""
+
+
+class UnmappedVariableError(SchubpatError):
+    """Raised when a variable substitution does not cover every variable present."""
+
+
+class NotInFamilyError(SchubpatError):
+    """Raised when a diagram is not a member of the requested purple family."""
 
 
 # -- whole dominated diagrams ------------------------------------------------
@@ -90,7 +111,28 @@ def removed_boxes(D: Diagram, k: int, l: int) -> Diagram:
     return Diagram(D.n, frozenset(b for b in D.boxes if b[0] == k or b[1] == l))
 
 
-# -- the subword poset -------------------------------------------------------
+# -- permutations and the subword poset --------------------------------------
+
+
+def inverse(w: Permutation) -> Permutation:
+    """w^{-1}: the position of each value, in one-line notation."""
+    inv = [0] * len(w)
+    for pos, val in enumerate(w.values, start=1):
+        inv[val - 1] = pos
+    return Permutation(tuple(inv))
+
+
+def swap_positions(w: Permutation, i: int) -> Permutation:
+    """Exchange the entries at positions i and i+1 (right action of s_i)."""
+    v = list(w.values)
+    v[i - 1], v[i] = v[i], v[i - 1]
+    return Permutation(tuple(v))
+
+
+def flatten(v: Word) -> Permutation:
+    """perm(v): replace the smallest letter by 1, the next by 2, and so on."""
+    rank = {a: r for r, a in enumerate(sorted(v.letters), start=1)}
+    return Permutation(tuple(rank[a] for a in v.letters))
 
 
 def is_subword(u: Word, v: Word) -> bool:
@@ -111,7 +153,7 @@ def subwords_between(u: Word, w: Permutation) -> list[Word]:
     word_w = w.word()
     if not is_subword(u, word_w):
         raise NotASubwordError(f"{u} is not a subword of {word_w}")
-    required = u.letter_set()
+    required = set(u.letters)
     optional = [i for i in range(len(word_w)) if word_w.letters[i] not in required]
     out = []
     for mask in range(1 << len(optional)):
@@ -122,7 +164,7 @@ def subwords_between(u: Word, w: Permutation) -> list[Word]:
 
 def substitution_indices(w: Permutation, v: Word) -> tuple[int, ...]:
     """(w^{-1}(v(1)), ..., w^{-1}(v(|v|))); strictly increasing for v <= word(w)."""
-    winv = w.inverse()
+    winv = inverse(w)
     values = set(w.values)
     for a in v.letters:
         if a not in values:
@@ -167,11 +209,15 @@ def schubert_divdiff(w: Permutation) -> Polynomial:
     Walks up to the longest element of S_n, x_1^(n-1) x_2^(n-2) ... x_(n-1),
     along first ascents; not memoized.
     """
-    ascents = w.ascents()
-    if not ascents:
+    i = next((i for i in range(1, w.n) if w(i) < w(i + 1)), None)
+    if i is None:
         return Polynomial.from_keys({tuple(range(w.n - 1, 0, -1)): 1})
-    i = ascents[0]
-    return divided_difference(schubert_divdiff(w.swap_positions(i)), i)
+    return divided_difference(schubert_divdiff(swap_positions(w, i)), i)
+
+
+def evaluate_all_ones(p: Polynomial) -> int:
+    """p at x = 1: the sum of its coefficients."""
+    return sum(p.key_terms.values())
 
 
 def dominated_sum_by_enumeration(D: Diagram) -> Polynomial:
@@ -192,12 +238,12 @@ def coefficient_by_counting(w: Permutation, m: Monomial) -> int:
 
 def reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
     """All reduced words a_1 ... a_l with w = s_{a_1} ... s_{a_l}."""
-    descents = w.descents()
+    descents = [i for i in range(1, w.n) if w(i) > w(i + 1)]
     if not descents:
         yield ()
         return
     for i in descents:
-        for r in reduced_words(w.swap_positions(i)):
+        for r in reduced_words(swap_positions(w, i)):
             yield r + (i,)
 
 
@@ -229,9 +275,7 @@ def hat_v(C: Diagram, w: Permutation, v: Word) -> Diagram:
     """Restriction of C to the rows and columns corresponding to the subword v."""
     if not is_subword(v, w.word()):
         raise NotASubwordError(f"{v} is not a subword of {w.word()}")
-    K = substitution_indices(w, v)
-    L = v.letter_set()
-    return restrict_keep(C, K, L)
+    return restrict_keep(C, substitution_indices(w, v), v.letters)
 
 
 def m_monomial(w: Permutation, v: Word) -> Monomial:
@@ -240,12 +284,32 @@ def m_monomial(w: Permutation, v: Word) -> Monomial:
     return row_monomial(Diagram(D.n, D.boxes - hat_v(D, w, v).boxes))
 
 
+def substitute_variables(p: Polynomial, sigma: Mapping[int, int]) -> Polynomial:
+    """Relabel the variables of p by the injective map sigma; coefficients unchanged."""
+    used = p.variables()
+    missing = used - set(sigma)
+    if missing:
+        raise UnmappedVariableError(f"substitution does not map variables {sorted(missing)}")
+    image = [sigma[v] for v in used]
+    if len(set(image)) != len(image):
+        raise ValueError("substitution map must be injective on the variables present")
+    if min(image, default=1) < 1:
+        raise ValueError(f"variable index must be >= 1, got {min(image)}")
+    size, terms = max(image, default=0), {}
+    for key, c in p.key_terms.items():
+        exps = [0] * size
+        for i, e in enumerate(key, start=1):
+            if e:
+                exps[sigma[i] - 1] = e
+        terms[exponent_key(exps)] = c
+    return Polynomial.from_keys(terms)
+
+
 def substituted_schubert(w: Permutation, v: Word) -> Polynomial:
     """S_{perm(v)} with its i-th variable sent to x at w^{-1}(v(i))."""
     indices = substitution_indices(w, v)
     p = schubert_polynomial(flatten(v).values)
-    sigma = {i: indices[i - 1] for i in range(1, len(indices) + 1)}
-    return p.substitute_variables(sigma)
+    return substitute_variables(p, dict(enumerate(indices, start=1)))
 
 
 @dataclass(frozen=True)
@@ -464,10 +528,6 @@ def purple_family_by_enumeration(
     boxes = purple_boxes_bruteforce(D, k, l)
     members = frozenset(C for C in enumerate_dominated(removed_boxes(D, k, l)) if C.boxes <= boxes)
     return boxes, members, frozenset(map(row_monomial, members))
-
-
-class NotInFamilyError(SchubpatError):
-    """Raised when a diagram is not a member of the requested purple family."""
 
 
 def verify_theorem_gen(

@@ -4,8 +4,9 @@ Everything is 1-indexed on the external surface: a permutation in S_n is
 its one-line notation over {1..n}, and word(w) is the word w_1 ... w_n.
 Inside the engine a permutation is that one-line notation as a plain tuple
 of ints, `values`, and every engine function takes it.  `Permutation` and
-`Word` parse and validate outside input (the CLI's arguments), and carry
-the oracles' subword and reduced-word routes.
+`Word` parse, validate and print outside input (the CLI's arguments) and
+the oracles' subwords; what the oracles compute on them (`flatten`,
+`inverse`, `swap_positions`) lives in `oracles`.
 
 Textual formats (`one_line`): "15243" (compact digits) or "2,14,3" (comma
 separated, used whenever a letter exceeds 9); the empty word is "()".
@@ -52,9 +53,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def letter_set(self) -> frozenset[int]:
-        return frozenset(self.letters)
-
     def __str__(self) -> str:
         return one_line(self.letters)
 
@@ -87,36 +85,12 @@ class Permutation:
     def word(self) -> Word:
         return Word(self.values)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.values)
-        for pos, val in enumerate(self.values, start=1):
-            inv[val - 1] = pos
-        return Permutation(tuple(inv))
-
     def inversions(self) -> int:
         v = self.values
         return sum(1 for i, j in itertools.combinations(range(len(v)), 2) if v[i] > v[j])
 
-    def swap_positions(self, i: int) -> "Permutation":
-        """Exchange the entries at positions i and i+1 (right action of s_i)."""
-        v = list(self.values)
-        v[i - 1], v[i] = v[i], v[i - 1]
-        return Permutation(tuple(v))
-
-    def descents(self) -> list[int]:
-        return [i for i in range(1, len(self.values)) if self.values[i - 1] > self.values[i]]
-
-    def ascents(self) -> list[int]:
-        return [i for i in range(1, len(self.values)) if self.values[i - 1] < self.values[i]]
-
     def __str__(self) -> str:
         return one_line(self.values)
-
-
-def flatten(v: Word) -> Permutation:
-    """perm(v): replace the smallest letter by 1, the next by 2, and so on."""
-    rank = {a: r for r, a in enumerate(sorted(v.letters), start=1)}
-    return Permutation(tuple(rank[a] for a in v.letters))
 
 
 def without_position(values: tuple[int, ...], i: int) -> tuple[int, ...]:

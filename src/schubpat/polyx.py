@@ -277,32 +277,6 @@ class Polynomial:
                 return False
         return True
 
-    def substitute_variables(self, sigma: Mapping[int, int]) -> "Polynomial":
-        """Relabel variables by the injective map sigma; coefficients unchanged."""
-        from .errors import UnmappedVariableError
-
-        used = self.variables()
-        missing = used - set(sigma)
-        if missing:
-            raise UnmappedVariableError(f"substitution does not map variables {sorted(missing)}")
-        image = [sigma[v] for v in used]
-        if len(set(image)) != len(image):
-            raise ValueError("substitution map must be injective on the variables present")
-        if min(image, default=1) < 1:
-            raise ValueError(f"variable index must be >= 1, got {min(image)}")
-        target = [sigma.get(i, 1) - 1 for i in range(1, max(used, default=0) + 1)]
-        size, terms = max(image, default=0), {}
-        for key, c in self.key_terms.items():
-            exps = [0] * size
-            for t, e in zip(target, key):
-                if e:
-                    exps[t] = e
-            terms[exponent_key(exps)] = c
-        return Polynomial.from_keys(terms)
-
-    def evaluate_all_ones(self) -> int:
-        return sum(self.key_terms.values())
-
     def is_nonnegative(self) -> tuple[bool, tuple[Monomial, int] | None]:
         """True iff no coefficient is negative; else the first negative term in canonical order."""
         negative = [key for key, coef in self.key_terms.items() if coef < 0]

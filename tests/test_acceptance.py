@@ -4,18 +4,16 @@ Every expected value here is frozen from an independently computed
 oracle; the asserted wall-clock bounds are generous ceilings, not
 performance targets.
 """
-import json
 import time
 
 import pytest
 
 from schubpat import cli
-from schubpat.diagrams import dominated_sum, rothe, row_monomial
+from schubpat.diagrams import dominated_sum, rothe
 from schubpat.incexc import cw_augmentation, cw_inclusion_exclusion
 from schubpat.oracles import (
     alternating_sum,
     cw_recursive,
-    enumerate_dominated,
     macdonald_oracle,
     schubert_divdiff,
 )

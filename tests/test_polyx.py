@@ -3,7 +3,7 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubpat.errors import UnmappedVariableError
+from schubpat.oracles import UnmappedVariableError, evaluate_all_ones, substitute_variables
 from schubpat.polyx import Monomial, Polynomial, pair_index, x
 
 
@@ -38,7 +38,7 @@ def test_ring_laws(p, q, r):
 @settings(max_examples=100)
 @given(poly_strategy(), poly_strategy())
 def test_evaluate_all_ones_multiplicative(p, q):
-    assert (p * q).evaluate_all_ones() == p.evaluate_all_ones() * q.evaluate_all_ones()
+    assert evaluate_all_ones(p * q) == evaluate_all_ones(p) * evaluate_all_ones(q)
 
 
 @settings(max_examples=100)
@@ -46,24 +46,24 @@ def test_evaluate_all_ones_multiplicative(p, q):
 def test_substitute_variables_round_trip(p):
     sigma = {1: 3, 2: 1, 3: 4, 4: 2}
     inverse = {v: k for k, v in sigma.items()}
-    assert p.substitute_variables(sigma).substitute_variables(inverse) == p
+    assert substitute_variables(substitute_variables(p, sigma), inverse) == p
 
 
 def test_substitute_variables_examples():
-    assert x(1).substitute_variables({1: 3}) == x(3)
+    assert substitute_variables(x(1), {1: 3}) == x(3)
     s132 = x(1) + x(2)
-    assert s132.substitute_variables({1: 1, 2: 3}) == x(1) + x(3)
+    assert substitute_variables(s132, {1: 1, 2: 3}) == x(1) + x(3)
 
 
 def test_substitute_variables_requires_full_map():
     with pytest.raises(UnmappedVariableError):
-        (x(1) + x(2)).substitute_variables({1: 5})
+        substitute_variables(x(1) + x(2), {1: 5})
 
 
 def test_evaluate_examples():
     s2143 = x(1) * x(1) + x(1) * x(2) + x(1) * x(3)
-    assert s2143.evaluate_all_ones() == 3
-    assert Polynomial.constant(1).evaluate_all_ones() == 1
+    assert evaluate_all_ones(s2143) == 3
+    assert evaluate_all_ones(Polynomial.constant(1)) == 1
 
 
 def test_is_nonnegative():
@@ -175,7 +175,7 @@ def test_polynomial_routes_give_one_key(p, q):
     assert _same(p * x(6) * Polynomial.constant(-1) + p * x(6), Polynomial.zero())
     shift = {v: v + 1 for v in range(1, 6)}
     back = {v + 1: v for v in range(1, 6)}
-    assert _same(p.substitute_variables(shift).substitute_variables(back), p)
+    assert _same(substitute_variables(substitute_variables(p, shift), back), p)
     assert _same(Polynomial.from_json(p.to_json(7)), p)
     assert _same(Polynomial.loads(p.dumps()), p)
 

@@ -343,7 +343,7 @@ def test_thm2_7_unexpected_inequality_witness(monkeypatch, stub):
 def test_thm2_7_unexpected_equality_witness(monkeypatch):
     w = Permutation.from_string("1432")
     s_w = schubert.schubert_polynomial(w.values)
-    monkeypatch.setattr(verify, "count_dominated", lambda D: s_w.evaluate_all_ones())
+    monkeypatch.setattr(verify, "count_dominated", lambda D: oracles.evaluate_all_ones(s_w))
     monkeypatch.setattr(verify, "dominated_sum", lambda D: s_w)
     report = verify._run_shard(CLAIMS["thm2.7"], w.values, RunConfig())
     assert (report.verdict, report.witness) == ("fails", "unexpected equality for avoidance=False")
