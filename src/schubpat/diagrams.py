@@ -56,7 +56,15 @@ class Diagram:
 
     @classmethod
     def from_json(cls, data: dict) -> "Diagram":
-        return cls.of(data["n"], [tuple(b) for b in data["boxes"]])
+        """The diagram of `{"n": n, "boxes": [[i, j], ...]}`; other value types are a ValueError."""
+        n, boxes = data["n"], [tuple(b) for b in data["boxes"]]
+        # type(.) is int: a bool or a float that json reads is no size or index.
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        for b in boxes:
+            if len(b) != 2 or any(type(v) is not int for v in b):
+                raise ValueError(f"box {list(b)!r} is not a pair of integers")
+        return cls.of(n, boxes)
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"({i},{j})" for (i, j) in self.box_list()) + "}"

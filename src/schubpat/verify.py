@@ -12,18 +12,18 @@ reason).
 
 Under `jobs` > 1, `run_claim` forks its workers: each inherits the shard
 list, so nothing is pickled on the way in.  The shards are cut into
-consecutive blocks, dealt to the workers in turn; each worker sends the
-reports of a block down its own pipe, and the parent yields them in shard
-order, reading no worker that is two blocks ahead of it.  Forking needs a
-platform that has it (not Windows), and a parent with no other thread.
+consecutive blocks, block b dealt to worker b mod the number of workers;
+each worker sends the reports of a block down its own pipe, and the parent
+reads block b from that pipe alone, in block order.  A worker that is ahead
+waits in its send once the pipe is full.  Forking needs a platform that has it (not Windows),
+and a parent with no other thread.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import multiprocessing
-import multiprocessing.connection
+import multiprocessing.connection  # here, not at the first Pipe, whose run it would slow by ~5 ms
 import random
 import time
 from dataclasses import dataclass
@@ -56,6 +56,11 @@ class RunConfig:
             raise UsageError(f"--max-n must be at least 2, got {self.max_n}")
         if self.jobs < 1:
             raise UsageError(f"--jobs must be at least 1, got {self.jobs}")
+        if self.jobs > 1:
+            try:
+                multiprocessing.get_context("fork")
+            except ValueError:
+                raise UsageError("--jobs above 1 needs the fork start method") from None
 
 
 @dataclass(frozen=True)
@@ -324,13 +329,8 @@ def _shard_worker(args: tuple[str, tuple[int, ...], RunConfig]) -> VerificationR
     return _run_shard(CLAIMS[claim_name], shard, config)
 
 
-_FORK = multiprocessing.get_context("fork")
-# A worker stops being read while it holds this many blocks the parent has not yet reached.
-_BLOCKS_AHEAD = 2
-
-
 def _work(claim_name: str, shards: list[tuple[int, ...]], config: RunConfig, blocks, conn) -> None:
-    """A forked worker: send `(reports, error)` for each block of shards, then None.
+    """A forked worker: send `(reports, error)` for each block of shards.
 
     A shard that raises ends the worker: its block goes out with the reports
     before it and the exception.  `_shard_worker` is looked up at each call,
@@ -346,7 +346,6 @@ def _work(claim_name: str, shards: list[tuple[int, ...]], config: RunConfig, blo
                 conn.send((reports, exc))
                 return
             conn.send((reports, None))
-        conn.send(None)
     except BrokenPipeError:
         pass  # the parent closed the run early and reads no more
     finally:
@@ -362,6 +361,7 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
         for shard in shards:
             yield _run_shard(claim, shard, config)
         return
+    fork = multiprocessing.get_context("fork")
     # About 16 blocks per worker: few enough to keep the messages few, enough to
     # balance shards of uneven cost.  Blocks are consecutive: S_n dealt one shard
     # at a time would split it by a pattern of its last entries, and with it the cost.
@@ -371,9 +371,9 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
     finished = False
     try:
         for w in range(workers):
-            conn, send_end = _FORK.Pipe(duplex=False)
+            conn, send_end = multiprocessing.connection.Pipe(duplex=False)
             conns.append(conn)
-            proc = _FORK.Process(
+            proc = fork.Process(
                 target=_work,
                 args=(claim_name, shards, config, blocks[w::workers], send_end),
                 daemon=True,  # an interpreter that exits with the run still open ends them
@@ -382,27 +382,16 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
             procs.append(proc)
             # Else the next worker inherits it, and a crashed worker's pipe never ends.
             send_end.close()
-        pending = [collections.deque() for _ in range(workers)]
-        reading = set(range(workers))
         for b in range(len(blocks)):
+            # Block b is its owner's next message: the parent has read every earlier one.
             owner = b % workers
-            while not pending[owner]:
-                ready = multiprocessing.connection.wait(
-                    [conns[w] for w in reading if len(pending[w]) < _BLOCKS_AHEAD]
-                )
-                for conn in ready:
-                    w = conns.index(conn)
-                    try:
-                        message = conn.recv()
-                    except EOFError:
-                        procs[w].join()
-                        crash = f"verify worker {procs[w].pid} exited with code {procs[w].exitcode}"
-                        message = ([], RuntimeError(crash + " before its last report"))
-                    if message is None or message[1] is not None:
-                        reading.discard(w)
-                    if message is not None:
-                        pending[w].append(message)
-            reports, error = pending[owner].popleft()
+            try:
+                reports, error = conns[owner].recv()
+            except EOFError:
+                dead = procs[owner]
+                dead.join()
+                crash = f"verify worker {dead.pid} exited with code {dead.exitcode}"
+                raise RuntimeError(crash + " before its last report") from None
             yield from reports
             if error is not None:
                 raise error

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -10,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -324,6 +326,46 @@ def test_verify_jobs_output_is_byte_identical(tmp_path, claim):
     assert b"elapsed_ms" not in outputs[0]
 
 
+def test_verify_csv_quotes_a_subject_with_commas(capsys, monkeypatch):
+    # one_line writes a permutation of S_10 and up with commas between its entries.
+    shard = tuple(range(10, 0, -1))
+    stub = verify.Claim("stub", "a stub claim", lambda c: [shard], lambda w, c: ["a, b"])
+    monkeypatch.setitem(verify.CLAIMS, "stub", stub)
+    code, out = run(capsys, "verify", "stub", "--format", "csv")
+    assert code == cli.EXIT_COUNTEREXAMPLE
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["claim", "subject", "verdict", "witness"],
+        ["stub", "10,9,8,7,6,5,4,3,2,1", "fails", "a; b"],
+    ]
+
+
+@pytest.mark.parametrize("jobs, code", [([], cli.EXIT_OK), (["--jobs", "2"], cli.EXIT_USAGE)])
+def test_only_verify_jobs_above_1_needs_fork(jobs, code):
+    # The CLI on a platform without the fork start method, which Windows lacks.
+    script = textwrap.dedent("""
+        import multiprocessing, sys
+        get_context = multiprocessing.get_context
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+        multiprocessing.get_context = no_fork
+        from schubpat import cli
+        sys.exit(cli.main(sys.argv[1:]))
+    """)
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", script, "verify", "identity", "--max-n", "3", *jobs],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert done.returncode == code, done.stderr
+    if code == cli.EXIT_OK:
+        assert len(done.stdout.splitlines()) == 8 and done.stderr == ""
+    else:
+        assert done.stdout == ""
+        assert done.stderr == "error: --jobs above 1 needs the fork start method\n"
+
+
 def test_schubpat_environment_variables_are_ignored(capsys, monkeypatch):
     monkeypatch.setenv("SCHUBPAT_FORMAT", "json")
     monkeypatch.setenv("SCHUBPAT_MAX_N", "0")
@@ -386,6 +428,11 @@ def test_verify_starts_no_more_workers_than_shards(capsys, monkeypatch):
         ('{"n": 2, "boxes": [[3, 3]]}', "ValueError: box (3, 3) outside [2] x [2]"),
         ('{"n": 2}', "KeyError: 'boxes'"),
         ('{"n": 2, "boxes": [[1, 1]]', "JSONDecodeError"),
+        ('{"n": -1, "boxes": []}', "ValueError: n must be a nonnegative integer, got -1"),
+        ('{"n": 2.5, "boxes": []}', "ValueError: n must be a nonnegative integer, got 2.5"),
+        ('{"n": true, "boxes": []}', "ValueError: n must be a nonnegative integer, got True"),
+        ('{"n": 2, "boxes": [[1.0, 2]]}', "ValueError: box [1.0, 2] is not a pair of integers"),
+        ('{"n": 2, "boxes": [[1, false]]}', "ValueError: box [1, False] is not a pair of integers"),
     ],
 )
 def test_bad_diagram_json_is_a_usage_error(blob, detail):
