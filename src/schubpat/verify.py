@@ -15,15 +15,14 @@ list, so nothing is pickled on the way in.  The shards are cut into
 consecutive blocks, block b dealt to worker b mod the number of workers;
 each worker sends the reports of a block down its own pipe, and the parent
 reads block b from that pipe alone, in block order.  A worker that is ahead
-waits in its send once the pipe is full.  Forking needs a platform that has it (not Windows),
-and a parent with no other thread.
+waits in its send once the pipe is full.  Forking needs a platform that
+has it (not Windows), and a parent with no other thread.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import multiprocessing
-import multiprocessing.connection  # here, not at the first Pipe, whose run it would slow by ~5 ms
 import random
 import time
 from dataclasses import dataclass
@@ -371,7 +370,7 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
     finished = False
     try:
         for w in range(workers):
-            conn, send_end = multiprocessing.connection.Pipe(duplex=False)
+            conn, send_end = fork.Pipe(duplex=False)
             conns.append(conn)
             proc = fork.Process(
                 target=_work,
