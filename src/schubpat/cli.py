@@ -7,12 +7,13 @@ and `alternating-sum` print routes of `oracles`.
 Each subcommand takes only the options its handler reads.  Every one but
 `cw-table` and `verify` takes `--format {text,json}` and `--out`;
 `cw-table` always writes CSV and takes only `--out`.  `verify` takes
-`--format {text,json,csv}`, `--out`, `--jobs`, `--max-n`, `--seed`,
-`--budget-dominated` and `--timing`; `chi` takes `--budget-dominated` too.
+`--format {text,json,csv}`, `--out`, `--jobs`, `--max-n`, `--seed` and
+`--timing`; `chi` takes `--budget-dominated` too.
 
 Exit codes: 0 success / all holds, 1 usage or crash (including an option
-the subcommand does not take, verify --max-n below 2, --jobs below 1, or
---jobs above 1 without the fork start method),
+the subcommand does not take, verify --max-n below 2, --jobs below 1,
+--jobs above 1 without the fork start method, a negative chi budget, or
+diagram JSON with n above `diagrams.MAX_JSON_N`),
 2 mathematical counterexample (including a `cw-table` row or a
 `cw --all-methods` whose methods disagree), 3 budget exceeded somewhere.
 """
@@ -76,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--budget-dominated", type=int, default=weylchar.DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true", help="record per-report timing")
 
     p = sub.add_parser("purple", parents=[output], help="purple boxes, family and monomials")
@@ -220,7 +220,6 @@ def _cmd_verify(args) -> int:
         max_n=args.max_n,
         jobs=args.jobs,
         seed=args.seed,
-        budget_dominated=args.budget_dominated,
         include_timing=args.timing,
     )
     # Each line is written as its report arrives, and the exit code folded along the way.
@@ -282,6 +281,8 @@ def _cmd_purple(args) -> int:
 
 
 def _cmd_chi(args) -> int:
+    if args.budget_dominated < 0:
+        raise UsageError(f"--budget-dominated must be at least 0, got {args.budget_dominated}")
     D = _parse_diagram(args.diagram)
     p = weylchar.chi(D, budget=args.budget_dominated)
     _emit(_poly_out(p, args, D.n), args)

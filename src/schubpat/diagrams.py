@@ -13,6 +13,9 @@ from typing import Iterable
 
 from .polyx import Monomial, Polynomial, monomial_key
 
+# The largest n `Diagram.from_json` reads: the work on a diagram grows with n, whatever its boxes.
+MAX_JSON_N = 1000
+
 
 @dataclass(frozen=True)
 class Diagram:
@@ -61,6 +64,8 @@ class Diagram:
         # type(.) is int: a bool or a float that json reads is no size or index.
         if type(n) is not int or n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        if n > MAX_JSON_N:
+            raise ValueError(f"n must be at most {MAX_JSON_N}, got {n}")
         for b in boxes:
             if len(b) != 2 or any(type(v) is not int for v in b):
                 raise ValueError(f"box {list(b)!r} is not a pair of integers")

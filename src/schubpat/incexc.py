@@ -103,11 +103,11 @@ def alternating_polynomials(values: tuple[int, ...]) -> list[Polynomial]:
     Entry u equals `oracles.alternating_sum(w, u).total`; the full mask is
     S_w.  The term of a subword v that drops position i is minus M_i times
     its term in w without position i, whose variables are sent past x_{i+1}
-    (`polyx.skip_variable`); M_i = `single_step_monomial(w, i + 1)` is x over
-    the boxes of D(w) in row i + 1 or column w_{i+1}.  So, with i the lowest
-    clear bit of u, A(w, u) is A(w, u + 2^i) (the v that keep i) less M_i
-    times the deletion's entry at u squeezed (the v that drop it).  The
-    masks lo::2^(i+1), lo = 2^i - 1, are filled from i = n - 1 down, as in
+    (`polyx.skip_variable`); M_i, of key `single_step_monomial(w, i + 1)`,
+    is x over the boxes of D(w) in row i + 1 or column w_{i+1}.  So, with i
+    the lowest clear bit of u, A(w, u) is A(w, u + 2^i) (the v that keep i)
+    less M_i times the deletion's entry at u squeezed (the v that drop it).
+    The masks lo::2^(i+1), lo = 2^i - 1, are filled from i = n - 1 down, as in
     `alternating_specializations`.  Row full - 2^i is `thm1.0`'s difference
     S_w - M_i * S_pi(x_1, ..., skip x_{i+1}, ..., x_n).
     """
@@ -116,7 +116,7 @@ def alternating_polynomials(values: tuple[int, ...]) -> list[Polynomial]:
     g[-1] = schubert_polynomial(values)
     for i in reversed(range(n)):
         lo, bit, k = (1 << i) - 1, 1 << i, i + 1
-        m = single_step_monomial(values, k).key
+        m = single_step_monomial(values, k)
         deleted = _polynomials(without_position(values, i))[lo::bit]
         rows = []
         for kept, dropped in zip(g[lo + bit :: 2 * bit], deleted):
@@ -173,8 +173,8 @@ def cw_augmentation(values: tuple[int, ...]) -> int:
     return counts[0]
 
 
-def single_step_monomial(sigma: tuple[int, ...], k: int) -> Monomial:
-    """x over the boxes of D(sigma) in row k or column sigma_k.
+def single_step_monomial(sigma: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The key of x over the boxes of D(sigma) in row k or column sigma_k.
 
     Row k holds one box per later entry below sigma_k, and column sigma_k
     one box in row i per earlier entry sigma_i above sigma_k.
@@ -182,7 +182,7 @@ def single_step_monomial(sigma: tuple[int, ...], k: int) -> Monomial:
     s = sigma[k - 1]
     exps = [int(a > s) for a in sigma[: k - 1]]
     exps.append(sum(a < s for a in sigma[k:]))
-    return Monomial.from_key(exponent_key(exps))
+    return exponent_key(exps)
 
 
 def verify_single_step(sigma: tuple[int, ...], k: int) -> tuple[bool, Polynomial | None]:
@@ -195,5 +195,5 @@ def verify_single_step(sigma: tuple[int, ...], k: int) -> tuple[bool, Polynomial
     s_sigma, sub = schubert_polynomial(sigma), schubert_skipping(sigma, k)
     if s_sigma.nonnegative_after_subtracting(m, sub):
         return True, None
-    return False, s_sigma - sub * m
+    return False, s_sigma - sub * Monomial.from_key(m)
 

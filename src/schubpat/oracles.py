@@ -544,7 +544,7 @@ def verify_theorem_gen(
     if K not in family.members:
         raise NotInFamilyError(f"{K} is not a member of the purple family of {family.D}")
     m = row_monomial(K)
-    if chi_D.nonnegative_after_subtracting(m, chi_hat_k):
+    if chi_D.nonnegative_after_subtracting(m.key, chi_hat_k):
         return True, None
     return False, chi_D - chi_hat_k * m
 

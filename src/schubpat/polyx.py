@@ -5,9 +5,10 @@ determinant computations share the engine through :func:`pair_index`.
 A polynomial is a dict from exponent keys to nonzero coefficients.  The key
 of a monomial is its dense exponent tuple, entry i - 1 for variable i, with
 no trailing zeros, so equal monomials have equal keys and a product of
-monomials is the entrywise sum of their keys.  Arithmetic works on keys;
-`Monomial` wraps one where a term leaves the engine (`terms()`, `support()`,
-witnesses, text and JSON), and canonical order and validation happen there.
+monomials is the entrywise sum of their keys.  Inside the engine a monomial
+is its key, and `_canonical` is the one order on monomials.  `Monomial`
+wraps a key only where a term leaves the engine (`terms()`, `support()`,
+witnesses, text and JSON), and validation of typed-in exponents happens there.
 """
 from __future__ import annotations
 
@@ -60,8 +61,20 @@ def _mul_keys(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(add, a, b)) + a[len(b) :]
 
 
+def key_quotient(m: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The key of m / d, or None when d does not divide m."""
+    if len(d) > len(m) or not all(map(le, d, m)):
+        return None
+    return exponent_key(list(map(sub, m, d)) + list(m[len(d) :]))
+
+
 def _canonical(keys: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Keys in `Monomial.sort_key` order: two keys of one degree differ before either ends."""
+    """Keys in canonical order: by degree, then with the lower variable's higher exponent first.
+
+    So x_1^2 precedes x_1x_2 precedes x_2^2.  Two keys of one degree differ
+    before either ends (a key has no trailing zeros), so the second rule is
+    the descending lexicographic order of the keys.
+    """
     return sorted(keys, key=lambda k: (-sum(k), k), reverse=True)
 
 
@@ -103,23 +116,6 @@ class Monomial:
 
     def degree(self) -> int:
         return sum(self.key)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial.from_key(_mul_keys(self.key, other.key))
-
-    def divides(self, other: "Monomial") -> bool:
-        return len(self.key) <= len(other.key) and all(map(le, self.key, other.key))
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        exps = list(map(sub, self.key, other.key)) + list(self.key[len(other.key) :])
-        return Monomial.from_key(exponent_key(exps))
-
-    def sort_key(self) -> tuple:
-        # Graded order, then lexicographic with lower variable index and
-        # higher exponent first (so x_1^2 precedes x_1x_2 precedes x_2^2).
-        return (self.degree(), tuple(-e for e in self.key))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.key == other.key
@@ -260,20 +256,19 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def nonnegative_after_subtracting(self, m: Monomial, t: "Polynomial") -> bool:
-        """Whether self - m * t has no negative coefficient, without building it.
+    def nonnegative_after_subtracting(self, m: tuple[int, ...], t: "Polynomial") -> bool:
+        """Whether self - x^m * t has no negative coefficient, without building it; m is a key.
 
         self must have no negative coefficient, so this is self[m * u] >= t[u]
         for every u in t.  Every caller passes an S_sigma or a dual character:
         the transition equation only adds terms, and a dual character's
         coefficients are ranks.
         """
-        get, mk = self.key_terms.get, m.key
-        lm = len(mk)
+        get, lm = self.key_terms.get, len(m)
         for u, c in t.key_terms.items():
             # The key of m * u, as `_mul_keys` builds it.
             lu = len(u)
-            if get(tuple(map(add, mk, u)) + (mk[lu:] if lm > lu else u[lm:]), 0) < c:
+            if get(tuple(map(add, m, u)) + (m[lu:] if lm > lu else u[lm:]), 0) < c:
                 return False
         return True
 

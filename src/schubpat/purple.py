@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .diagrams import Diagram, _column_dominated_sets, restricts, rothe
-from .polyx import Monomial, Polynomial, _mul_keys, monomial_key
+from .polyx import Monomial, _canonical, _mul_keys, key_quotient, monomial_key
 from .schubert import schubert_polynomial, schubert_skipping
 
 
@@ -59,8 +59,8 @@ class PurpleFamily:
 
     `columns` holds, for each nonempty column j of the seed, the pair
     (j, the sets c <= seed_j inside the purple rows of column j); a member
-    is one such set per column.  `boxes`, `members` and `monomials` are
-    derived.
+    is one such set per column.  `boxes`, `members`, `row_keys` and
+    `monomials` are derived.
     """
 
     D: Diagram
@@ -81,13 +81,13 @@ class PurpleFamily:
         boxes = frozenset((i, j) for (j, _), rows in zip(self.columns, choice) for i in rows)
         return Diagram(self.D.n, boxes)
 
-    def row_monomials(self) -> list[Monomial]:
-        """x^K for every member K, in the order of `choices()`."""
+    def row_keys(self) -> list[tuple[int, ...]]:
+        """The key of x^K for every member K, in the order of `choices()`."""
         keys = [()]
         for _, sets in self.columns:
             column = [monomial_key(c) for c in sets]
             keys = [_mul_keys(a, b) for a in keys for b in column]
-        return [Monomial.from_key(key) for key in keys]
+        return keys
 
     @property
     def members(self) -> frozenset[Diagram]:
@@ -95,7 +95,7 @@ class PurpleFamily:
 
     @property
     def monomials(self) -> frozenset[Monomial]:
-        return frozenset(self.row_monomials())
+        return frozenset(map(Monomial.from_key, self.row_keys()))
 
     def to_json(self) -> dict:
         return {
@@ -105,8 +105,7 @@ class PurpleFamily:
             "purple_boxes": [list(b) for b in sorted(self.boxes)],
             "members": [m.to_json() for m in sorted(self.members, key=Diagram.box_list)],
             "monomials": [
-                Polynomial.from_monomial(m).to_json(self.D.n)["terms"][0]["exp"]
-                for m in sorted(self.monomials, key=Monomial.sort_key)
+                list(key) + [0] * (self.D.n - len(key)) for key in _canonical(set(self.row_keys()))
             ],
         }
 
@@ -146,26 +145,25 @@ def characterize_monomials(sigma: tuple[int, ...]) -> tuple[MonomialCharacteriza
     position k.  A working M must send every monomial of the substituted
     S_pi into the support of S_sigma, so the candidates are the exact
     quotients of support monomials by one fixed monomial of the
-    substituted S_pi; that set is a provably complete superset.  D(sigma),
-    S_sigma and its support are built once for all k.
+    substituted S_pi (its first key in canonical order): a provably complete
+    superset, taken as keys.  D(sigma) and S_sigma are built once for all k.
     """
     D = rothe(sigma)
     s_sigma = schubert_polynomial(sigma)
-    support = s_sigma.support()
     results = []
     for k, l in enumerate(sigma, start=1):
         family = purple_family(D, k, l)
         sub = schubert_skipping(sigma, k)
         from_purple = family.monomials
+        mu0 = _canonical(sub.key_terms)[0]
         # Every member has as many boxes per column as the seed.
-        degree = sum(len(sets[0]) for _, sets in family.columns)
-        mu0 = min(sub.support(), key=Monomial.sort_key, default=Monomial())
-        candidates = {
-            m / mu0
-            for m in support
-            if mu0.divides(m) and m.degree() - mu0.degree() == degree
-        }
-        working = frozenset(M for M in candidates if s_sigma.nonnegative_after_subtracting(M, sub))
+        degree = sum(mu0) + sum(len(sets[0]) for _, sets in family.columns)
+        quotients = (key_quotient(m, mu0) for m in s_sigma.key_terms if sum(m) == degree)
+        working = frozenset(
+            Monomial.from_key(q)
+            for q in quotients
+            if q is not None and s_sigma.nonnegative_after_subtracting(q, sub)
+        )
         extra = working - from_purple
         results.append(MonomialCharacterization(sigma, k, working, from_purple, extra))
     return tuple(results)

@@ -398,6 +398,12 @@ def test_verify_rejects_jobs_below_1(jobs):
     assert line == f"error: --jobs must be at least 1, got {jobs}"
 
 
+@pytest.mark.parametrize("budget", ["-1", "-1000"])
+def test_chi_rejects_a_negative_budget(budget):
+    line = _usage_error_line(["chi", "321", "--budget-dominated", budget])
+    assert line == f"error: --budget-dominated must be at least 0, got {budget}"
+
+
 def test_verify_starts_no_more_workers_than_shards(capsys, monkeypatch):
     # Workers forked per run, counted in the parent as os.fork returns there.
     sizes = []
@@ -431,6 +437,7 @@ def test_verify_starts_no_more_workers_than_shards(capsys, monkeypatch):
         ('{"n": -1, "boxes": []}', "ValueError: n must be a nonnegative integer, got -1"),
         ('{"n": 2.5, "boxes": []}', "ValueError: n must be a nonnegative integer, got 2.5"),
         ('{"n": true, "boxes": []}', "ValueError: n must be a nonnegative integer, got True"),
+        ('{"n": 1000000000, "boxes": [[1, 2]]}', "ValueError: n must be at most 1000"),
         ('{"n": 2, "boxes": [[1.0, 2]]}', "ValueError: box [1.0, 2] is not a pair of integers"),
         ('{"n": 2, "boxes": [[1, false]]}', "ValueError: box [1, False] is not a pair of integers"),
     ],
@@ -566,9 +573,7 @@ SUBCOMMAND_OPTIONS = {
     "rothe": {"--format", "--out"},
     "cw": {"--format", "--out", "--method", "--all-methods"},
     "cw-table": {"--out"},
-    "verify": {
-        "--format", "--out", "--jobs", "--max-n", "--seed", "--budget-dominated", "--timing",
-    },
+    "verify": {"--format", "--out", "--jobs", "--max-n", "--seed", "--timing"},
     "purple": {"--format", "--out", "--k", "--l", "--characterize"},
     "chi": {"--format", "--out", "--budget-dominated"},
     "alternating-sum": {"--format", "--out"},
@@ -589,7 +594,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         for name, p in subcommands.items()
     }
     assert {name: set(opts) for name, opts in options.items()} == SUBCOMMAND_OPTIONS
-    assert sum(map(len, options.values())) == 27
+    assert sum(map(len, options.values())) == 26
     assert options["verify"]["--format"] == ["text", "json", "csv"]
     for name in SUBCOMMAND_OPTIONS.keys() - {"verify", "cw-table"}:
         assert options[name]["--format"] == ["text", "json"]
@@ -611,7 +616,6 @@ VERIFY_ONLY = [
     ["--max-n", "3"],
     ["--seed", "1"],
     ["--timing"],
-    ["--budget-dominated", "5"],
     ["--format", "csv"],
 ]
 
@@ -627,9 +631,11 @@ def test_each_call_runs_without_an_extra_option(capsys, argv):
         call + option
         for name, call in CALLS.items()
         for option in VERIFY_ONLY
-        if (name, option[0]) != ("chi", "--budget-dominated")
     ]
+    # Only chi takes --budget-dominated; verify runs thm2.4 at the default budget.
+    + [call + ["--budget-dominated", "5"] for name, call in CALLS.items() if name != "chi"]
     + [
+        ["verify", "identity", "--budget-dominated", "5"],
         ["cw-table", "2", "--format", "text"],
         ["schubert", "2143", "--method", "weyl"],
         ["cw", "2143", "--method", "ie", "--all-methods"],

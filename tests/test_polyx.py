@@ -199,4 +199,4 @@ def test_lookup_subtraction_check_agrees_with_the_difference(p, q, t, exps):
     # character have none; S = p + m * q puts some of them on m * q's support.
     s = p + q * m
     for other in (t, q, q + t, Polynomial.zero()):
-        assert s.nonnegative_after_subtracting(m, other) == (s - other * m).is_nonnegative()[0]
+        assert s.nonnegative_after_subtracting(m.key, other) == (s - other * m).is_nonnegative()[0]

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib
 import json
@@ -15,7 +16,7 @@ import schubpat
 from schubpat import incexc, oracles, purple, schubert, verify, weylchar
 from schubpat.errors import BudgetExceededError, PatternViolationError
 from schubpat.permwords import Permutation, all_permutations, avoids, one_line
-from schubpat.polyx import x
+from schubpat.polyx import Monomial, x
 from schubpat.verify import (
     CLAIMS,
     Claim,
@@ -92,8 +93,14 @@ def test_timing_recorded_on_request():
     assert all(isinstance(r.elapsed_ms, float) for r in reports)
 
 
-def test_budget_maps_to_exit_code_3():
-    reports = list(run_claim("thm2.4", RunConfig(max_n=4, budget_dominated=2)))
+def _chi_with_budget(monkeypatch, budget):
+    """Give `verify`'s calls of weylchar.chi a small budget; forked workers inherit it."""
+    monkeypatch.setattr(weylchar, "chi", functools.partial(weylchar.chi, budget=budget))
+
+
+def test_budget_maps_to_exit_code_3(monkeypatch):
+    _chi_with_budget(monkeypatch, 2)
+    reports = list(run_claim("thm2.4", RunConfig(max_n=4)))
     assert any(r.verdict == "budget-exceeded" for r in reports)
     assert exit_code(reports) == 3
 
@@ -120,13 +127,13 @@ def test_runner_builds_the_report_from_what_a_claim_returns(monkeypatch):
     assert all("elapsed_ms" in r.as_dict() for r in timed)
 
 
-def test_thm2_4_budget_refusal_is_reported_under_any_jobs():
-    config = RunConfig(max_n=5, budget_dominated=10)
-    reports = list(run_claim("thm2.4", config))
+def test_thm2_4_budget_refusal_is_reported_under_any_jobs(monkeypatch):
+    _chi_with_budget(monkeypatch, 10)
+    reports = list(run_claim("thm2.4", RunConfig(max_n=5)))
     verdicts = Counter(r.verdict for r in reports)
     assert verdicts == {"holds": 73, "budget-exceeded": 9}
     assert exit_code(reports) == 3
-    assert list(run_claim("thm2.4", RunConfig(max_n=5, budget_dominated=10, jobs=2))) == reports
+    assert list(run_claim("thm2.4", RunConfig(max_n=5, jobs=2))) == reports
 
 
 def _stub_claim(monkeypatch, run):
@@ -311,6 +318,56 @@ def test_thm4_1_witness_lists_failing_members_in_box_order(monkeypatch):
     report = verify._run_shard(claim, (1, 3, 6, 2, 5, 4), RunConfig())
     assert report.verdict == "fails"
     assert report.witness == STUBBED_THM4_1_WITNESS
+
+
+def test_single_removal_claims_build_no_monomial(monkeypatch):
+    # thm1.0 and thm4.1 check each M by its exponent key; a Monomial is for witnesses only.
+    built = Counter()
+    from_key, init = Monomial.from_key.__func__, Monomial.__init__
+
+    def counted_from_key(cls, key):
+        built["from_key"] += 1
+        return from_key(cls, key)
+
+    def counted_init(self, *args):
+        built["__init__"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Monomial, "from_key", classmethod(counted_from_key))
+    monkeypatch.setattr(Monomial, "__init__", counted_init)
+    for name in ("thm1.0", "thm4.1"):
+        assert {r.verdict for r in run_claim(name, RunConfig(max_n=5))} == {"holds"}
+    assert built == {}
+
+
+# Witnesses of thm2.4 on S_4 when S_w is replaced by S of w read backwards:
+# every shard fails, at the first term of chi - S in canonical order.
+STUBBED_THM2_4_WITNESSES = {
+    "1234": "difference 1 at 1",
+    "1342": "difference 1 at x1*x2",
+    "1432": "difference 1 at x1^2*x2",
+    "2143": "difference 1 at x1^2",
+    "2341": "difference -1 at x1^2*x2",
+    "2413": "difference -1 at x1^2*x3",
+    "3142": "difference 1 at x1^2*x3",
+    "3214": "difference -1 at x1^3",
+    "4132": "difference -1 at x1*x2",
+    "4321": "difference -1 at 1",
+}
+
+
+def test_thm2_4_witness_is_the_first_term_of_the_difference(monkeypatch):
+    s_w = schubert.schubert_polynomial
+    monkeypatch.setattr(verify.schubert, "schubert_polynomial", lambda w: s_w(w[::-1]))
+    reports = list(run_claim("thm2.4", RunConfig(max_n=4)))
+    assert {r.verdict for r in reports} == {"fails"}
+    witnesses = {r.subject: r.witness for r in reports}
+    assert {s: witnesses[s] for s in STUBBED_THM2_4_WITNESSES} == STUBBED_THM2_4_WITNESSES
+    # Added terms of one degree: x1*x4 comes before x2*x3, and degree 2 before degree 3.
+    extra = x(2) * x(3) + 5 * x(1) * x(4) + 3 * x(1) * x(1) * x(2)
+    monkeypatch.setattr(verify.schubert, "schubert_polynomial", lambda w: s_w(w) + extra)
+    report = verify._run_shard(CLAIMS["thm2.4"], (2, 1, 4, 3), RunConfig())
+    assert (report.verdict, report.witness) == ("fails", "difference -5 at x1*x4")
 
 
 def test_conj5_1_witness_is_the_first_negative_mask(monkeypatch):
