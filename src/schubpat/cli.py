@@ -116,7 +116,7 @@ def _emit(text: str, args) -> None:
 def _poly_out(p: Polynomial, args, nvars: int) -> str:
     if args.format == "json":
         return p.dumps(nvars)
-    return p.format()
+    return str(p)
 
 
 def _parse(kind: type[Permutation] | type[Word], s: str):
@@ -296,7 +296,7 @@ def _cmd_alternating_sum(args) -> int:
     if args.format == "json":
         _emit(json.dumps(result.to_json(), separators=(",", ":")), args)
     else:
-        _emit(result.total.format(), args)
+        _emit(str(result.total), args)
     return EXIT_OK
 
 

@@ -136,9 +136,7 @@ def dominated_sum(D: Diagram) -> Polynomial:
     total = Polynomial.constant(1)
     for d in D.columns():
         if d:
-            total = total * Polynomial.from_keys(
-                {monomial_key(c): 1 for c in _column_dominated_sets(d)}
-            )
+            total = total * Polynomial({monomial_key(c): 1 for c in _column_dominated_sets(d)})
     return total
 
 
@@ -156,4 +154,4 @@ def _count_column(d: tuple[int, ...]) -> int:
 
 def row_monomial(D: Diagram) -> Monomial:
     """x^D: one factor x_i per box of D in row i."""
-    return Monomial.from_key(monomial_key(i for (i, _) in D.boxes))
+    return Monomial(monomial_key(i for (i, _) in D.boxes))

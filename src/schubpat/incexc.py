@@ -129,7 +129,7 @@ def alternating_polynomials(values: tuple[int, ...]) -> list[Polynomial]:
                     terms[key] = c
                 else:
                     del terms[key]
-            rows.append(Polynomial.from_keys(terms))
+            rows.append(Polynomial(terms))
         g[lo :: 2 * bit] = rows
     return g
 
@@ -195,5 +195,5 @@ def verify_single_step(sigma: tuple[int, ...], k: int) -> tuple[bool, Polynomial
     s_sigma, sub = schubert_polynomial(sigma), schubert_skipping(sigma, k)
     if s_sigma.nonnegative_after_subtracting(m, sub):
         return True, None
-    return False, s_sigma - sub * Monomial.from_key(m)
+    return False, s_sigma - sub * Monomial(m)
 

@@ -200,7 +200,7 @@ def divided_difference(p: Polynomial, i: int) -> Polynomial:
             exps[i - 1], exps[i] = lo + hi - 1 - e, e
             k = exponent_key(exps)
             terms[k] = terms.get(k, 0) + c
-    return Polynomial.from_keys({k: c for k, c in terms.items() if c})
+    return Polynomial({k: c for k, c in terms.items() if c})
 
 
 def schubert_divdiff(w: Permutation) -> Polynomial:
@@ -211,7 +211,7 @@ def schubert_divdiff(w: Permutation) -> Polynomial:
     """
     i = next((i for i in range(1, w.n) if w(i) < w(i + 1)), None)
     if i is None:
-        return Polynomial.from_keys({tuple(range(w.n - 1, 0, -1)): 1})
+        return Polynomial({tuple(range(w.n - 1, 0, -1)): 1})
     return divided_difference(schubert_divdiff(swap_positions(w, i)), i)
 
 
@@ -226,7 +226,7 @@ def dominated_sum_by_enumeration(D: Diagram) -> Polynomial:
     for C in enumerate_dominated(D):
         key = monomial_key(i for (i, _) in C.boxes)
         terms[key] = terms.get(key, 0) + 1
-    return Polynomial.from_keys(terms)
+    return Polynomial(terms)
 
 
 def coefficient_by_counting(w: Permutation, m: Monomial) -> int:
@@ -302,7 +302,7 @@ def substitute_variables(p: Polynomial, sigma: Mapping[int, int]) -> Polynomial:
             if e:
                 exps[sigma[i] - 1] = e
         terms[exponent_key(exps)] = c
-    return Polynomial.from_keys(terms)
+    return Polynomial(terms)
 
 
 def substituted_schubert(w: Permutation, v: Word) -> Polynomial:
@@ -336,7 +336,7 @@ class AlternatingSumResult:
                 {
                     "v": str(t.v),
                     "sign": t.sign,
-                    "M": Polynomial.from_monomial(t.monomial).to_json(self.w.n)["terms"][0]["exp"],
+                    "M": list(t.monomial.key) + [0] * (self.w.n - len(t.monomial.key)),
                     "schubert": t.schubert.to_json(self.w.n),
                 }
                 for t in self.per_term
@@ -352,7 +352,7 @@ def alternating_sum(w: Permutation, u: Word) -> AlternatingSumResult:
         sign = 1 if (len(w) - len(v)) % 2 == 0 else -1
         m = m_monomial(w, v)
         s = substituted_schubert(w, v)
-        total = total + s * Polynomial.from_monomial(m, sign)
+        total = total + s * Polynomial({m.key: sign})
         terms.append(SumTerm(v, sign, m, s))
     return AlternatingSumResult(w, u, total, tuple(terms))
 
@@ -460,7 +460,7 @@ def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
             for i, e in zip(kept, key):
                 exps[i] += e
             term[exponent_key(exps)] = sign * c
-        terms.append(Polynomial.from_keys(term))
+        terms.append(Polynomial(term))
     return superset_sums(terms)
 
 

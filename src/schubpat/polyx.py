@@ -7,14 +7,15 @@ of a monomial is its dense exponent tuple, entry i - 1 for variable i, with
 no trailing zeros, so equal monomials have equal keys and a product of
 monomials is the entrywise sum of their keys.  Inside the engine a monomial
 is its key, and `_canonical` is the one order on monomials.  `Monomial`
-wraps a key only where a term leaves the engine (`terms()`, `support()`,
-witnesses, text and JSON), and validation of typed-in exponents happens there.
+wraps a key only where a term leaves the engine (`terms()`, witnesses and
+text).  Both constructors, `Monomial(key)` and `Polynomial(key_terms)`, take
+canonical data as is: the caller owns the invariants above.
 """
 from __future__ import annotations
 
 import json
 from operator import add, le, sub
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 
 def pair_index(i: int, j: int) -> int:
@@ -83,39 +84,8 @@ class Monomial:
 
     __slots__ = ("key",)
 
-    def __init__(self, exps: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = exps.items() if isinstance(exps, Mapping) else exps
-        dense: list[int] = []
-        for var, exp in items:
-            if var < 1:
-                raise ValueError(f"variable index must be >= 1, got {var}")
-            if exp < 0:
-                raise ValueError(f"exponent must be >= 0, got {exp}")
-            if exp:
-                if var > len(dense):
-                    dense.extend([0] * (var - len(dense)))
-                dense[var - 1] += exp
-        self.key: tuple[int, ...] = tuple(dense)  # immutable by convention
-
-    @classmethod
-    def from_key(cls, key: tuple[int, ...]) -> "Monomial":
-        """The monomial of a canonical key, taken as is."""
-        m = cls.__new__(cls)
-        m.key = key
-        return m
-
-    @classmethod
-    def of(cls, *variables: int) -> "Monomial":
-        """Product of the given variables, e.g. Monomial.of(1, 3) == x_1*x_3."""
-        return cls((v, 1) for v in variables)
-
-    @property
-    def exps(self) -> tuple[tuple[int, int], ...]:
-        """The (variable, exponent) pairs with a positive exponent, by variable."""
-        return tuple((i, e) for i, e in enumerate(self.key, start=1) if e)
-
-    def degree(self) -> int:
-        return sum(self.key)
+    def __init__(self, key: tuple[int, ...]):
+        self.key = key  # canonical, taken as is; immutable by convention
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.key == other.key
@@ -126,90 +96,45 @@ class Monomial:
     def __bool__(self) -> bool:
         return bool(self.key)
 
-    def format(self, name: str = "x") -> str:
-        if not self.key:
-            return "1"
-        return "*".join(f"{name}{v}" if e == 1 else f"{name}{v}^{e}" for v, e in self.exps)
-
     def __str__(self) -> str:
-        return self.format()
+        factors = [f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in enumerate(self.key, start=1) if e]
+        return "*".join(factors) or "1"
 
     def __repr__(self) -> str:
-        return f"Monomial({self.exps!r})"
+        return f"Monomial({self.key!r})"
 
 
 class Polynomial:
     """Map from monomial keys to nonzero integer coefficients."""
 
-    __slots__ = ("key_terms",)  # the dict from keys to coefficients; immutable by convention
+    __slots__ = ("key_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[tuple[int, ...], int] = {}
-        for mon, coef in items:
-            key = mon.key
-            c = merged.get(key, 0) + coef
-            if c:
-                merged[key] = c
-            elif key in merged:
-                del merged[key]
-        self.key_terms = merged
-
-    @classmethod
-    def from_keys(cls, terms: dict[tuple[int, ...], int]) -> "Polynomial":
-        """The polynomial of a dict from canonical keys to nonzero ints, taken as is."""
-        p = cls.__new__(cls)
-        p.key_terms = terms
-        return p
+    def __init__(self, key_terms: dict[tuple[int, ...], int]):
+        self.key_terms = key_terms  # canonical, taken as is; immutable by convention
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls.from_keys({})
+        return cls({})
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
-        return cls.from_keys({(): c} if c else {})
-
-    @classmethod
-    def variable(cls, i: int) -> "Polynomial":
-        return cls({Monomial.of(i): 1})
-
-    @classmethod
-    def from_monomial(cls, m: Monomial, coef: int = 1) -> "Polynomial":
-        return cls({m: coef})
+        return cls({(): c} if c else {})
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical (graded lexicographic) order."""
         for key in _canonical(self.key_terms):
-            yield Monomial.from_key(key), self.key_terms[key]
-
-    def coefficient(self, m: Monomial) -> int:
-        return self.key_terms.get(m.key, 0)
-
-    def support(self) -> set[Monomial]:
-        return {Monomial.from_key(key) for key in self.key_terms}
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max(map(sum, self.key_terms), default=-1)
+            yield Monomial(key), self.key_terms[key]
 
     def __bool__(self) -> bool:
         return bool(self.key_terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.key_terms == Polynomial.constant(other).key_terms
         return isinstance(other, Polynomial) and self.key_terms == other.key_terms
 
     def __hash__(self) -> int:
-        # A constant equals its int, so it hashes as that int.
-        if self.key_terms.keys() <= {()}:
-            return hash(self.key_terms.get((), 0))
         return hash(frozenset(self.key_terms.items()))
 
-    def _plus(self, other: "Polynomial | int", sign: int) -> "Polynomial":
-        if isinstance(other, int):
-            other = Polynomial.constant(other)
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
         terms = dict(self.key_terms)
         for key, coef in other.key_terms.items():
             c = terms.get(key, 0) + sign * coef
@@ -217,29 +142,17 @@ class Polynomial:
                 terms[key] = c
             else:
                 del terms[key]
-        return Polynomial.from_keys(terms)
+        return Polynomial(terms)
 
-    def __add__(self, other: "Polynomial | int") -> "Polynomial":
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._plus(other, 1)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial.from_keys({k: -c for k, c in self.key_terms.items()})
-
-    def __sub__(self, other: "Polynomial | int") -> "Polynomial":
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self._plus(other, -1)
 
-    def __rsub__(self, other: int) -> "Polynomial":
-        return Polynomial.constant(other) - self
-
-    def __mul__(self, other: "Polynomial | Monomial | int") -> "Polynomial":
-        if isinstance(other, int):
-            if other == 0:
-                return Polynomial.zero()
-            return Polynomial.from_keys({k: c * other for k, c in self.key_terms.items()})
+    def __mul__(self, other: "Polynomial | Monomial") -> "Polynomial":
         if isinstance(other, Monomial):
-            other = Polynomial.from_monomial(other)
+            other = Polynomial({other.key: 1})
         terms: dict[tuple[int, ...], int] = {}
         get = terms.get
         for a, ca in self.key_terms.items():
@@ -252,9 +165,7 @@ class Polynomial:
                     terms[key] = c
                 else:
                     del terms[key]
-        return Polynomial.from_keys(terms)
-
-    __rmul__ = __mul__
+        return Polynomial(terms)
 
     def nonnegative_after_subtracting(self, m: tuple[int, ...], t: "Polynomial") -> bool:
         """Whether self - x^m * t has no negative coefficient, without building it; m is a key.
@@ -278,52 +189,38 @@ class Polynomial:
         if not negative:
             return True, None
         key = _canonical(negative)[0]
-        return False, (Monomial.from_key(key), self.key_terms[key])
+        return False, (Monomial(key), self.key_terms[key])
 
     def variables(self) -> set[int]:
         return {i for key in self.key_terms for i, e in enumerate(key, start=1) if e}
 
     # -- serialization ---------------------------------------------------
 
-    def to_json(self, nvars: int | None = None) -> dict:
-        n = nvars if nvars is not None else max(self.variables(), default=0)
+    def to_json(self, nvars: int) -> dict:
         terms = []
         for key in _canonical(self.key_terms):
-            if len(key) > n:
-                raise ValueError(f"variable {len(key)} is beyond nvars {n}")
-            exp = list(key) + [0] * (n - len(key))
+            if len(key) > nvars:
+                raise ValueError(f"variable {len(key)} is beyond nvars {nvars}")
+            exp = list(key) + [0] * (nvars - len(key))
             terms.append({"exp": exp, "coef": str(self.key_terms[key])})
-        return {"vars": n, "terms": terms}
+        return {"vars": nvars, "terms": terms}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Polynomial":
-        return cls(
-            {Monomial(dict(enumerate(t["exp"], start=1))): int(t["coef"]) for t in data["terms"]}
-        )
-
-    def dumps(self, nvars: int | None = None) -> str:
+    def dumps(self, nvars: int) -> str:
         return json.dumps(self.to_json(nvars), separators=(",", ":"))
 
-    @classmethod
-    def loads(cls, s: str) -> "Polynomial":
-        return cls.from_json(json.loads(s))
-
-    def format(self, name: str = "x") -> str:
+    def __str__(self) -> str:
         out = ""
         for mon, coef in self.terms():
             c = abs(coef)
-            text = str(c) if not mon else mon.format(name) if c == 1 else f"{c}*{mon.format(name)}"
+            text = str(c) if not mon else str(mon) if c == 1 else f"{c}*{mon}"
             sign = "-" if coef < 0 else "+"
             out += (f" {sign} " if out else "-" * (coef < 0)) + text
         return out or "0"
 
-    def __str__(self) -> str:
-        return self.format()
-
     def __repr__(self) -> str:
-        return f"Polynomial<{self.format()}>"
+        return f"Polynomial<{self}>"
 
 
 def x(i: int) -> Polynomial:
     """Shorthand for the variable x_i as a polynomial."""
-    return Polynomial.variable(i)
+    return Polynomial({(0,) * (i - 1) + (1,): 1})

@@ -95,7 +95,7 @@ class PurpleFamily:
 
     @property
     def monomials(self) -> frozenset[Monomial]:
-        return frozenset(map(Monomial.from_key, self.row_keys()))
+        return frozenset(map(Monomial, self.row_keys()))
 
     def to_json(self) -> dict:
         return {
@@ -160,7 +160,7 @@ def characterize_monomials(sigma: tuple[int, ...]) -> tuple[MonomialCharacteriza
         degree = sum(mu0) + sum(len(sets[0]) for _, sets in family.columns)
         quotients = (key_quotient(m, mu0) for m in s_sigma.key_terms if sum(m) == degree)
         working = frozenset(
-            Monomial.from_key(q)
+            Monomial(q)
             for q in quotients
             if q is not None and s_sigma.nonnegative_after_subtracting(q, sub)
         )

@@ -78,7 +78,7 @@ def _schubert(values: tuple[int, ...]) -> Polynomial:
     for u in children:
         for k, c in _schubert(u).key_terms.items():
             terms[k] = terms.get(k, 0) + c
-    return Polynomial.from_keys(terms)
+    return Polynomial(terms)
 
 
 def schubert_skipping(sigma: tuple[int, ...], k: int) -> Polynomial:
@@ -89,7 +89,7 @@ def schubert_skipping(sigma: tuple[int, ...], k: int) -> Polynomial:
     becomes x_i below k and x_{i+1} from k on (`polyx.skip_variable`).
     """
     pi = without_position(sigma, k - 1)
-    return Polynomial.from_keys(
+    return Polynomial(
         {skip_variable(key, k): c for key, c in schubert_polynomial(pi).key_terms.items()}
     )
 

@@ -43,7 +43,7 @@ def _det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
             break
         sign = -1 if t % 2 else 1
         minor = _det(rows[:t] + rows[t + 1 :], cols[1:])
-        result = result + minor * Polynomial.from_keys({monomial_key((pair_index(r, c0),)): sign})
+        result = result + minor * Polynomial({monomial_key((pair_index(r, c0),)): sign})
     return result
 
 
@@ -99,4 +99,4 @@ def _chi_by_rank(columns: tuple[tuple[int, ...], ...]) -> Polynomial:
         coef = _span_rank(polys)
         if coef:
             terms[key] = coef
-    return Polynomial.from_keys(terms)
+    return Polynomial(terms)

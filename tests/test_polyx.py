@@ -1,19 +1,25 @@
-from types import MappingProxyType
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schubpat import weylchar
+from schubpat.diagrams import dominated_sum, rothe
+from schubpat.incexc import alternating_polynomials
 from schubpat.oracles import UnmappedVariableError, evaluate_all_ones, substitute_variables
-from schubpat.polyx import Monomial, Polynomial, pair_index, x
+from schubpat.permwords import all_permutations
+from schubpat.polyx import Monomial, Polynomial, exponent_key, monomial_key, pair_index, x
+from schubpat.schubert import schubert_polynomial, schubert_skipping
+
+
+def key_strategy(max_vars=5, max_exp=3):
+    return st.lists(st.integers(0, max_exp), max_size=max_vars).map(exponent_key)
 
 
 def poly_strategy(max_vars=4, max_exp=3, max_terms=5, max_coef=9, min_coef=None):
-    mono = st.dictionaries(
-        st.integers(1, max_vars), st.integers(1, max_exp), max_size=max_vars
-    ).map(Monomial)
     low = -max_coef if min_coef is None else min_coef
-    term = st.tuples(mono, st.integers(low, max_coef))
-    return st.lists(term, max_size=max_terms).map(Polynomial)
+    coef = st.integers(low, max_coef).filter(bool)
+    return st.dictionaries(key_strategy(max_vars, max_exp), coef, max_size=max_terms).map(Polynomial)
 
 
 def test_add_sub_mul_examples():
@@ -73,7 +79,7 @@ def test_is_nonnegative():
     assert ok
     ok, witness = (x(1) - x(2)).is_nonnegative()
     assert not ok
-    assert witness == (Monomial.of(2), -1)
+    assert witness == (Monomial((0, 1)), -1)
 
 
 @given(poly_strategy())
@@ -82,37 +88,24 @@ def test_is_nonnegative_witness_is_the_first_negative_term(p):
     assert p.is_nonnegative() == ((False, negative[0]) if negative else (True, None))
 
 
-def test_constructors_take_any_mapping():
-    m = Monomial(MappingProxyType({2: 1, 1: 3}))
-    assert m == Monomial({1: 3, 2: 1})
-    assert Polynomial(MappingProxyType({m: 2})) == Polynomial({m: 2})
-
-
-@pytest.mark.parametrize("c", [0, 1, -3])
-def test_a_constant_hashes_as_the_int_it_equals(c):
-    p = Polynomial.constant(c)
-    assert p == c and hash(p) == hash(c)
-    assert len({c, p}) == len({p, c}) == 1
-    assert {c: "x"}.get(p) == "x" and {p: "x"}.get(c) == "x"
-
-
 def test_coefficient():
     s2143 = x(1) * x(1) + x(1) * x(2) + x(1) * x(3)
-    assert s2143.coefficient(Monomial({1: 2})) == 1
-    assert s2143.coefficient(Monomial.of(2, 3)) == 0
+    assert s2143.key_terms.get(monomial_key([1, 1]), 0) == 1
+    assert s2143.key_terms.get(monomial_key([2, 3]), 0) == 0
 
 
 @settings(max_examples=100)
 @given(poly_strategy())
 def test_serialization_round_trip(p):
-    blob = p.dumps()
-    assert Polynomial.loads(blob) == p
-    # canonical order makes serialization deterministic
-    assert Polynomial.loads(blob).dumps() == blob
+    blob = p.dumps(4)
+    terms = json.loads(blob)["terms"]
+    assert Polynomial({exponent_key(t["exp"]): int(t["coef"]) for t in terms}) == p
+    # canonical order makes serialization deterministic: the dict's insertion order is not read
+    assert Polynomial(dict(reversed(p.key_terms.items()))).dumps(4) == blob
 
 
 def test_json_shape():
-    p = 2 * x(1) * x(3) - x(2)
+    p = Polynomial({(1, 0, 1): 2, (0, 1): -1})
     data = p.to_json(3)
     assert data["vars"] == 3
     assert {"exp": [0, 1, 0], "coef": "-1"} in data["terms"]
@@ -133,9 +126,6 @@ def test_pair_index_round_trip():
 
 # -- exponent keys ---------------------------------------------------------
 
-monomials = st.dictionaries(st.integers(1, 5), st.integers(0, 3), max_size=5)
-
-
 def _canonical_keys(p):
     return all(not key or key[-1] for key in p.key_terms)
 
@@ -144,30 +134,20 @@ def _same(p, q):
     return p == q and hash(p) == hash(q) and _canonical_keys(p) and _canonical_keys(q)
 
 
-@given(monomials)
+@given(st.dictionaries(st.integers(1, 5), st.integers(0, 3), max_size=5))
 def test_monomial_routes_give_one_key(exps):
-    # zero exponents, split pairs and repeated variables all land on one key
-    pairs = [(v, e) for v, e in exps.items() for _ in range(e)]
-    m = Monomial(exps)
-    routes = [
-        Monomial([(v, 1) for v, _ in pairs] + [(v, 0) for v in exps]),
-        Monomial.of(*(v for v, _ in pairs)),
-        Monomial(dict(reversed(list(exps.items())))),
-        Monomial.from_key(m.key),
-    ]
-    assert not m.key or m.key[-1]
-    for r in routes:
-        assert r == m and hash(r) == hash(m) and r.key == m.key
+    # zero exponents, repeated variables and either variable order all land on one key
+    variables = [v for v, e in exps.items() for _ in range(e)]
+    key = exponent_key([exps.get(v, 0) for v in range(1, 7)])
+    assert not key or key[-1]
+    for route in (monomial_key(variables), monomial_key(reversed(variables))):
+        m, r = Monomial(key), Monomial(route)
+        assert r == m and hash(r) == hash(m) and r.key == key
 
 
 @settings(max_examples=150)
 @given(poly_strategy(max_vars=5), poly_strategy(max_vars=5))
 def test_polynomial_routes_give_one_key(p, q):
-    pairs = list(p.terms())
-    assert _same(Polynomial(dict(pairs)), p)
-    # pairs split in two, plus zero terms, merge to the same polynomial
-    split = [(m, c - 1) for m, c in pairs] + [(m, 1) for m, _ in pairs] + [(Monomial({3: 0}), 0)]
-    assert _same(Polynomial(split), p)
     assert _same(p + q - q, p)
     assert _same(q - q, Polynomial.zero())
     assert _same((p * q) - (q * p), Polynomial.zero())
@@ -176,14 +156,14 @@ def test_polynomial_routes_give_one_key(p, q):
     shift = {v: v + 1 for v in range(1, 6)}
     back = {v + 1: v for v in range(1, 6)}
     assert _same(substitute_variables(substitute_variables(p, shift), back), p)
-    assert _same(Polynomial.from_json(p.to_json(7)), p)
-    assert _same(Polynomial.loads(p.dumps()), p)
 
 
 @given(poly_strategy(max_vars=5))
 def test_terms_order_is_the_old_order_on_variable_exponent_pairs(p):
-    old = sorted(p.support(), key=lambda m: (m.degree(), tuple((v, -e) for v, e in m.exps)))
-    assert [m for m, _ in p.terms()] == old
+    def old_key(key):
+        return sum(key), tuple((v, -e) for v, e in enumerate(key, start=1) if e)
+
+    assert [m.key for m, _ in p.terms()] == sorted(p.key_terms, key=old_key)
 
 
 @settings(max_examples=200)
@@ -191,12 +171,25 @@ def test_terms_order_is_the_old_order_on_variable_exponent_pairs(p):
     poly_strategy(max_vars=4, min_coef=1),
     poly_strategy(max_vars=4, min_coef=1),
     poly_strategy(max_vars=4),
-    monomials,
+    key_strategy(),
 )
-def test_lookup_subtraction_check_agrees_with_the_difference(p, q, t, exps):
-    m = Monomial(exps)
+def test_lookup_subtraction_check_agrees_with_the_difference(p, q, t, key):
+    m = Monomial(key)
     # The check assumes S has no negative coefficient, as S_sigma and a dual
     # character have none; S = p + m * q puts some of them on m * q's support.
     s = p + q * m
     for other in (t, q, q + t, Polynomial.zero()):
         assert s.nonnegative_after_subtracting(m.key, other) == (s - other * m).is_nonnegative()[0]
+
+
+def test_engine_routes_return_canonical_polynomials():
+    # The constructors take their dicts as is, so every route must build
+    # keys without trailing zeros and drop the terms that cancel.
+    for n in range(6):
+        for w in all_permutations(n):
+            D = rothe(w.values)
+            routes = [schubert_polynomial(w.values), dominated_sum(D), weylchar.chi(D)]
+            routes += [schubert_skipping(w.values, k) for k in range(1, n + 1)]
+            routes += alternating_polynomials(w.values)
+            for p in routes:
+                assert _canonical_keys(p) and all(p.key_terms.values()), (w, p)

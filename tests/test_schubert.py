@@ -18,7 +18,7 @@ from schubpat.oracles import (
     substitute_variables,
 )
 from schubpat.permwords import Permutation, Word, all_permutations, avoids
-from schubpat.polyx import Monomial, Polynomial, x
+from schubpat.polyx import Monomial, Polynomial, monomial_key, x
 from schubpat.schubert import principal_specialization, schubert_polynomial, schubert_skipping
 from schubpat.weylchar import chi
 
@@ -33,7 +33,7 @@ diagrams = st.integers(1, 4).flatmap(
 
 def _at_zero(p: Polynomial, k: int) -> Polynomial:
     """p with x_k = 0: the terms without x_k."""
-    return Polynomial({m: c for m, c in p.terms() if k not in dict(m.exps)})
+    return Polynomial({key: c for key, c in p.key_terms.items() if len(key) < k or not key[k - 1]})
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -69,8 +69,8 @@ def test_divided_difference_examples():
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
 def test_divided_difference_is_twisted_derivation(i, j, a, b):
     # d_i(fg) = d_i(f) g + (s_i f) d_i(g)
-    f = Polynomial.from_monomial(Monomial({j: a}))
-    g = Polynomial.from_monomial(Monomial({i: b})) + x(j)
+    f = Polynomial({monomial_key([j] * a): 1})
+    g = Polynomial({monomial_key([i] * b): 1}) + x(j)
     swap = {v: v for v in range(1, 5)}
     swap[i], swap[i + 1] = i + 1, i
     lhs = divided_difference(f * g, i)
@@ -93,7 +93,7 @@ def test_schubert_worked_examples():
 
 def test_schubert_longest_element():
     w0 = Permutation.from_string("4321")
-    assert schubert_divdiff(w0) == Polynomial.from_monomial(Monomial({1: 3, 2: 2, 3: 1}))
+    assert schubert_divdiff(w0) == Polynomial({(3, 2, 1): 1})
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -160,9 +160,9 @@ def test_diagram_sum_overcounts_on_1432():
 
 def test_coefficient_by_counting():
     w = Permutation.from_string("2143")
-    assert coefficient_by_counting(w, Monomial({1: 2})) == 1
-    assert coefficient_by_counting(w, Monomial.of(1, 3)) == 1
-    assert coefficient_by_counting(w, Monomial.of(2, 3)) == 0
+    assert coefficient_by_counting(w, Monomial((2,))) == 1
+    assert coefficient_by_counting(w, Monomial(monomial_key([1, 3]))) == 1
+    assert coefficient_by_counting(w, Monomial(monomial_key([2, 3]))) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -170,7 +170,7 @@ def test_schubert_coefficients_nonnegative_and_homogeneous(n):
     for w in all_permutations(n):
         p = schubert_divdiff(w)
         assert p.is_nonnegative()[0]
-        assert {m.degree() for m in p.support()} == {w.inversions()}
+        assert set(map(sum, p.key_terms)) == {w.inversions()}
 
 
 def test_reduced_words_examples():
@@ -224,4 +224,4 @@ def test_schubert_stable_under_embedding(w, pad):
 
 def test_degree_equals_diagram_size():
     for w in all_permutations(5):
-        assert schubert_divdiff(w).degree() == len(rothe(w.values))
+        assert max(map(sum, schubert_divdiff(w).key_terms)) == len(rothe(w.values))

@@ -16,7 +16,7 @@ import schubpat
 from schubpat import incexc, oracles, purple, schubert, verify, weylchar
 from schubpat.errors import BudgetExceededError, PatternViolationError
 from schubpat.permwords import Permutation, all_permutations, avoids, one_line
-from schubpat.polyx import Monomial, x
+from schubpat.polyx import Monomial, Polynomial, x
 from schubpat.verify import (
     CLAIMS,
     Claim,
@@ -323,17 +323,12 @@ def test_thm4_1_witness_lists_failing_members_in_box_order(monkeypatch):
 def test_single_removal_claims_build_no_monomial(monkeypatch):
     # thm1.0 and thm4.1 check each M by its exponent key; a Monomial is for witnesses only.
     built = Counter()
-    from_key, init = Monomial.from_key.__func__, Monomial.__init__
+    init = Monomial.__init__
 
-    def counted_from_key(cls, key):
-        built["from_key"] += 1
-        return from_key(cls, key)
-
-    def counted_init(self, *args):
+    def counted_init(self, key):
         built["__init__"] += 1
-        init(self, *args)
+        init(self, key)
 
-    monkeypatch.setattr(Monomial, "from_key", classmethod(counted_from_key))
     monkeypatch.setattr(Monomial, "__init__", counted_init)
     for name in ("thm1.0", "thm4.1"):
         assert {r.verdict for r in run_claim(name, RunConfig(max_n=5))} == {"holds"}
@@ -364,7 +359,7 @@ def test_thm2_4_witness_is_the_first_term_of_the_difference(monkeypatch):
     witnesses = {r.subject: r.witness for r in reports}
     assert {s: witnesses[s] for s in STUBBED_THM2_4_WITNESSES} == STUBBED_THM2_4_WITNESSES
     # Added terms of one degree: x1*x4 comes before x2*x3, and degree 2 before degree 3.
-    extra = x(2) * x(3) + 5 * x(1) * x(4) + 3 * x(1) * x(1) * x(2)
+    extra = Polynomial({(0, 1, 1): 1, (1, 0, 0, 1): 5, (2, 1): 3})
     monkeypatch.setattr(verify.schubert, "schubert_polynomial", lambda w: s_w(w) + extra)
     report = verify._run_shard(CLAIMS["thm2.4"], (2, 1, 4, 3), RunConfig())
     assert (report.verdict, report.witness) == ("fails", "difference -5 at x1*x4")
