@@ -16,7 +16,6 @@ import argparse
 import collections
 import contextlib
 import hashlib
-import json
 import pathlib
 import sys
 import time
@@ -48,7 +47,7 @@ def main() -> int:
         sink = open(args.out / f"{name}.jsonl", "w", encoding="utf-8") if args.out else None
         with sink or contextlib.nullcontext() as fh:
             for r in run_claim(name, config):
-                line = json.dumps(r.as_dict(), separators=(",", ":")) + "\n"
+                line = r.json_line() + "\n"
                 digest.update(line.encode("utf-8"))
                 if fh:
                     fh.write(line)

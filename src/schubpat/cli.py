@@ -207,7 +207,7 @@ def _csv_row(r: verify.VerificationReport, args) -> list:
 
 def _report_line(r: verify.VerificationReport, args) -> str:
     if args.format == "json":
-        return json.dumps(r.as_dict(), separators=(",", ":"))
+        return r.json_line()
     return (
         f"{r.claim}\t{r.subject}\t{r.verdict}"
         + (f"\t{r.witness}" if r.witness else "")

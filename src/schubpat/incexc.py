@@ -61,27 +61,33 @@ def pattern_coefficients(values: tuple[int, ...]) -> list[int]:
 
     A mask that drops position i is a mask of w without position i: with i
     its lowest clear bit, the masks lo::2^(i+1) copy that table at lo::2^i.
-    The full mask is c_w.  The specialization identity says the table sums
-    to S_w(1).
+    The full mask is c_w, read from the same n deletions (`_cw`).  The
+    specialization identity says the table sums to S_w(1).
     """
     n = len(values)
     t = [0] * (1 << n)
-    for i in range(n):
+    deletions = [without_position(values, i) for i in range(n)]
+    for i, deleted in enumerate(deletions):
         lo, bit = (1 << i) - 1, 1 << i
-        t[lo :: 2 * bit] = _coefficients(without_position(values, i))[lo::bit]
-    t[-1] = cw_inclusion_exclusion(values)
+        t[lo :: 2 * bit] = _coefficients(deleted)[lo::bit]
+    t[-1] = _cw(values, deletions)
     return t
 
 
 def cw_inclusion_exclusion(values: tuple[int, ...]) -> int:
-    """c_w, the signed sum of S_{perm(v)}(1) over every subword v of word(w).
+    """c_w, the signed sum of S_{perm(v)}(1) over every subword v of word(w)."""
+    return _cw(values, [without_position(values, i) for i in range(len(values))])
+
+
+def _cw(values: tuple[int, ...], deletions: list[tuple[int, ...]]) -> int:
+    """c_w from the tables of its deletions, deletions[i] being w without position i.
 
     This is g[0] of `alternating_specializations`, read down the chain of
     masks 2^i - 1: g[2^i - 1] = g[2^(i+1) - 1] less entry 2^i - 1 of the
     table of w without position i.
     """
     return principal_specialization(values) - sum(
-        _alternating(without_position(values, i))[(1 << i) - 1] for i in range(len(values))
+        _alternating(deleted)[(1 << i) - 1] for i, deleted in enumerate(deletions)
     )
 
 

@@ -96,10 +96,12 @@ class Permutation:
 def without_position(values: tuple[int, ...], i: int) -> tuple[int, ...]:
     """The pattern of a one-line tuple without position i (0-indexed).
 
-    Each entry above the deleted one is lowered by one.
+    Each entry above the deleted one is lowered by one.  The entries of a
+    one-line tuple are distinct, so dropping the entry equal to values[i]
+    drops position i and no other.
     """
     a = values[i]
-    return tuple(b - (b > a) for b in values[:i] + values[i + 1 :])
+    return tuple([b - 1 if b > a else b for b in values if b != a])
 
 
 def avoids(v: tuple[int, ...]) -> bool:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import multiprocessing
 import random
 import time
@@ -35,6 +36,10 @@ from .permwords import avoids, one_line
 from .purple import characterize_monomials, purple_family
 
 DEFAULT_SEED = 2718
+
+# One encoder for every JSON line: `json.dumps` with a separators argument
+# builds a new JSONEncoder at each call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,10 @@ class VerificationReport:
         if self.elapsed_ms is not None:
             d["elapsed_ms"] = self.elapsed_ms
         return d
+
+    def json_line(self) -> str:
+        """The compact JSON of `as_dict`, without a newline: the one text of a report line."""
+        return _encode(self.as_dict())
 
 
 @dataclass(frozen=True)
@@ -308,7 +317,8 @@ CLAIMS: dict[str, Claim] = {
 
 def _run_shard(claim: Claim, shard: tuple[int, ...], config: RunConfig) -> VerificationReport:
     """The report of one shard, stamped with its elapsed time if timing is on."""
-    start = time.monotonic()
+    timing = config.include_timing
+    start = time.monotonic() if timing else 0.0
     try:
         failures = claim.run(shard, config)
     except BudgetExceededError as exc:
@@ -316,7 +326,7 @@ def _run_shard(claim: Claim, shard: tuple[int, ...], config: RunConfig) -> Verif
     else:
         verdict = "outside-scope" if failures is None else "fails" if failures else "holds"
         witness = "; ".join(failures) if failures else None
-    elapsed_ms = round((time.monotonic() - start) * 1000, 3) if config.include_timing else None
+    elapsed_ms = round((time.monotonic() - start) * 1000, 3) if timing else None
     return VerificationReport(claim.name, one_line(shard), verdict, witness, elapsed_ms)
 
 
@@ -406,9 +416,12 @@ def worse_code(a: int, b: int) -> int:
     return 2 if 2 in (a, b) else max(a, b)
 
 
+_VERDICT_CODES = {"fails": 2, "budget-exceeded": 3}
+
+
 def report_code(report: VerificationReport) -> int:
     """2 for a counterexample, 3 for a budget refusal, else 0."""
-    return {"fails": 2, "budget-exceeded": 3}.get(report.verdict, 0)
+    return _VERDICT_CODES.get(report.verdict, 0)
 
 
 def exit_code(reports: Iterable[VerificationReport]) -> int:

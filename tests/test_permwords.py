@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from schubpat.permwords import Permutation, Word, all_permutations, avoids, one_line
+from schubpat.permwords import Permutation, Word, all_permutations, avoids, one_line, without_position
 from schubpat.oracles import (
     LetterNotInWordError,
     NotASubwordError,
@@ -47,6 +47,24 @@ def test_flatten_examples():
 @given(st.integers(1, 6).flatmap(perms))
 def test_flatten_fixes_permutation_words(w):
     assert flatten(w.word()) == w
+
+
+def _pattern_without(w: Permutation, i: int) -> tuple[int, ...]:
+    return flatten(Word(w.values[:i] + w.values[i + 1 :])).values
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_without_position_is_the_pattern_of_the_rest(n):
+    for w in all_permutations(n):
+        for i in range(n):
+            assert without_position(w.values, i) == _pattern_without(w, i), (w, i)
+
+
+@given(st.integers(8, 12).flatmap(perms), st.data())
+def test_without_position_is_the_pattern_of_the_rest_past_nine(w, data):
+    # Entries above 9 take two digits in the text form but are plain ints here.
+    i = data.draw(st.integers(0, w.n - 1))
+    assert without_position(w.values, i) == _pattern_without(w, i)
 
 
 def test_pattern_count_examples():

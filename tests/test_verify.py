@@ -236,6 +236,14 @@ def test_report_as_dict_omits_empty_fields():
     }
 
 
+@pytest.mark.parametrize("elapsed_ms", [None, 0.125])
+@pytest.mark.parametrize("witness", [None, 'k=1: "quoted" \\ back\\slash', "u=2,14,3: é ∑ 😀\ttab"])
+def test_json_line_is_the_compact_dump_of_the_report(witness, elapsed_ms):
+    r = VerificationReport("identity", "2,14,3", "fails", witness, elapsed_ms)
+    assert r.json_line() == json.dumps(r.as_dict(), separators=(",", ":"))
+    assert json.loads(r.json_line()) == r.as_dict()
+
+
 def test_identity_builds_each_table_once_per_shard(monkeypatch):
     calls: Counter = Counter()
     builders = {
@@ -259,6 +267,33 @@ def test_identity_builds_each_table_once_per_shard(monkeypatch):
         (name, w.values) for name in builders for n in range(5) for w in all_permutations(n)
     )
     assert calls == deletions + Counter(("pattern_coefficients", w) for w in shards)
+
+
+def test_each_table_build_makes_one_deletion_per_position(monkeypatch):
+    deletions, built = 0, 0
+    originals = {
+        name: getattr(incexc, name)
+        for name in ("without_position", "alternating_specializations", "pattern_coefficients")
+    }
+
+    def delete(values, i):
+        nonlocal deletions
+        deletions += 1
+        return originals["without_position"](values, i)
+
+    def counted(name):
+        def build(values):
+            nonlocal built
+            built += len(values)
+            return originals[name](values)
+        return build
+
+    monkeypatch.setattr(incexc, "without_position", delete)
+    for name in ("alternating_specializations", "pattern_coefficients"):
+        monkeypatch.setattr(incexc, name, counted(name))
+    assert exit_code(run_claim("identity", RunConfig(max_n=5))) == 0
+    # c_w comes from the deletions that the shard's c table is copied from.
+    assert built and deletions == built
 
 
 def test_thm4_1_builds_one_purple_family_per_pair(monkeypatch):
