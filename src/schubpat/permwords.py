@@ -6,7 +6,8 @@ Inside the engine a permutation is that one-line notation as a plain tuple
 of ints, `values`, and every engine function takes it.  `Permutation` and
 `Word` parse, validate and print outside input (the CLI's arguments) and
 the oracles' subwords; what the oracles compute on them (`flatten`,
-`inverse`, `swap_positions`) lives in `oracles`.
+`inverse`, `swap_positions`) lives in `oracles`.  `inverse_values` is
+w^{-1} on the one-line tuple, for the claims that pair w with w^{-1}.
 
 Textual formats (`one_line`): "15243" (compact digits) or "2,14,3" (comma
 separated, used whenever a letter exceeds 9); the empty word is "()".
@@ -102,6 +103,14 @@ def without_position(values: tuple[int, ...], i: int) -> tuple[int, ...]:
     """
     a = values[i]
     return tuple([b - 1 if b > a else b for b in values if b != a])
+
+
+def inverse_values(values: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line tuple of w^{-1}: entry a - 1 is the position of a in w (`oracles.inverse`)."""
+    inv = [0] * len(values)
+    for i, a in enumerate(values, start=1):
+        inv[a - 1] = i
+    return tuple(inv)
 
 
 def avoids(v: tuple[int, ...]) -> bool:

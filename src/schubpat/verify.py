@@ -5,18 +5,27 @@ permutation's one-line notation, a plain tuple as `itertools.permutations`
 makes it, and its subject is `one_line(w)`.  A claim's `run(w, config)`
 returns its failure witnesses, [] when the claim holds, or None when w is
 outside its scope; it may raise BudgetExceededError.  `_run_shard` alone
-turns that into the shard's one VerificationReport.  Shard order is fixed,
+turns that into the report of a shard that runs.  Shard order is fixed,
 so report files are byte-stable for a given configuration regardless of
 the parallelism degree (timing is only recorded on request for the same
 reason).
 
+A claim whose verdict is the same for w and w^{-1} (`Claim.inverse_invariant`:
+`conj5.1` and `identity`, whose x = 1 table of w^{-1} is that of w
+re-indexed) runs only the lexicographically smaller of the two, the
+representative; it is earlier in shard order.  The other, a derived shard,
+is not run: the parent writes `holds` under its own subject when the
+representative held.  Only `holds` is derived; after any other verdict the
+parent runs the shard itself, so every witness is the shard's own.
+
 Under `jobs` > 1, `run_claim` forks its workers: each inherits the shard
 list, so nothing is pickled on the way in.  The shards are cut into
 consecutive blocks, block b dealt to worker b mod the number of workers;
-each worker sends the reports of a block down its own pipe, and the parent
-reads block b from that pipe alone, in block order.  A worker that is ahead
-waits in its send once the pipe is full.  Forking needs a platform that
-has it (not Windows), and a parent with no other thread.
+each worker sends the reports of a block down its own pipe, None in place
+of a derived shard's, and the parent reads block b from that pipe alone, in
+block order.  A worker that is ahead waits in its send once the pipe is
+full.  Forking needs a platform that has it (not Windows), and a parent
+with no other thread.
 """
 from __future__ import annotations
 
@@ -32,7 +41,7 @@ from typing import Callable, ClassVar, Iterable, Iterator
 from . import incexc, schubert, weylchar
 from .diagrams import Diagram, count_dominated, dominated_sum, rothe, row_monomial
 from .errors import BudgetExceededError, UsageError
-from .permwords import avoids, one_line
+from .permwords import avoids, inverse_values, one_line
 from .purple import characterize_monomials, purple_family
 
 DEFAULT_SEED = 2718
@@ -92,6 +101,8 @@ class Claim:
     description: str
     shards: Callable[[RunConfig], list[tuple[int, ...]]]
     run: Callable[[tuple[int, ...], RunConfig], list[str] | None]  # failures; None: outside scope
+    # Whether w^{-1} has w's verdict, so that the larger of the two takes a `holds` from the other.
+    inverse_invariant: bool = False
 
 
 def _perm_shards(config: RunConfig, n_max: int | None = None) -> list[tuple[int, ...]]:
@@ -215,8 +226,10 @@ def _run_purple_members(w: tuple[int, ...], config: RunConfig) -> list[str] | No
 
 
 def _run_cwu_nonneg(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
-    # The alternating sums of thm1.1 at x = 1, for every u at once.
-    g = incexc.alternating_specializations(w)
+    # The alternating sums of thm1.1 at x = 1, for every u at once.  A table of
+    # S_<=max_n-1 is also a deletion's table, so it is the memo's.
+    table = incexc._alternating if len(w) < config.max_n else incexc.alternating_specializations
+    g = table(w)
     if min(g) >= 0:
         return []
     mask = next(mask for mask, value in enumerate(g) if value < 0)
@@ -243,7 +256,9 @@ def _run_purple_characterization(sigma: tuple[int, ...], config: RunConfig) -> l
 
 
 def _run_identity(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
-    t = incexc.pattern_coefficients(w)
+    # As in conj5.1, a table of S_<=max_n-1 is the memo's.
+    table = incexc._coefficients if len(w) < config.max_n else incexc.pattern_coefficients
+    t = table(w)
     c_w, total = t[-1], sum(t)
     spec = schubert.principal_specialization(w)
     failures = []
@@ -298,6 +313,7 @@ CLAIMS: dict[str, Claim] = {
             "all alternating specializations are nonnegative (all permutations)",
             _perm_shards,
             _run_cwu_nonneg,
+            inverse_invariant=True,
         ),
         Claim(
             "conj5.3",
@@ -310,6 +326,7 @@ CLAIMS: dict[str, Claim] = {
             "subword c-sum equals the principal specialization; c vanishes on fixed last point",
             _perm_shards,
             _run_identity,
+            inverse_invariant=True,
         ),
     )
 }
@@ -335,19 +352,57 @@ def _shard_worker(args: tuple[str, tuple[int, ...], RunConfig]) -> VerificationR
     return _run_shard(CLAIMS[claim_name], shard, config)
 
 
+def _derived(claim: Claim, shard: tuple[int, ...]) -> bool:
+    """Whether the shard may take its verdict from w^{-1}, which is smaller and so earlier."""
+    return claim.inverse_invariant and inverse_values(shard) < shard
+
+
+def _settle(
+    claim: Claim,
+    shard: tuple[int, ...],
+    report: VerificationReport | None,
+    config: RunConfig,
+    held: set[tuple[int, ...]],
+) -> VerificationReport:
+    """The shard's report, in shard order: `report`, or for None (not run) a derived or own one.
+
+    `held` is the parent's set of representatives that hold and whose
+    partner w^{-1} is still to come.  A shard whose partner is in it is
+    derived: its report is `holds`, timed by this lookup alone.
+    """
+    if not claim.inverse_invariant:
+        return report if report is not None else _run_shard(claim, shard, config)
+    start = time.monotonic()
+    partner = inverse_values(shard)
+    if partner in held:  # only representatives are held, so partner < shard
+        held.remove(partner)
+        elapsed_ms = round((time.monotonic() - start) * 1000, 3) if config.include_timing else None
+        return VerificationReport(claim.name, one_line(shard), "holds", None, elapsed_ms)
+    if report is None:
+        report = _run_shard(claim, shard, config)
+    if partner > shard and report.verdict == "holds":
+        held.add(shard)
+    return report
+
+
 def _work(claim_name: str, shards: list[tuple[int, ...]], config: RunConfig, blocks, conn) -> None:
     """A forked worker: send `(reports, error)` for each block of shards.
 
-    A shard that raises ends the worker: its block goes out with the reports
-    before it and the exception.  `_shard_worker` is looked up at each call,
-    so a wrapper installed on the module reaches the workers too.
+    A derived shard is not run: None takes its place, and the parent settles
+    it.  A shard that raises ends the worker: its block goes out with the
+    reports before it and the exception.  `_shard_worker` is looked up at
+    each call, so a wrapper installed on the module reaches the workers too.
     """
+    claim = CLAIMS[claim_name]
     try:
         for block in blocks:
             reports = []
             try:
                 for shard in shards[block]:
-                    reports.append(_shard_worker((claim_name, shard, config)))
+                    if _derived(claim, shard):
+                        reports.append(None)
+                    else:
+                        reports.append(_shard_worker((claim_name, shard, config)))
             except Exception as exc:
                 conn.send((reports, exc))
                 return
@@ -363,9 +418,10 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
     claim = CLAIMS[claim_name]
     shards = claim.shards(config)
     workers = min(config.jobs, len(shards))
+    held: set[tuple[int, ...]] = set()  # see `_settle`
     if workers <= 1:
         for shard in shards:
-            yield _run_shard(claim, shard, config)
+            yield _settle(claim, shard, None, config, held)
         return
     fork = multiprocessing.get_context("fork")
     # About 16 blocks per worker: few enough to keep the messages few, enough to
@@ -398,7 +454,8 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
                 dead.join()
                 crash = f"verify worker {dead.pid} exited with code {dead.exitcode}"
                 raise RuntimeError(crash + " before its last report") from None
-            yield from reports
+            for shard, report in zip(shards[blocks[b]], reports):
+                yield _settle(claim, shard, report, config, held)
             if error is not None:
                 raise error
         finished = True

@@ -25,6 +25,7 @@ from schubpat.oracles import (
     enumerate_dominated,
     evaluate_all_ones,
     flatten,
+    inverse,
     m_monomial,
     removed_boxes,
     restrict_remove,
@@ -181,6 +182,45 @@ def test_deletion_tables_match_the_per_mask_route(n):
         assert pattern_coefficients(w.values) == [
             per_mask_alternating(p)[0] for p in subword_patterns(w.values)
         ]
+
+
+def _inverse_masks(w: Permutation) -> list[int]:
+    """For each mask Q of w^{-1}, the mask P of the positions of w that hold the values in Q.
+
+    Position j of w^{-1} is value j + 1 of w, so bit j of Q is the bit of
+    that value's position in w.
+    """
+    where = inverse(w).values
+    masks = [0] * (1 << w.n)
+    for q in range(1, 1 << w.n):
+        low = (q & -q).bit_length() - 1
+        masks[q] = masks[q & (q - 1)] | 1 << (where[low] - 1)
+    return masks
+
+
+def _reindexes(tables: dict, n: int) -> None:
+    """Entry Q of the table of w^{-1} is entry P of w's, for every w of S_n."""
+    for w in all_permutations(n):
+        table, inverse_table = tables[w.values], tables[inverse(w).values]
+        assert inverse_table == [table[p] for p in _inverse_masks(w)], w
+
+
+@pytest.mark.parametrize("build", [alternating_specializations, pattern_coefficients])
+def test_x1_tables_of_the_inverse_are_reindexed(build):
+    # Why conj5.1 and identity share a verdict between w and w^{-1}: min, sum,
+    # the full mask S_w(1), and c_w at the empty mask all carry over.
+    for n in range(0, 8):
+        _reindexes({w.values: build(w.values) for w in all_permutations(n)}, n)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_the_oracle_tables_at_ones_reindex_under_the_inverse(n):
+    # The same rule on the per-mask route, which shares no table code with production.
+    ones = {
+        w.values: [evaluate_all_ones(p) for p in alternating_sums(w.values)]
+        for w in all_permutations(n)
+    }
+    _reindexes(ones, n)
 
 
 @pytest.mark.parametrize("n", range(0, 7))

@@ -1,7 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from schubpat.permwords import Permutation, Word, all_permutations, avoids, one_line, without_position
+from schubpat.permwords import (
+    Permutation,
+    Word,
+    all_permutations,
+    avoids,
+    inverse_values,
+    one_line,
+    without_position,
+)
 from schubpat.oracles import (
     LetterNotInWordError,
     NotASubwordError,
@@ -28,6 +36,12 @@ def test_inverse_involutive(w):
     assert inverse(inverse(w)) == w
     for i in range(1, w.n + 1):
         assert inverse(w)(w(i)) == i
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_inverse_values_is_the_oracle_inverse(n):
+    for w in all_permutations(n):
+        assert inverse_values(w.values) == inverse(w).values
 
 
 def test_is_subword_examples():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import importlib
@@ -42,6 +43,8 @@ def test_registry_names():
     for name, claim in CLAIMS.items():
         assert claim.name == name
         assert claim.description
+    # Only the x = 1 claims take w's holds from w^-1.
+    assert {name for name, claim in CLAIMS.items() if claim.inverse_invariant} == {"conj5.1", "identity"}
 
 
 @pytest.mark.parametrize("name", sorted(CLAIMS))
@@ -136,10 +139,11 @@ def test_thm2_4_budget_refusal_is_reported_under_any_jobs(monkeypatch):
     assert list(run_claim("thm2.4", RunConfig(max_n=5, jobs=2))) == reports
 
 
-def _stub_claim(monkeypatch, run):
-    """Register a claim "stub" over S_2 .. S_5 that runs `run`."""
+def _stub_claim(monkeypatch, run, derives=False):
+    """Register a claim "stub" over S_2 .. S_5 that runs `run`, deriving w^{-1} if `derives`."""
     shards = [w.values for n in range(2, 6) for w in all_permutations(n)]
-    monkeypatch.setitem(CLAIMS, "stub", Claim("stub", "a stub claim", lambda c: shards, run))
+    claim = Claim("stub", "a stub claim", lambda c: shards, run, inverse_invariant=derives)
+    monkeypatch.setitem(CLAIMS, "stub", claim)
     return [one_line(w) for w in shards]
 
 
@@ -163,13 +167,15 @@ def test_a_worker_error_is_raised_after_the_earlier_reports(monkeypatch, alarm):
             raise PatternViolationError("no 2143 here")
         return []
 
-    subjects = _stub_claim(monkeypatch, run)
-    seen = []
-    with pytest.raises(PatternViolationError, match="^no 2143 here$"):
-        for r in run_claim("stub", RunConfig(jobs=2)):
-            seen.append(r.subject)
-    assert seen == subjects[: subjects.index("2143")]
-    assert multiprocessing.active_children() == []
+    # A claim that derives w^-1's holds reports the derived shards before 2143 too.
+    for derives in (False, True):
+        subjects = _stub_claim(monkeypatch, run, derives)
+        seen = []
+        with pytest.raises(PatternViolationError, match="^no 2143 here$"):
+            for r in run_claim("stub", RunConfig(jobs=2)):
+                seen.append(r.subject)
+        assert seen == subjects[: subjects.index("2143")]
+        assert multiprocessing.active_children() == []
 
 
 def test_a_worker_that_dies_makes_the_run_raise(monkeypatch, alarm):
@@ -178,18 +184,22 @@ def test_a_worker_that_dies_makes_the_run_raise(monkeypatch, alarm):
             os._exit(1)
         return []
 
-    _stub_claim(monkeypatch, run)
-    with pytest.raises(RuntimeError, match="exited with code 1 before its last report"):
-        list(run_claim("stub", RunConfig(jobs=2)))
-    assert multiprocessing.active_children() == []
+    for derives in (False, True):
+        _stub_claim(monkeypatch, run, derives)
+        with pytest.raises(RuntimeError, match="exited with code 1 before its last report"):
+            list(run_claim("stub", RunConfig(jobs=2)))
+        assert multiprocessing.active_children() == []
 
 
 def test_closing_the_run_early_ends_its_workers(monkeypatch, alarm):
-    subjects = _stub_claim(monkeypatch, lambda w, config: [])
-    reports = run_claim("stub", RunConfig(jobs=2))
-    assert next(reports).subject == subjects[0]
-    reports.close()
-    assert multiprocessing.active_children() == []
+    for derives in (False, True):
+        subjects = _stub_claim(monkeypatch, lambda w, config: [], derives)
+        reports = run_claim("stub", RunConfig(jobs=2))
+        # 312 = 231^-1 is the first shard a deriving claim does not run.
+        head = [next(reports).subject for _ in range(subjects.index("312") + 1)]
+        assert head == subjects[: len(head)]
+        reports.close()
+        assert multiprocessing.active_children() == []
 
 
 def test_the_parent_reads_no_worker_far_ahead_of_it(monkeypatch, alarm, tmp_path):
@@ -210,6 +220,65 @@ def test_the_parent_reads_no_worker_far_ahead_of_it(monkeypatch, alarm, tmp_path
     # 152 shards in blocks of 5; worker 1 holds half of them.
     assert ahead <= 5
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("name", ["conj5.1", "identity"])
+def test_derived_reports_are_the_reports_of_running_every_shard(monkeypatch, name):
+    claim = CLAIMS[name]
+    assert claim.inverse_invariant
+    config = RunConfig(max_n=6)
+    shards = claim.shards(config)
+    expected = [verify._run_shard(claim, w, config) for w in shards]
+    ran = []
+
+    def run(w, config):
+        ran.append(w)
+        return claim.run(w, config)
+
+    monkeypatch.setitem(CLAIMS, name, dataclasses.replace(claim, run=run))
+    for jobs in (1, 2, 3):
+        assert list(run_claim(name, RunConfig(max_n=6, jobs=jobs))) == expected, jobs
+    # Under one job every shard runs in this process but the derived ones, w^-1 < w.
+    derived = {w for w in shards if oracles.inverse(Permutation(w)).values < w}
+    assert len(derived) == 322 + 47 + 7 + 1  # (n! - #involutions) / 2 on S_6 .. S_3
+    assert ran == [w for w in shards if w not in derived]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_representative_makes_its_partner_run(monkeypatch, alarm, jobs):
+    # 1342 is the representative of 1423 = 1342^-1; the partner runs and writes its own witness.
+    ran = []
+
+    def run(w, config):
+        ran.append(one_line(w))
+        return [f"w={one_line(w)}"] if one_line(w) in ("1342", "1423") else []
+
+    subjects = _stub_claim(monkeypatch, run, derives=True)
+    reports = list(run_claim("stub", RunConfig(jobs=jobs)))
+    assert [r.subject for r in reports] == subjects
+    failing = [(r.subject, r.witness) for r in reports if r.verdict != "holds"]
+    assert failing == [("1342", "w=1342"), ("1423", "w=1423")]
+    assert exit_code(reports) == 2
+    # The parent runs every representative under one job, and only the partner under two.
+    representatives = [
+        one_line(w.values) for n in range(2, 6) for w in all_permutations(n)
+        if w.values <= oracles.inverse(w).values
+    ]
+    assert ran == (sorted(representatives + ["1423"], key=subjects.index) if jobs == 1 else ["1423"])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    ("name", "digest"),
+    [
+        ("identity", "67a132a3a083634c316764c136d5c69247da30c44acce0874b724fa530892d4c"),
+        ("conj5.1", "eb3e6a66b013a82e2ea911458ebc559c8e338ab77eb28cf7abddf50617068ff7"),
+    ],
+)
+def test_x1_reports_at_seven_are_pinned(name, digest):
+    # The digests of `verify NAME --max-n 7 --format json` before any shard was derived.
+    report = "".join(r.json_line() + "\n" for r in run_claim(name, RunConfig(max_n=7)))
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
 
 
 def test_exit_code_priorities():
@@ -258,15 +327,19 @@ def test_identity_builds_each_table_once_per_shard(monkeypatch):
 
     for name in builders:
         monkeypatch.setattr(incexc, name, counted(name))
-    config = RunConfig(max_n=5)
-    shards = CLAIMS["identity"].shards(config)
-    assert exit_code(run_claim("identity", config)) == 0
-    # The claim builds each shard's c table once and reads c_w off the deletions'
-    # alternating tables; the memo builds each deletion's tables once, on S_0 .. S_4.
-    deletions = Counter(
+    assert exit_code(run_claim("identity", RunConfig(max_n=5))) == 0
+    # The memo builds both tables of S_0 .. S_4 once, for the deletions and the
+    # shards of S_<=4 alike; c_w is read off the deletions' alternating tables.
+    # Of S_5 only the representatives, w <= w^-1, build their c table, once.
+    smaller = Counter(
         (name, w.values) for name in builders for n in range(5) for w in all_permutations(n)
     )
-    assert calls == deletions + Counter(("pattern_coefficients", w) for w in shards)
+    representatives = Counter(
+        ("pattern_coefficients", w.values)
+        for w in all_permutations(5)
+        if w.values <= oracles.inverse(w).values
+    )
+    assert calls == smaller + representatives
 
 
 def test_each_table_build_makes_one_deletion_per_position(monkeypatch):
