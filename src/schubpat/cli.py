@@ -28,7 +28,7 @@ from . import incexc, oracles, verify, weylchar
 from .diagrams import Diagram, dominated_sum, rothe
 from .errors import BudgetExceededError, PatternViolationError, SchubpatError, UsageError
 from .permwords import Permutation, Word, all_permutations, avoids
-from .polyx import Polynomial
+from .polyx import Monomial, Polynomial
 from .purple import characterize_monomials, purple_family
 
 EXIT_OK = 0
@@ -263,8 +263,8 @@ def _cmd_purple(args) -> int:
     payload = family.to_json()
     if args.characterize:
         result = characterize_monomials(sigma.values)[args.k - 1]
-        payload["working"] = sorted(str(m) for m in result.working)
-        payload["extra"] = sorted(str(m) for m in result.extra)
+        payload["working"] = sorted(str(Monomial(m)) for m in result.working)
+        payload["extra"] = sorted(str(Monomial(m)) for m in result.extra)
     if args.format == "json":
         _emit(json.dumps(payload, separators=(",", ":")), args)
     else:

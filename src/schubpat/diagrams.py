@@ -1,14 +1,15 @@
 """Box diagrams in [n] x [n], Rothe diagrams and the dominance order.
 
-A diagram is a set of boxes (i, j) with 1 <= i, j <= n; column j is the
-set of row indices occupied in that column.  Restriction never reindexes:
-a removed row or column stays in place, empty.
+A diagram is a set of boxes (i, j) with 1 <= i, j <= n, stored as its
+columns: column j is the sorted tuple of row indices occupied in that
+column, and the box set is derived.  Restriction never reindexes: a
+removed row or column stays in place, empty.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .polyx import Monomial, Polynomial, monomial_key
@@ -19,40 +20,36 @@ MAX_JSON_N = 1000
 
 @dataclass(frozen=True)
 class Diagram:
-    """A finite box set in [n] x [n]."""
+    """A finite box set in [n] x [n] as its columns.
+
+    `columns[j - 1]` is the sorted tuple of the rows of column j.  The
+    constructor takes canonical columns as is; `Diagram.of` is the route
+    from boxes, and checks their range.
+    """
 
     n: int
-    boxes: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        for (i, j) in self.boxes:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"box {(i, j)} outside [{self.n}] x [{self.n}]")
+    columns: tuple[tuple[int, ...], ...]
 
     @classmethod
     def of(cls, n: int, boxes: Iterable[tuple[int, int]]) -> "Diagram":
-        return cls(n, frozenset(tuple(b) for b in boxes))
-
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """The sorted rows of each column, column j at index j - 1."""
-        return self._columns
+        """The diagram of these boxes, in any order and with repeats."""
+        cols: list[set[int]] = [set() for _ in range(n)]
+        for (i, j) in boxes:
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"box {(i, j)} outside [{n}] x [{n}]")
+            cols[j - 1].add(i)
+        return cls(n, tuple(tuple(sorted(c)) for c in cols))
 
     @functools.cached_property  # built once per diagram; the fields stay frozen
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        cols: list[list[int]] = [[] for _ in range(self.n)]
-        for (i, j) in self.boxes:
-            cols[j - 1].append(i)
-        return tuple(tuple(sorted(c)) for c in cols)
+    def boxes(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for j, c in enumerate(self.columns, start=1) for i in c)
 
     def box_list(self) -> list[tuple[int, int]]:
         """Boxes sorted row-major; the canonical serialization order."""
         return sorted(self.boxes)
 
     def __len__(self) -> int:
-        return len(self.boxes)
-
-    def __contains__(self, box: tuple[int, int]) -> bool:
-        return box in self.boxes
+        return sum(map(len, self.columns))
 
     def to_json(self) -> dict:
         return {"n": self.n, "boxes": [list(b) for b in self.box_list()]}
@@ -76,12 +73,14 @@ class Diagram:
 
 
 def rothe(values: tuple[int, ...]) -> Diagram:
-    """The inversion diagram {(i,j) : i < w^{-1}(j) and j < w(i)} of w in one-line notation."""
-    winv = [0] * (len(values) + 1)  # winv[j] = w^{-1}(j); entry 0 is unused
-    for i, a in enumerate(values, start=1):
-        winv[a] = i
-    boxes = {(i, j) for i, a in enumerate(values, start=1) for j in range(1, a) if i < winv[j]}
-    return Diagram(len(values), frozenset(boxes))
+    """The inversion diagram {(i,j) : i < w^{-1}(j) and j < w(i)} of w in one-line notation.
+
+    Column a holds the positions left of a's position whose value is larger than a.
+    """
+    columns: list[tuple[int, ...]] = [()] * len(values)
+    for p, a in enumerate(values):
+        columns[a - 1] = tuple([i for i in range(1, p + 1) if values[i - 1] > a])
+    return Diagram(len(values), tuple(columns))
 
 
 def column_dominates(R: Iterable[int], S: Iterable[int]) -> bool:
@@ -121,7 +120,7 @@ def _column_dominated_sets(d: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def count_dominated(D: Diagram) -> int:
     """The number of C <= D, without materializing any."""
     total = 1
-    for d in D.columns():
+    for d in D.columns:
         total *= _count_column(d)
     return total
 
@@ -134,7 +133,7 @@ def dominated_sum(D: Diagram) -> Polynomial:
     the column sums of x^c over `_column_dominated_sets(D_j)`.
     """
     total = Polynomial.constant(1)
-    for d in D.columns():
+    for d in D.columns:
         if d:
             total = total * Polynomial({monomial_key(c): 1 for c in _column_dominated_sets(d)})
     return total
@@ -154,4 +153,4 @@ def _count_column(d: tuple[int, ...]) -> int:
 
 def row_monomial(D: Diagram) -> Monomial:
     """x^D: one factor x_i per box of D in row i."""
-    return Monomial(monomial_key(i for (i, _) in D.boxes))
+    return Monomial(monomial_key(i for c in D.columns for i in c))

@@ -159,7 +159,7 @@ def cw_augmentation(values: tuple[int, ...]) -> int:
         raise PatternViolationError(f"{one_line(values)} contains 1432 or 1423")
     n = len(values)
     counts = Counter({(1 << n) - 1: 1})
-    for j, d in enumerate(rothe(values).columns(), start=1):
+    for j, d in enumerate(rothe(values).columns, start=1):
         if not d:
             continue  # an empty column allows every pair
         k_j = values.index(j) + 1  # the pair whose removed column is j

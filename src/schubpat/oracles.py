@@ -88,27 +88,24 @@ def dominates(C: Diagram, D: Diagram) -> bool:
     """C <= D columnwise."""
     if C.n != D.n:
         raise ValueError(f"size mismatch: {C.n} vs {D.n}")
-    return all(column_dominates(c, d) for c, d in zip(C.columns(), D.columns()))
+    return all(column_dominates(c, d) for c, d in zip(C.columns, D.columns))
 
 
 def enumerate_dominated(D: Diagram) -> Iterator[Diagram]:
     """Stream every C <= D exactly once (cartesian product over columns)."""
-    per_column = [_column_dominated_sets(d) for d in D.columns()]
+    per_column = [_column_dominated_sets(d) for d in D.columns]
     for choice in itertools.product(*per_column):
-        boxes = frozenset(
-            (i, j) for j, rows in enumerate(choice, start=1) for i in rows
-        )
-        yield Diagram(D.n, boxes)
+        yield Diagram(D.n, choice)
 
 
 def restrict_remove(D: Diagram, k: int, l: int) -> Diagram:
     """Remove every box in row k or column l."""
-    return Diagram(D.n, frozenset(b for b in D.boxes if b[0] != k and b[1] != l))
+    return Diagram.of(D.n, (b for b in D.boxes if b[0] != k and b[1] != l))
 
 
 def removed_boxes(D: Diagram, k: int, l: int) -> Diagram:
     """The seed of a single removal: the boxes of D in row k or column l."""
-    return Diagram(D.n, frozenset(b for b in D.boxes if b[0] == k or b[1] == l))
+    return Diagram.of(D.n, (b for b in D.boxes if b[0] == k or b[1] == l))
 
 
 # -- permutations and the subword poset --------------------------------------
@@ -268,7 +265,7 @@ def macdonald_oracle(w: Permutation, max_length: int = 12) -> int:
 def restrict_keep(D: Diagram, K: Iterable[int], L: Iterable[int]) -> Diagram:
     """Keep only boxes in rows K and columns L; same grid, no reindexing."""
     ks, ls = set(K), set(L)
-    return Diagram(D.n, frozenset(b for b in D.boxes if b[0] in ks and b[1] in ls))
+    return Diagram.of(D.n, (b for b in D.boxes if b[0] in ks and b[1] in ls))
 
 
 def hat_v(C: Diagram, w: Permutation, v: Word) -> Diagram:
@@ -281,7 +278,7 @@ def hat_v(C: Diagram, w: Permutation, v: Word) -> Diagram:
 def m_monomial(w: Permutation, v: Word) -> Monomial:
     """x over the boxes of D(w) outside the restriction to v's rows/columns."""
     D = rothe(w.values)
-    return row_monomial(Diagram(D.n, D.boxes - hat_v(D, w, v).boxes))
+    return row_monomial(Diagram.of(D.n, D.boxes - hat_v(D, w, v).boxes))
 
 
 def substitute_variables(p: Polynomial, sigma: Mapping[int, int]) -> Polynomial:
@@ -487,7 +484,7 @@ def _cw_recursive(values: tuple[int, ...]) -> int:
 def determinant_product(C: Diagram, D: Diagram) -> Polynomial:
     """Product over columns j of det(Y^{C_j}_{D_j})."""
     result = Polynomial.constant(1)
-    for cj, dj in zip(C.columns(), D.columns()):
+    for cj, dj in zip(C.columns, D.columns):
         if not cj and not dj:
             continue
         if not column_dominates(cj, dj):

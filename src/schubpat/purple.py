@@ -49,7 +49,7 @@ def purple_boxes(D: Diagram, k: int, l: int) -> frozenset[tuple[int, int]]:
     So the purple boxes are the union of the purple rows of D's columns.
     """
     return frozenset(
-        (i, j) for j, d in enumerate(D.columns(), start=1) if d for i in _purple_rows(d, k, j == l)
+        (i, j) for j, d in enumerate(D.columns, start=1) if d for i in _purple_rows(d, k, j == l)
     )
 
 
@@ -78,8 +78,8 @@ class PurpleFamily:
 
     def member(self, choice: tuple[tuple[int, ...], ...]) -> Diagram:
         """The diagram of one of `choices()`."""
-        boxes = frozenset((i, j) for (j, _), rows in zip(self.columns, choice) for i in rows)
-        return Diagram(self.D.n, boxes)
+        rows = dict(zip((j for j, _ in self.columns), choice))
+        return Diagram(self.D.n, tuple(rows.get(j, ()) for j in range(1, self.D.n + 1)))
 
     def row_keys(self) -> list[tuple[int, ...]]:
         """The key of x^K for every member K, in the order of `choices()`."""
@@ -123,7 +123,7 @@ def purple_family(D: Diagram, k: int, l: int) -> PurpleFamily:
     """
     columns = tuple(
         (j, _purple_sets(d, k, j == l))
-        for j, d in enumerate(D.columns(), start=1)
+        for j, d in enumerate(D.columns, start=1)
         if k in d or (j == l and d)
     )
     return PurpleFamily(D, k, l, columns)
@@ -131,11 +131,13 @@ def purple_family(D: Diagram, k: int, l: int) -> PurpleFamily:
 
 @dataclass(frozen=True)
 class MonomialCharacterization:
+    """The working, purple and extra monomials of (sigma, k), as exponent keys."""
+
     sigma: tuple[int, ...]
     k: int
-    working: frozenset[Monomial]
-    from_purple: frozenset[Monomial]
-    extra: frozenset[Monomial]
+    working: frozenset[tuple[int, ...]]
+    from_purple: frozenset[tuple[int, ...]]
+    extra: frozenset[tuple[int, ...]]
 
 
 def characterize_monomials(sigma: tuple[int, ...]) -> tuple[MonomialCharacterization, ...]:
@@ -154,15 +156,13 @@ def characterize_monomials(sigma: tuple[int, ...]) -> tuple[MonomialCharacteriza
     for k, l in enumerate(sigma, start=1):
         family = purple_family(D, k, l)
         sub = schubert_skipping(sigma, k)
-        from_purple = family.monomials
+        from_purple = frozenset(family.row_keys())
         mu0 = _canonical(sub.key_terms)[0]
         # Every member has as many boxes per column as the seed.
         degree = sum(mu0) + sum(len(sets[0]) for _, sets in family.columns)
         quotients = (key_quotient(m, mu0) for m in s_sigma.key_terms if sum(m) == degree)
         working = frozenset(
-            Monomial(q)
-            for q in quotients
-            if q is not None and s_sigma.nonnegative_after_subtracting(q, sub)
+            q for q in quotients if q is not None and s_sigma.nonnegative_after_subtracting(q, sub)
         )
         extra = working - from_purple
         results.append(MonomialCharacterization(sigma, k, working, from_purple, extra))

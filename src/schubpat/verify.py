@@ -42,6 +42,7 @@ from . import incexc, schubert, weylchar
 from .diagrams import Diagram, count_dominated, dominated_sum, rothe, row_monomial
 from .errors import BudgetExceededError, UsageError
 from .permwords import avoids, inverse_values, one_line
+from .polyx import Monomial
 from .purple import characterize_monomials, purple_family
 
 DEFAULT_SEED = 2718
@@ -244,11 +245,12 @@ def _run_purple_characterization(sigma: tuple[int, ...], config: RunConfig) -> l
         return None
     failures = []
     for k, result in enumerate(characterize_monomials(sigma), start=1):
-        missing = result.from_purple - result.working
+        missing = sorted(str(Monomial(m)) for m in result.from_purple - result.working)
         if missing:
-            failures.append(f"k={k}: purple monomial not working: {sorted(map(str, missing))}")
-        if result.extra:
-            failures.append(f"k={k}: extra working monomials {sorted(map(str, result.extra))}")
+            failures.append(f"k={k}: purple monomial not working: {missing}")
+        extra = sorted(str(Monomial(m)) for m in result.extra)
+        if extra:
+            failures.append(f"k={k}: extra working monomials {extra}")
     return failures
 
 

@@ -74,7 +74,7 @@ def chi(D: Diagram, budget: int = DEFAULT_BUDGET) -> Polynomial:
     total = count_dominated(D)
     if total > budget:
         raise BudgetExceededError(f"{total} dominated diagrams exceed budget {budget}")
-    return _chi_by_rank(tuple(sorted(c for c in D.columns() if c)))
+    return _chi_by_rank(tuple(sorted(c for c in D.columns if c)))
 
 
 @functools.cache  # keyed by the sorted tuple of a diagram's nonempty columns

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -23,12 +24,10 @@ from schubpat.oracles import (
 from schubpat.permwords import Permutation, Word, all_permutations
 from schubpat.polyx import Monomial, monomial_key
 
-perms = lambda n: st.permutations(list(range(1, n + 1))).map(lambda v: Permutation(tuple(v)))
-
 diagrams = st.integers(2, 4).flatmap(
     lambda n: st.frozensets(
         st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n * n
-    ).map(lambda b: Diagram(n, b))
+    ).map(lambda b: Diagram.of(n, b))
 )
 
 
@@ -49,17 +48,38 @@ def test_rothe_examples():
     assert rothe((1, 2, 3, 4, 5)) == Diagram.of(5, [])
 
 
-@given(st.integers(1, 6).flatmap(perms))
-def test_rothe_size_is_inversion_count(w):
-    D = rothe(w.values)
-    assert len(D) == w.inversions()
-    # independent definition: boxes are (i, w(j)) for inversions i < j
-    boxes = {
-        (i, w(j))
-        for i, j in itertools.combinations(range(1, w.n + 1), 2)
-        if w(i) > w(j)
-    }
-    assert D.boxes == frozenset(boxes)
+def test_rothe_size_is_inversion_count():
+    # Every w in S_<=7 against the independent definition: boxes (i, w(j)) for inversions i < j.
+    for n in range(8):
+        for w in all_permutations(n):
+            D = rothe(w.values)
+            boxes = {
+                (i, w(j))
+                for i, j in itertools.combinations(range(1, n + 1), 2)
+                if w(i) > w(j)
+            }
+            expected = Diagram.of(n, boxes)
+            assert D == expected and hash(D) == hash(expected), w
+            assert len(D) == w.inversions() == len(D.boxes), w
+
+
+@given(diagrams, st.randoms(use_true_random=False))
+def test_diagram_of_is_canonical(D, rng):
+    # Boxes in any order and with repeats give one diagram, with one hash.
+    boxes = list(D.boxes) * 2
+    rng.shuffle(boxes)
+    again = Diagram.of(D.n, boxes)
+    assert again == D and hash(again) == hash(D)
+    assert Diagram.of(D.n, D.boxes) == D
+    assert len(D.columns) == D.n
+    assert all(list(c) == sorted(set(c)) for c in D.columns)
+
+
+def test_diagram_stores_only_its_columns():
+    assert [f.name for f in dataclasses.fields(Diagram)] == ["n", "columns"]
+    assert Diagram.of(3, [(2, 1), (1, 3), (2, 1)]) == Diagram(3, ((2,), (), (1,)))
+    with pytest.raises(ValueError, match=r"^box \(3, 3\) outside \[2\] x \[2\]$"):
+        Diagram.of(2, [(1, 1), (3, 3)])
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -151,7 +171,7 @@ def test_dominated_complete_against_bruteforce():
     for r in range(len(D) + 1):
         for boxes in itertools.combinations(grid, r):
             C = Diagram.of(4, boxes)
-            cols_match = all(len(c) == len(d) for c, d in zip(C.columns(), D.columns()))
+            cols_match = all(len(c) == len(d) for c, d in zip(C.columns, D.columns))
             if cols_match and dominates(C, D):
                 all_sub.add(C)
     assert all_sub == set(enumerate_dominated(D))
@@ -190,4 +210,5 @@ def test_row_monomial():
 
 @given(diagrams)
 def test_diagram_json_round_trip(D):
-    assert Diagram.from_json(D.to_json()) == D
+    again = Diagram.from_json(D.to_json())
+    assert again == D and hash(again) == hash(D)

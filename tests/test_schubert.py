@@ -27,7 +27,7 @@ perms = lambda n: st.permutations(list(range(1, n + 1))).map(lambda v: Permutati
 diagrams = st.integers(1, 4).flatmap(
     lambda n: st.frozensets(
         st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n * n
-    ).map(lambda b: Diagram(n, b))
+    ).map(lambda b: Diagram.of(n, b))
 )
 
 

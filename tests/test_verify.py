@@ -15,9 +15,10 @@ import pytest
 
 import schubpat
 from schubpat import incexc, oracles, purple, schubert, verify, weylchar
+from schubpat.diagrams import Diagram
 from schubpat.errors import BudgetExceededError, PatternViolationError
 from schubpat.permwords import Permutation, all_permutations, avoids, one_line
-from schubpat.polyx import Monomial, Polynomial, x
+from schubpat.polyx import Monomial, Polynomial, _canonical, x
 from schubpat.verify import (
     CLAIMS,
     Claim,
@@ -428,8 +429,26 @@ def test_thm4_1_witness_lists_failing_members_in_box_order(monkeypatch):
     assert report.witness == STUBBED_THM4_1_WITNESS
 
 
+def test_conj5_3_witnesses_print_monomials(monkeypatch):
+    # characterize_monomials returns exponent keys; the witness prints them as monomials.
+    skipping = purple.schubert_skipping
+
+    def witnesses(stub, max_n):
+        monkeypatch.setattr(purple, "schubert_skipping", stub)
+        reports = run_claim("conj5.3", RunConfig(max_n=max_n))
+        return {r.subject: r.witness for r in reports if r.verdict == "fails"}
+
+    got = witnesses(lambda w, k: skipping(w, k) + x(1) * x(2) if k == 2 else skipping(w, k), 3)
+    assert got["132"] == "k=2: purple monomial not working: ['x1', 'x2']"
+    assert got["321"] == "k=2: purple monomial not working: ['x1*x2']"
+    # With S_pi cut to its first term, more M work than the family gives.
+    got = witnesses(lambda w, k: Polynomial({_canonical(skipping(w, k).key_terms)[0]: 1}), 4)
+    assert got["1342"] == "k=2: extra working monomials ['x3']; k=3: extra working monomials ['x2']"
+    assert got["2143"] == "k=2: extra working monomials ['x2', 'x3']"
+
+
 def test_single_removal_claims_build_no_monomial(monkeypatch):
-    # thm1.0 and thm4.1 check each M by its exponent key; a Monomial is for witnesses only.
+    # thm1.0, thm4.1 and conj5.3 check each M by its exponent key; a Monomial is for witnesses only.
     built = Counter()
     init = Monomial.__init__
 
@@ -438,9 +457,29 @@ def test_single_removal_claims_build_no_monomial(monkeypatch):
         init(self, key)
 
     monkeypatch.setattr(Monomial, "__init__", counted_init)
-    for name in ("thm1.0", "thm4.1"):
-        assert {r.verdict for r in run_claim(name, RunConfig(max_n=5))} == {"holds"}
+    for name, verdicts in (
+        ("thm1.0", {"holds"}),
+        ("thm4.1", {"holds"}),
+        ("conj5.3", {"holds", "outside-scope"}),
+    ):
+        assert {r.verdict for r in run_claim(name, RunConfig(max_n=5))} == verdicts
     assert built == {}
+
+
+def test_passing_shards_read_no_box_set(monkeypatch):
+    # The diagram claims read D's columns only; its box set is for oracles and text.
+    reads = Counter()
+    boxes = Diagram.boxes.func
+
+    def counted_boxes(self):
+        reads["boxes"] += 1
+        return boxes(self)
+
+    monkeypatch.setattr(Diagram, "boxes", property(counted_boxes))
+    for name in ("thm2.7", "thm4.1", "conj5.3", "thm1.2", "thm2.4"):
+        verdicts = {r.verdict for r in run_claim(name, RunConfig(max_n=5))}
+        assert verdicts and verdicts <= {"holds", "outside-scope"}, name
+    assert reads == {}
 
 
 # Witnesses of thm2.4 on S_4 when S_w is replaced by S of w read backwards:
