@@ -12,8 +12,8 @@ Each subcommand takes only the options its handler reads.  Every one but
 
 Exit codes: 0 success / all holds, 1 usage or crash (including an option
 the subcommand does not take, verify --max-n below 2, --jobs below 1,
---jobs above 1 without the fork start method, a negative chi budget, or
-diagram JSON with n above `diagrams.MAX_JSON_N`),
+--jobs above 1 without the fork start method, a negative chi budget, or a
+permutation, word or diagram JSON with n above `diagrams.MAX_N`),
 2 mathematical counterexample (including a `cw-table` row or a
 `cw --all-methods` whose methods disagree), 3 budget exceeded somewhere.
 """
@@ -25,7 +25,7 @@ import json
 import sys
 
 from . import incexc, oracles, verify, weylchar
-from .diagrams import Diagram, dominated_sum, rothe
+from .diagrams import MAX_N, Diagram, dominated_sum, rothe
 from .errors import BudgetExceededError, PatternViolationError, SchubpatError, UsageError
 from .permwords import Permutation, Word, all_permutations, avoids
 from .polyx import Monomial, Polynomial
@@ -120,11 +120,17 @@ def _poly_out(p: Polynomial, args, nvars: int) -> str:
 
 
 def _parse(kind: type[Permutation] | type[Word], s: str):
-    """`kind.from_string(s)` for Permutation or Word, with bad input as a usage error."""
+    """`kind.from_string(s)` for Permutation or Word, with bad input as a usage error.
+
+    So is one longer than `MAX_N`: exponents of its polynomials could overflow their digits.
+    """
     try:
-        return kind.from_string(s)
+        parsed = kind.from_string(s)
     except ValueError as exc:
         raise UsageError(f"bad {kind.__name__.lower()} {s!r}: {exc}") from None
+    if len(parsed) > MAX_N:
+        raise UsageError(f"{kind.__name__.lower()} of length {len(parsed)} is longer than {MAX_N}")
+    return parsed
 
 
 def _parse_diagram(s: str) -> Diagram:

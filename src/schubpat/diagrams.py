@@ -14,8 +14,10 @@ from typing import Iterable
 
 from .polyx import Monomial, Polynomial, monomial_key
 
-# The largest n `Diagram.from_json` reads: the work on a diagram grows with n, whatever its boxes.
-MAX_JSON_N = 1000
+# The largest n of a diagram or permutation the CLI reads (`Diagram.from_json`, `cli._parse`).
+# The work on a diagram grows with n, whatever its boxes, and every exponent of a
+# polynomial built from it is at most n, below the 2^(W-1) that `polyx.W` bits hold.
+MAX_N = 1000
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,8 @@ class Diagram:
         # type(.) is int: a bool or a float that json reads is no size or index.
         if type(n) is not int or n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-        if n > MAX_JSON_N:
-            raise ValueError(f"n must be at most {MAX_JSON_N}, got {n}")
+        if n > MAX_N:
+            raise ValueError(f"n must be at most {MAX_N}, got {n}")
         for b in boxes:
             if len(b) != 2 or any(type(v) is not int for v in b):
                 raise ValueError(f"box {list(b)!r} is not a pair of integers")

@@ -32,7 +32,7 @@ from operator import sub
 from .diagrams import _column_dominated_sets, restricts, rothe
 from .errors import PatternViolationError
 from .permwords import avoids, one_line, without_position
-from .polyx import Monomial, Polynomial, _mul_keys, exponent_key, skip_variable
+from .polyx import W, Monomial, Polynomial, skip_variable
 from .schubert import principal_specialization, schubert_polynomial, schubert_skipping
 
 
@@ -129,7 +129,7 @@ def alternating_polynomials(values: tuple[int, ...]) -> list[Polynomial]:
             terms = dict(kept.key_terms)
             get = terms.get
             for key, c in dropped.key_terms.items():
-                key = _mul_keys(m, skip_variable(key, k))
+                key = m + skip_variable(key, k)
                 c = get(key, 0) - c
                 if c:
                     terms[key] = c
@@ -179,16 +179,15 @@ def cw_augmentation(values: tuple[int, ...]) -> int:
     return counts[0]
 
 
-def single_step_monomial(sigma: tuple[int, ...], k: int) -> tuple[int, ...]:
+def single_step_monomial(sigma: tuple[int, ...], k: int) -> int:
     """The key of x over the boxes of D(sigma) in row k or column sigma_k.
 
     Row k holds one box per later entry below sigma_k, and column sigma_k
     one box in row i per earlier entry sigma_i above sigma_k.
     """
     s = sigma[k - 1]
-    exps = [int(a > s) for a in sigma[: k - 1]]
-    exps.append(sum(a < s for a in sigma[k:]))
-    return exponent_key(exps)
+    column = sum(1 << W * i for i, a in enumerate(sigma[: k - 1]) if a > s)
+    return column + (sum(a < s for a in sigma[k:]) << W * (k - 1))
 
 
 def verify_single_step(sigma: tuple[int, ...], k: int) -> tuple[bool, Polynomial | None]:

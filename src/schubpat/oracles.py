@@ -55,7 +55,7 @@ from .diagrams import (
 )
 from .errors import PatternViolationError, SchubpatError
 from .permwords import Permutation, Word, avoids
-from .polyx import Monomial, Polynomial, exponent_key, monomial_key
+from .polyx import Monomial, Polynomial, exponent_key, monomial_key, unpack
 from .purple import PurpleFamily
 from .schubert import principal_specialization, schubert_polynomial
 from .weylchar import _det, _span_rank
@@ -188,9 +188,10 @@ def divided_difference(p: Polynomial, i: int) -> Polynomial:
     sorted, (x_i^a x_{i+1}^b - x_i^b x_{i+1}^a) / (x_i - x_{i+1}) is the sum
     of x_i^(lo+hi-1-e) x_{i+1}^e over lo <= e < hi, negated when a < b.
     """
-    terms: dict[tuple[int, ...], int] = {}
+    terms: dict[int, int] = {}
     for key, coef in p.key_terms.items():
-        exps = list(key) + [0] * (i + 1 - len(key))
+        exps = [*unpack(key)]
+        exps += [0] * (i + 1 - len(exps))
         a, b = exps[i - 1], exps[i]
         lo, hi, c = (b, a, coef) if a > b else (a, b, -coef)
         for e in range(lo, hi):
@@ -208,7 +209,7 @@ def schubert_divdiff(w: Permutation) -> Polynomial:
     """
     i = next((i for i in range(1, w.n) if w(i) < w(i + 1)), None)
     if i is None:
-        return Polynomial({tuple(range(w.n - 1, 0, -1)): 1})
+        return Polynomial({exponent_key(range(w.n - 1, 0, -1)): 1})
     return divided_difference(schubert_divdiff(swap_positions(w, i)), i)
 
 
@@ -219,7 +220,7 @@ def evaluate_all_ones(p: Polynomial) -> int:
 
 def dominated_sum_by_enumeration(D: Diagram) -> Polynomial:
     """Sum of x^C over C <= D, one dominated diagram at a time."""
-    terms: dict[tuple[int, ...], int] = {}
+    terms: dict[int, int] = {}
     for C in enumerate_dominated(D):
         key = monomial_key(i for (i, _) in C.boxes)
         terms[key] = terms.get(key, 0) + 1
@@ -295,7 +296,7 @@ def substitute_variables(p: Polynomial, sigma: Mapping[int, int]) -> Polynomial:
     size, terms = max(image, default=0), {}
     for key, c in p.key_terms.items():
         exps = [0] * size
-        for i, e in enumerate(key, start=1):
+        for i, e in enumerate(unpack(key), start=1):
             if e:
                 exps[sigma[i] - 1] = e
         terms[exponent_key(exps)] = c
@@ -325,18 +326,20 @@ class AlternatingSumResult:
     per_term: tuple[SumTerm, ...]
 
     def to_json(self) -> dict:
+        n = self.w.n
+        ms = [unpack(t.monomial.key) for t in self.per_term]
         return {
             "w": str(self.w),
             "u": str(self.u),
-            "sum": self.total.to_json(self.w.n),
+            "sum": self.total.to_json(n),
             "terms": [
                 {
                     "v": str(t.v),
                     "sign": t.sign,
-                    "M": list(t.monomial.key) + [0] * (self.w.n - len(t.monomial.key)),
-                    "schubert": t.schubert.to_json(self.w.n),
+                    "M": [*m] + [0] * (n - len(m)),
+                    "schubert": t.schubert.to_json(n),
                 }
-                for t in self.per_term
+                for t, m in zip(self.per_term, ms)
             ],
         }
 
@@ -447,14 +450,14 @@ def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
     patterns = subword_patterns(values)
     terms = []
     for mask, kept in enumerate(_mask_positions(n)):
-        m = list(monomial_key(i for (i, bits) in boxes if mask & bits != bits))
+        m = list(unpack(monomial_key(i for (i, bits) in boxes if mask & bits != bits)))
         m += [0] * (n - len(m))
         sign = 1 if (n - len(kept)) % 2 == 0 else -1
         term = {}
         # Variable t of S_{perm(v)} becomes x at the t-th kept position.
         for key, c in schubert_polynomial(patterns[mask]).key_terms.items():
             exps = m[:]
-            for i, e in zip(kept, key):
+            for i, e in zip(kept, unpack(key)):
                 exps[i] += e
             term[exponent_key(exps)] = sign * c
         terms.append(Polynomial(term))

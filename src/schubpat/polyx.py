@@ -3,19 +3,31 @@
 Variables are indexed by positive integers: x_1, x_2, ...; the y_ij of the
 determinant computations share the engine through :func:`pair_index`.
 A polynomial is a dict from exponent keys to nonzero coefficients.  The key
-of a monomial is its dense exponent tuple, entry i - 1 for variable i, with
-no trailing zeros, so equal monomials have equal keys and a product of
-monomials is the entrywise sum of their keys.  Inside the engine a monomial
-is its key, and `_canonical` is the one order on monomials.  `Monomial`
-wraps a key only where a term leaves the engine (`terms()`, witnesses and
-text).  Both constructors, `Monomial(key)` and `Polynomial(key_terms)`, take
-canonical data as is: the caller owns the invariants above.
+of a monomial is one int that packs its exponents in digits of W bits: the
+sum of e_i * 2^(W(i-1)) over its variables i.  Bit W - 1 of every digit is a
+guard, clear in every key, because every exponent is below 2^(W-1): an
+exponent of a polynomial built from an input of size n counts the boxes in
+one row of an n x n diagram, or the y_ij of one column's determinant, so it
+is at most n, and the CLI refuses n above `diagrams.MAX_N`.  So equal
+monomials have equal keys, a product of monomials is the sum of their keys,
+and a quotient is a difference that borrows into no guard bit
+(`key_quotient`).  Inside the engine a monomial is its key; `unpack` gives
+its exponent tuple where a term leaves the engine, and `_canonical`, the one
+order on monomials, sorts on it.  `Monomial` wraps a key only where a term
+leaves the engine (`terms()`, witnesses and text).  Both constructors,
+`Monomial(key)` and `Polynomial(key_terms)`, take canonical data as is: the
+caller owns the invariants above.
 """
 from __future__ import annotations
 
 import json
-from operator import add, le, sub
 from typing import Iterable, Iterator
+
+W = 11  # bits per exponent digit, the top one a guard: exponents are below 2^(W-1)
+_DIGIT = (1 << W) - 1
+# The guard bit of the digit of each of x_1 .. x_N, N = 2^(W-1), every x variable an input
+# has: (2^(WN) - 1) / (2^W - 1) holds a 1 in each of the N digits.
+_GUARDS = ((1 << W * (1 << (W - 1))) - 1) // _DIGIT << (W - 1)
 
 
 def pair_index(i: int, j: int) -> int:
@@ -29,54 +41,68 @@ def pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-def monomial_key(variables: Iterable[int]) -> tuple[int, ...]:
+def monomial_key(variables: Iterable[int]) -> int:
     """The key of the product of the given variables (indices >= 1, unchecked)."""
-    exps: list[int] = []
-    for v in variables:
-        if v > len(exps):
-            exps.extend([0] * (v - len(exps)))
-        exps[v - 1] += 1
+    return sum(1 << W * (v - 1) for v in variables)
+
+
+def exponent_key(exps: Iterable[int]) -> int:
+    """The key of a dense exponent sequence, entry i - 1 for variable i."""
+    key = 0
+    for i, e in enumerate(exps):
+        if not 0 <= e < 1 << (W - 1):
+            raise ValueError(f"exponent {e} of variable {i + 1} is outside 0..{(1 << (W - 1)) - 1}")
+        key += e << W * i
+    return key
+
+
+def unpack(key: int) -> tuple[int, ...]:
+    """The exponents of a key, entry i - 1 for variable i, without trailing zeros."""
+    exps = []
+    while key:
+        exps.append(key & _DIGIT)
+        key >>= W
     return tuple(exps)
 
 
-def exponent_key(exps: list[int]) -> tuple[int, ...]:
-    """The key of a dense exponent list: the list without its trailing zeros."""
-    n = len(exps)
-    while n and not exps[n - 1]:
-        n -= 1
-    return tuple(exps[:n])
-
-
-def skip_variable(key: tuple[int, ...], k: int) -> tuple[int, ...]:
+def skip_variable(key: int, k: int) -> int:
     """The key with variable i sent to x_i below k and to x_{i+1} from k on.
 
-    A 0 is inserted at entry k - 1 of a key that reaches it; a shorter key
-    is unchanged.
+    The digits of variables k and up move one digit up; a key of variables
+    below k is unchanged.
     """
-    return key[: k - 1] + (0,) + key[k - 1 :] if len(key) >= k else key
+    low = key & ((1 << W * (k - 1)) - 1)
+    return low + ((key - low) << W)
 
 
-def _mul_keys(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(map(add, a, b)) + a[len(b) :]
+def key_quotient(m: int, d: int) -> int | None:
+    """The key of m / d, or None when d does not divide m; m has variables up to x_{2^(W-1)}.
+
+    d divides m exactly when m - d borrows from no digit: the digit of the
+    lowest variable whose exponent in d exceeds that in m borrows.  A digit
+    that borrows ends between 2^(W-1) and 2^W - 1, so its guard bit is set;
+    one that does not ends below 2^(W-1).  A borrow out of the top digit
+    makes the difference negative.
+    """
+    if m > _GUARDS:
+        raise ValueError(f"key_quotient reads the guards of x_1 .. x_{1 << (W - 1)} only")
+    q = m - d
+    return None if q < 0 or q & _GUARDS else q
 
 
-def key_quotient(m: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The key of m / d, or None when d does not divide m."""
-    if len(d) > len(m) or not all(map(le, d, m)):
-        return None
-    return exponent_key(list(map(sub, m, d)) + list(m[len(d) :]))
+def _order(key: int) -> tuple[int, tuple[int, ...]]:
+    exps = unpack(key)
+    return -sum(exps), exps
 
 
-def _canonical(keys: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _canonical(keys: Iterable[int]) -> list[int]:
     """Keys in canonical order: by degree, then with the lower variable's higher exponent first.
 
-    So x_1^2 precedes x_1x_2 precedes x_2^2.  Two keys of one degree differ
-    before either ends (a key has no trailing zeros), so the second rule is
-    the descending lexicographic order of the keys.
+    So x_1^2 precedes x_1x_2 precedes x_2^2.  Two exponent tuples of one
+    degree differ before either ends (`unpack` leaves no trailing zeros), so
+    the second rule is their descending lexicographic order.
     """
-    return sorted(keys, key=lambda k: (-sum(k), k), reverse=True)
+    return sorted(keys, key=_order, reverse=True)
 
 
 class Monomial:
@@ -84,8 +110,8 @@ class Monomial:
 
     __slots__ = ("key",)
 
-    def __init__(self, key: tuple[int, ...]):
-        self.key = key  # canonical, taken as is; immutable by convention
+    def __init__(self, key: int):
+        self.key = key  # canonical, taken as is
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.key == other.key
@@ -97,11 +123,12 @@ class Monomial:
         return bool(self.key)
 
     def __str__(self) -> str:
-        factors = [f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in enumerate(self.key, start=1) if e]
+        exps = enumerate(unpack(self.key), start=1)
+        factors = [f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in exps if e]
         return "*".join(factors) or "1"
 
     def __repr__(self) -> str:
-        return f"Monomial({self.key!r})"
+        return f"Monomial<{self}>"
 
 
 class Polynomial:
@@ -109,7 +136,7 @@ class Polynomial:
 
     __slots__ = ("key_terms",)
 
-    def __init__(self, key_terms: dict[tuple[int, ...], int]):
+    def __init__(self, key_terms: dict[int, int]):
         self.key_terms = key_terms  # canonical, taken as is; immutable by convention
 
     @classmethod
@@ -118,7 +145,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
-        return cls({(): c} if c else {})
+        return cls({0: c} if c else {})
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical (graded lexicographic) order."""
@@ -153,13 +180,11 @@ class Polynomial:
     def __mul__(self, other: "Polynomial | Monomial") -> "Polynomial":
         if isinstance(other, Monomial):
             other = Polynomial({other.key: 1})
-        terms: dict[tuple[int, ...], int] = {}
+        terms: dict[int, int] = {}
         get = terms.get
         for a, ca in self.key_terms.items():
-            la = len(a)
             for b, cb in other.key_terms.items():
-                lb = len(b)
-                key = tuple(map(add, a, b)) + (a[lb:] if la > lb else b[la:])
+                key = a + b
                 c = get(key, 0) + ca * cb
                 if c:
                     terms[key] = c
@@ -167,7 +192,7 @@ class Polynomial:
                     del terms[key]
         return Polynomial(terms)
 
-    def nonnegative_after_subtracting(self, m: tuple[int, ...], t: "Polynomial") -> bool:
+    def nonnegative_after_subtracting(self, m: int, t: "Polynomial") -> bool:
         """Whether self - x^m * t has no negative coefficient, without building it; m is a key.
 
         self must have no negative coefficient, so this is self[m * u] >= t[u]
@@ -175,11 +200,9 @@ class Polynomial:
         the transition equation only adds terms, and a dual character's
         coefficients are ranks.
         """
-        get, lm = self.key_terms.get, len(m)
+        get = self.key_terms.get
         for u, c in t.key_terms.items():
-            # The key of m * u, as `_mul_keys` builds it.
-            lu = len(u)
-            if get(tuple(map(add, m, u)) + (m[lu:] if lm > lu else u[lm:]), 0) < c:
+            if get(m + u, 0) < c:
                 return False
         return True
 
@@ -192,17 +215,17 @@ class Polynomial:
         return False, (Monomial(key), self.key_terms[key])
 
     def variables(self) -> set[int]:
-        return {i for key in self.key_terms for i, e in enumerate(key, start=1) if e}
+        return {i for key in self.key_terms for i, e in enumerate(unpack(key), start=1) if e}
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self, nvars: int) -> dict:
         terms = []
         for key in _canonical(self.key_terms):
-            if len(key) > nvars:
-                raise ValueError(f"variable {len(key)} is beyond nvars {nvars}")
-            exp = list(key) + [0] * (nvars - len(key))
-            terms.append({"exp": exp, "coef": str(self.key_terms[key])})
+            exps = unpack(key)
+            if len(exps) > nvars:
+                raise ValueError(f"variable {len(exps)} is beyond nvars {nvars}")
+            terms.append({"exp": [*exps] + [0] * (nvars - len(exps)), "coef": str(self.key_terms[key])})
         return {"vars": nvars, "terms": terms}
 
     def dumps(self, nvars: int) -> str:
@@ -223,4 +246,4 @@ class Polynomial:
 
 def x(i: int) -> Polynomial:
     """Shorthand for the variable x_i as a polynomial."""
-    return Polynomial({(0,) * (i - 1) + (1,): 1})
+    return Polynomial({1 << W * (i - 1): 1})

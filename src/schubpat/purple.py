@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .diagrams import Diagram, _column_dominated_sets, restricts, rothe
-from .polyx import Monomial, _canonical, _mul_keys, key_quotient, monomial_key
+from .polyx import Monomial, _canonical, key_quotient, monomial_key, unpack
 from .schubert import schubert_polynomial, schubert_skipping
 
 
@@ -31,14 +31,18 @@ def _purple_rows(d: tuple[int, ...], k: int, is_l: bool) -> frozenset[int]:
 
 
 @functools.cache  # keyed by (column of D, k, whether it is column l): at most n * 2^(n+1) entries
-def _purple_sets(d: tuple[int, ...], k: int, is_l: bool) -> tuple[tuple[int, ...], ...]:
+def _purple_sets(
+    d: tuple[int, ...], k: int, is_l: bool
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The sets c <= seed inside the purple rows of a column d of D that holds a seed box.
 
-    The seed is d itself for column l and row k alone in any other column.
+    Returned with the key of x^c for each set, in the same order.  The seed
+    is d itself for column l and row k alone in any other column.
     """
     rows = _purple_rows(d, k, is_l)
     seed = d if is_l else (k,)
-    return tuple(c for c in _column_dominated_sets(seed) if rows.issuperset(c))
+    sets = tuple(c for c in _column_dominated_sets(seed) if rows.issuperset(c))
+    return sets, tuple(map(monomial_key, sets))
 
 
 def purple_boxes(D: Diagram, k: int, l: int) -> frozenset[tuple[int, int]]:
@@ -57,16 +61,16 @@ def purple_boxes(D: Diagram, k: int, l: int) -> frozenset[tuple[int, int]]:
 class PurpleFamily:
     """The purple family of (D, k, l) as a product over the seed's columns.
 
-    `columns` holds, for each nonempty column j of the seed, the pair
-    (j, the sets c <= seed_j inside the purple rows of column j); a member
-    is one such set per column.  `boxes`, `members`, `row_keys` and
-    `monomials` are derived.
+    `columns` holds, for each nonempty column j of the seed, the triple
+    (j, the sets c <= seed_j inside the purple rows of column j, the key of
+    x^c for each); a member is one such set per column.  `boxes`,
+    `members`, `row_keys` and `monomials` are derived.
     """
 
     D: Diagram
     k: int
     l: int
-    columns: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+    columns: tuple[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]], ...]
 
     @property
     def boxes(self) -> frozenset[tuple[int, int]]:
@@ -74,19 +78,18 @@ class PurpleFamily:
 
     def choices(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         """Every member as its rows, one set per entry of `columns`."""
-        return itertools.product(*(sets for _, sets in self.columns))
+        return itertools.product(*(sets for _, sets, _ in self.columns))
 
     def member(self, choice: tuple[tuple[int, ...], ...]) -> Diagram:
         """The diagram of one of `choices()`."""
-        rows = dict(zip((j for j, _ in self.columns), choice))
+        rows = dict(zip((j for j, _, _ in self.columns), choice))
         return Diagram(self.D.n, tuple(rows.get(j, ()) for j in range(1, self.D.n + 1)))
 
-    def row_keys(self) -> list[tuple[int, ...]]:
+    def row_keys(self) -> list[int]:
         """The key of x^K for every member K, in the order of `choices()`."""
-        keys = [()]
-        for _, sets in self.columns:
-            column = [monomial_key(c) for c in sets]
-            keys = [_mul_keys(a, b) for a in keys for b in column]
+        keys = [0]
+        for _, _, column in self.columns:
+            keys = [a + b for a in keys for b in column]
         return keys
 
     @property
@@ -105,7 +108,8 @@ class PurpleFamily:
             "purple_boxes": [list(b) for b in sorted(self.boxes)],
             "members": [m.to_json() for m in sorted(self.members, key=Diagram.box_list)],
             "monomials": [
-                list(key) + [0] * (self.D.n - len(key)) for key in _canonical(set(self.row_keys()))
+                [*exps] + [0] * (self.D.n - len(exps))
+                for exps in map(unpack, _canonical(set(self.row_keys())))
             ],
         }
 
@@ -118,11 +122,11 @@ def purple_family(D: Diagram, k: int, l: int) -> PurpleFamily:
     the seed.  Dominance and the purple boxes are both columnwise, so it
     is a product over the seed's columns: column l of D, and row k alone
     in every other column of D that holds it.  The seed lies inside the
-    purple boxes, so it is a member.  Each column's sets are memoized
-    (`_purple_sets`), so the family is a product of lookups.
+    purple boxes, so it is a member.  Each column's sets and their keys are
+    memoized (`_purple_sets`), so the family is a product of lookups.
     """
     columns = tuple(
-        (j, _purple_sets(d, k, j == l))
+        (j, *_purple_sets(d, k, j == l))
         for j, d in enumerate(D.columns, start=1)
         if k in d or (j == l and d)
     )
@@ -135,9 +139,9 @@ class MonomialCharacterization:
 
     sigma: tuple[int, ...]
     k: int
-    working: frozenset[tuple[int, ...]]
-    from_purple: frozenset[tuple[int, ...]]
-    extra: frozenset[tuple[int, ...]]
+    working: frozenset[int]
+    from_purple: frozenset[int]
+    extra: frozenset[int]
 
 
 def characterize_monomials(sigma: tuple[int, ...]) -> tuple[MonomialCharacterization, ...]:
@@ -146,9 +150,11 @@ def characterize_monomials(sigma: tuple[int, ...]) -> tuple[MonomialCharacteriza
     Entry k - 1 is position k's; pi is the single-removal pattern at
     position k.  A working M must send every monomial of the substituted
     S_pi into the support of S_sigma, so the candidates are the exact
-    quotients of support monomials by one fixed monomial of the
-    substituted S_pi (its first key in canonical order): a provably complete
-    superset, taken as keys.  D(sigma) and S_sigma are built once for all k.
+    quotients of support monomials by any one fixed monomial of the
+    substituted S_pi: a provably complete superset, taken as keys.  No
+    degree test is needed: S_sigma is homogeneous of degree l(sigma), so
+    every quotient has the degree of sigma's seed.  D(sigma) and S_sigma
+    are built once for all k.
     """
     D = rothe(sigma)
     s_sigma = schubert_polynomial(sigma)
@@ -157,10 +163,8 @@ def characterize_monomials(sigma: tuple[int, ...]) -> tuple[MonomialCharacteriza
         family = purple_family(D, k, l)
         sub = schubert_skipping(sigma, k)
         from_purple = frozenset(family.row_keys())
-        mu0 = _canonical(sub.key_terms)[0]
-        # Every member has as many boxes per column as the seed.
-        degree = sum(mu0) + sum(len(sets[0]) for _, sets in family.columns)
-        quotients = (key_quotient(m, mu0) for m in s_sigma.key_terms if sum(m) == degree)
+        mu0 = next(iter(sub.key_terms))
+        quotients = (key_quotient(m, mu0) for m in s_sigma.key_terms)
         working = frozenset(
             q for q in quotients if q is not None and s_sigma.nonnegative_after_subtracting(q, sub)
         )

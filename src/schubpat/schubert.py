@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 
 from .permwords import without_position
-from .polyx import Polynomial, skip_variable
+from .polyx import W, Polynomial, skip_variable
 
 
 def _transition(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
@@ -60,8 +60,9 @@ def schubert_polynomial(values: tuple[int, ...]) -> Polynomial:
 def _schubert(values: tuple[int, ...]) -> Polynomial:
     """The recursion of `_transition`, on exponent keys.
 
-    x_{r+1} S_v shifts entry r of every key of S_v, and the children add in
-    with no cancellation.  Trailing fixed points are stripped on a miss.
+    x_{r+1} S_v adds x_{r+1}'s key, 2^(W r), to every key of S_v, and the
+    children add in with no cancellation.  Trailing fixed points are
+    stripped on a miss.
     """
     n = len(values)
     while n and values[n - 1] == n:
@@ -71,10 +72,8 @@ def _schubert(values: tuple[int, ...]) -> Polynomial:
     if not values:
         return Polynomial.constant(1)
     r, v, children = _transition(values)
-    terms = {}
-    for k, c in _schubert(v).key_terms.items():
-        k += (0,) * (r + 1 - len(k))
-        terms[k[:r] + (k[r] + 1,) + k[r + 1 :]] = c
+    x_key = 1 << W * r  # the key of x_{r+1}
+    terms = {k + x_key: c for k, c in _schubert(v).key_terms.items()}
     for u in children:
         for k, c in _schubert(u).key_terms.items():
             terms[k] = terms.get(k, 0) + c

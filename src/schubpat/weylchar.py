@@ -47,10 +47,10 @@ def _det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
     return result
 
 
-def _span_rank(polys: list[dict[tuple[int, ...], int]]) -> int:
+def _span_rank(polys: list[dict[int, int]]) -> int:
     """Rank of the span of polynomials given by their key terms."""
     # The rank does not depend on the order of the matrix columns.
-    columns: dict[tuple[int, ...], int] = {}
+    columns: dict[int, int] = {}
     for p in polys:
         for key in p:
             if key not in columns:
@@ -88,13 +88,13 @@ def _chi_by_rank(columns: tuple[tuple[int, ...], ...]) -> Polynomial:
     span rank.  A dominated diagram is one choice of a dominated set per
     column; no `Diagram` is built.
     """
-    groups: dict[tuple[int, ...], list[dict[tuple[int, ...], int]]] = {}
+    groups: dict[int, list[dict[int, int]]] = {}
     for choice in itertools.product(*map(_column_dominated_sets, columns)):
         product = Polynomial.constant(1)
         for c, d in zip(choice, columns):
             product = product * _det(c, d)
         groups.setdefault(monomial_key(i for c in choice for i in c), []).append(product.key_terms)
-    terms: dict[tuple[int, ...], int] = {}
+    terms: dict[int, int] = {}
     for key, polys in groups.items():
         coef = _span_rank(polys)
         if coef:

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubpat import cli, oracles, verify
+from schubpat.diagrams import MAX_N
+from schubpat.polyx import W
 
 
 def run(capsys, *argv):
@@ -502,6 +504,28 @@ def test_non_digits_are_a_usage_error(text):
     for argv in _perm_commands(text):
         _usage_error_line(argv)
     _usage_error_line(["alternating-sum", "1", text])
+
+
+def _top_first(n: int) -> str:
+    """n, 1, 2, ..., n - 1: D(w) is row 1 of columns 1 .. n - 1, so S_w = x1^(n-1)."""
+    return ",".join(map(str, [n, *range(1, n)]))
+
+
+def test_every_exponent_of_an_accepted_input_fits_below_its_guard_bit():
+    # An exponent of a polynomial built from an input of size n is at most n.
+    assert 1 << (W - 1) > MAX_N
+
+
+def test_inputs_at_the_size_cap_are_exact_and_beyond_it_refused(capsys):
+    assert run(capsys, "schubert", _top_first(MAX_N), "--method", "diagram") == (0, f"x1^{MAX_N - 1}\n")
+    assert run(capsys, "chi", json.dumps({"n": MAX_N, "boxes": [[1, 1]]})) == (0, "x1\n")
+    big = _top_first(MAX_N + 1)
+    for argv in _perm_commands(big) + [["schubert", big, "--method", "diagram"]]:
+        assert _usage_error_line(argv) == f"error: permutation of length {MAX_N + 1} is longer than {MAX_N}"
+    line = _usage_error_line(["alternating-sum", "1", big])
+    assert line == f"error: word of length {MAX_N + 1} is longer than {MAX_N}"
+    blob = json.dumps({"n": MAX_N + 1, "boxes": [[1, 1]]})
+    assert f"n must be at most {MAX_N}, got {MAX_N + 1}" in _usage_error_line(["chi", blob])
 
 
 def test_full_suite_summary_carries_the_report_digest(tmp_path):

@@ -8,7 +8,18 @@ from schubpat.diagrams import dominated_sum, rothe
 from schubpat.incexc import alternating_polynomials
 from schubpat.oracles import UnmappedVariableError, evaluate_all_ones, substitute_variables
 from schubpat.permwords import all_permutations
-from schubpat.polyx import Monomial, Polynomial, exponent_key, monomial_key, pair_index, x
+from schubpat.polyx import (
+    W,
+    Monomial,
+    Polynomial,
+    exponent_key,
+    key_quotient,
+    monomial_key,
+    pair_index,
+    skip_variable,
+    unpack,
+    x,
+)
 from schubpat.schubert import schubert_polynomial, schubert_skipping
 
 
@@ -79,7 +90,7 @@ def test_is_nonnegative():
     assert ok
     ok, witness = (x(1) - x(2)).is_nonnegative()
     assert not ok
-    assert witness == (Monomial((0, 1)), -1)
+    assert witness == (Monomial(exponent_key([0, 1])), -1)
 
 
 @given(poly_strategy())
@@ -105,7 +116,7 @@ def test_serialization_round_trip(p):
 
 
 def test_json_shape():
-    p = Polynomial({(1, 0, 1): 2, (0, 1): -1})
+    p = Polynomial({exponent_key([1, 0, 1]): 2, exponent_key([0, 1]): -1})
     data = p.to_json(3)
     assert data["vars"] == 3
     assert {"exp": [0, 1, 0], "coef": "-1"} in data["terms"]
@@ -127,7 +138,8 @@ def test_pair_index_round_trip():
 # -- exponent keys ---------------------------------------------------------
 
 def _canonical_keys(p):
-    return all(not key or key[-1] for key in p.key_terms)
+    # Every digit of a key is an exponent below its guard bit, so the key packs its own exponents.
+    return all(exponent_key(unpack(key)) == key for key in p.key_terms)
 
 
 def _same(p, q):
@@ -138,8 +150,9 @@ def _same(p, q):
 def test_monomial_routes_give_one_key(exps):
     # zero exponents, repeated variables and either variable order all land on one key
     variables = [v for v, e in exps.items() for _ in range(e)]
-    key = exponent_key([exps.get(v, 0) for v in range(1, 7)])
-    assert not key or key[-1]
+    dense = [exps.get(v, 0) for v in range(1, 7)]
+    key = exponent_key(dense)
+    assert list(unpack(key)) == dense[: max((v for v in exps if exps[v]), default=0)]
     for route in (monomial_key(variables), monomial_key(reversed(variables))):
         m, r = Monomial(key), Monomial(route)
         assert r == m and hash(r) == hash(m) and r.key == key
@@ -161,7 +174,8 @@ def test_polynomial_routes_give_one_key(p, q):
 @given(poly_strategy(max_vars=5))
 def test_terms_order_is_the_old_order_on_variable_exponent_pairs(p):
     def old_key(key):
-        return sum(key), tuple((v, -e) for v, e in enumerate(key, start=1) if e)
+        exps = unpack(key)
+        return sum(exps), tuple((v, -e) for v, e in enumerate(exps, start=1) if e)
 
     assert [m.key for m, _ in p.terms()] == sorted(p.key_terms, key=old_key)
 
@@ -180,6 +194,67 @@ def test_lookup_subtraction_check_agrees_with_the_difference(p, q, t, key):
     s = p + q * m
     for other in (t, q, q + t, Polynomial.zero()):
         assert s.nonnegative_after_subtracting(m.key, other) == (s - other * m).is_nonnegative()[0]
+
+
+# -- packed keys against exponent tuples ------------------------------------
+
+TOP = (1 << (W - 1)) - 1  # the largest exponent a digit holds under its guard bit
+
+
+def _trim(exps):
+    exps = list(exps)
+    while exps and not exps[-1]:
+        exps.pop()
+    return tuple(exps)
+
+
+def _padded(a, b):
+    size = max(len(a), len(b))
+    return [list(e) + [0] * (size - len(e)) for e in (a, b)]
+
+
+exponent_lists = st.lists(st.integers(0, TOP), max_size=6)
+
+
+@given(exponent_lists)
+def test_a_key_unpacks_to_its_exponents(exps):
+    assert unpack(exponent_key(exps)) == _trim(exps)
+
+
+@given(st.lists(st.integers(0, TOP // 2), max_size=6), st.lists(st.integers(0, TOP // 2), max_size=6))
+def test_the_sum_of_keys_is_the_key_of_the_product(a, b):
+    a, b = _padded(a, b)
+    assert exponent_key(a) + exponent_key(b) == exponent_key([s + t for s, t in zip(a, b)])
+
+
+@given(exponent_lists, exponent_lists)
+def test_key_quotient_divides_exactly_when_every_exponent_allows(a, b):
+    a, b = _padded(a, b)
+    q = key_quotient(exponent_key(a), exponent_key(b))
+    if all(s >= t for s, t in zip(a, b)):
+        assert q == exponent_key([s - t for s, t in zip(a, b)])
+    else:
+        assert q is None
+
+
+@given(exponent_lists, st.integers(1, 8))
+def test_skip_variable_inserts_a_zero_exponent_at_k(exps, k):
+    exps = _trim(exps)
+    skipped = exps[: k - 1] + (0,) + exps[k - 1 :] if len(exps) >= k else exps
+    assert unpack(skip_variable(exponent_key(exps), k)) == skipped
+
+
+@pytest.mark.parametrize("exps", [[TOP + 1], [0, -1], [1, 0, 1 << W]])
+def test_an_exponent_beyond_its_digit_is_refused(exps):
+    with pytest.raises(ValueError):
+        exponent_key(exps)
+
+
+def test_key_quotient_refuses_a_variable_beyond_its_guards():
+    beyond = 1 << W * (TOP + 1)  # x_(TOP + 2)
+    assert key_quotient(beyond >> W, 0) == beyond >> W
+    with pytest.raises(ValueError):
+        key_quotient(beyond, 0)
 
 
 def test_engine_routes_return_canonical_polynomials():

@@ -14,8 +14,9 @@ from schubpat.oracles import (
     verify_theorem_gen,
 )
 from schubpat.permwords import all_permutations, avoids
-from schubpat.polyx import Monomial, Polynomial, monomial_key
+from schubpat.polyx import Monomial, Polynomial, key_quotient, monomial_key, unpack
 from schubpat.purple import characterize_monomials, purple_boxes, purple_family
+from schubpat.schubert import schubert_polynomial, schubert_skipping
 from schubpat.weylchar import chi
 
 
@@ -37,7 +38,7 @@ def _frozen(*boxes):
 
 def _at_zero(p: Polynomial, k: int) -> Polynomial:
     """p with x_k = 0: the terms without x_k."""
-    return Polynomial({key: c for key, c in p.key_terms.items() if len(key) < k or not key[k - 1]})
+    return Polynomial({key: c for key, c in p.key_terms.items() if not (unpack(key) + (0,) * k)[k - 1]})
 
 
 def has_northwest_property(D: Diagram) -> bool:
@@ -230,3 +231,16 @@ def test_characterize_family_monomials_always_work(n):
             assert result.from_purple <= result.working
             if avoids(w.values):
                 assert len(result.working) >= 1
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_working_monomials_do_not_depend_on_the_fixed_term(n):
+    # Any term mu of the substituted S_pi gives the candidates m / mu over the support of S_sigma.
+    for w in all_permutations(n):
+        s_sigma = schubert_polynomial(w.values)
+        for result in characterize_monomials(w.values):
+            sub = schubert_skipping(w.values, result.k)
+            for mu in sub.key_terms:
+                quotients = {key_quotient(m, mu) for m in s_sigma.key_terms} - {None}
+                working = {q for q in quotients if s_sigma.nonnegative_after_subtracting(q, sub)}
+                assert working == result.working, (w, result.k, mu)

@@ -18,7 +18,7 @@ from schubpat import incexc, oracles, purple, schubert, verify, weylchar
 from schubpat.diagrams import Diagram
 from schubpat.errors import BudgetExceededError, PatternViolationError
 from schubpat.permwords import Permutation, all_permutations, avoids, one_line
-from schubpat.polyx import Monomial, Polynomial, _canonical, x
+from schubpat.polyx import Monomial, Polynomial, _canonical, exponent_key, x
 from schubpat.verify import (
     CLAIMS,
     Claim,
@@ -506,7 +506,7 @@ def test_thm2_4_witness_is_the_first_term_of_the_difference(monkeypatch):
     witnesses = {r.subject: r.witness for r in reports}
     assert {s: witnesses[s] for s in STUBBED_THM2_4_WITNESSES} == STUBBED_THM2_4_WITNESSES
     # Added terms of one degree: x1*x4 comes before x2*x3, and degree 2 before degree 3.
-    extra = Polynomial({(0, 1, 1): 1, (1, 0, 0, 1): 5, (2, 1): 3})
+    extra = Polynomial({exponent_key(e): c for e, c in (([0, 1, 1], 1), ([1, 0, 0, 1], 5), ([2, 1], 3))})
     monkeypatch.setattr(verify.schubert, "schubert_polynomial", lambda w: s_w(w) + extra)
     report = verify._run_shard(CLAIMS["thm2.4"], (2, 1, 4, 3), RunConfig())
     assert (report.verdict, report.witness) == ("fails", "difference -5 at x1*x4")
