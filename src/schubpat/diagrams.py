@@ -85,20 +85,17 @@ def rothe(values: tuple[int, ...]) -> Diagram:
     return Diagram(len(values), tuple(columns))
 
 
-def column_dominates(R: Iterable[int], S: Iterable[int]) -> bool:
-    """R <= S: equal sizes and k-th least of R <= k-th least of S for all k."""
-    r, s = sorted(R), sorted(S)
-    return len(r) == len(s) and all(a <= b for a, b in zip(r, s))
-
-
 def restricts(c: tuple[int, ...], d: tuple[int, ...], k: int) -> bool:
-    """Whether a column c <= d keeps row k exactly when d does, and c less k <= d less k.
+    """The single-removal test of a column but l: c less row k <= d less row k.
 
-    c and d have equal sizes, so the sizes of c less k and d less k, which
-    `column_dominates` compares, agree exactly when c keeps row k as d
-    does.  This is the single-removal restriction test of every column but l.
+    It needs c <= d (equal sizes, c_t <= d_t for every t); then it is whether
+    c holds row k exactly when d does.  If k is in neither, c less k = c and
+    d less k = d; if in exactly one, the sizes differ.  If in both, say
+    c_p = k = d_q, then c_q <= d_q = k = c_p gives q <= p: for t < q the
+    entries compare as before; for q <= t < p, c_t <= d_t < d_{t+1}; for
+    t >= p, c_{t+1} <= d_{t+1}.
     """
-    return column_dominates([i for i in c if i != k], [i for i in d if i != k])
+    return (k in c) == (k in d)
 
 
 @functools.cache  # keyed by a column, a subset of [n]: at most 2^n entries

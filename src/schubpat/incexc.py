@@ -21,7 +21,7 @@ c_w itself is `cw_inclusion_exclusion`, entry 0 of the alternating table.
 Its independent routes are the recursion, `oracles.cw_recursive`, which
 walks `Word` subwords and `oracles.flatten`, and the counting
 (`cw_augmentation`, the subject of `thm1.2`), which builds no diagram: it
-decides augmentations column by column (`diagrams.restricts`).
+decides augmentations column by column on row k alone (`diagrams.restricts`).
 """
 from __future__ import annotations
 
@@ -151,9 +151,9 @@ def cw_augmentation(values: tuple[int, ...]) -> int:
     """c_w as the number of C <= D(w) that are augmentations for no removed pair (k, w_k).
 
     C is one for (k, l) when its column l is D's and every other column
-    `restricts` to D's at row k.  So each column c allows a mask of pairs,
-    and the count runs over the columns on a Counter of AND-of-masks; the
-    non-augmentations end on mask 0.
+    `restricts` to D's at row k: holds row k exactly when D's does.  So
+    each column c allows a mask of pairs, and the count runs over the
+    columns on a Counter of AND-of-masks; the non-augmentations end on mask 0.
     """
     if not avoids(values):
         raise PatternViolationError(f"{one_line(values)} contains 1432 or 1423")

@@ -4,9 +4,9 @@ Each function here recomputes a quantity by the paper's slow definition,
 sharing as little code as it can with the production route, so that a test
 can compare the two exhaustively at small n:
 
-- whole dominated diagrams, which production replaces by per-column data:
-  `dominates`, `enumerate_dominated`, `restrict_remove` and
-  `removed_boxes`;
+- dominance and whole dominated diagrams, which production replaces by
+  per-column data: `column_dominates`, `dominates`, `enumerate_dominated`,
+  `restrict_remove` and `removed_boxes`;
 - S_w by divided differences (`schubert_divdiff`), S_w(1) by reduced words
   (`macdonald_oracle`) or as a coefficient sum (`evaluate_all_ones`), and
   coefficients of S_w by counting dominated diagrams
@@ -46,13 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .diagrams import (
-    Diagram,
-    _column_dominated_sets,
-    column_dominates,
-    rothe,
-    row_monomial,
-)
+from .diagrams import Diagram, _column_dominated_sets, rothe, row_monomial
 from .errors import PatternViolationError, SchubpatError
 from .permwords import Permutation, Word, avoids
 from .polyx import Monomial, Polynomial, exponent_key, monomial_key, unpack
@@ -82,6 +76,12 @@ class NotInFamilyError(SchubpatError):
 
 
 # -- whole dominated diagrams ------------------------------------------------
+
+
+def column_dominates(R: Iterable[int], S: Iterable[int]) -> bool:
+    """R <= S: equal sizes and k-th least of R <= k-th least of S for all k."""
+    r, s = sorted(R), sorted(S)
+    return len(r) == len(s) and all(a <= b for a, b in zip(r, s))
 
 
 def dominates(C: Diagram, D: Diagram) -> bool:

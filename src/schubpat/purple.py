@@ -21,8 +21,8 @@ from .schubert import schubert_polynomial, schubert_skipping
 def _purple_rows(d: tuple[int, ...], k: int, is_l: bool) -> frozenset[int]:
     """The purple rows of a nonempty column d of D: hit by some c <= d, by no restricted one.
 
-    A restricted one is c less row k, for c <= d that `restricts` to d at
-    row k; column l restricts to nothing.
+    A restricted one is c less row k, for c <= d that holds row k exactly
+    when d does (`restricts`); column l restricts to nothing.
     """
     subsets = _column_dominated_sets(d)
     reachable = {i for c in subsets for i in c}

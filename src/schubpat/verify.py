@@ -123,8 +123,10 @@ def _run_alt_nonneg(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
     if not avoids(w):
         return None
     # u is the subword of word(w) at a position mask; every mask is checked.
+    # A table of S_<=max_n-1 is also a deletion's table, so it is the memo's.
+    table = incexc._polynomials if len(w) < config.max_n else incexc.alternating_polynomials
     failures = []
-    for mask, total in enumerate(incexc.alternating_polynomials(w)):
+    for mask, total in enumerate(table(w)):
         ok, bad = total.is_nonnegative()
         if not ok:
             failures.append(f"u={_subword_at(w, mask)}: coeff {bad[1]} at {bad[0]}")

@@ -8,12 +8,13 @@ from schubpat.diagrams import (
     Diagram,
     _column_dominated_sets,
     _count_column,
-    column_dominates,
     count_dominated,
+    restricts,
     rothe,
     row_monomial,
 )
 from schubpat.oracles import (
+    column_dominates,
     dominates,
     enumerate_dominated,
     hat_v,
@@ -150,6 +151,21 @@ def test_column_dominated_sets_match_a_filter_of_combinations():
                 assert isinstance(got, tuple)
                 assert got == expected
                 assert len(got) == _count_column(d)
+
+
+def test_restricts_is_dominance_of_the_columns_less_row_k():
+    # Every column d of an n-grid, n <= 8, every c <= d by the definition, and
+    # every row k, one past the grid included: the row test is the definition.
+    for n in range(1, 9):
+        rows = range(1, n + 1)
+        for m in range(n + 1):
+            for d in itertools.combinations(rows, m):
+                for c in itertools.combinations(rows, m):
+                    if not column_dominates(c, d):
+                        continue
+                    for k in range(1, n + 2):
+                        c_less_k, d_less_k = ([i for i in col if i != k] for col in (c, d))
+                        assert restricts(c, d, k) == column_dominates(c_less_k, d_less_k), (c, d, k)
 
 
 def test_enumerate_dominated_example():

@@ -45,11 +45,11 @@ def test_no_production_module_imports_oracles():
 WHOLE_DIAGRAM_ROUTES = {
     "dominates", "enumerate_dominated", "restrict_remove", "removed_boxes", "is_augmentation"
 }
-# What only the oracles compute on permutations, words and polynomials, and
-# the errors only they raise: functions, methods and classes alike.
+# What only the oracles compute on permutations, words, columns and
+# polynomials, and the errors only they raise: functions, methods and classes alike.
 ORACLE_ONLY = {
     "inverse", "swap_positions", "descents", "ascents", "letter_set", "flatten",
-    "substitute_variables", "evaluate_all_ones",
+    "substitute_variables", "evaluate_all_ones", "column_dominates",
     "NotASubwordError", "LetterNotInWordError", "LengthGuardError", "UnmappedVariableError",
 }
 

@@ -314,6 +314,21 @@ def test_json_line_is_the_compact_dump_of_the_report(witness, elapsed_ms):
     assert json.loads(r.json_line()) == r.as_dict()
 
 
+def test_thm1_1_builds_each_avoider_table_once(monkeypatch):
+    calls: Counter = Counter()
+    build = incexc.alternating_polynomials
+
+    def counted(values):
+        calls[values] += 1
+        return build(values)
+
+    monkeypatch.setattr(incexc, "alternating_polynomials", counted)
+    assert exit_code(run_claim("thm1.1", RunConfig(max_n=5))) == 0
+    # An avoider of S_<=4 is a shard and a deletion, through one memo; an
+    # avoider of S_5 is a shard only.  Deletions of avoiders are avoiders.
+    avoiders = Counter(w.values for n in range(6) for w in all_permutations(n) if avoids(w.values))
+    assert calls == avoiders
+
 def test_identity_builds_each_table_once_per_shard(monkeypatch):
     calls: Counter = Counter()
     builders = {
