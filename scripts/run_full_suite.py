@@ -10,7 +10,8 @@ With --out, each claim additionally gets that report as a file in DIR.
 Reports are folded in as they arrive; only a claim's failing ones are held.
 The process exit code folds the claims' exit codes, claim by claim:
 2 if any claim has a counterexample, else 3 on a budget refusal, else 0;
-a size below 2 or fewer than one job prints one error line and exits 1.
+a size below 2, fewer than one job or an --out directory or report file
+that cannot be made prints one error line and exits 1.
 """
 import argparse
 import collections
@@ -37,14 +38,18 @@ def main() -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
 
     worst = 0
     for name in sorted(CLAIMS):
+        try:
+            if args.out:
+                args.out.mkdir(parents=True, exist_ok=True)
+            sink = open(args.out / f"{name}.jsonl", "w", encoding="utf-8") if args.out else None
+        except OSError as exc:
+            print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 1
         start = time.monotonic()
         digest, counts, code, failing = hashlib.sha256(), collections.Counter(), 0, []
-        sink = open(args.out / f"{name}.jsonl", "w", encoding="utf-8") if args.out else None
         with sink or contextlib.nullcontext() as fh:
             for r in run_claim(name, config):
                 line = r.json_line() + "\n"

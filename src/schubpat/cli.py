@@ -11,7 +11,8 @@ Each subcommand takes only the options its handler reads.  Every one but
 `--timing`; `chi` takes `--budget-dominated` too.
 
 Exit codes: 0 success / all holds, 1 usage or crash (including an option
-the subcommand does not take, verify --max-n below 2, --jobs below 1,
+the subcommand does not take, an --out file that cannot be opened for
+writing, verify --max-n below 2, --jobs below 1,
 --jobs above 1 without the fork start method, a negative chi budget, or a
 permutation, word or diagram JSON with n above `diagrams.MAX_N`),
 2 mathematical counterexample (including a `cw-table` row or a
@@ -28,7 +29,7 @@ from . import incexc, oracles, verify, weylchar
 from .diagrams import MAX_N, Diagram, dominated_sum, rothe
 from .errors import BudgetExceededError, PatternViolationError, SchubpatError, UsageError
 from .permwords import Permutation, Word, all_permutations, avoids
-from .polyx import Monomial, Polynomial
+from .polyx import Polynomial, monomial_text
 from .purple import characterize_monomials, purple_family
 
 EXIT_OK = 0
@@ -100,9 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _output(args):
-    """The file named by --out, or stdout."""
+    """The file named by --out, or stdout; a file that cannot be opened is a usage error."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
+        with fh:
             yield fh
     else:
         yield sys.stdout
@@ -269,15 +274,15 @@ def _cmd_purple(args) -> int:
     payload = family.to_json()
     if args.characterize:
         result = characterize_monomials(sigma.values)[args.k - 1]
-        payload["working"] = sorted(str(Monomial(m)) for m in result.working)
-        payload["extra"] = sorted(str(Monomial(m)) for m in result.extra)
+        payload["working"] = sorted(map(monomial_text, result.working))
+        payload["extra"] = sorted(map(monomial_text, result.extra))
     if args.format == "json":
         _emit(json.dumps(payload, separators=(",", ":")), args)
     else:
         lines = [
             f"purple boxes: {sorted(family.boxes)}",
             f"members: {[str(m) for m in sorted(family.members, key=Diagram.box_list)]}",
-            f"monomials: {sorted(str(m) for m in family.monomials)}",
+            f"monomials: {sorted(map(monomial_text, set(family.row_keys())))}",
         ]
         if args.characterize:
             lines.append(f"working: {payload['working']}")

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .polyx import Monomial, Polynomial, monomial_key
+from .polyx import Polynomial, monomial_key
 
 # The largest n of a diagram or permutation the CLI reads (`Diagram.from_json`, `cli._parse`).
 # The work on a diagram grows with n, whatever its boxes, and every exponent of a
@@ -150,6 +150,6 @@ def _count_column(d: tuple[int, ...]) -> int:
     return sum(ends)
 
 
-def row_monomial(D: Diagram) -> Monomial:
-    """x^D: one factor x_i per box of D in row i."""
-    return Monomial(monomial_key(i for c in D.columns for i in c))
+def row_monomial(D: Diagram) -> int:
+    """The key of x^D: one factor x_i per box of D in row i."""
+    return monomial_key(i for c in D.columns for i in c)

@@ -32,7 +32,7 @@ from operator import sub
 from .diagrams import _column_dominated_sets, restricts, rothe
 from .errors import PatternViolationError
 from .permwords import avoids, one_line, without_position
-from .polyx import W, Monomial, Polynomial, skip_variable
+from .polyx import W, Polynomial, skip_variable
 from .schubert import principal_specialization, schubert_polynomial, schubert_skipping
 
 
@@ -200,5 +200,5 @@ def verify_single_step(sigma: tuple[int, ...], k: int) -> tuple[bool, Polynomial
     s_sigma, sub = schubert_polynomial(sigma), schubert_skipping(sigma, k)
     if s_sigma.nonnegative_after_subtracting(m, sub):
         return True, None
-    return False, s_sigma - sub * Monomial(m)
+    return False, s_sigma - sub * Polynomial({m: 1})
 

@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, Mapping
 from .diagrams import Diagram, _column_dominated_sets, rothe, row_monomial
 from .errors import PatternViolationError, SchubpatError
 from .permwords import Permutation, Word, avoids
-from .polyx import Monomial, Polynomial, exponent_key, monomial_key, unpack
+from .polyx import Polynomial, exponent_key, monomial_key, unpack
 from .purple import PurpleFamily
 from .schubert import principal_specialization, schubert_polynomial
 from .weylchar import _det, _span_rank
@@ -227,8 +227,8 @@ def dominated_sum_by_enumeration(D: Diagram) -> Polynomial:
     return Polynomial(terms)
 
 
-def coefficient_by_counting(w: Permutation, m: Monomial) -> int:
-    """#{C <= D(w) : x^C = m}; equals the Schubert coefficient for avoiders."""
+def coefficient_by_counting(w: Permutation, m: int) -> int:
+    """#{C <= D(w) : x^C = m}, m a key; equals the Schubert coefficient for avoiders."""
     if not avoids(w.values):
         raise PatternViolationError(f"{w} contains 1432 or 1423")
     return sum(1 for C in enumerate_dominated(rothe(w.values)) if row_monomial(C) == m)
@@ -276,8 +276,8 @@ def hat_v(C: Diagram, w: Permutation, v: Word) -> Diagram:
     return restrict_keep(C, substitution_indices(w, v), v.letters)
 
 
-def m_monomial(w: Permutation, v: Word) -> Monomial:
-    """x over the boxes of D(w) outside the restriction to v's rows/columns."""
+def m_monomial(w: Permutation, v: Word) -> int:
+    """The key of x over the boxes of D(w) outside the restriction to v's rows/columns."""
     D = rothe(w.values)
     return row_monomial(Diagram.of(D.n, D.boxes - hat_v(D, w, v).boxes))
 
@@ -314,7 +314,7 @@ def substituted_schubert(w: Permutation, v: Word) -> Polynomial:
 class SumTerm:
     v: Word
     sign: int
-    monomial: Monomial
+    monomial: int  # a key
     schubert: Polynomial
 
 
@@ -327,7 +327,7 @@ class AlternatingSumResult:
 
     def to_json(self) -> dict:
         n = self.w.n
-        ms = [unpack(t.monomial.key) for t in self.per_term]
+        ms = [unpack(t.monomial) for t in self.per_term]
         return {
             "w": str(self.w),
             "u": str(self.u),
@@ -352,13 +352,13 @@ def alternating_sum(w: Permutation, u: Word) -> AlternatingSumResult:
         sign = 1 if (len(w) - len(v)) % 2 == 0 else -1
         m = m_monomial(w, v)
         s = substituted_schubert(w, v)
-        total = total + s * Polynomial({m.key: sign})
+        total = total + s * Polynomial({m: sign})
         terms.append(SumTerm(v, sign, m, s))
     return AlternatingSumResult(w, u, total, tuple(terms))
 
 
-def restricted_diagram_count(w: Permutation, v: Word, m: Monomial) -> int:
-    """#{C <= hat(D(w))_v with x^C = m and boxes only in v's rows}."""
+def restricted_diagram_count(w: Permutation, v: Word, m: int) -> int:
+    """#{C <= hat(D(w))_v with x^C = m, m a key, and boxes only in v's rows}."""
     if not avoids(w.values):
         raise PatternViolationError(f"{w} contains 1432 or 1423")
     K = set(substitution_indices(w, v))
@@ -370,8 +370,8 @@ def restricted_diagram_count(w: Permutation, v: Word, m: Monomial) -> int:
     return count
 
 
-def bv_count(w: Permutation, u: Word, m: Monomial) -> int:
-    """|B_w minus the union of B_v over codimension-one v|, by enumeration.
+def bv_count(w: Permutation, u: Word, m: int) -> int:
+    """|B_w minus the union of B_v over codimension-one v|, by enumeration; m is a key.
 
     B_v collects the diagrams C <= D(w) with x^C = m whose boxes outside
     the v-restriction are exactly the boxes of D(w) outside its own
@@ -496,8 +496,8 @@ def determinant_product(C: Diagram, D: Diagram) -> Polynomial:
     return result
 
 
-def chi_coefficient(D: Diagram, m: Monomial) -> int:
-    """Coefficient of m in the dual character of D's flagged Weyl module."""
+def chi_coefficient(D: Diagram, m: int) -> int:
+    """Coefficient of the key m in the dual character of D's flagged Weyl module."""
     matching = [C for C in enumerate_dominated(D) if row_monomial(C) == m]
     return _span_rank([determinant_product(C, D).key_terms for C in matching])
 
@@ -520,8 +520,8 @@ def purple_boxes_bruteforce(D: Diagram, k: int, l: int) -> frozenset[tuple[int, 
 
 def purple_family_by_enumeration(
     D: Diagram, k: int, l: int
-) -> tuple[frozenset[tuple[int, int]], frozenset[Diagram], frozenset[Monomial]]:
-    """(purple boxes, members, monomials) of the purple family, over whole diagrams.
+) -> tuple[frozenset[tuple[int, int]], frozenset[Diagram], frozenset[int]]:
+    """(purple boxes, members, monomial keys) of the purple family, over whole diagrams.
 
     The members are the C <= the seed that lie inside the purple boxes.
     """
@@ -544,9 +544,9 @@ def verify_theorem_gen(
     if K not in family.members:
         raise NotInFamilyError(f"{K} is not a member of the purple family of {family.D}")
     m = row_monomial(K)
-    if chi_D.nonnegative_after_subtracting(m.key, chi_hat_k):
+    if chi_D.nonnegative_after_subtracting(m, chi_hat_k):
         return True, None
-    return False, chi_D - chi_hat_k * m
+    return False, chi_D - chi_hat_k * Polynomial({m: 1})
 
 
 # -- patterns ----------------------------------------------------------------

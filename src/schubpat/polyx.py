@@ -13,10 +13,9 @@ monomials have equal keys, a product of monomials is the sum of their keys,
 and a quotient is a difference that borrows into no guard bit
 (`key_quotient`).  Inside the engine a monomial is its key; `unpack` gives
 its exponent tuple where a term leaves the engine, and `_canonical`, the one
-order on monomials, sorts on it.  `Monomial` wraps a key only where a term
-leaves the engine (`terms()`, witnesses and text).  Both constructors,
-`Monomial(key)` and `Polynomial(key_terms)`, take canonical data as is: the
-caller owns the invariants above.
+order on monomials, sorts on it.  `monomial_text` is where a key becomes
+text.  `Polynomial(key_terms)` takes canonical data as is: the caller owns
+the invariants above.
 """
 from __future__ import annotations
 
@@ -105,30 +104,10 @@ def _canonical(keys: Iterable[int]) -> list[int]:
     return sorted(keys, key=_order, reverse=True)
 
 
-class Monomial:
-    """A power product of indexed variables: an immutable wrapper of one exponent key."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: int):
-        self.key = key  # canonical, taken as is
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __bool__(self) -> bool:
-        return bool(self.key)
-
-    def __str__(self) -> str:
-        exps = enumerate(unpack(self.key), start=1)
-        factors = [f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in exps if e]
-        return "*".join(factors) or "1"
-
-    def __repr__(self) -> str:
-        return f"Monomial<{self}>"
+def monomial_text(key: int) -> str:
+    """The text of a monomial: its factors x_i or x_i^e by variable, joined by '*'; '1' for key 0."""
+    factors = [f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in enumerate(unpack(key), start=1) if e]
+    return "*".join(factors) or "1"
 
 
 class Polynomial:
@@ -147,10 +126,10 @@ class Polynomial:
     def constant(cls, c: int) -> "Polynomial":
         return cls({0: c} if c else {})
 
-    def terms(self) -> Iterator[tuple[Monomial, int]]:
-        """Terms in canonical (graded lexicographic) order."""
+    def terms(self) -> Iterator[tuple[int, int]]:
+        """(key, coefficient) pairs in canonical (graded lexicographic) order."""
         for key in _canonical(self.key_terms):
-            yield Monomial(key), self.key_terms[key]
+            yield key, self.key_terms[key]
 
     def __bool__(self) -> bool:
         return bool(self.key_terms)
@@ -177,9 +156,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self._plus(other, -1)
 
-    def __mul__(self, other: "Polynomial | Monomial") -> "Polynomial":
-        if isinstance(other, Monomial):
-            other = Polynomial({other.key: 1})
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         terms: dict[int, int] = {}
         get = terms.get
         for a, ca in self.key_terms.items():
@@ -206,13 +183,13 @@ class Polynomial:
                 return False
         return True
 
-    def is_nonnegative(self) -> tuple[bool, tuple[Monomial, int] | None]:
+    def is_nonnegative(self) -> tuple[bool, tuple[int, int] | None]:
         """True iff no coefficient is negative; else the first negative term in canonical order."""
         negative = [key for key, coef in self.key_terms.items() if coef < 0]
         if not negative:
             return True, None
         key = _canonical(negative)[0]
-        return False, (Monomial(key), self.key_terms[key])
+        return False, (key, self.key_terms[key])
 
     def variables(self) -> set[int]:
         return {i for key in self.key_terms for i, e in enumerate(unpack(key), start=1) if e}
@@ -233,9 +210,10 @@ class Polynomial:
 
     def __str__(self) -> str:
         out = ""
-        for mon, coef in self.terms():
+        for key, coef in self.terms():
             c = abs(coef)
-            text = str(c) if not mon else str(mon) if c == 1 else f"{c}*{mon}"
+            mon = monomial_text(key)
+            text = str(c) if not key else mon if c == 1 else f"{c}*{mon}"
             sign = "-" if coef < 0 else "+"
             out += (f" {sign} " if out else "-" * (coef < 0)) + text
         return out or "0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .diagrams import Diagram, _column_dominated_sets, restricts, rothe
-from .polyx import Monomial, _canonical, key_quotient, monomial_key, unpack
+from .polyx import _canonical, key_quotient, monomial_key, unpack
 from .schubert import schubert_polynomial, schubert_skipping
 
 
@@ -64,7 +64,7 @@ class PurpleFamily:
     `columns` holds, for each nonempty column j of the seed, the triple
     (j, the sets c <= seed_j inside the purple rows of column j, the key of
     x^c for each); a member is one such set per column.  `boxes`,
-    `members`, `row_keys` and `monomials` are derived.
+    `members` and `row_keys` are derived.
     """
 
     D: Diagram
@@ -95,10 +95,6 @@ class PurpleFamily:
     @property
     def members(self) -> frozenset[Diagram]:
         return frozenset(map(self.member, self.choices()))
-
-    @property
-    def monomials(self) -> frozenset[Monomial]:
-        return frozenset(map(Monomial, self.row_keys()))
 
     def to_json(self) -> dict:
         return {

@@ -39,10 +39,10 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator
 
 from . import incexc, schubert, weylchar
-from .diagrams import Diagram, count_dominated, dominated_sum, rothe, row_monomial
+from .diagrams import count_dominated, dominated_sum, rothe
 from .errors import BudgetExceededError, UsageError
 from .permwords import avoids, inverse_values, one_line
-from .polyx import Monomial
+from .polyx import Polynomial, monomial_text
 from .purple import characterize_monomials, purple_family
 
 DEFAULT_SEED = 2718
@@ -129,7 +129,7 @@ def _run_alt_nonneg(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
     for mask, total in enumerate(table(w)):
         ok, bad = total.is_nonnegative()
         if not ok:
-            failures.append(f"u={_subword_at(w, mask)}: coeff {bad[1]} at {bad[0]}")
+            failures.append(f"u={_subword_at(w, mask)}: coeff {bad[1]} at {monomial_text(bad[0])}")
     return failures
 
 
@@ -142,7 +142,7 @@ def _run_single_step(sigma: tuple[int, ...], config: RunConfig) -> list[str] | N
         ok, diff = incexc.verify_single_step(sigma, k)
         if not ok:
             _, bad = diff.is_nonnegative()
-            failures.append(f"k={k}: coeff {bad[1]} at {bad[0]}")
+            failures.append(f"k={k}: coeff {bad[1]} at {monomial_text(bad[0])}")
     return failures
 
 
@@ -178,8 +178,8 @@ def _run_chi_equality(w: tuple[int, ...], config: RunConfig) -> list[str] | None
     character = weylchar.chi(rothe(w))
     expected = schubert.schubert_polynomial(w)
     if character != expected:
-        mon, coef = next((character - expected).terms())
-        return [f"difference {coef} at {mon}"]
+        key, coef = next((character - expected).terms())
+        return [f"difference {coef} at {monomial_text(key)}"]
     return []
 
 
@@ -215,13 +215,13 @@ def _run_purple_members(w: tuple[int, ...], config: RunConfig) -> list[str] | No
         chi_hat_k = schubert.schubert_skipping(w, k)
         # Each member is checked by its row monomial's key; a Diagram is built only for a witness.
         failing = [
-            family.member(choice)
+            (family.member(choice), m)
             for choice, m in zip(family.choices(), family.row_keys())
             if not chi_D.nonnegative_after_subtracting(m, chi_hat_k)
         ]
-        for K in sorted(failing, key=Diagram.box_list):
-            _, bad = (chi_D - chi_hat_k * row_monomial(K)).is_nonnegative()
-            failures.append(f"k={k} K={K}: coeff {bad[1]} at {bad[0]}")
+        for K, m in sorted(failing, key=lambda member: member[0].box_list()):
+            _, bad = (chi_D - chi_hat_k * Polynomial({m: 1})).is_nonnegative()
+            failures.append(f"k={k} K={K}: coeff {bad[1]} at {monomial_text(bad[0])}")
     return failures
 
 
@@ -247,10 +247,10 @@ def _run_purple_characterization(sigma: tuple[int, ...], config: RunConfig) -> l
         return None
     failures = []
     for k, result in enumerate(characterize_monomials(sigma), start=1):
-        missing = sorted(str(Monomial(m)) for m in result.from_purple - result.working)
+        missing = sorted(map(monomial_text, result.from_purple - result.working))
         if missing:
             failures.append(f"k={k}: purple monomial not working: {missing}")
-        extra = sorted(str(Monomial(m)) for m in result.extra)
+        extra = sorted(map(monomial_text, result.extra))
         if extra:
             failures.append(f"k={k}: extra working monomials {extra}")
     return failures

@@ -18,7 +18,7 @@ from schubpat.oracles import (
     schubert_divdiff,
 )
 from schubpat.permwords import Permutation, Word, all_permutations, avoids
-from schubpat.polyx import Monomial, Polynomial, monomial_key, x
+from schubpat.polyx import Polynomial, monomial_key, x
 from schubpat.purple import characterize_monomials, purple_family
 from schubpat.schubert import principal_specialization
 from schubpat.verify import RunConfig, exit_code, run_claim
@@ -57,19 +57,19 @@ def test_criterion_1_worked_examples(report):
 
     D = rothe((1, 5, 2, 4, 3))
     fam53 = purple_family(D, 5, 3)
-    assert fam53.monomials == {
-        Monomial(monomial_key([2, 4])),
-        Monomial(monomial_key([1, 4])),
-        Monomial(monomial_key([2, 3])),
-        Monomial(monomial_key([1, 3])),
-        Monomial(monomial_key([1, 2])),
+    assert frozenset(fam53.row_keys()) == {
+        monomial_key([2, 4]),
+        monomial_key([1, 4]),
+        monomial_key([2, 3]),
+        monomial_key([1, 3]),
+        monomial_key([1, 2]),
     }
     fam44 = purple_family(D, 4, 4)
-    assert fam44.monomials == {
-        Monomial(monomial_key([2, 4])),
-        Monomial(monomial_key([1, 4])),
-        Monomial(monomial_key([2, 3])),
-        Monomial(monomial_key([1, 3])),
+    assert frozenset(fam44.row_keys()) == {
+        monomial_key([2, 4]),
+        monomial_key([1, 4]),
+        monomial_key([2, 3]),
+        monomial_key([1, 3]),
     }
     result44 = characterize_monomials((1, 5, 2, 4, 3))[3]
     assert monomial_key([1, 2]) in result44.extra
@@ -92,8 +92,8 @@ def test_criterion_2_cross_method_equality(report):
     w1432 = Permutation.from_string("1432")
     counting = dominated_sum(rothe(w1432.values))
     exact = schubert_divdiff(w1432)
-    witness = Monomial(monomial_key([1, 2, 3]))
-    assert counting.key_terms.get(witness.key, 0) > exact.key_terms.get(witness.key, 0)
+    witness = monomial_key([1, 2, 3])
+    assert counting.key_terms.get(witness, 0) > exact.key_terms.get(witness, 0)
 
     _claim_clean("thm2.4", RunConfig(max_n=5))
 

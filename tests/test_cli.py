@@ -587,6 +587,28 @@ def test_full_suite_rejects_the_sizes_verify_rejects(monkeypatch, capsys, argv, 
     assert (out, err) == ("", line + "\n")
 
 
+def test_full_suite_out_that_cannot_be_made_is_one_error_line(monkeypatch, capsys, tmp_path):
+    suite = _full_suite_module()
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "conj5.1.jsonl").mkdir(parents=True)  # the first claim's report is a directory
+    for out_dir, path, reason in (
+        (tmp_path / "file" / "d", tmp_path / "file" / "d", "Not a directory"),
+        (tmp_path / "dir", tmp_path / "dir" / "conj5.1.jsonl", "Is a directory"),
+    ):
+        monkeypatch.setattr(sys, "argv", ["run_full_suite.py", "--max-n", "2", "--out", str(out_dir)])
+        assert suite.main() == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [["rothe", "21"], ["cw-table", "2"], ["verify", "thm1.0", "--max-n", "2"]])
+def test_an_out_file_that_cannot_be_opened_is_a_usage_error(tmp_path, argv):
+    path = tmp_path / "missing" / "x"
+    line = _usage_error_line([*argv, "--out", str(path)])
+    assert line == f"error: cannot write {path}: No such file or directory"
+    assert not path.parent.exists()
+
+
 def test_negative_cw_table_size_is_a_usage_error():
     assert "n must be nonnegative, got -1" in _usage_error_line(["cw-table", "-1"])
 

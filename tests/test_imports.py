@@ -41,6 +41,12 @@ def test_no_production_module_imports_oracles():
     assert offenders == []
 
 
+def test_every_exported_name_resolves_on_the_package():
+    # A class or function deleted from the package must leave `__all__` with it.
+    assert [name for name in schubpat.__all__ if not hasattr(schubpat, name)] == []
+    assert len(set(schubpat.__all__)) == len(schubpat.__all__)
+
+
 # Routes over whole dominated diagrams; production works column by column.
 WHOLE_DIAGRAM_ROUTES = {
     "dominates", "enumerate_dominated", "restrict_remove", "removed_boxes", "is_augmentation"

@@ -14,7 +14,7 @@ from schubpat.oracles import (
     verify_theorem_gen,
 )
 from schubpat.permwords import all_permutations, avoids
-from schubpat.polyx import Monomial, Polynomial, key_quotient, monomial_key, unpack
+from schubpat.polyx import Polynomial, key_quotient, monomial_key, unpack
 from schubpat.purple import characterize_monomials, purple_boxes, purple_family
 from schubpat.schubert import schubert_polynomial, schubert_skipping
 from schubpat.weylchar import chi
@@ -74,12 +74,12 @@ def test_purple_family_single_column_example():
         _frozen((1, 3), (3, 3)),
         _frozen((1, 3), (2, 3)),
     }
-    assert family.monomials == {
-        Monomial(monomial_key([2, 4])),
-        Monomial(monomial_key([1, 4])),
-        Monomial(monomial_key([2, 3])),
-        Monomial(monomial_key([1, 3])),
-        Monomial(monomial_key([1, 2])),
+    assert frozenset(family.row_keys()) == {
+        monomial_key([2, 4]),
+        monomial_key([1, 4]),
+        monomial_key([2, 3]),
+        monomial_key([1, 3]),
+        monomial_key([1, 2]),
     }
 
 
@@ -93,11 +93,11 @@ def test_purple_family_two_column_example():
         _frozen((2, 4), (3, 3)),
         _frozen((1, 4), (3, 3)),
     }
-    assert family.monomials == {
-        Monomial(monomial_key([2, 4])),
-        Monomial(monomial_key([1, 4])),
-        Monomial(monomial_key([2, 3])),
-        Monomial(monomial_key([1, 3])),
+    assert frozenset(family.row_keys()) == {
+        monomial_key([2, 4]),
+        monomial_key([1, 4]),
+        monomial_key([2, 3]),
+        monomial_key([1, 3]),
     }
 
 
@@ -143,7 +143,7 @@ def test_purple_family_matches_enumeration_on_rothe_diagrams(n):
         for k in range(1, n + 1):
             family = purple_family(D, k, w(k))
             expected = purple_family_by_enumeration(D, k, w(k))
-            assert (family.boxes, family.members, family.monomials) == expected, (w, k)
+            assert (family.boxes, family.members, frozenset(family.row_keys())) == expected, (w, k)
 
 
 @given(removals)
@@ -152,7 +152,7 @@ def test_purple_family_matches_enumeration_off_rothe_diagrams(removal):
     assume(D not in {rothe(w.values) for w in all_permutations(D.n)})
     family = purple_family(D, k, l)
     expected = purple_family_by_enumeration(D, k, l)
-    assert (family.boxes, family.members, family.monomials) == expected
+    assert (family.boxes, family.members, frozenset(family.row_keys())) == expected
     assert purple_boxes(D, k, l) == family.boxes
 
 

@@ -155,7 +155,8 @@ def test_every_thm4_1_difference_matches_the_tuple_route(tuple_schubert):
             assert {_trim(m) for m in family.to_json()["monomials"]} == set(members), (sigma, k)
             for choice, key, m in zip(family.choices(), family.row_keys(), members):
                 difference = _minus(tuple_schubert(sigma), _times_monomial(tuple_sub, m))
-                built = s_sigma - sub * row_monomial(family.member(choice))
+                x_K = type(sub)({row_monomial(family.member(choice)): 1})  # a Polynomial; polyx stays unimported
+                built = s_sigma - sub * x_K
                 assert _from_json(built, n) == difference, (sigma, k, choice)
                 holds = min(difference.values(), default=0) >= 0
                 assert s_sigma.nonnegative_after_subtracting(key, sub) == holds, (sigma, k, choice)

@@ -14,11 +14,11 @@ from collections import Counter
 import pytest
 
 import schubpat
-from schubpat import incexc, oracles, purple, schubert, verify, weylchar
+from schubpat import incexc, oracles, polyx, purple, schubert, verify, weylchar
 from schubpat.diagrams import Diagram
 from schubpat.errors import BudgetExceededError, PatternViolationError
 from schubpat.permwords import Permutation, all_permutations, avoids, one_line
-from schubpat.polyx import Monomial, Polynomial, _canonical, exponent_key, x
+from schubpat.polyx import Polynomial, _canonical, exponent_key, x
 from schubpat.verify import (
     CLAIMS,
     Claim,
@@ -444,6 +444,62 @@ def test_thm4_1_witness_lists_failing_members_in_box_order(monkeypatch):
     assert report.witness == STUBBED_THM4_1_WITNESS
 
 
+# Witnesses of thm1.0 on S_<=4 when S_pi skipping x_k is doubled for every w
+# beginning with 4: those six fail at every k, at the first negative term.
+STUBBED_THM1_0_WITNESSES = {
+    "4123": "k=1: coeff -1 at x1^3; k=2: coeff -1 at x1^3; k=3: coeff -1 at x1^3; k=4: coeff -1 at x1^3",
+    "4132": "k=1: coeff -1 at x1^3*x2; k=2: coeff -1 at x1^3*x3; k=3: coeff -1 at x1^3*x3; k=4: coeff -1 at x1^3*x3",
+    "4213": "k=1: coeff -1 at x1^3*x2; k=2: coeff -1 at x1^3*x2; k=3: coeff -1 at x1^3*x2; k=4: coeff -1 at x1^3*x2",
+    "4231": "k=1: coeff -1 at x1^3*x2*x3; k=2: coeff -1 at x1^3*x2*x3; k=3: coeff -1 at x1^3*x2*x3; "
+    "k=4: coeff -1 at x1^3*x2*x3",
+    "4312": "k=1: coeff -1 at x1^3*x2^2; k=2: coeff -1 at x1^3*x2^2; k=3: coeff -1 at x1^3*x2^2; "
+    "k=4: coeff -1 at x1^3*x2^2",
+    "4321": "k=1: coeff -1 at x1^3*x2^2*x3; k=2: coeff -1 at x1^3*x2^2*x3; k=3: coeff -1 at x1^3*x2^2*x3; "
+    "k=4: coeff -1 at x1^3*x2^2*x3",
+}
+
+
+def test_thm1_0_witnesses_print_the_first_negative_term(monkeypatch):
+    skipping = incexc.schubert_skipping
+    monkeypatch.setattr(
+        incexc, "schubert_skipping", lambda w, k: skipping(w, k) + skipping(w, k) if w[0] == 4 else skipping(w, k)
+    )
+    reports = list(run_claim("thm1.0", RunConfig(max_n=4)))
+    assert {r.subject: r.witness for r in reports if r.verdict != "holds"} == STUBBED_THM1_0_WITNESSES
+
+
+# Witnesses of thm1.1 on S_<=4 when every entry of the table of a w beginning
+# with 41 loses 2 S_w: each mask fails, the full one (S_w - 2 S_w) with -1.
+STUBBED_THM1_1_WITNESSES = {
+    "4123": "; ".join([
+        "u=(): coeff -2 at x1^3", "u=4: coeff -2 at x1^3", "u=1: coeff -2 at x1^3", "u=41: coeff -2 at x1^3",
+        "u=2: coeff -2 at x1^3", "u=42: coeff -2 at x1^3", "u=12: coeff -2 at x1^3", "u=412: coeff -2 at x1^3",
+        "u=3: coeff -2 at x1^3", "u=43: coeff -2 at x1^3", "u=13: coeff -2 at x1^3", "u=413: coeff -2 at x1^3",
+        "u=23: coeff -2 at x1^3", "u=423: coeff -2 at x1^3", "u=123: coeff -2 at x1^3", "u=4123: coeff -1 at x1^3",
+    ]),
+    "4132": "; ".join([
+        "u=(): coeff -2 at x1^3*x2", "u=4: coeff -1 at x1^3*x2", "u=1: coeff -2 at x1^3*x2",
+        "u=41: coeff -1 at x1^3*x2", "u=3: coeff -2 at x1^3*x2", "u=43: coeff -1 at x1^3*x2",
+        "u=13: coeff -2 at x1^3*x2", "u=413: coeff -1 at x1^3*x2", "u=2: coeff -2 at x1^3*x2",
+        "u=42: coeff -1 at x1^3*x2", "u=12: coeff -2 at x1^3*x2", "u=412: coeff -1 at x1^3*x2",
+        "u=32: coeff -2 at x1^3*x2", "u=432: coeff -1 at x1^3*x2", "u=132: coeff -2 at x1^3*x2",
+        "u=4132: coeff -1 at x1^3*x2",
+    ]),
+}
+
+
+def test_thm1_1_witnesses_print_the_first_negative_term(monkeypatch):
+    table = incexc.alternating_polynomials
+
+    def stub(values):
+        t = table(values)
+        return [p - t[-1] - t[-1] for p in t] if values[:2] == (4, 1) else t
+
+    monkeypatch.setattr(incexc, "alternating_polynomials", stub)
+    reports = list(run_claim("thm1.1", RunConfig(max_n=4)))
+    assert {r.subject: r.witness for r in reports if r.verdict == "fails"} == STUBBED_THM1_1_WITNESSES
+
+
 def test_conj5_3_witnesses_print_monomials(monkeypatch):
     # characterize_monomials returns exponent keys; the witness prints them as monomials.
     skipping = purple.schubert_skipping
@@ -463,15 +519,18 @@ def test_conj5_3_witnesses_print_monomials(monkeypatch):
 
 
 def test_single_removal_claims_build_no_monomial(monkeypatch):
-    # thm1.0, thm4.1 and conj5.3 check each M by its exponent key; a Monomial is for witnesses only.
+    # thm1.0, thm4.1 and conj5.3 check each M by its exponent key; a key becomes text for witnesses only.
     built = Counter()
-    init = Monomial.__init__
+    text = polyx.monomial_text
 
-    def counted_init(self, key):
-        built["__init__"] += 1
-        init(self, key)
+    def counted_text(key):
+        built["monomial_text"] += 1
+        return text(key)
 
-    monkeypatch.setattr(Monomial, "__init__", counted_init)
+    for info in pkgutil.iter_modules(schubpat.__path__):
+        module = importlib.import_module(f"schubpat.{info.name}")
+        if getattr(module, "monomial_text", None) is text:
+            monkeypatch.setattr(module, "monomial_text", counted_text)
     for name, verdicts in (
         ("thm1.0", {"holds"}),
         ("thm4.1", {"holds"}),
