@@ -6,10 +6,9 @@ pattern-expansion coefficients c_w, and purple-box monomial families.
 
 from .permwords import Permutation, Word
 from .diagrams import Diagram
-from .polyx import Polynomial
 from . import diagrams, incexc, oracles, purple, schubert, weylchar
 
-__all__ = ["Permutation", "Word", "Diagram", "Polynomial", "clear_caches"]
+__all__ = ["Permutation", "Word", "Diagram", "clear_caches"]
 __version__ = "0.1.0"
 
 

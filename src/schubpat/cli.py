@@ -29,7 +29,7 @@ from . import incexc, oracles, verify, weylchar
 from .diagrams import MAX_N, Diagram, dominated_sum, rothe
 from .errors import BudgetExceededError, PatternViolationError, SchubpatError, UsageError
 from .permwords import Permutation, Word, all_permutations, avoids
-from .polyx import Polynomial, monomial_text
+from .polyx import dumps, monomial_text, polynomial_text
 from .purple import characterize_monomials, purple_family
 
 EXIT_OK = 0
@@ -118,10 +118,10 @@ def _emit(text: str, args) -> None:
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _poly_out(p: Polynomial, args, nvars: int) -> str:
+def _poly_out(p: dict[int, int], args, nvars: int) -> str:
     if args.format == "json":
-        return p.dumps(nvars)
-    return str(p)
+        return dumps(p, nvars)
+    return polynomial_text(p)
 
 
 def _parse(kind: type[Permutation] | type[Word], s: str):
@@ -307,7 +307,7 @@ def _cmd_alternating_sum(args) -> int:
     if args.format == "json":
         _emit(json.dumps(result.to_json(), separators=(",", ":")), args)
     else:
-        _emit(str(result.total), args)
+        _emit(polynomial_text(result.total), args)
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .polyx import Polynomial, monomial_key
+from .polyx import monomial_key, mul
 
 # The largest n of a diagram or permutation the CLI reads (`Diagram.from_json`, `cli._parse`).
 # The work on a diagram grows with n, whatever its boxes, and every exponent of a
@@ -124,17 +124,17 @@ def count_dominated(D: Diagram) -> int:
     return total
 
 
-def dominated_sum(D: Diagram) -> Polynomial:
+def dominated_sum(D: Diagram) -> dict[int, int]:
     """The sum of x^C over all C <= D, as a product over columns of D.
 
     A dominated diagram is one independent choice of a set c <= D_j per
     column j, and x^C is the product of the x^c, so the sum factors into
     the column sums of x^c over `_column_dominated_sets(D_j)`.
     """
-    total = Polynomial.constant(1)
+    total = {0: 1}
     for d in D.columns:
         if d:
-            total = total * Polynomial({monomial_key(c): 1 for c in _column_dominated_sets(d)})
+            total = mul(total, {monomial_key(c): 1 for c in _column_dominated_sets(d)})
     return total
 
 
@@ -149,7 +149,3 @@ def _count_column(d: tuple[int, ...]) -> int:
         ends = [0, *itertools.accumulate(ends + [0] * (bound - len(ends)))]
     return sum(ends)
 
-
-def row_monomial(D: Diagram) -> int:
-    """The key of x^D: one factor x_i per box of D in row i."""
-    return monomial_key(i for c in D.columns for i in c)

@@ -11,11 +11,17 @@ the mask with i kept less M_i times the deletion's entry with x_{i+1}
 skipped.  At x = 1 the sums are integers: `alternating_specializations`
 (the subject of `conj5.1`) and `pattern_coefficients` (c of the pattern at
 every mask, the subject of `identity`) do a few slice operations per
-deletion.  All three are memoized on the deletions only.  Their oracles are
+deletion.  All three are memoized on the deletions only; an entry of the
+polynomial table is a term dict (`polyx`), the full mask's being the memo's
+S_w itself, so a caller changes no table it reads.  Their oracles are
 the per-mask route, one term per subword and a superset-sum transform
 (`oracles.alternating_sums`), and the term-by-term sum through `Word`
 subwords (`oracles.alternating_sum`, the per-term output of the CLI).
 Every function here takes w as its one-line notation, a plain tuple.
+
+`verify_single_step` (the subject of `thm1.0`) decides one row of the
+polynomial table, S_w - M_k * S_pi skipping x_k, by lookups in S_w, without
+building it.
 
 c_w itself is `cw_inclusion_exclusion`, entry 0 of the alternating table.
 Its independent routes are the recursion, `oracles.cw_recursive`, which
@@ -32,7 +38,7 @@ from operator import sub
 from .diagrams import _column_dominated_sets, restricts, rothe
 from .errors import PatternViolationError
 from .permwords import avoids, one_line, without_position
-from .polyx import W, Polynomial, skip_variable
+from .polyx import monomial_key, nonnegative_after_subtracting, skip_variable
 from .schubert import principal_specialization, schubert_polynomial, schubert_skipping
 
 
@@ -103,7 +109,7 @@ def _coefficients(values: tuple[int, ...]) -> list[int]:
     return pattern_coefficients(values)
 
 
-def alternating_polynomials(values: tuple[int, ...]) -> list[Polynomial]:
+def alternating_polynomials(values: tuple[int, ...]) -> list[dict[int, int]]:
     """The alternating sum A(w, u) for every subword u of word(w), indexed by mask (not memoized).
 
     Entry u equals `oracles.alternating_sum(w, u).total`; the full mask is
@@ -118,7 +124,7 @@ def alternating_polynomials(values: tuple[int, ...]) -> list[Polynomial]:
     S_w - M_i * S_pi(x_1, ..., skip x_{i+1}, ..., x_n).
     """
     n = len(values)
-    g = [Polynomial.zero()] * (1 << n)
+    g: list[dict[int, int]] = [{}] * (1 << n)
     g[-1] = schubert_polynomial(values)
     for i in reversed(range(n)):
         lo, bit, k = (1 << i) - 1, 1 << i, i + 1
@@ -126,16 +132,16 @@ def alternating_polynomials(values: tuple[int, ...]) -> list[Polynomial]:
         deleted = _polynomials(without_position(values, i))[lo::bit]
         rows = []
         for kept, dropped in zip(g[lo + bit :: 2 * bit], deleted):
-            terms = dict(kept.key_terms)
+            terms = dict(kept)
             get = terms.get
-            for key, c in dropped.key_terms.items():
+            for key, c in dropped.items():
                 key = m + skip_variable(key, k)
                 c = get(key, 0) - c
                 if c:
                     terms[key] = c
                 else:
                     del terms[key]
-            rows.append(Polynomial(terms))
+            rows.append(terms)
         g[lo :: 2 * bit] = rows
     return g
 
@@ -143,7 +149,7 @@ def alternating_polynomials(values: tuple[int, ...]) -> list[Polynomial]:
 # The polynomial tables of the one-letter deletions, as above; deletions of
 # avoiders are avoiders, so a `thm1.1` run holds only avoiders' tables.
 @functools.cache
-def _polynomials(values: tuple[int, ...]) -> list[Polynomial]:
+def _polynomials(values: tuple[int, ...]) -> list[dict[int, int]]:
     return alternating_polynomials(values)
 
 
@@ -186,19 +192,16 @@ def single_step_monomial(sigma: tuple[int, ...], k: int) -> int:
     one box in row i per earlier entry sigma_i above sigma_k.
     """
     s = sigma[k - 1]
-    column = sum(1 << W * i for i, a in enumerate(sigma[: k - 1]) if a > s)
-    return column + (sum(a < s for a in sigma[k:]) << W * (k - 1))
+    column = monomial_key(i for i, a in enumerate(sigma[: k - 1], start=1) if a > s)
+    return column + sum(a < s for a in sigma[k:]) * monomial_key((k,))
 
 
-def verify_single_step(sigma: tuple[int, ...], k: int) -> tuple[bool, Polynomial | None]:
-    """Check S_sigma - M * S_pi(x_1,...,skip x_k,...,x_n) has no negative term.
+def verify_single_step(sigma: tuple[int, ...], k: int) -> bool:
+    """Whether S_sigma - M * S_pi(x_1,...,skip x_k,...,x_n) has no negative term, without building it.
 
-    pi is the pattern of sigma at the positions other than k.  The difference
-    is built, and returned with the verdict, only when the check fails.
+    pi is the pattern of sigma at the positions other than k, and M is x^m for
+    m = `single_step_monomial(sigma, k)`.
     """
     m = single_step_monomial(sigma, k)
-    s_sigma, sub = schubert_polynomial(sigma), schubert_skipping(sigma, k)
-    if s_sigma.nonnegative_after_subtracting(m, sub):
-        return True, None
-    return False, s_sigma - sub * Polynomial({m: 1})
+    return nonnegative_after_subtracting(schubert_polynomial(sigma), m, schubert_skipping(sigma, k))
 

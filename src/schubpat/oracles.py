@@ -6,7 +6,8 @@ can compare the two exhaustively at small n:
 
 - dominance and whole dominated diagrams, which production replaces by
   per-column data: `column_dominates`, `dominates`, `enumerate_dominated`,
-  `restrict_remove` and `removed_boxes`;
+  `restrict_remove`, `removed_boxes` and the row monomial of a whole
+  diagram (`row_monomial`);
 - S_w by divided differences (`schubert_divdiff`), S_w(1) by reduced words
   (`macdonald_oracle`) or as a coefficient sum (`evaluate_all_ones`), and
   coefficients of S_w by counting dominated diagrams
@@ -46,10 +47,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .diagrams import Diagram, _column_dominated_sets, rothe, row_monomial
+from .diagrams import Diagram, _column_dominated_sets, rothe
 from .errors import PatternViolationError, SchubpatError
 from .permwords import Permutation, Word, avoids
-from .polyx import Polynomial, exponent_key, monomial_key, unpack
+from .polyx import (
+    add, exponent_key, monomial_key, mul, nonnegative_after_subtracting, sub, to_json, unpack
+)
 from .purple import PurpleFamily
 from .schubert import principal_specialization, schubert_polynomial
 from .weylchar import _det, _span_rank
@@ -106,6 +109,11 @@ def restrict_remove(D: Diagram, k: int, l: int) -> Diagram:
 def removed_boxes(D: Diagram, k: int, l: int) -> Diagram:
     """The seed of a single removal: the boxes of D in row k or column l."""
     return Diagram.of(D.n, (b for b in D.boxes if b[0] == k or b[1] == l))
+
+
+def row_monomial(D: Diagram) -> int:
+    """The key of x^D: one factor x_i per box of D in row i."""
+    return monomial_key(i for c in D.columns for i in c)
 
 
 # -- permutations and the subword poset --------------------------------------
@@ -181,7 +189,7 @@ def all_subwords(w: Permutation) -> list[Word]:
 # -- Schubert polynomials and their specialization ---------------------------
 
 
-def divided_difference(p: Polynomial, i: int) -> Polynomial:
+def divided_difference(p: dict[int, int], i: int) -> dict[int, int]:
     """(p - p with x_i and x_{i+1} exchanged) / (x_i - x_{i+1}), term by term.
 
     With a, b the exponents of x_i, x_{i+1} in a term, lo <= hi the two
@@ -189,7 +197,7 @@ def divided_difference(p: Polynomial, i: int) -> Polynomial:
     of x_i^(lo+hi-1-e) x_{i+1}^e over lo <= e < hi, negated when a < b.
     """
     terms: dict[int, int] = {}
-    for key, coef in p.key_terms.items():
+    for key, coef in p.items():
         exps = [*unpack(key)]
         exps += [0] * (i + 1 - len(exps))
         a, b = exps[i - 1], exps[i]
@@ -198,10 +206,10 @@ def divided_difference(p: Polynomial, i: int) -> Polynomial:
             exps[i - 1], exps[i] = lo + hi - 1 - e, e
             k = exponent_key(exps)
             terms[k] = terms.get(k, 0) + c
-    return Polynomial({k: c for k, c in terms.items() if c})
+    return {k: c for k, c in terms.items() if c}
 
 
-def schubert_divdiff(w: Permutation) -> Polynomial:
+def schubert_divdiff(w: Permutation) -> dict[int, int]:
     """The Schubert polynomial of w via divided differences: the oracle of the transition route.
 
     Walks up to the longest element of S_n, x_1^(n-1) x_2^(n-2) ... x_(n-1),
@@ -209,22 +217,22 @@ def schubert_divdiff(w: Permutation) -> Polynomial:
     """
     i = next((i for i in range(1, w.n) if w(i) < w(i + 1)), None)
     if i is None:
-        return Polynomial({exponent_key(range(w.n - 1, 0, -1)): 1})
+        return {exponent_key(range(w.n - 1, 0, -1)): 1}
     return divided_difference(schubert_divdiff(swap_positions(w, i)), i)
 
 
-def evaluate_all_ones(p: Polynomial) -> int:
+def evaluate_all_ones(p: dict[int, int]) -> int:
     """p at x = 1: the sum of its coefficients."""
-    return sum(p.key_terms.values())
+    return sum(p.values())
 
 
-def dominated_sum_by_enumeration(D: Diagram) -> Polynomial:
+def dominated_sum_by_enumeration(D: Diagram) -> dict[int, int]:
     """Sum of x^C over C <= D, one dominated diagram at a time."""
     terms: dict[int, int] = {}
     for C in enumerate_dominated(D):
         key = monomial_key(i for (i, _) in C.boxes)
         terms[key] = terms.get(key, 0) + 1
-    return Polynomial(terms)
+    return terms
 
 
 def coefficient_by_counting(w: Permutation, m: int) -> int:
@@ -282,9 +290,9 @@ def m_monomial(w: Permutation, v: Word) -> int:
     return row_monomial(Diagram.of(D.n, D.boxes - hat_v(D, w, v).boxes))
 
 
-def substitute_variables(p: Polynomial, sigma: Mapping[int, int]) -> Polynomial:
+def substitute_variables(p: dict[int, int], sigma: Mapping[int, int]) -> dict[int, int]:
     """Relabel the variables of p by the injective map sigma; coefficients unchanged."""
-    used = p.variables()
+    used = {i for key in p for i, e in enumerate(unpack(key), start=1) if e}
     missing = used - set(sigma)
     if missing:
         raise UnmappedVariableError(f"substitution does not map variables {sorted(missing)}")
@@ -294,16 +302,16 @@ def substitute_variables(p: Polynomial, sigma: Mapping[int, int]) -> Polynomial:
     if min(image, default=1) < 1:
         raise ValueError(f"variable index must be >= 1, got {min(image)}")
     size, terms = max(image, default=0), {}
-    for key, c in p.key_terms.items():
+    for key, c in p.items():
         exps = [0] * size
         for i, e in enumerate(unpack(key), start=1):
             if e:
                 exps[sigma[i] - 1] = e
         terms[exponent_key(exps)] = c
-    return Polynomial(terms)
+    return terms
 
 
-def substituted_schubert(w: Permutation, v: Word) -> Polynomial:
+def substituted_schubert(w: Permutation, v: Word) -> dict[int, int]:
     """S_{perm(v)} with its i-th variable sent to x at w^{-1}(v(i))."""
     indices = substitution_indices(w, v)
     p = schubert_polynomial(flatten(v).values)
@@ -315,14 +323,14 @@ class SumTerm:
     v: Word
     sign: int
     monomial: int  # a key
-    schubert: Polynomial
+    schubert: dict[int, int]
 
 
 @dataclass(frozen=True)
 class AlternatingSumResult:
     w: Permutation
     u: Word
-    total: Polynomial
+    total: dict[int, int]
     per_term: tuple[SumTerm, ...]
 
     def to_json(self) -> dict:
@@ -331,13 +339,13 @@ class AlternatingSumResult:
         return {
             "w": str(self.w),
             "u": str(self.u),
-            "sum": self.total.to_json(n),
+            "sum": to_json(self.total, n),
             "terms": [
                 {
                     "v": str(t.v),
                     "sign": t.sign,
                     "M": [*m] + [0] * (n - len(m)),
-                    "schubert": t.schubert.to_json(n),
+                    "schubert": to_json(t.schubert, n),
                 }
                 for t, m in zip(self.per_term, ms)
             ],
@@ -346,13 +354,13 @@ class AlternatingSumResult:
 
 def alternating_sum(w: Permutation, u: Word) -> AlternatingSumResult:
     """The signed sum of M_{w,v} * substituted Schubert over u <= v <= word(w)."""
-    total = Polynomial.zero()
+    total: dict[int, int] = {}
     terms: list[SumTerm] = []
     for v in subwords_between(u, w):
         sign = 1 if (len(w) - len(v)) % 2 == 0 else -1
         m = m_monomial(w, v)
         s = substituted_schubert(w, v)
-        total = total + s * Polynomial({m: sign})
+        total = add(total, mul(s, {m: sign}))
         terms.append(SumTerm(v, sign, m, s))
     return AlternatingSumResult(w, u, total, tuple(terms))
 
@@ -416,24 +424,24 @@ def subword_patterns(values: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
-def superset_sums(g: list) -> list:
+def superset_sums(g: list[dict[int, int]]) -> list[dict[int, int]]:
     """Replace g[mask] by the sum of g over all supersets of mask, in place; return g.
 
-    g has 2^n entries indexed by position masks, ints or polynomials alike
-    (only `+` is used): n * 2^(n-1) additions.  With g[v] the signed term of
-    the subword v, g[u] becomes the alternating sum over all v >= u.
+    g has 2^n polynomials indexed by position masks: n * 2^(n-1) additions.
+    With g[v] the signed term of the subword v, g[u] becomes the alternating
+    sum over all v >= u.
     """
     size = len(g)
     b = 1
     while b < size:
         for mask in range(size):
             if not mask & b:
-                g[mask] = g[mask] + g[mask | b]
+                g[mask] = add(g[mask], g[mask | b])
         b <<= 1
     return g
 
 
-def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
+def alternating_sums(values: tuple[int, ...]) -> list[dict[int, int]]:
     """The alternating sum A(w, u) for every subword u of word(w), indexed by mask.
 
     Equals `oracles.alternating_sum(w, u).total` for u the subword at
@@ -455,12 +463,12 @@ def alternating_sums(values: tuple[int, ...]) -> list[Polynomial]:
         sign = 1 if (n - len(kept)) % 2 == 0 else -1
         term = {}
         # Variable t of S_{perm(v)} becomes x at the t-th kept position.
-        for key, c in schubert_polynomial(patterns[mask]).key_terms.items():
+        for key, c in schubert_polynomial(patterns[mask]).items():
             exps = m[:]
             for i, e in zip(kept, unpack(key)):
                 exps[i] += e
             term[exponent_key(exps)] = sign * c
-        terms.append(Polynomial(term))
+        terms.append(term)
     return superset_sums(terms)
 
 
@@ -484,22 +492,22 @@ def _cw_recursive(values: tuple[int, ...]) -> int:
 # -- dual characters over whole diagrams -------------------------------------
 
 
-def determinant_product(C: Diagram, D: Diagram) -> Polynomial:
+def determinant_product(C: Diagram, D: Diagram) -> dict[int, int]:
     """Product over columns j of det(Y^{C_j}_{D_j})."""
-    result = Polynomial.constant(1)
+    result = {0: 1}
     for cj, dj in zip(C.columns, D.columns):
         if not cj and not dj:
             continue
         if not column_dominates(cj, dj):
-            return Polynomial.zero()
-        result = result * _det(tuple(cj), tuple(dj))
+            return {}
+        result = mul(result, _det(tuple(cj), tuple(dj)))
     return result
 
 
 def chi_coefficient(D: Diagram, m: int) -> int:
     """Coefficient of the key m in the dual character of D's flagged Weyl module."""
     matching = [C for C in enumerate_dominated(D) if row_monomial(C) == m]
-    return _span_rank([determinant_product(C, D).key_terms for C in matching])
+    return _span_rank([determinant_product(C, D) for C in matching])
 
 
 # -- purple boxes and families -----------------------------------------------
@@ -531,8 +539,8 @@ def purple_family_by_enumeration(
 
 
 def verify_theorem_gen(
-    family: PurpleFamily, K: Diagram, chi_D: Polynomial, chi_hat_k: Polynomial
-) -> tuple[bool, Polynomial | None]:
+    family: PurpleFamily, K: Diagram, chi_D: dict[int, int], chi_hat_k: dict[int, int]
+) -> tuple[bool, dict[int, int] | None]:
     """Check chi_D - x^K * chi_hat_k has no negative term, for K in the family.
 
     chi_D is the dual character of the family's diagram D, and chi_hat_k that
@@ -544,9 +552,9 @@ def verify_theorem_gen(
     if K not in family.members:
         raise NotInFamilyError(f"{K} is not a member of the purple family of {family.D}")
     m = row_monomial(K)
-    if chi_D.nonnegative_after_subtracting(m, chi_hat_k):
+    if nonnegative_after_subtracting(chi_D, m, chi_hat_k):
         return True, None
-    return False, chi_D - chi_hat_k * Polynomial({m: 1})
+    return False, sub(chi_D, mul(chi_hat_k, {m: 1}))
 
 
 # -- patterns ----------------------------------------------------------------

@@ -2,25 +2,28 @@
 
 Variables are indexed by positive integers: x_1, x_2, ...; the y_ij of the
 determinant computations share the engine through :func:`pair_index`.
-A polynomial is a dict from exponent keys to nonzero coefficients.  The key
-of a monomial is one int that packs its exponents in digits of W bits: the
-sum of e_i * 2^(W(i-1)) over its variables i.  Bit W - 1 of every digit is a
-guard, clear in every key, because every exponent is below 2^(W-1): an
-exponent of a polynomial built from an input of size n counts the boxes in
-one row of an n x n diagram, or the y_ij of one column's determinant, so it
-is at most n, and the CLI refuses n above `diagrams.MAX_N`.  So equal
-monomials have equal keys, a product of monomials is the sum of their keys,
-and a quotient is a difference that borrows into no guard bit
-(`key_quotient`).  Inside the engine a monomial is its key; `unpack` gives
-its exponent tuple where a term leaves the engine, and `_canonical`, the one
-order on monomials, sorts on it.  `monomial_text` is where a key becomes
-text.  `Polynomial(key_terms)` takes canonical data as is: the caller owns
-the invariants above.
+A polynomial is its term dict, from exponent keys to nonzero coefficients:
+`{}` is 0 and `{0: 1}` is 1.  The key of a monomial is one int that packs
+its exponents in digits of W bits: the sum of e_i * 2^(W(i-1)) over its
+variables i.  Bit W - 1 of every digit is a guard, clear in every key,
+because every exponent is below 2^(W-1): an exponent of a polynomial built
+from an input of size n counts the boxes in one row of an n x n diagram, or
+the y_ij of one column's determinant, so it is at most n, and the CLI
+refuses n above `diagrams.MAX_N`.  So equal monomials have equal keys, a
+product of monomials is the sum of their keys, and a quotient is a
+difference that borrows into no guard bit (`key_quotient`).  Inside the
+engine a monomial is its key; `unpack` gives its exponent tuple where a term
+leaves the engine, and `_canonical`, the one order on monomials, sorts on
+it.  `monomial_text` is where a key becomes text, and `polynomial_text`
+where a polynomial does.  The functions here take and return term dicts;
+each builds a new dict and changes none it is given.  The caller owns the
+invariants above, and changes no dict it did not build: the memos hand out
+theirs.
 """
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator
+from typing import Iterable
 
 W = 11  # bits per exponent digit, the top one a guard: exponents are below 2^(W-1)
 _DIGIT = (1 << W) - 1
@@ -110,118 +113,94 @@ def monomial_text(key: int) -> str:
     return "*".join(factors) or "1"
 
 
-class Polynomial:
-    """Map from monomial keys to nonzero integer coefficients."""
+def _plus(p: dict[int, int], q: dict[int, int], sign: int) -> dict[int, int]:
+    terms = dict(p)
+    for key, coef in q.items():
+        c = terms.get(key, 0) + sign * coef
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
+    return terms
 
-    __slots__ = ("key_terms",)
 
-    def __init__(self, key_terms: dict[int, int]):
-        self.key_terms = key_terms  # canonical, taken as is; immutable by convention
+def add(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """p + q."""
+    return _plus(p, q, 1)
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls({})
 
-    @classmethod
-    def constant(cls, c: int) -> "Polynomial":
-        return cls({0: c} if c else {})
+def sub(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """p - q."""
+    return _plus(p, q, -1)
 
-    def terms(self) -> Iterator[tuple[int, int]]:
-        """(key, coefficient) pairs in canonical (graded lexicographic) order."""
-        for key in _canonical(self.key_terms):
-            yield key, self.key_terms[key]
 
-    def __bool__(self) -> bool:
-        return bool(self.key_terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self.key_terms == other.key_terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.key_terms.items()))
-
-    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
-        terms = dict(self.key_terms)
-        for key, coef in other.key_terms.items():
-            c = terms.get(key, 0) + sign * coef
+def mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """p * q: the product of two monomials is the sum of their keys."""
+    terms: dict[int, int] = {}
+    get = terms.get
+    for a, ca in p.items():
+        for b, cb in q.items():
+            key = a + b
+            c = get(key, 0) + ca * cb
             if c:
                 terms[key] = c
             else:
                 del terms[key]
-        return Polynomial(terms)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._plus(other, -1)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        terms: dict[int, int] = {}
-        get = terms.get
-        for a, ca in self.key_terms.items():
-            for b, cb in other.key_terms.items():
-                key = a + b
-                c = get(key, 0) + ca * cb
-                if c:
-                    terms[key] = c
-                else:
-                    del terms[key]
-        return Polynomial(terms)
-
-    def nonnegative_after_subtracting(self, m: int, t: "Polynomial") -> bool:
-        """Whether self - x^m * t has no negative coefficient, without building it; m is a key.
-
-        self must have no negative coefficient, so this is self[m * u] >= t[u]
-        for every u in t.  Every caller passes an S_sigma or a dual character:
-        the transition equation only adds terms, and a dual character's
-        coefficients are ranks.
-        """
-        get = self.key_terms.get
-        for u, c in t.key_terms.items():
-            if get(m + u, 0) < c:
-                return False
-        return True
-
-    def is_nonnegative(self) -> tuple[bool, tuple[int, int] | None]:
-        """True iff no coefficient is negative; else the first negative term in canonical order."""
-        negative = [key for key, coef in self.key_terms.items() if coef < 0]
-        if not negative:
-            return True, None
-        key = _canonical(negative)[0]
-        return False, (key, self.key_terms[key])
-
-    def variables(self) -> set[int]:
-        return {i for key in self.key_terms for i, e in enumerate(unpack(key), start=1) if e}
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self, nvars: int) -> dict:
-        terms = []
-        for key in _canonical(self.key_terms):
-            exps = unpack(key)
-            if len(exps) > nvars:
-                raise ValueError(f"variable {len(exps)} is beyond nvars {nvars}")
-            terms.append({"exp": [*exps] + [0] * (nvars - len(exps)), "coef": str(self.key_terms[key])})
-        return {"vars": nvars, "terms": terms}
-
-    def dumps(self, nvars: int) -> str:
-        return json.dumps(self.to_json(nvars), separators=(",", ":"))
-
-    def __str__(self) -> str:
-        out = ""
-        for key, coef in self.terms():
-            c = abs(coef)
-            mon = monomial_text(key)
-            text = str(c) if not key else mon if c == 1 else f"{c}*{mon}"
-            sign = "-" if coef < 0 else "+"
-            out += (f" {sign} " if out else "-" * (coef < 0)) + text
-        return out or "0"
-
-    def __repr__(self) -> str:
-        return f"Polynomial<{self}>"
+    return terms
 
 
-def x(i: int) -> Polynomial:
+def nonnegative_after_subtracting(s: dict[int, int], m: int, t: dict[int, int]) -> bool:
+    """Whether s - x^m * t has no negative coefficient, without building it; m is a key.
+
+    s must have no negative coefficient, so this is s[m * u] >= t[u] for
+    every u in t.  Every caller passes an S_sigma or a dual character: the
+    transition equation only adds terms, and a dual character's
+    coefficients are ranks.
+    """
+    get = s.get
+    for u, c in t.items():
+        if get(m + u, 0) < c:
+            return False
+    return True
+
+
+def first_negative(p: dict[int, int]) -> tuple[int, int] | None:
+    """The first (key, coefficient) term of p in canonical order whose coefficient is negative."""
+    negative = [key for key, coef in p.items() if coef < 0]
+    if not negative:
+        return None
+    key = _canonical(negative)[0]
+    return key, p[key]
+
+
+def polynomial_text(p: dict[int, int]) -> str:
+    """The terms of p in canonical order, as `-3 + x1 - 2*x2^2`; '0' for no term."""
+    out = ""
+    for key in _canonical(p):
+        coef = p[key]
+        c = abs(coef)
+        mon = monomial_text(key)
+        text = str(c) if not key else mon if c == 1 else f"{c}*{mon}"
+        sign = "-" if coef < 0 else "+"
+        out += (f" {sign} " if out else "-" * (coef < 0)) + text
+    return out or "0"
+
+
+def to_json(p: dict[int, int], nvars: int) -> dict:
+    """`{"vars": nvars, "terms": [{"exp": [...], "coef": "c"}, ...]}`, terms in canonical order."""
+    terms = []
+    for key in _canonical(p):
+        exps = unpack(key)
+        if len(exps) > nvars:
+            raise ValueError(f"variable {len(exps)} is beyond nvars {nvars}")
+        terms.append({"exp": [*exps] + [0] * (nvars - len(exps)), "coef": str(p[key])})
+    return {"vars": nvars, "terms": terms}
+
+
+def dumps(p: dict[int, int], nvars: int) -> str:
+    return json.dumps(to_json(p, nvars), separators=(",", ":"))
+
+
+def x(i: int) -> dict[int, int]:
     """Shorthand for the variable x_i as a polynomial."""
-    return Polynomial({1 << W * (i - 1): 1})
+    return {monomial_key((i,)): 1}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .diagrams import Diagram, _column_dominated_sets, restricts, rothe
-from .polyx import _canonical, key_quotient, monomial_key, unpack
+from .polyx import _canonical, key_quotient, monomial_key, nonnegative_after_subtracting, unpack
 from .schubert import schubert_polynomial, schubert_skipping
 
 
@@ -159,10 +159,10 @@ def characterize_monomials(sigma: tuple[int, ...]) -> tuple[MonomialCharacteriza
         family = purple_family(D, k, l)
         sub = schubert_skipping(sigma, k)
         from_purple = frozenset(family.row_keys())
-        mu0 = next(iter(sub.key_terms))
-        quotients = (key_quotient(m, mu0) for m in s_sigma.key_terms)
+        mu0 = next(iter(sub))
+        quotients = (key_quotient(m, mu0) for m in s_sigma)
         working = frozenset(
-            q for q in quotients if q is not None and s_sigma.nonnegative_after_subtracting(q, sub)
+            q for q in quotients if q is not None and nonnegative_after_subtracting(s_sigma, q, sub)
         )
         extra = working - from_purple
         results.append(MonomialCharacterization(sigma, k, working, from_purple, extra))

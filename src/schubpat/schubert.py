@@ -1,21 +1,22 @@
 """Schubert polynomials by the transition equation.
 
 The production route is the Lascoux-Schuetzenberger transition equation on
-exponent keys (`schubert_polynomial`); S_w(1) runs the same recursion on
-integers.  Every function takes w as its one-line notation, a plain tuple,
-which is also the memo key.  The diagram sum `diagrams.dominated_sum(rothe(w))`, a product
-over the columns of D(w), equals S_w exactly when w avoids 1432 and 1423:
-that is `thm2.7`.  The oracles live in `oracles`: divided differences
-(`schubert_divdiff`, also at 1), the reduced-word identity
-(`macdonald_oracle`) and the diagram sum over whole dominated diagrams
-(`dominated_sum_by_enumeration`).
+term dicts (`schubert_polynomial`): S_w is the memo's dict from exponent
+keys to coefficients, the same dict for every caller.  S_w(1) runs the same
+recursion on integers.  Every function takes w as its one-line notation, a
+plain tuple, which is also the memo key.  The diagram sum
+`diagrams.dominated_sum(rothe(w))`, a product over the columns of D(w),
+equals S_w exactly when w avoids 1432 and 1423: that is `thm2.7`.  The
+oracles live in `oracles`: divided differences (`schubert_divdiff`, also at
+1), the reduced-word identity (`macdonald_oracle`) and the diagram sum over
+whole dominated diagrams (`dominated_sum_by_enumeration`).
 """
 from __future__ import annotations
 
 import functools
 
 from .permwords import without_position
-from .polyx import W, Polynomial, skip_variable
+from .polyx import monomial_key, skip_variable
 
 
 def _transition(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
@@ -51,18 +52,18 @@ def _transition(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[
     return r, tuple(v), children
 
 
-def schubert_polynomial(values: tuple[int, ...]) -> Polynomial:
+def schubert_polynomial(values: tuple[int, ...]) -> dict[int, int]:
     """S_w by the Lascoux-Schuetzenberger transition equation (memoized)."""
     return _schubert(values)
 
 
 @functools.cache  # keyed by the one-line notation as given
-def _schubert(values: tuple[int, ...]) -> Polynomial:
+def _schubert(values: tuple[int, ...]) -> dict[int, int]:
     """The recursion of `_transition`, on exponent keys.
 
-    x_{r+1} S_v adds x_{r+1}'s key, 2^(W r), to every key of S_v, and the
-    children add in with no cancellation.  Trailing fixed points are
-    stripped on a miss.
+    x_{r+1} S_v adds x_{r+1}'s key to every key of S_v, and the children
+    add in with no cancellation.  Trailing fixed points are stripped on a
+    miss.
     """
     n = len(values)
     while n and values[n - 1] == n:
@@ -70,17 +71,17 @@ def _schubert(values: tuple[int, ...]) -> Polynomial:
     if n < len(values):
         return _schubert(values[:n])
     if not values:
-        return Polynomial.constant(1)
+        return {0: 1}
     r, v, children = _transition(values)
-    x_key = 1 << W * r  # the key of x_{r+1}
-    terms = {k + x_key: c for k, c in _schubert(v).key_terms.items()}
+    x_key = monomial_key((r + 1,))
+    terms = {k + x_key: c for k, c in _schubert(v).items()}
     for u in children:
-        for k, c in _schubert(u).key_terms.items():
+        for k, c in _schubert(u).items():
             terms[k] = terms.get(k, 0) + c
-    return Polynomial(terms)
+    return terms
 
 
-def schubert_skipping(sigma: tuple[int, ...], k: int) -> Polynomial:
+def schubert_skipping(sigma: tuple[int, ...], k: int) -> dict[int, int]:
     """S_pi(x_1, ..., x_{k-1}, x_{k+1}, ..., x_n), pi the pattern of sigma without position k.
 
     The single-removal polynomial.  pi is sigma's one-line notation without
@@ -88,9 +89,7 @@ def schubert_skipping(sigma: tuple[int, ...], k: int) -> Polynomial:
     becomes x_i below k and x_{i+1} from k on (`polyx.skip_variable`).
     """
     pi = without_position(sigma, k - 1)
-    return Polynomial(
-        {skip_variable(key, k): c for key, c in schubert_polynomial(pi).key_terms.items()}
-    )
+    return {skip_variable(key, k): c for key, c in schubert_polynomial(pi).items()}
 
 
 def principal_specialization(values: tuple[int, ...]) -> int:

@@ -42,7 +42,7 @@ from . import incexc, schubert, weylchar
 from .diagrams import count_dominated, dominated_sum, rothe
 from .errors import BudgetExceededError, UsageError
 from .permwords import avoids, inverse_values, one_line
-from .polyx import Polynomial, monomial_text
+from .polyx import _canonical, first_negative, monomial_text, nonnegative_after_subtracting, sub
 from .purple import characterize_monomials, purple_family
 
 DEFAULT_SEED = 2718
@@ -116,6 +116,23 @@ def _subword_at(w: tuple[int, ...], mask: int) -> str:
     return one_line(tuple(a for i, a in enumerate(w) if mask >> i & 1))
 
 
+def _table(memo: Callable, build: Callable, w: tuple[int, ...], config: RunConfig) -> list:
+    """The table of w: a table of S_<=max_n-1 is also a deletion's table, so it is the memo's.
+
+    One of S_max_n is no deletion's, so it is built and not kept.
+    """
+    return (memo if len(w) < config.max_n else build)(w)
+
+
+def _negative_term(s: dict[int, int], m: int, t: dict[int, int]) -> str:
+    """`coeff c at <monomial>` for the first negative term of s - x^m * t, m a key.
+
+    The witness of a failed subtraction check: the difference is built for it alone.
+    """
+    key, coef = first_negative(sub(s, {m + u: c for u, c in t.items()}))
+    return f"coeff {coef} at {monomial_text(key)}"
+
+
 # -- alternating-sum nonnegativity (avoiders) --------------------------------
 
 
@@ -123,12 +140,10 @@ def _run_alt_nonneg(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
     if not avoids(w):
         return None
     # u is the subword of word(w) at a position mask; every mask is checked.
-    # A table of S_<=max_n-1 is also a deletion's table, so it is the memo's.
-    table = incexc._polynomials if len(w) < config.max_n else incexc.alternating_polynomials
     failures = []
-    for mask, total in enumerate(table(w)):
-        ok, bad = total.is_nonnegative()
-        if not ok:
+    for mask, total in enumerate(_table(incexc._polynomials, incexc.alternating_polynomials, w, config)):
+        bad = first_negative(total)
+        if bad:
             failures.append(f"u={_subword_at(w, mask)}: coeff {bad[1]} at {monomial_text(bad[0])}")
     return failures
 
@@ -139,10 +154,10 @@ def _run_alt_nonneg(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
 def _run_single_step(sigma: tuple[int, ...], config: RunConfig) -> list[str] | None:
     failures = []
     for k in range(1, len(sigma) + 1):
-        ok, diff = incexc.verify_single_step(sigma, k)
-        if not ok:
-            _, bad = diff.is_nonnegative()
-            failures.append(f"k={k}: coeff {bad[1]} at {monomial_text(bad[0])}")
+        if not incexc.verify_single_step(sigma, k):
+            # Read through incexc, so that the witness subtracts what its check did.
+            m, t = incexc.single_step_monomial(sigma, k), incexc.schubert_skipping(sigma, k)
+            failures.append(f"k={k}: {_negative_term(incexc.schubert_polynomial(sigma), m, t)}")
     return failures
 
 
@@ -178,8 +193,9 @@ def _run_chi_equality(w: tuple[int, ...], config: RunConfig) -> list[str] | None
     character = weylchar.chi(rothe(w))
     expected = schubert.schubert_polynomial(w)
     if character != expected:
-        key, coef = next((character - expected).terms())
-        return [f"difference {coef} at {monomial_text(key)}"]
+        difference = sub(character, expected)
+        key = _canonical(difference)[0]
+        return [f"difference {difference[key]} at {monomial_text(key)}"]
     return []
 
 
@@ -217,11 +233,10 @@ def _run_purple_members(w: tuple[int, ...], config: RunConfig) -> list[str] | No
         failing = [
             (family.member(choice), m)
             for choice, m in zip(family.choices(), family.row_keys())
-            if not chi_D.nonnegative_after_subtracting(m, chi_hat_k)
+            if not nonnegative_after_subtracting(chi_D, m, chi_hat_k)
         ]
         for K, m in sorted(failing, key=lambda member: member[0].box_list()):
-            _, bad = (chi_D - chi_hat_k * Polynomial({m: 1})).is_nonnegative()
-            failures.append(f"k={k} K={K}: coeff {bad[1]} at {monomial_text(bad[0])}")
+            failures.append(f"k={k} K={K}: {_negative_term(chi_D, m, chi_hat_k)}")
     return failures
 
 
@@ -229,10 +244,8 @@ def _run_purple_members(w: tuple[int, ...], config: RunConfig) -> list[str] | No
 
 
 def _run_cwu_nonneg(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
-    # The alternating sums of thm1.1 at x = 1, for every u at once.  A table of
-    # S_<=max_n-1 is also a deletion's table, so it is the memo's.
-    table = incexc._alternating if len(w) < config.max_n else incexc.alternating_specializations
-    g = table(w)
+    # The alternating sums of thm1.1 at x = 1, for every u at once.
+    g = _table(incexc._alternating, incexc.alternating_specializations, w, config)
     if min(g) >= 0:
         return []
     mask = next(mask for mask, value in enumerate(g) if value < 0)
@@ -260,9 +273,7 @@ def _run_purple_characterization(sigma: tuple[int, ...], config: RunConfig) -> l
 
 
 def _run_identity(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
-    # As in conj5.1, a table of S_<=max_n-1 is the memo's.
-    table = incexc._coefficients if len(w) < config.max_n else incexc.pattern_coefficients
-    t = table(w)
+    t = _table(incexc._coefficients, incexc.pattern_coefficients, w, config)
     c_w, total = t[-1], sum(t)
     spec = schubert.principal_specialization(w)
     failures = []

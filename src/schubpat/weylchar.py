@@ -21,34 +21,34 @@ import itertools
 from .diagrams import Diagram, _column_dominated_sets, count_dominated
 from .errors import BudgetExceededError
 from .linalg import integer_rank
-from .polyx import Polynomial, monomial_key, pair_index
+from .polyx import add, monomial_key, mul, pair_index
 
 DEFAULT_BUDGET = 10**6
 
 
 @functools.cache  # keyed by the (rows, cols) pair
-def _det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+def _det(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, int]:
     """det of the submatrix of Y with these sorted rows and equally many sorted columns.
 
     Zero unless the row set dominates the column set elementwise; the
     expansion is exact, by cofactors along the first column.
     """
     if not rows:
-        return Polynomial.constant(1)
+        return {0: 1}
     # Entry (i, j) of Y is y_{ij} when i <= j and 0 below the diagonal.
-    result = Polynomial.zero()
+    result: dict[int, int] = {}
     c0 = cols[0]
     for t, r in enumerate(rows):
         if r > c0:
             break
         sign = -1 if t % 2 else 1
         minor = _det(rows[:t] + rows[t + 1 :], cols[1:])
-        result = result + minor * Polynomial({monomial_key((pair_index(r, c0),)): sign})
+        result = add(result, mul(minor, {monomial_key((pair_index(r, c0),)): sign}))
     return result
 
 
 def _span_rank(polys: list[dict[int, int]]) -> int:
-    """Rank of the span of polynomials given by their key terms."""
+    """Rank of the span of these polynomials."""
     # The rank does not depend on the order of the matrix columns.
     columns: dict[int, int] = {}
     for p in polys:
@@ -64,7 +64,7 @@ def _span_rank(polys: list[dict[int, int]]) -> int:
     return integer_rank(matrix)
 
 
-def chi(D: Diagram, budget: int = DEFAULT_BUDGET) -> Polynomial:
+def chi(D: Diagram, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """The full dual character; refuses when the dominated count is too big.
 
     Memoized on the multiset of D's nonempty columns (see `_chi_by_rank`).
@@ -78,7 +78,7 @@ def chi(D: Diagram, budget: int = DEFAULT_BUDGET) -> Polynomial:
 
 
 @functools.cache  # keyed by the sorted tuple of a diagram's nonempty columns
-def _chi_by_rank(columns: tuple[tuple[int, ...], ...]) -> Polynomial:
+def _chi_by_rank(columns: tuple[tuple[int, ...], ...]) -> dict[int, int]:
     """The dual character of a diagram with these nonempty columns, one span rank per row monomial.
 
     Enumeration, the row monomial and the determinant product all factor
@@ -90,13 +90,13 @@ def _chi_by_rank(columns: tuple[tuple[int, ...], ...]) -> Polynomial:
     """
     groups: dict[int, list[dict[int, int]]] = {}
     for choice in itertools.product(*map(_column_dominated_sets, columns)):
-        product = Polynomial.constant(1)
+        product = {0: 1}
         for c, d in zip(choice, columns):
-            product = product * _det(c, d)
-        groups.setdefault(monomial_key(i for c in choice for i in c), []).append(product.key_terms)
+            product = mul(product, _det(c, d))
+        groups.setdefault(monomial_key(i for c in choice for i in c), []).append(product)
     terms: dict[int, int] = {}
     for key, polys in groups.items():
         coef = _span_rank(polys)
         if coef:
             terms[key] = coef
-    return Polynomial(terms)
+    return terms

@@ -18,7 +18,7 @@ from schubpat.oracles import (
     schubert_divdiff,
 )
 from schubpat.permwords import Permutation, Word, all_permutations, avoids
-from schubpat.polyx import Polynomial, monomial_key, x
+from schubpat.polyx import monomial_key, mul, x
 from schubpat.purple import characterize_monomials, purple_family
 from schubpat.schubert import principal_specialization
 from schubpat.verify import RunConfig, exit_code, run_claim
@@ -46,8 +46,8 @@ def _claim_clean(name, config):
 
 
 def test_criterion_1_worked_examples(report):
-    assert alternating_sum(Permutation.from_string("2143"), Word.of(4, 3)).total == Polynomial.zero()
-    assert alternating_sum(Permutation.from_string("1342"), Word.of(4, 2)).total == x(1) * x(3)
+    assert alternating_sum(Permutation.from_string("2143"), Word.of(4, 3)).total == {}
+    assert alternating_sum(Permutation.from_string("1342"), Word.of(4, 2)).total == mul(x(1), x(3))
 
     for w_str, expected in [("1342", 0), ("12453", 1)]:
         w = Permutation.from_string(w_str)
@@ -93,7 +93,7 @@ def test_criterion_2_cross_method_equality(report):
     counting = dominated_sum(rothe(w1432.values))
     exact = schubert_divdiff(w1432)
     witness = monomial_key([1, 2, 3])
-    assert counting.key_terms.get(witness, 0) > exact.key_terms.get(witness, 0)
+    assert counting.get(witness, 0) > exact.get(witness, 0)
 
     _claim_clean("thm2.4", RunConfig(max_n=5))
 

@@ -11,7 +11,6 @@ from schubpat.diagrams import (
     count_dominated,
     restricts,
     rothe,
-    row_monomial,
 )
 from schubpat.oracles import (
     column_dominates,
@@ -21,6 +20,7 @@ from schubpat.oracles import (
     removed_boxes,
     restrict_keep,
     restrict_remove,
+    row_monomial,
 )
 from schubpat.permwords import Permutation, Word, all_permutations
 from schubpat.polyx import exponent_key, monomial_key

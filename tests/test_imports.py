@@ -55,7 +55,7 @@ WHOLE_DIAGRAM_ROUTES = {
 # polynomials, and the errors only they raise: functions, methods and classes alike.
 ORACLE_ONLY = {
     "inverse", "swap_positions", "descents", "ascents", "letter_set", "flatten",
-    "substitute_variables", "evaluate_all_ones", "column_dominates",
+    "substitute_variables", "evaluate_all_ones", "column_dominates", "row_monomial",
     "NotASubwordError", "LetterNotInWordError", "LengthGuardError", "UnmappedVariableError",
 }
 
@@ -68,6 +68,15 @@ def test_whole_diagram_routes_are_defined_only_in_oracles():
             node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         }
         assert path.stem == "oracles" or not defined & (WHOLE_DIAGRAM_ROUTES | ORACLE_ONLY), path.stem
+
+
+def test_only_polyx_knows_the_key_width():
+    # Keys are built through polyx's functions; no other module shifts by W.
+    package = pathlib.Path(schubpat.__file__).parent
+    offenders = sorted(
+        path.stem for path in package.glob("*.py") if "schubpat.polyx.W" in _imports(path)
+    )
+    assert offenders == []
 
 
 # Inside the engine a permutation is its one-line tuple; these modules parse

@@ -4,7 +4,7 @@ import pytest
 
 import schubpat
 from schubpat import incexc
-from schubpat.diagrams import Diagram, rothe, row_monomial
+from schubpat.diagrams import Diagram, rothe
 from schubpat.errors import PatternViolationError
 from schubpat.incexc import (
     alternating_polynomials,
@@ -30,12 +30,13 @@ from schubpat.oracles import (
     removed_boxes,
     restrict_remove,
     restricted_diagram_count,
+    row_monomial,
     substituted_schubert,
     subword_patterns,
     superset_sums,
 )
 from schubpat.permwords import Permutation, Word, all_permutations, avoids
-from schubpat.polyx import Polynomial, monomial_key, unpack, x
+from schubpat.polyx import _canonical, add, first_negative, monomial_key, mul, sub, unpack, x
 from schubpat.schubert import principal_specialization, schubert_polynomial, schubert_skipping
 
 
@@ -53,25 +54,25 @@ def test_substituted_schubert_examples():
     w = Permutation.from_string("2143")
     # perm(43) = 21, S_21 = x_1, substituted at index w^{-1}(4) = 3
     assert substituted_schubert(w, Word.of(4, 3)) == x(3)
-    assert substituted_schubert(w, Word.of(1, 4, 3)) == x(2) + x(3)
+    assert substituted_schubert(w, Word.of(1, 4, 3)) == add(x(2), x(3))
     assert substituted_schubert(w, w.word()) == (
-        x(1) * x(1) + x(1) * x(2) + x(1) * x(3)
+        add(add(mul(x(1), x(1)), mul(x(1), x(2))), mul(x(1), x(3)))
     )
-    assert substituted_schubert(w, Word()) == Polynomial.constant(1)
+    assert substituted_schubert(w, Word()) == {0: 1}
 
 
 def test_alternating_sum_worked_examples():
     # w = 2143, u = 43 collapses to zero
     r = alternating_sum(Permutation.from_string("2143"), Word.of(4, 3))
-    assert r.total == Polynomial.zero()
+    assert r.total == {}
     assert len(r.per_term) == 4
     # w = 1342, u = 42 leaves the single monomial x_1 x_3
     r = alternating_sum(Permutation.from_string("1342"), Word.of(4, 2))
-    assert r.total == x(1) * x(3)
+    assert r.total == mul(x(1), x(3))
     # u = word(w) is the Schubert polynomial itself
     w = Permutation.from_string("1342")
     r = alternating_sum(w, w.word())
-    assert r.total == x(1) * x(2) + x(1) * x(3) + x(2) * x(3)
+    assert r.total == add(add(mul(x(1), x(2)), mul(x(1), x(3))), mul(x(2), x(3)))
 
 
 def test_alternating_sum_term_count():
@@ -90,8 +91,8 @@ def test_alternating_sum_nonnegative_for_avoiders(n):
         subs = all_subwords(w)
         picks = subs if len(subs) <= 8 else rng.sample(subs, 8)
         for u in picks:
-            ok, witness = alternating_sum(w, u).total.is_nonnegative()
-            assert ok, (str(w), str(u), witness)
+            witness = first_negative(alternating_sum(w, u).total)
+            assert witness is None, (str(w), str(u), witness)
 
 
 def test_alternating_sum_can_go_negative_without_avoidance():
@@ -100,7 +101,7 @@ def test_alternating_sum_can_go_negative_without_avoidance():
         if avoids(w.values):
             continue
         for u in all_subwords(w):
-            if not alternating_sum(w, u).total.is_nonnegative()[0]:
+            if first_negative(alternating_sum(w, u).total):
                 found = True
                 break
         if found:
@@ -118,9 +119,9 @@ def test_alternating_sum_homogeneous_terms(n):
         target = w.inversions()
         r = alternating_sum(w, Word())
         for t in r.per_term:
-            product = t.schubert * Polynomial({t.monomial: 1})
+            product = mul(t.schubert, {t.monomial: 1})
             if product:
-                assert {sum(unpack(key)) for key in product.key_terms} == {target}
+                assert {sum(unpack(key)) for key in product} == {target}
 
 
 def _subword_at(w: Permutation, mask: int) -> Word:
@@ -161,16 +162,21 @@ def test_row_without_one_position_is_the_single_step_difference(n):
         for i in range(n):
             k = i + 1
             m = single_step_monomial(w.values, k)
-            expected = schubert_polynomial(w.values) - schubert_skipping(w.values, k) * Polynomial({m: 1})
+            expected = sub(schubert_polynomial(w.values), mul(schubert_skipping(w.values, k), {m: 1}))
             assert table[-1 - (1 << i)] == expected, (w, k)
+
+
+def _constant(c: int) -> dict[int, int]:
+    return {0: c} if c else {}
 
 
 def per_mask_alternating(values):
     """The table by one lookup per mask: superset sums of the signed S_{perm(v)}(1)."""
     n = len(values)
-    return superset_sums([
-        principal_specialization(p) * (-1) ** (n - len(p)) for p in subword_patterns(values)
-    ])
+    terms = [
+        _constant(principal_specialization(p) * (-1) ** (n - len(p))) for p in subword_patterns(values)
+    ]
+    return [evaluate_all_ones(p) for p in superset_sums(terms)]
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -235,7 +241,7 @@ def test_superset_sums_by_brute_force(n):
     rng = random.Random(n)
     g = [rng.randrange(-9, 10) for _ in range(1 << n)]
     expected = [sum(g[v] for v in range(1 << n) if v & u == u) for u in range(1 << n)]
-    assert superset_sums(list(g)) == expected
+    assert superset_sums(list(map(_constant, g))) == list(map(_constant, expected))
 
 
 def test_cw_examples():
@@ -366,9 +372,9 @@ def test_restricted_diagram_count_matches_coefficient():
             if not len(v):
                 continue
             s = substituted_schubert(w, v)
-            mons = [m for m, _ in s.terms()]
+            mons = _canonical(s)
             for m in rng.sample(mons, min(3, len(mons))):
-                assert restricted_diagram_count(w, v, m) == s.key_terms[m]
+                assert restricted_diagram_count(w, v, m) == s[m]
 
 
 def test_bv_count_matches_alternating_sum_coefficient():
@@ -377,10 +383,10 @@ def test_bv_count_matches_alternating_sum_coefficient():
         subs = all_subwords(w)
         for u in rng.sample(subs, min(4, len(subs))):
             total = alternating_sum(w, u).total
-            for m, c in total.terms():
-                assert bv_count(w, u, m) == c
+            for m in _canonical(total):
+                assert bv_count(w, u, m) == total[m]
             absent = monomial_key([w.n] * w.n)
-            assert bv_count(w, u, absent) == 0 and absent not in total.key_terms
+            assert bv_count(w, u, absent) == 0 and absent not in total
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -405,5 +411,4 @@ def test_single_step_monomial():
 def test_verify_single_step(n):
     for w in all_permutations(n):
         for k in range(1, n + 1):
-            ok, diff = verify_single_step(w.values, k)
-            assert ok, (str(w), k, diff)
+            assert verify_single_step(w.values, k), (str(w), k)

@@ -18,7 +18,7 @@ from schubpat.oracles import (
     substitute_variables,
 )
 from schubpat.permwords import Permutation, Word, all_permutations, avoids
-from schubpat.polyx import Polynomial, exponent_key, monomial_key, unpack, x
+from schubpat.polyx import add, exponent_key, first_negative, monomial_key, mul, sub, unpack, x
 from schubpat.schubert import principal_specialization, schubert_polynomial, schubert_skipping
 from schubpat.weylchar import chi
 
@@ -31,9 +31,9 @@ diagrams = st.integers(1, 4).flatmap(
 )
 
 
-def _at_zero(p: Polynomial, k: int) -> Polynomial:
+def _at_zero(p: dict[int, int], k: int) -> dict[int, int]:
     """p with x_k = 0: the terms without x_k."""
-    return Polynomial({key: c for key, c in p.key_terms.items() if not (unpack(key) + (0,) * k)[k - 1]})
+    return {key: c for key, c in p.items() if not (unpack(key) + (0,) * k)[k - 1]}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -42,7 +42,7 @@ def test_schubert_skipping_is_the_restricted_character(n):
     for w in all_permutations(n):
         for k in range(1, n + 1):
             got = schubert_skipping(w.values, k)
-            assert k not in got.variables()
+            assert _at_zero(got, k) == got  # no term holds x_k
             assert got == _at_zero(chi(restrict_remove(rothe(w.values), k, w(k))), k), (w, k)
 
 
@@ -59,41 +59,43 @@ def test_schubert_skipping_inserts_what_relabelling_gives(n):
 
 def test_divided_difference_examples():
     # d_1 (x_1^2 x_2) = x_1 x_2
-    assert divided_difference(x(1) * x(1) * x(2), 1) == x(1) * x(2)
-    assert divided_difference(x(1), 1) == Polynomial.constant(1)
-    assert divided_difference(x(1) * x(2), 1) == Polynomial.zero()
-    assert divided_difference(x(3), 1) == Polynomial.zero()
+    assert divided_difference(mul(mul(x(1), x(1)), x(2)), 1) == mul(x(1), x(2))
+    assert divided_difference(x(1), 1) == {0: 1}
+    assert divided_difference(mul(x(1), x(2)), 1) == {}
+    assert divided_difference(x(3), 1) == {}
 
 
 @settings(max_examples=60)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
 def test_divided_difference_is_twisted_derivation(i, j, a, b):
     # d_i(fg) = d_i(f) g + (s_i f) d_i(g)
-    f = Polynomial({monomial_key([j] * a): 1})
-    g = Polynomial({monomial_key([i] * b): 1}) + x(j)
+    f = {monomial_key([j] * a): 1}
+    g = add({monomial_key([i] * b): 1}, x(j))
     swap = {v: v for v in range(1, 5)}
     swap[i], swap[i + 1] = i + 1, i
-    lhs = divided_difference(f * g, i)
-    rhs = divided_difference(f, i) * g + substitute_variables(f, swap) * divided_difference(g, i)
+    lhs = divided_difference(mul(f, g), i)
+    rhs = add(
+        mul(divided_difference(f, i), g), mul(substitute_variables(f, swap), divided_difference(g, i))
+    )
     assert lhs == rhs
 
 
 def test_schubert_worked_examples():
     assert schubert_divdiff(Permutation.from_string("2143")) == (
-        x(1) * x(1) + x(1) * x(2) + x(1) * x(3)
+        add(add(mul(x(1), x(1)), mul(x(1), x(2))), mul(x(1), x(3)))
     )
     assert schubert_divdiff(Permutation.from_string("1342")) == (
-        x(1) * x(2) + x(1) * x(3) + x(2) * x(3)
+        add(add(mul(x(1), x(2)), mul(x(1), x(3))), mul(x(2), x(3)))
     )
-    assert schubert_divdiff(Permutation.from_string("132")) == x(1) + x(2)
+    assert schubert_divdiff(Permutation.from_string("132")) == add(x(1), x(2))
     assert schubert_divdiff(Permutation.from_string("21")) == x(1)
-    assert schubert_divdiff(Permutation.from_string("1234")) == Polynomial.constant(1)
-    assert schubert_divdiff(Permutation(())) == Polynomial.constant(1)
+    assert schubert_divdiff(Permutation.from_string("1234")) == {0: 1}
+    assert schubert_divdiff(Permutation(())) == {0: 1}
 
 
 def test_schubert_longest_element():
     w0 = Permutation.from_string("4321")
-    assert schubert_divdiff(w0) == Polynomial({exponent_key([3, 2, 1]): 1})
+    assert schubert_divdiff(w0) == {exponent_key([3, 2, 1]): 1}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -106,18 +108,18 @@ def test_ascent_walks_agree(n):
 
 
 def test_schubert_polynomials_have_positive_coefficients():
-    # `Polynomial.nonnegative_after_subtracting` takes S_sigma as a minuend
+    # `polyx.nonnegative_after_subtracting` takes S_sigma as a minuend
     # with no negative coefficient.
     for n in range(1, 8):
         for w in all_permutations(n):
-            assert min(schubert_polynomial(w.values).key_terms.values()) > 0, w
+            assert min(schubert_polynomial(w.values).values()) > 0, w
 
 
 def test_transition_schubert_polynomials_are_homogeneous_of_degree_length():
     # So every working monomial of `characterize_monomials` has one degree, and it tests none.
     for n in range(1, 8):
         for w in all_permutations(n):
-            degrees = {sum(unpack(key)) for key in schubert_polynomial(w.values).key_terms}
+            degrees = {sum(unpack(key)) for key in schubert_polynomial(w.values)}
             assert degrees == {w.inversions()}, w
 
 
@@ -162,7 +164,7 @@ def test_diagram_sum_overcounts_on_1432():
     s, d = schubert_divdiff(w), dominated_sum(rothe(w.values))
     assert s != d
     # the diagram sum dominates coefficientwise and strictly somewhere
-    assert (d - s).is_nonnegative()[0]
+    assert first_negative(sub(d, s)) is None
     assert evaluate_all_ones(d) > evaluate_all_ones(s)
 
 
@@ -177,8 +179,8 @@ def test_coefficient_by_counting():
 def test_schubert_coefficients_nonnegative_and_homogeneous(n):
     for w in all_permutations(n):
         p = schubert_divdiff(w)
-        assert p.is_nonnegative()[0]
-        assert {sum(unpack(key)) for key in p.key_terms} == {w.inversions()}
+        assert first_negative(p) is None
+        assert {sum(unpack(key)) for key in p} == {w.inversions()}
 
 
 def test_reduced_words_examples():
@@ -232,4 +234,4 @@ def test_schubert_stable_under_embedding(w, pad):
 
 def test_degree_equals_diagram_size():
     for w in all_permutations(5):
-        assert max(sum(unpack(key)) for key in schubert_divdiff(w).key_terms) == len(rothe(w.values))
+        assert max(sum(unpack(key)) for key in schubert_divdiff(w)) == len(rothe(w.values))

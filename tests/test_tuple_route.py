@@ -1,19 +1,22 @@
 """A second route to S_w and the single-removal differences, on plain dicts of exponent tuples.
 
-It shares no code with `polyx`, and imports nothing from it.  A polynomial
-here is a dict from a dense exponent tuple, trailing zeros dropped, to a
-nonzero coefficient; S_w comes from divided differences down from the
-longest element, and the pattern, the Rothe diagram and the monomials are
-rebuilt here too.  Production polynomials are read only through their JSON,
-the form in which terms leave the engine, so a fault in how keys pack,
-add, skip a variable or unpack shows up as a difference.
+Its own route shares no code with `polyx`: a polynomial here is a dict
+from a dense exponent tuple, trailing zeros dropped, to a nonzero
+coefficient; S_w comes from divided differences down from the longest
+element, and the pattern, the Rothe diagram and the monomials are rebuilt
+here too.  It calls `polyx` only for what it checks: the engine's
+differences and subtraction check, and `polyx.to_json`, through which it
+reads every production polynomial, the form in which terms leave the
+engine.  So a fault in how keys pack, add, skip a variable or unpack shows
+up as a difference.
 """
 import itertools
 
 import pytest
 
-from schubpat import incexc, purple, schubert
-from schubpat.diagrams import rothe, row_monomial
+from schubpat import incexc, polyx, purple, schubert
+from schubpat.diagrams import rothe
+from schubpat.oracles import row_monomial
 
 MAX_N = 7
 
@@ -26,7 +29,7 @@ def _trim(exps) -> tuple[int, ...]:
 
 
 def _from_json(p, n: int) -> dict[tuple[int, ...], int]:
-    return {_trim(t["exp"]): int(t["coef"]) for t in p.to_json(n)["terms"]}
+    return {_trim(t["exp"]): int(t["coef"]) for t in polyx.to_json(p, n)["terms"]}
 
 
 def _add_term(p: dict, key: tuple[int, ...], c: int) -> None:
@@ -140,7 +143,7 @@ def test_every_thm1_0_difference_matches_the_tuple_route(tuple_schubert):
             difference = _minus(tuple_schubert(sigma), _times_monomial(sub, m))
             assert _from_json(table[-1 - (1 << (k - 1))], n) == difference, (sigma, k)
             holds = min(difference.values(), default=0) >= 0
-            assert incexc.verify_single_step(sigma, k)[0] == holds, (sigma, k)
+            assert incexc.verify_single_step(sigma, k) == holds, (sigma, k)
 
 
 def test_every_thm4_1_difference_matches_the_tuple_route(tuple_schubert):
@@ -155,8 +158,8 @@ def test_every_thm4_1_difference_matches_the_tuple_route(tuple_schubert):
             assert {_trim(m) for m in family.to_json()["monomials"]} == set(members), (sigma, k)
             for choice, key, m in zip(family.choices(), family.row_keys(), members):
                 difference = _minus(tuple_schubert(sigma), _times_monomial(tuple_sub, m))
-                x_K = type(sub)({row_monomial(family.member(choice)): 1})  # a Polynomial; polyx stays unimported
-                built = s_sigma - sub * x_K
+                x_K = {row_monomial(family.member(choice)): 1}
+                built = polyx.sub(s_sigma, polyx.mul(sub, x_K))
                 assert _from_json(built, n) == difference, (sigma, k, choice)
                 holds = min(difference.values(), default=0) >= 0
-                assert s_sigma.nonnegative_after_subtracting(key, sub) == holds, (sigma, k, choice)
+                assert polyx.nonnegative_after_subtracting(s_sigma, key, sub) == holds, (sigma, k, choice)

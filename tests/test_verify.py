@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import functools
+import gc
 import hashlib
 import importlib
 import json
@@ -18,7 +20,7 @@ from schubpat import incexc, oracles, polyx, purple, schubert, verify, weylchar
 from schubpat.diagrams import Diagram
 from schubpat.errors import BudgetExceededError, PatternViolationError
 from schubpat.permwords import Permutation, all_permutations, avoids, one_line
-from schubpat.polyx import Polynomial, _canonical, exponent_key, x
+from schubpat.polyx import _canonical, add, exponent_key, mul, sub, x
 from schubpat.verify import (
     CLAIMS,
     Claim,
@@ -437,7 +439,7 @@ STUBBED_THM4_1_WITNESS = "; ".join([
 
 def test_thm4_1_witness_lists_failing_members_in_box_order(monkeypatch):
     skipping = schubert.schubert_skipping
-    monkeypatch.setattr(schubert, "schubert_skipping", lambda w, k: skipping(w, k) + x(1) * x(2))
+    monkeypatch.setattr(schubert, "schubert_skipping", lambda w, k: add(skipping(w, k), mul(x(1), x(2))))
     claim = CLAIMS["thm4.1"]
     report = verify._run_shard(claim, (1, 3, 6, 2, 5, 4), RunConfig())
     assert report.verdict == "fails"
@@ -462,7 +464,9 @@ STUBBED_THM1_0_WITNESSES = {
 def test_thm1_0_witnesses_print_the_first_negative_term(monkeypatch):
     skipping = incexc.schubert_skipping
     monkeypatch.setattr(
-        incexc, "schubert_skipping", lambda w, k: skipping(w, k) + skipping(w, k) if w[0] == 4 else skipping(w, k)
+        incexc,
+        "schubert_skipping",
+        lambda w, k: add(skipping(w, k), skipping(w, k)) if w[0] == 4 else skipping(w, k),
     )
     reports = list(run_claim("thm1.0", RunConfig(max_n=4)))
     assert {r.subject: r.witness for r in reports if r.verdict != "holds"} == STUBBED_THM1_0_WITNESSES
@@ -493,7 +497,7 @@ def test_thm1_1_witnesses_print_the_first_negative_term(monkeypatch):
 
     def stub(values):
         t = table(values)
-        return [p - t[-1] - t[-1] for p in t] if values[:2] == (4, 1) else t
+        return [sub(sub(p, t[-1]), t[-1]) for p in t] if values[:2] == (4, 1) else t
 
     monkeypatch.setattr(incexc, "alternating_polynomials", stub)
     reports = list(run_claim("thm1.1", RunConfig(max_n=4)))
@@ -509,11 +513,11 @@ def test_conj5_3_witnesses_print_monomials(monkeypatch):
         reports = run_claim("conj5.3", RunConfig(max_n=max_n))
         return {r.subject: r.witness for r in reports if r.verdict == "fails"}
 
-    got = witnesses(lambda w, k: skipping(w, k) + x(1) * x(2) if k == 2 else skipping(w, k), 3)
+    got = witnesses(lambda w, k: add(skipping(w, k), mul(x(1), x(2))) if k == 2 else skipping(w, k), 3)
     assert got["132"] == "k=2: purple monomial not working: ['x1', 'x2']"
     assert got["321"] == "k=2: purple monomial not working: ['x1*x2']"
     # With S_pi cut to its first term, more M work than the family gives.
-    got = witnesses(lambda w, k: Polynomial({_canonical(skipping(w, k).key_terms)[0]: 1}), 4)
+    got = witnesses(lambda w, k: {_canonical(skipping(w, k))[0]: 1}, 4)
     assert got["1342"] == "k=2: extra working monomials ['x3']; k=3: extra working monomials ['x2']"
     assert got["2143"] == "k=2: extra working monomials ['x2', 'x3']"
 
@@ -580,8 +584,8 @@ def test_thm2_4_witness_is_the_first_term_of_the_difference(monkeypatch):
     witnesses = {r.subject: r.witness for r in reports}
     assert {s: witnesses[s] for s in STUBBED_THM2_4_WITNESSES} == STUBBED_THM2_4_WITNESSES
     # Added terms of one degree: x1*x4 comes before x2*x3, and degree 2 before degree 3.
-    extra = Polynomial({exponent_key(e): c for e, c in (([0, 1, 1], 1), ([1, 0, 0, 1], 5), ([2, 1], 3))})
-    monkeypatch.setattr(verify.schubert, "schubert_polynomial", lambda w: s_w(w) + extra)
+    extra = {exponent_key(e): c for e, c in (([0, 1, 1], 1), ([1, 0, 0, 1], 5), ([2, 1], 3))}
+    monkeypatch.setattr(verify.schubert, "schubert_polynomial", lambda w: add(s_w(w), extra))
     report = verify._run_shard(CLAIMS["thm2.4"], (2, 1, 4, 3), RunConfig())
     assert (report.verdict, report.witness) == ("fails", "difference -5 at x1*x4")
 
@@ -711,6 +715,28 @@ def _memos() -> list:
         id(obj): obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_clear")
     }
     return list(memos.values())
+
+
+def _memo_entries(memo) -> dict:
+    """The argument -> result dict of a functools memo, which CPython's cache object refers to."""
+    (entries,) = [r for r in gc.get_referents(memo) if type(r) is dict and r is not memo.__dict__]
+    return entries
+
+
+def test_no_claim_changes_a_memo_entry():
+    # A memo hands the same dicts and lists to every caller, so one that
+    # changed what it read would change what every later claim reads.
+    schubpat.clear_caches()
+    memos = (schubert._schubert, incexc._polynomials, weylchar._det, weylchar._chi_by_rank)
+
+    def reports():
+        return {name: [r.json_line() for r in run_claim(name, RunConfig(max_n=5))] for name in CLAIMS}
+
+    first = reports()
+    before = [copy.deepcopy(_memo_entries(memo)) for memo in memos]
+    assert all(before)
+    assert reports() == first
+    assert [_memo_entries(memo) for memo in memos] == before
 
 
 def test_every_production_memo_hits_on_the_claims():
