@@ -4,11 +4,10 @@ characters of flagged Weyl modules, alternating subword expansions, the
 pattern-expansion coefficients c_w, and purple-box monomial families.
 """
 
-from .permwords import Permutation, Word
 from .diagrams import Diagram
 from . import diagrams, incexc, oracles, purple, schubert, weylchar
 
-__all__ = ["Permutation", "Word", "Diagram", "clear_caches"]
+__all__ = ["Diagram", "clear_caches"]
 __version__ = "0.1.0"
 
 

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 
 from . import incexc, oracles, verify, weylchar
 from .diagrams import MAX_N, Diagram, dominated_sum, rothe
 from .errors import BudgetExceededError, PatternViolationError, SchubpatError, UsageError
-from .permwords import Permutation, Word, all_permutations, avoids
+from .permwords import avoids, one_line, parse_permutation, parse_word
 from .polyx import dumps, monomial_text, polynomial_text
 from .purple import characterize_monomials, purple_family
 
@@ -72,7 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cw-table", parents=[out], help="CSV table of c_w over S_n")
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("verify", parents=[out], help="run a verification suite")
+    claims = "".join(f"\n  {name}: {c.description}" for name, c in sorted(verify.CLAIMS.items()))
+    p = sub.add_parser(
+        "verify", parents=[out], help="run a verification suite", epilog="claims:" + claims,
+        formatter_class=argparse.RawDescriptionHelpFormatter,  # keeps one line per claim
+    )
     p.add_argument("claim", choices=sorted(verify.CLAIMS))
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--jobs", type=int, default=1)
@@ -124,17 +129,17 @@ def _poly_out(p: dict[int, int], args, nvars: int) -> str:
     return polynomial_text(p)
 
 
-def _parse(kind: type[Permutation] | type[Word], s: str):
-    """`kind.from_string(s)` for Permutation or Word, with bad input as a usage error.
+def _parse(s: str, kind: str = "permutation") -> tuple[int, ...]:
+    """The tuple of a permutation, or with kind "word" of a word; bad input is a usage error.
 
     So is one longer than `MAX_N`: exponents of its polynomials could overflow their digits.
     """
     try:
-        parsed = kind.from_string(s)
+        parsed = parse_word(s) if kind == "word" else parse_permutation(s)
     except ValueError as exc:
-        raise UsageError(f"bad {kind.__name__.lower()} {s!r}: {exc}") from None
+        raise UsageError(f"bad {kind} {s!r}: {exc}") from None
     if len(parsed) > MAX_N:
-        raise UsageError(f"{kind.__name__.lower()} of length {len(parsed)} is longer than {MAX_N}")
+        raise UsageError(f"{kind} of length {len(parsed)} is longer than {MAX_N}")
     return parsed
 
 
@@ -142,7 +147,7 @@ def _parse_diagram(s: str) -> Diagram:
     """Diagram JSON, or the Rothe diagram of a permutation; bad input is a usage error."""
     s = s.strip()
     if not s.startswith("{"):
-        return rothe(_parse(Permutation, s).values)
+        return rothe(_parse(s))
     try:
         return Diagram.from_json(json.loads(s))
     except (ValueError, KeyError, TypeError) as exc:
@@ -150,16 +155,16 @@ def _parse_diagram(s: str) -> Diagram:
 
 
 def _cmd_schubert(args) -> int:
-    w = _parse(Permutation, args.perm)
-    if args.method == "diagram" and not avoids(w.values):
-        raise PatternViolationError(f"{w} contains 1432 or 1423")
-    p = oracles.schubert_divdiff(w) if args.method == "divdiff" else dominated_sum(rothe(w.values))
-    _emit(_poly_out(p, args, w.n), args)
+    w = _parse(args.perm)
+    if args.method == "diagram" and not avoids(w):
+        raise PatternViolationError(f"{one_line(w)} contains 1432 or 1423")
+    p = oracles.schubert_divdiff(w) if args.method == "divdiff" else dominated_sum(rothe(w))
+    _emit(_poly_out(p, args, len(w)), args)
     return EXIT_OK
 
 
 def _cmd_rothe(args) -> int:
-    D = rothe(_parse(Permutation, args.perm).values)
+    D = rothe(_parse(args.perm))
     if args.format == "json":
         _emit(json.dumps(D.to_json(), separators=(",", ":")), args)
     else:
@@ -167,22 +172,22 @@ def _cmd_rothe(args) -> int:
     return EXIT_OK
 
 
-def _cw_by(method: str, w: Permutation) -> int:
+def _cw_by(method: str, w: tuple[int, ...]) -> int:
     if method == "ie":
-        return incexc.cw_inclusion_exclusion(w.values)
+        return incexc.cw_inclusion_exclusion(w)
     if method == "rec":
         return oracles.cw_recursive(w)
-    return incexc.cw_augmentation(w.values)
+    return incexc.cw_augmentation(w)
 
 
-def _cw_all_methods(w: Permutation) -> tuple[dict[str, int], bool]:
+def _cw_all_methods(w: tuple[int, ...]) -> tuple[dict[str, int], bool]:
     """c_w by `ie`, `rec` and, for an avoider, `aug`; and whether they give one value."""
-    values = {m: _cw_by(m, w) for m in ["ie", "rec"] + (["aug"] if avoids(w.values) else [])}
+    values = {m: _cw_by(m, w) for m in ["ie", "rec"] + (["aug"] if avoids(w) else [])}
     return values, len(set(values.values())) == 1
 
 
 def _cmd_cw(args) -> int:
-    w = _parse(Permutation, args.perm)
+    w = _parse(args.perm)
     if args.all_methods:
         values, agree = _cw_all_methods(w)
     else:
@@ -190,9 +195,9 @@ def _cmd_cw(args) -> int:
         values, agree = {method: _cw_by(method, w)}, True
     if agree:
         value = next(iter(values.values()))
-        out, text = {"w": str(w), "c": value, "methods": list(values)}, str(value)
+        out, text = {"w": one_line(w), "c": value, "methods": list(values)}, str(value)
     else:
-        out, text = {"w": str(w), "disagree": values}, f"DISAGREE: {values}"
+        out, text = {"w": one_line(w), "disagree": values}, f"DISAGREE: {values}"
     _emit(json.dumps(out) if args.format == "json" else text, args)
     return EXIT_OK if agree else EXIT_COUNTEREXAMPLE
 
@@ -202,10 +207,11 @@ def _cmd_cw_table(args) -> int:
         raise UsageError(f"n must be nonnegative, got {args.n}")
     lines = ["w,length,c_w,methods_agree"]
     all_agree = True
-    for w in all_permutations(args.n):
+    for w in itertools.permutations(range(1, args.n + 1)):
         values, agree = _cw_all_methods(w)
         all_agree = all_agree and agree
-        lines.append(f"{w},{w.inversions()},{values['ie']},{str(agree).lower()}")
+        # |D(w)| is the length of w, its number of inversions.
+        lines.append(f"{one_line(w)},{len(rothe(w))},{values['ie']},{str(agree).lower()}")
     _emit("\n".join(lines), args)
     return EXIT_OK if all_agree else EXIT_COUNTEREXAMPLE
 
@@ -259,21 +265,21 @@ def _cmd_purple(args) -> int:
             raise UsageError("--l is required for diagram input")
         sigma = None
     else:
-        sigma = _parse(Permutation, s)
-        D = rothe(sigma.values)
+        sigma = _parse(s)
+        D = rothe(sigma)
     for flag, value in (("--k", args.k), ("--l", args.l)):
         if value is not None and not 1 <= value <= D.n:
             raise UsageError(f"{flag} {value} is outside 1..{D.n}")
-    l = args.l if args.l is not None else sigma(args.k)
+    l = args.l if args.l is not None else sigma[args.k - 1]
     if args.characterize:
         if sigma is None:
             raise UsageError("--characterize requires permutation input")
-        if l != sigma(args.k):
-            raise UsageError(f"--characterize needs --l {sigma(args.k)} = sigma(k), not {l}")
+        if l != sigma[args.k - 1]:
+            raise UsageError(f"--characterize needs --l {sigma[args.k - 1]} = sigma(k), not {l}")
     family = purple_family(D, args.k, l)
     payload = family.to_json()
     if args.characterize:
-        result = characterize_monomials(sigma.values)[args.k - 1]
+        result = characterize_monomials(sigma)[args.k - 1]
         payload["working"] = sorted(map(monomial_text, result.working))
         payload["extra"] = sorted(map(monomial_text, result.extra))
     if args.format == "json":
@@ -301,8 +307,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_alternating_sum(args) -> int:
-    w = _parse(Permutation, args.perm)
-    u = _parse(Word, args.u)
+    w = _parse(args.perm)
+    u = _parse(args.u, "word")
     result = oracles.alternating_sum(w, u)
     if args.format == "json":
         _emit(json.dumps(result.to_json(), separators=(",", ":")), args)

@@ -15,8 +15,8 @@ deletion.  All three are memoized on the deletions only; an entry of the
 polynomial table is a term dict (`polyx`), the full mask's being the memo's
 S_w itself, so a caller changes no table it reads.  Their oracles are
 the per-mask route, one term per subword and a superset-sum transform
-(`oracles.alternating_sums`), and the term-by-term sum through `Word`
-subwords (`oracles.alternating_sum`, the per-term output of the CLI).
+(`oracles.alternating_sums`), and the term-by-term sum over the subwords
+themselves (`oracles.alternating_sum`, the per-term output of the CLI).
 Every function here takes w as its one-line notation, a plain tuple.
 
 `verify_single_step` (the subject of `thm1.0`) decides one row of the
@@ -25,7 +25,7 @@ building it.
 
 c_w itself is `cw_inclusion_exclusion`, entry 0 of the alternating table.
 Its independent routes are the recursion, `oracles.cw_recursive`, which
-walks `Word` subwords and `oracles.flatten`, and the counting
+walks the subwords of w and `oracles.flatten`, and the counting
 (`cw_augmentation`, the subject of `thm1.2`), which builds no diagram: it
 decides augmentations column by column on row k alone (`diagrams.restricts`).
 """

@@ -13,7 +13,7 @@ can compare the two exhaustively at small n:
   coefficients of S_w by counting dominated diagrams
   (`coefficient_by_counting`);
 - c_w by its defining recursion (`cw_recursive`), the alternating sum term
-  by term through `Word` subwords and relabelled variables
+  by term through subwords and relabelled variables
   (`alternating_sum`, `substitute_variables`), and the lemma counts
   `restricted_diagram_count` and `bv_count`;
 - the per-mask route to the tables over the masks of w: perm(v) of every
@@ -27,9 +27,12 @@ can compare the two exhaustively at small n:
   (`purple_boxes_bruteforce`, `purple_family_by_enumeration`), and the
   subtraction check of one whole member (`verify_theorem_gen`);
 - pattern occurrences by brute force (`pattern_count`), and the subword
-  poset through `Permutation` and `Word` (`inverse`, `swap_positions`,
-  `flatten`, `is_subword`, `subwords_between`, `substitution_indices`,
-  `all_subwords`).
+  poset (`inverse`, `swap_positions`, `flatten`, `is_subword`,
+  `subwords_between`, `substitution_indices`, `all_subwords`).
+
+A permutation is its one-line tuple and a word its tuple of letters, as in
+the engine; nothing here checks again that a tuple it was given or built is
+a permutation or a word.
 
 The errors these routes raise (`NotASubwordError`, `LetterNotInWordError`,
 `LengthGuardError`, `UnmappedVariableError`, `NotInFamilyError`) are
@@ -49,7 +52,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .diagrams import Diagram, _column_dominated_sets, rothe
 from .errors import PatternViolationError, SchubpatError
-from .permwords import Permutation, Word, avoids
+from .permwords import avoids, one_line
 from .polyx import (
     add, exponent_key, monomial_key, mul, nonnegative_after_subtracting, sub, to_json, unpack
 )
@@ -119,34 +122,29 @@ def row_monomial(D: Diagram) -> int:
 # -- permutations and the subword poset --------------------------------------
 
 
-def inverse(w: Permutation) -> Permutation:
-    """w^{-1}: the position of each value, in one-line notation."""
-    inv = [0] * len(w)
-    for pos, val in enumerate(w.values, start=1):
-        inv[val - 1] = pos
-    return Permutation(tuple(inv))
+def inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    """w^{-1}: the positions 1..n sorted by the value w has there."""
+    return tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
 
 
-def swap_positions(w: Permutation, i: int) -> Permutation:
+def swap_positions(w: tuple[int, ...], i: int) -> tuple[int, ...]:
     """Exchange the entries at positions i and i+1 (right action of s_i)."""
-    v = list(w.values)
-    v[i - 1], v[i] = v[i], v[i - 1]
-    return Permutation(tuple(v))
+    return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
 
 
-def flatten(v: Word) -> Permutation:
+def flatten(v: tuple[int, ...]) -> tuple[int, ...]:
     """perm(v): replace the smallest letter by 1, the next by 2, and so on."""
-    rank = {a: r for r, a in enumerate(sorted(v.letters), start=1)}
-    return Permutation(tuple(rank[a] for a in v.letters))
+    rank = {a: r for r, a in enumerate(sorted(v), start=1)}
+    return tuple(rank[a] for a in v)
 
 
-def is_subword(u: Word, v: Word) -> bool:
+def is_subword(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     """True iff u occurs as a (not necessarily contiguous) subsequence of v."""
-    it = iter(v.letters)
-    return all(a in it for a in u.letters)
+    it = iter(v)
+    return all(a in it for a in u)
 
 
-def subwords_between(u: Word, w: Permutation) -> list[Word]:
+def subwords_between(u: tuple[int, ...], w: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All words v with u <= v <= word(w), each once.
 
     Since the letters of w are distinct, these are the restrictions of
@@ -155,35 +153,34 @@ def subwords_between(u: Word, w: Permutation) -> list[Word]:
     optional positions map to positions of w increasingly, so the kept mask
     grows with the loop's mask.
     """
-    word_w = w.word()
-    if not is_subword(u, word_w):
-        raise NotASubwordError(f"{u} is not a subword of {word_w}")
-    required = set(u.letters)
-    optional = [i for i in range(len(word_w)) if word_w.letters[i] not in required]
+    if not is_subword(u, w):
+        raise NotASubwordError(f"{one_line(u)} is not a subword of {one_line(w)}")
+    required = set(u)
+    optional = [i for i in range(len(w)) if w[i] not in required]
     out = []
     for mask in range(1 << len(optional)):
         drop = {optional[t] for t in range(len(optional)) if not (mask >> t) & 1}
-        out.append(Word(tuple(a for i, a in enumerate(word_w.letters) if i not in drop)))
+        out.append(tuple(a for i, a in enumerate(w) if i not in drop))
     return out
 
 
-def substitution_indices(w: Permutation, v: Word) -> tuple[int, ...]:
+def substitution_indices(w: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """(w^{-1}(v(1)), ..., w^{-1}(v(|v|))); strictly increasing for v <= word(w)."""
     winv = inverse(w)
-    values = set(w.values)
-    for a in v.letters:
+    values = set(w)
+    for a in v:
         if a not in values:
-            raise LetterNotInWordError(f"letter {a} does not occur in {w}")
-    if not is_subword(v, w.word()):
-        raise NotASubwordError(f"{v} is not a subword of {w.word()}")
-    out = tuple(winv(a) for a in v.letters)
+            raise LetterNotInWordError(f"letter {a} does not occur in {one_line(w)}")
+    if not is_subword(v, w):
+        raise NotASubwordError(f"{one_line(v)} is not a subword of {one_line(w)}")
+    out = tuple(winv[a - 1] for a in v)
     assert all(out[i] < out[i + 1] for i in range(len(out) - 1)), "indices must ascend"
     return out
 
 
-def all_subwords(w: Permutation) -> list[Word]:
+def all_subwords(w: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All subwords of word(w), the empty word included."""
-    return subwords_between(Word(), w)
+    return subwords_between((), w)
 
 
 # -- Schubert polynomials and their specialization ---------------------------
@@ -209,15 +206,15 @@ def divided_difference(p: dict[int, int], i: int) -> dict[int, int]:
     return {k: c for k, c in terms.items() if c}
 
 
-def schubert_divdiff(w: Permutation) -> dict[int, int]:
+def schubert_divdiff(w: tuple[int, ...]) -> dict[int, int]:
     """The Schubert polynomial of w via divided differences: the oracle of the transition route.
 
     Walks up to the longest element of S_n, x_1^(n-1) x_2^(n-2) ... x_(n-1),
     along first ascents; not memoized.
     """
-    i = next((i for i in range(1, w.n) if w(i) < w(i + 1)), None)
+    i = next((i for i in range(1, len(w)) if w[i - 1] < w[i]), None)
     if i is None:
-        return {exponent_key(range(w.n - 1, 0, -1)): 1}
+        return {exponent_key(range(len(w) - 1, 0, -1)): 1}
     return divided_difference(schubert_divdiff(swap_positions(w, i)), i)
 
 
@@ -235,16 +232,16 @@ def dominated_sum_by_enumeration(D: Diagram) -> dict[int, int]:
     return terms
 
 
-def coefficient_by_counting(w: Permutation, m: int) -> int:
+def coefficient_by_counting(w: tuple[int, ...], m: int) -> int:
     """#{C <= D(w) : x^C = m}, m a key; equals the Schubert coefficient for avoiders."""
-    if not avoids(w.values):
-        raise PatternViolationError(f"{w} contains 1432 or 1423")
-    return sum(1 for C in enumerate_dominated(rothe(w.values)) if row_monomial(C) == m)
+    if not avoids(w):
+        raise PatternViolationError(f"{one_line(w)} contains 1432 or 1423")
+    return sum(1 for C in enumerate_dominated(rothe(w)) if row_monomial(C) == m)
 
 
-def reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
+def reduced_words(w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """All reduced words a_1 ... a_l with w = s_{a_1} ... s_{a_l}."""
-    descents = [i for i in range(1, w.n) if w(i) > w(i + 1)]
+    descents = [i for i in range(1, len(w)) if w[i - 1] > w[i]]
     if not descents:
         yield ()
         return
@@ -253,13 +250,13 @@ def reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
             yield r + (i,)
 
 
-def macdonald_oracle(w: Permutation, max_length: int = 12) -> int:
+def macdonald_oracle(w: tuple[int, ...], max_length: int = 12) -> int:
     """Principal specialization via the reduced-word summation identity.
 
     Enumerates every reduced word of w and returns (sum of letter
     products) / l!; the division is always exact.
     """
-    length = w.inversions()
+    length = sum(1 for a, b in itertools.combinations(w, 2) if a > b)
     if length > max_length:
         raise LengthGuardError(f"inversion count {length} exceeds guard {max_length}")
     total = sum(math.prod(word) for word in reduced_words(w))
@@ -277,16 +274,16 @@ def restrict_keep(D: Diagram, K: Iterable[int], L: Iterable[int]) -> Diagram:
     return Diagram.of(D.n, (b for b in D.boxes if b[0] in ks and b[1] in ls))
 
 
-def hat_v(C: Diagram, w: Permutation, v: Word) -> Diagram:
+def hat_v(C: Diagram, w: tuple[int, ...], v: tuple[int, ...]) -> Diagram:
     """Restriction of C to the rows and columns corresponding to the subword v."""
-    if not is_subword(v, w.word()):
-        raise NotASubwordError(f"{v} is not a subword of {w.word()}")
-    return restrict_keep(C, substitution_indices(w, v), v.letters)
+    if not is_subword(v, w):
+        raise NotASubwordError(f"{one_line(v)} is not a subword of {one_line(w)}")
+    return restrict_keep(C, substitution_indices(w, v), v)
 
 
-def m_monomial(w: Permutation, v: Word) -> int:
+def m_monomial(w: tuple[int, ...], v: tuple[int, ...]) -> int:
     """The key of x over the boxes of D(w) outside the restriction to v's rows/columns."""
-    D = rothe(w.values)
+    D = rothe(w)
     return row_monomial(Diagram.of(D.n, D.boxes - hat_v(D, w, v).boxes))
 
 
@@ -311,16 +308,16 @@ def substitute_variables(p: dict[int, int], sigma: Mapping[int, int]) -> dict[in
     return terms
 
 
-def substituted_schubert(w: Permutation, v: Word) -> dict[int, int]:
+def substituted_schubert(w: tuple[int, ...], v: tuple[int, ...]) -> dict[int, int]:
     """S_{perm(v)} with its i-th variable sent to x at w^{-1}(v(i))."""
     indices = substitution_indices(w, v)
-    p = schubert_polynomial(flatten(v).values)
+    p = schubert_polynomial(flatten(v))
     return substitute_variables(p, dict(enumerate(indices, start=1)))
 
 
 @dataclass(frozen=True)
 class SumTerm:
-    v: Word
+    v: tuple[int, ...]
     sign: int
     monomial: int  # a key
     schubert: dict[int, int]
@@ -328,21 +325,21 @@ class SumTerm:
 
 @dataclass(frozen=True)
 class AlternatingSumResult:
-    w: Permutation
-    u: Word
+    w: tuple[int, ...]
+    u: tuple[int, ...]
     total: dict[int, int]
     per_term: tuple[SumTerm, ...]
 
     def to_json(self) -> dict:
-        n = self.w.n
+        n = len(self.w)
         ms = [unpack(t.monomial) for t in self.per_term]
         return {
-            "w": str(self.w),
-            "u": str(self.u),
+            "w": one_line(self.w),
+            "u": one_line(self.u),
             "sum": to_json(self.total, n),
             "terms": [
                 {
-                    "v": str(t.v),
+                    "v": one_line(t.v),
                     "sign": t.sign,
                     "M": [*m] + [0] * (n - len(m)),
                     "schubert": to_json(t.schubert, n),
@@ -352,7 +349,7 @@ class AlternatingSumResult:
         }
 
 
-def alternating_sum(w: Permutation, u: Word) -> AlternatingSumResult:
+def alternating_sum(w: tuple[int, ...], u: tuple[int, ...]) -> AlternatingSumResult:
     """The signed sum of M_{w,v} * substituted Schubert over u <= v <= word(w)."""
     total: dict[int, int] = {}
     terms: list[SumTerm] = []
@@ -365,12 +362,12 @@ def alternating_sum(w: Permutation, u: Word) -> AlternatingSumResult:
     return AlternatingSumResult(w, u, total, tuple(terms))
 
 
-def restricted_diagram_count(w: Permutation, v: Word, m: int) -> int:
+def restricted_diagram_count(w: tuple[int, ...], v: tuple[int, ...], m: int) -> int:
     """#{C <= hat(D(w))_v with x^C = m, m a key, and boxes only in v's rows}."""
-    if not avoids(w.values):
-        raise PatternViolationError(f"{w} contains 1432 or 1423")
+    if not avoids(w):
+        raise PatternViolationError(f"{one_line(w)} contains 1432 or 1423")
     K = set(substitution_indices(w, v))
-    Dv = hat_v(rothe(w.values), w, v)
+    Dv = hat_v(rothe(w), w, v)
     count = 0
     for C in enumerate_dominated(Dv):
         if row_monomial(C) == m and all(i in K for (i, _) in C.boxes):
@@ -378,20 +375,20 @@ def restricted_diagram_count(w: Permutation, v: Word, m: int) -> int:
     return count
 
 
-def bv_count(w: Permutation, u: Word, m: int) -> int:
+def bv_count(w: tuple[int, ...], u: tuple[int, ...], m: int) -> int:
     """|B_w minus the union of B_v over codimension-one v|, by enumeration; m is a key.
 
     B_v collects the diagrams C <= D(w) with x^C = m whose boxes outside
     the v-restriction are exactly the boxes of D(w) outside its own
     v-restriction.
     """
-    if not avoids(w.values):
-        raise PatternViolationError(f"{w} contains 1432 or 1423")
-    D = rothe(w.values)
+    if not avoids(w):
+        raise PatternViolationError(f"{one_line(w)} contains 1432 or 1423")
+    D = rothe(w)
     between = subwords_between(u, w)
     codim_one = [v for v in between if len(v) == len(w) - 1]
 
-    def in_bv(C: Diagram, v: Word) -> bool:
+    def in_bv(C: Diagram, v: tuple[int, ...]) -> bool:
         return C.boxes - hat_v(C, w, v).boxes == D.boxes - hat_v(D, w, v).boxes
 
     count = 0
@@ -472,20 +469,19 @@ def alternating_sums(values: tuple[int, ...]) -> list[dict[int, int]]:
     return superset_sums(terms)
 
 
-def cw_recursive(w: Permutation) -> int:
+def cw_recursive(w: tuple[int, ...]) -> int:
     """c_w by the defining recursion: S_w(1) minus c over all proper subwords (memoized)."""
-    return _cw_recursive(w.values)
+    return _cw_recursive(w)
 
 
 @functools.cache  # keyed by the one-line notation
-def _cw_recursive(values: tuple[int, ...]) -> int:
-    w = Permutation(values)
-    total = principal_specialization(values)
+def _cw_recursive(w: tuple[int, ...]) -> int:
+    total = principal_specialization(w)
     # c of the empty permutation is 1 and accounts for the classical -1.
-    for v in subwords_between(Word(), w):
+    for v in all_subwords(w):
         if len(v) == len(w):
             continue
-        total -= _cw_recursive(flatten(v).values) if len(v) else 1
+        total -= _cw_recursive(flatten(v)) if v else 1
     return total
 
 
@@ -560,16 +556,13 @@ def verify_theorem_gen(
 # -- patterns ----------------------------------------------------------------
 
 
-def pattern_count(u: Permutation, w: Permutation) -> int:
+def pattern_count(u: tuple[int, ...], w: tuple[int, ...]) -> int:
     """Number of occurrences of u as a pattern in w."""
-    k, target = len(u), u.values
-    if k > len(w):
+    if len(u) > len(w):
         return 0
-    v = w.values
     count = 0
-    for idx in itertools.combinations(range(len(v)), k):
-        sub = [v[i] for i in idx]
-        rank = {a: r for r, a in enumerate(sorted(sub), start=1)}
-        if tuple(rank[a] for a in sub) == target:
+    for letters in itertools.combinations(w, len(u)):
+        rank = {a: r for r, a in enumerate(sorted(letters), start=1)}
+        if tuple(rank[a] for a in letters) == u:
             count += 1
     return count

@@ -2,21 +2,18 @@
 
 Everything is 1-indexed on the external surface: a permutation in S_n is
 its one-line notation over {1..n}, and word(w) is the word w_1 ... w_n.
-Inside the engine a permutation is that one-line notation as a plain tuple
-of ints, `values`, and every engine function takes it.  `Permutation` and
-`Word` parse, validate and print outside input (the CLI's arguments) and
-the oracles' subwords; what the oracles compute on them (`flatten`,
-`inverse`, `swap_positions`) lives in `oracles`.  `inverse_values` is
-w^{-1} on the one-line tuple, for the claims that pair w with w^{-1}.
+A permutation is that one-line notation as a plain tuple of ints and a
+word is its tuple of letters, in the engine, the oracles and the tests
+alike.  Outside input is checked once, where it is read: `parse_word` and
+`parse_permutation` turn text into such tuples.  What the oracles compute
+on tuples (`flatten`, `inverse`, `swap_positions`) lives in `oracles`.
+`inverse_values` is w^{-1} on the one-line tuple, for the claims that
+pair w with w^{-1}.
 
 Textual formats (`one_line`): "15243" (compact digits) or "2,14,3" (comma
 separated, used whenever a letter exceeds 9); the empty word is "()".
 """
 from __future__ import annotations
-
-import itertools
-from dataclasses import dataclass
-from typing import Iterator
 
 
 def one_line(letters: tuple[int, ...]) -> str:
@@ -26,72 +23,33 @@ def one_line(letters: tuple[int, ...]) -> str:
     return ",".join(map(str, letters)) if max(letters) > 9 else "".join(map(str, letters))
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite sequence of pairwise distinct positive integers."""
+def parse_word(s: str) -> tuple[int, ...]:
+    """The letters of a word in the text format above; they must be positive and distinct.
 
-    letters: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if any(a < 1 for a in self.letters):
-            raise ValueError(f"letters must be positive: {self.letters}")
-        if len(set(self.letters)) != len(self.letters):
-            raise ValueError(f"letters must be distinct: {self.letters}")
-
-    @classmethod
-    def of(cls, *letters: int) -> "Word":
-        return cls(tuple(letters))
-
-    @classmethod
-    def from_string(cls, s: str) -> "Word":
-        s = s.strip()
-        if s in ("", "()"):
-            return cls()
-        if "," in s:
-            return cls(tuple(int(t) for t in s.split(",")))
-        return cls(tuple(int(ch) for ch in s))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return one_line(self.letters)
+    Raises ValueError on a token that is not an int, then on a letter
+    below 1, then on a repeated letter.
+    """
+    s = s.strip()
+    if s in ("", "()"):
+        return ()
+    letters = tuple(int(t) for t in s.split(",")) if "," in s else tuple(int(ch) for ch in s)
+    if any(a < 1 for a in letters):
+        raise ValueError(f"letters must be positive: {letters}")
+    if len(set(letters)) != len(letters):
+        raise ValueError(f"letters must be distinct: {letters}")
+    return letters
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {1..n} in one-line notation."""
+def parse_permutation(s: str) -> tuple[int, ...]:
+    """The one-line tuple of a permutation of 1..n in the text format above.
 
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.values) != list(range(1, len(self.values) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.values)}: {self.values}")
-
-    @classmethod
-    def from_string(cls, s: str) -> "Permutation":
-        return cls(Word.from_string(s).letters)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def __call__(self, i: int) -> int:
-        """w(i), 1-indexed."""
-        return self.values[i - 1]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def word(self) -> Word:
-        return Word(self.values)
-
-    def inversions(self) -> int:
-        v = self.values
-        return sum(1 for i, j in itertools.combinations(range(len(v)), 2) if v[i] > v[j])
-
-    def __str__(self) -> str:
-        return one_line(self.values)
+    Raises the ValueErrors of `parse_word` first, then one for a word that
+    is not a permutation of 1..n.
+    """
+    values = parse_word(s)
+    if sorted(values) != list(range(1, len(values) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(values)}: {values}")
+    return values
 
 
 def without_position(values: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -125,9 +83,3 @@ def avoids(v: tuple[int, ...]) -> bool:
         if sum(1 for a in v[j + 1 :] if lo < a < hi) >= 2:
             return False
     return True
-
-
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """All of S_n in lexicographic order of one-line notation."""
-    for values in itertools.permutations(range(1, n + 1)):
-        yield Permutation(values)

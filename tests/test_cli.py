@@ -276,6 +276,16 @@ def test_help_still_exits_0(capsys):
     assert "usage: schubpat" in capsys.readouterr().out
 
 
+def test_verify_help_describes_every_claim(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert len(verify.CLAIMS) == 9
+    for name, claim in verify.CLAIMS.items():
+        assert f"\n  {name}: {claim.description}\n" in out
+
+
 def test_verify_timing_under_jobs(tmp_path):
     out = tmp_path / "timed.jsonl"
     argv = ["verify", "conj5.1", "--max-n", "4", "--format", "json", "--out", str(out)]

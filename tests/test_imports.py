@@ -79,28 +79,14 @@ def test_only_polyx_knows_the_key_width():
     assert offenders == []
 
 
-# Inside the engine a permutation is its one-line tuple; these modules parse
-# outside input or are the oracles.
-MAY_IMPORT_PERMUTATION = {"__init__", "cli", "oracles", "permwords"}
-
-
-def test_only_the_input_layer_and_oracles_import_permutation_or_word():
-    package = pathlib.Path(schubpat.__file__).parent
-    forbidden = {"schubpat.permwords.Permutation", "schubpat.permwords.Word"}
-    offenders = sorted(
-        path.stem for path in package.glob("*.py")
-        if path.stem not in MAY_IMPORT_PERMUTATION and _imports(path) & forbidden
-    )
-    assert offenders == []
-
-
-def test_no_module_branches_on_permutation_type():
+def test_no_module_defines_a_permutation_or_word_class():
+    # A permutation is its one-line tuple and a word its letter tuple,
+    # input and oracles included.
     package = pathlib.Path(schubpat.__file__).parent
     for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
-                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
-                assert "Permutation" not in names, path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        assert not classes & {"Permutation", "Word"}, path.stem
 
 
 def test_cli_imports_no_concurrent_futures():

@@ -13,7 +13,7 @@ from schubpat.oracles import (
     restrict_remove,
     verify_theorem_gen,
 )
-from schubpat.permwords import all_permutations, avoids
+from schubpat.permwords import avoids
 from schubpat.polyx import key_quotient, monomial_key, nonnegative_after_subtracting, unpack
 from schubpat.purple import characterize_monomials, purple_boxes, purple_family
 from schubpat.schubert import schubert_polynomial, schubert_skipping
@@ -103,8 +103,8 @@ def test_purple_family_two_column_example():
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_purple_boxes_against_bruteforce(n):
-    for w in all_permutations(n):
-        D = rothe(w.values)
+    for w in itertools.permutations(range(1, n + 1)):
+        D = rothe(w)
         for k in range(1, n + 1):
             for l in range(1, n + 1):
                 assert purple_boxes(D, k, l) == purple_boxes_bruteforce(D, k, l)
@@ -118,11 +118,11 @@ def test_purple_boxes_bruteforce_on_non_rothe():
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_seed_always_in_family(n):
-    for w in all_permutations(n):
-        D = rothe(w.values)
+    for w in itertools.permutations(range(1, n + 1)):
+        D = rothe(w)
         for k in range(1, n + 1):
-            family = purple_family(D, k, w(k))
-            assert removed_boxes(D, k, w(k)) in family.members
+            family = purple_family(D, k, w[k - 1])
+            assert removed_boxes(D, k, w[k - 1]) in family.members
             assert all(K.boxes <= family.boxes for K in family.members)
 
 
@@ -138,18 +138,18 @@ def test_seed_lies_inside_the_purple_boxes(removal):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_purple_family_matches_enumeration_on_rothe_diagrams(n):
-    for w in all_permutations(n):
-        D = rothe(w.values)
+    for w in itertools.permutations(range(1, n + 1)):
+        D = rothe(w)
         for k in range(1, n + 1):
-            family = purple_family(D, k, w(k))
-            expected = purple_family_by_enumeration(D, k, w(k))
+            family = purple_family(D, k, w[k - 1])
+            expected = purple_family_by_enumeration(D, k, w[k - 1])
             assert (family.boxes, family.members, frozenset(family.row_keys())) == expected, (w, k)
 
 
 @given(removals)
 def test_purple_family_matches_enumeration_off_rothe_diagrams(removal):
     D, k, l = removal
-    assume(D not in {rothe(w.values) for w in all_permutations(D.n)})
+    assume(D not in {rothe(w) for w in itertools.permutations(range(1, D.n + 1))})
     family = purple_family(D, k, l)
     expected = purple_family_by_enumeration(D, k, l)
     assert (family.boxes, family.members, frozenset(family.row_keys())) == expected
@@ -224,22 +224,22 @@ def test_characterize_two_column_example():
 
 @pytest.mark.parametrize("n", range(2, 5))
 def test_characterize_family_monomials_always_work(n):
-    for w in all_permutations(n):
-        results = characterize_monomials(w.values)
+    for w in itertools.permutations(range(1, n + 1)):
+        results = characterize_monomials(w)
         assert [result.k for result in results] == list(range(1, n + 1))
         for result in results:
             assert result.from_purple <= result.working
-            if avoids(w.values):
+            if avoids(w):
                 assert len(result.working) >= 1
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_working_monomials_do_not_depend_on_the_fixed_term(n):
     # Any term mu of the substituted S_pi gives the candidates m / mu over the support of S_sigma.
-    for w in all_permutations(n):
-        s_sigma = schubert_polynomial(w.values)
-        for result in characterize_monomials(w.values):
-            sub = schubert_skipping(w.values, result.k)
+    for w in itertools.permutations(range(1, n + 1)):
+        s_sigma = schubert_polynomial(w)
+        for result in characterize_monomials(w):
+            sub = schubert_skipping(w, result.k)
             for mu in sub:
                 quotients = {key_quotient(m, mu) for m in s_sigma} - {None}
                 working = {q for q in quotients if nonnegative_after_subtracting(s_sigma, q, sub)}

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import itertools
 import importlib
 import json
 import math
@@ -19,7 +20,7 @@ import schubpat
 from schubpat import incexc, oracles, polyx, purple, schubert, verify, weylchar
 from schubpat.diagrams import Diagram
 from schubpat.errors import BudgetExceededError, PatternViolationError
-from schubpat.permwords import Permutation, all_permutations, avoids, one_line
+from schubpat.permwords import avoids, one_line, parse_permutation
 from schubpat.polyx import _canonical, add, exponent_key, mul, sub, x
 from schubpat.verify import (
     CLAIMS,
@@ -73,7 +74,7 @@ def test_thm1_1_checks_every_permutation_at_n6():
     assert len(reports) == sum(math.factorial(n) for n in range(2, 7)) == 872
     verdicts = Counter(r.verdict for r in reports)
     assert verdicts == {"holds": 514, "outside-scope": 358}
-    assert all(r.verdict == "holds" for r in reports if avoids(Permutation.from_string(r.subject).values))
+    assert all(r.verdict == "holds" for r in reports if avoids(parse_permutation(r.subject)))
 
 
 def test_jobs_produce_identical_reports():
@@ -119,7 +120,7 @@ def test_runner_builds_the_report_from_what_a_claim_returns(monkeypatch):
             raise BudgetExceededError("m")
         return returned[one_line(w)]
 
-    shards = [Permutation.from_string(s).values for s in ("12", "21", "123", "132")]
+    shards = [(1, 2), (2, 1), (1, 2, 3), (1, 3, 2)]
     monkeypatch.setitem(CLAIMS, "stub", Claim("stub", "a stub claim", lambda c: shards, run))
     assert list(run_claim("stub", RunConfig())) == [
         VerificationReport("stub", "12", "outside-scope"),
@@ -144,7 +145,7 @@ def test_thm2_4_budget_refusal_is_reported_under_any_jobs(monkeypatch):
 
 def _stub_claim(monkeypatch, run, derives=False):
     """Register a claim "stub" over S_2 .. S_5 that runs `run`, deriving w^{-1} if `derives`."""
-    shards = [w.values for n in range(2, 6) for w in all_permutations(n)]
+    shards = [w for n in range(2, 6) for w in itertools.permutations(range(1, n + 1))]
     claim = Claim("stub", "a stub claim", lambda c: shards, run, inverse_invariant=derives)
     monkeypatch.setitem(CLAIMS, "stub", claim)
     return [one_line(w) for w in shards]
@@ -242,7 +243,7 @@ def test_derived_reports_are_the_reports_of_running_every_shard(monkeypatch, nam
     for jobs in (1, 2, 3):
         assert list(run_claim(name, RunConfig(max_n=6, jobs=jobs))) == expected, jobs
     # Under one job every shard runs in this process but the derived ones, w^-1 < w.
-    derived = {w for w in shards if oracles.inverse(Permutation(w)).values < w}
+    derived = {w for w in shards if oracles.inverse(w) < w}
     assert len(derived) == 322 + 47 + 7 + 1  # (n! - #involutions) / 2 on S_6 .. S_3
     assert ran == [w for w in shards if w not in derived]
 
@@ -264,8 +265,8 @@ def test_a_failing_representative_makes_its_partner_run(monkeypatch, alarm, jobs
     assert exit_code(reports) == 2
     # The parent runs every representative under one job, and only the partner under two.
     representatives = [
-        one_line(w.values) for n in range(2, 6) for w in all_permutations(n)
-        if w.values <= oracles.inverse(w).values
+        one_line(w) for n in range(2, 6) for w in itertools.permutations(range(1, n + 1))
+        if w <= oracles.inverse(w)
     ]
     assert ran == (sorted(representatives + ["1423"], key=subjects.index) if jobs == 1 else ["1423"])
     assert multiprocessing.active_children() == []
@@ -328,7 +329,7 @@ def test_thm1_1_builds_each_avoider_table_once(monkeypatch):
     assert exit_code(run_claim("thm1.1", RunConfig(max_n=5))) == 0
     # An avoider of S_<=4 is a shard and a deletion, through one memo; an
     # avoider of S_5 is a shard only.  Deletions of avoiders are avoiders.
-    avoiders = Counter(w.values for n in range(6) for w in all_permutations(n) if avoids(w.values))
+    avoiders = Counter(w for n in range(6) for w in itertools.permutations(range(1, n + 1)) if avoids(w))
     assert calls == avoiders
 
 def test_identity_builds_each_table_once_per_shard(monkeypatch):
@@ -350,12 +351,12 @@ def test_identity_builds_each_table_once_per_shard(monkeypatch):
     # shards of S_<=4 alike; c_w is read off the deletions' alternating tables.
     # Of S_5 only the representatives, w <= w^-1, build their c table, once.
     smaller = Counter(
-        (name, w.values) for name in builders for n in range(5) for w in all_permutations(n)
+        (name, w) for name in builders for n in range(5) for w in itertools.permutations(range(1, n + 1))
     )
     representatives = Counter(
-        ("pattern_coefficients", w.values)
-        for w in all_permutations(5)
-        if w.values <= oracles.inverse(w).values
+        ("pattern_coefficients", w)
+        for w in itertools.permutations(range(1, 6))
+        if w <= oracles.inverse(w)
     )
     assert calls == smaller + representatives
 
@@ -618,11 +619,11 @@ def test_thm2_7_unexpected_inequality_witness(monkeypatch, stub):
 
 
 def test_thm2_7_unexpected_equality_witness(monkeypatch):
-    w = Permutation.from_string("1432")
-    s_w = schubert.schubert_polynomial(w.values)
+    w = (1, 4, 3, 2)
+    s_w = schubert.schubert_polynomial(w)
     monkeypatch.setattr(verify, "count_dominated", lambda D: oracles.evaluate_all_ones(s_w))
     monkeypatch.setattr(verify, "dominated_sum", lambda D: s_w)
-    report = verify._run_shard(CLAIMS["thm2.7"], w.values, RunConfig())
+    report = verify._run_shard(CLAIMS["thm2.7"], w, RunConfig())
     assert (report.verdict, report.witness) == ("fails", "unexpected equality for avoidance=False")
 
 
@@ -631,8 +632,8 @@ def test_thm2_7_builds_no_product_for_a_certified_non_avoider(monkeypatch):
         raise AssertionError("the count certificate should decide")
 
     monkeypatch.setattr(verify, "dominated_sum", refuse)
-    for w in ("1432", "1423", "15243"):
-        report = verify._run_shard(CLAIMS["thm2.7"], Permutation.from_string(w).values, RunConfig())
+    for w in ((1, 4, 3, 2), (1, 4, 2, 3), (1, 5, 2, 4, 3)):
+        report = verify._run_shard(CLAIMS["thm2.7"], w, RunConfig())
         assert report.verdict == "holds"
 
 
@@ -645,9 +646,9 @@ def test_avoider_claims_hold_s_w_only_for_patterns_of_avoiders():
     after_claims = schubert._schubert.cache_info().currsize
     schubpat.clear_caches()
     for n in range(2, 7):
-        for w in all_permutations(n):
-            if avoids(w.values):
-                for pattern in oracles.subword_patterns(w.values):
+        for w in itertools.permutations(range(1, n + 1)):
+            if avoids(w):
+                for pattern in oracles.subword_patterns(w):
                     schubert.schubert_polynomial(pattern)
     assert after_claims == schubert._schubert.cache_info().currsize
 
@@ -657,7 +658,7 @@ def test_subword_claims_hold_tables_of_the_deletions_only():
     schubpat.clear_caches()
     for name in ("identity", "conj5.1"):
         assert exit_code(list(run_claim(name, RunConfig(max_n=6)))) == 0
-    smaller = [w.values for n in range(6) for w in all_permutations(n)]
+    smaller = [w for n in range(6) for w in itertools.permutations(range(1, n + 1))]
     for memo in (incexc._alternating, incexc._coefficients):
         assert memo.cache_info().currsize == len(smaller) == 154
         # Every key of S_0 .. S_5 is a hit, so the memo holds no key of length 6.
@@ -672,7 +673,7 @@ def test_thm1_1_holds_tables_of_avoiders_deletions_only():
     schubpat.clear_caches()
     assert exit_code(list(run_claim("thm1.1", RunConfig(max_n=6)))) == 0
     memo = incexc._polynomials
-    avoiders = [w.values for n in range(6) for w in all_permutations(n) if avoids(w.values)]
+    avoiders = [w for n in range(6) for w in itertools.permutations(range(1, n + 1)) if avoids(w)]
     assert memo.cache_info().currsize == len(avoiders)
     # Every key is a hit among the avoiders of S_0 .. S_5, so none has length 6.
     misses = memo.cache_info().misses
@@ -697,7 +698,7 @@ def test_clear_caches_reaches_every_memo():
     for name in CLAIMS:
         list(run_claim(name, RunConfig(max_n=4)))
     # The oracle memos, which no claim uses.
-    oracles.cw_recursive(Permutation.from_string("1432"))
+    oracles.cw_recursive((1, 4, 3, 2))
     oracles.subword_patterns((2, 1))
     memos = _memos()
     assert len(memos) == 11
