@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: schubert | rothe | cw | cw-table | verify | purple | chi |
-alternating-sum.  `schubert --method divdiff`, `cw --method rec`, `cw-table`
-and `alternating-sum` print routes of `oracles`.
+alternating-sum.  `schubert --method divdiff`, `cw --method rec` or
+`--all-methods`, `cw-table` and `alternating-sum` print routes of `oracles`,
+and only their handlers import it, when they run: no other command loads it.
 
 Each subcommand takes only the options its handler reads.  Every one but
 `cw-table` and `verify` takes `--format {text,json}` and `--out`;
@@ -26,7 +27,7 @@ import itertools
 import json
 import sys
 
-from . import incexc, oracles, verify, weylchar
+from . import incexc, verify, weylchar
 from .diagrams import MAX_N, Diagram, dominated_sum, rothe
 from .errors import BudgetExceededError, PatternViolationError, SchubpatError, UsageError
 from .permwords import avoids, one_line, parse_permutation, parse_word
@@ -156,9 +157,14 @@ def _parse_diagram(s: str) -> Diagram:
 
 def _cmd_schubert(args) -> int:
     w = _parse(args.perm)
-    if args.method == "diagram" and not avoids(w):
+    if args.method == "divdiff":
+        from . import oracles
+
+        p = oracles.schubert_divdiff(w)
+    elif avoids(w):
+        p = dominated_sum(rothe(w))
+    else:
         raise PatternViolationError(f"{one_line(w)} contains 1432 or 1423")
-    p = oracles.schubert_divdiff(w) if args.method == "divdiff" else dominated_sum(rothe(w))
     _emit(_poly_out(p, args, len(w)), args)
     return EXIT_OK
 
@@ -176,6 +182,8 @@ def _cw_by(method: str, w: tuple[int, ...]) -> int:
     if method == "ie":
         return incexc.cw_inclusion_exclusion(w)
     if method == "rec":
+        from . import oracles
+
         return oracles.cw_recursive(w)
     return incexc.cw_augmentation(w)
 
@@ -309,6 +317,8 @@ def _cmd_chi(args) -> int:
 def _cmd_alternating_sum(args) -> int:
     w = _parse(args.perm)
     u = _parse(args.u, "word")
+    from . import oracles
+
     result = oracles.alternating_sum(w, u)
     if args.format == "json":
         _emit(json.dumps(result.to_json(), separators=(",", ":")), args)

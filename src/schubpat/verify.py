@@ -25,14 +25,14 @@ each worker sends the reports of a block down its own pipe, None in place
 of a derived shard's, and the parent reads block b from that pipe alone, in
 block order.  A worker that is ahead waits in its send once the pipe is
 full.  Forking needs a platform that has it (not Windows), and a parent
-with no other thread.
+with no other thread.  Only a run with `jobs` > 1 imports `multiprocessing`,
+while its `RunConfig` is built.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import json
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass
@@ -69,6 +69,8 @@ class RunConfig:
         if self.jobs < 1:
             raise UsageError(f"--jobs must be at least 1, got {self.jobs}")
         if self.jobs > 1:
+            import multiprocessing
+
             try:
                 multiprocessing.get_context("fork")
             except ValueError:
@@ -387,11 +389,12 @@ def _settle(
     """
     if not claim.inverse_invariant:
         return report if report is not None else _run_shard(claim, shard, config)
-    start = time.monotonic()
+    timing = config.include_timing
+    start = time.monotonic() if timing else 0.0
     partner = inverse_values(shard)
     if partner in held:  # only representatives are held, so partner < shard
         held.remove(partner)
-        elapsed_ms = round((time.monotonic() - start) * 1000, 3) if config.include_timing else None
+        elapsed_ms = round((time.monotonic() - start) * 1000, 3) if timing else None
         return VerificationReport(claim.name, one_line(shard), "holds", None, elapsed_ms)
     if report is None:
         report = _run_shard(claim, shard, config)
@@ -438,6 +441,8 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
         for shard in shards:
             yield _settle(claim, shard, None, config, held)
         return
+    import multiprocessing  # already loaded by the check in `RunConfig`
+
     fork = multiprocessing.get_context("fork")
     # About 16 blocks per worker: few enough to keep the messages few, enough to
     # balance shards of uneven cost.  Blocks are consecutive: S_n dealt one shard

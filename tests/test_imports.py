@@ -1,13 +1,17 @@
 """What the package imports.
 
 One production route per quantity: no production module imports `oracles`.
-The CLI starts without `concurrent.futures`: verify forks its own workers.
+`import schubpat` loads no oracle, and `cli` imports it only inside the
+handlers that print one, so a `verify` run never loads it.  The CLI starts
+without `concurrent.futures`: verify forks its own workers, and only a run
+with `--jobs` above 1 loads `multiprocessing`.
 """
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import schubpat
 
@@ -89,12 +93,60 @@ def test_no_module_defines_a_permutation_or_word_class():
         assert not classes & {"Permutation", "Word"}, path.stem
 
 
-def test_cli_imports_no_concurrent_futures():
-    code = "import sys, schubpat.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+def _fresh(code: str) -> str:
+    """The stdout of `code`, dedented, run by a new interpreter that imports this package."""
     src = pathlib.Path(schubpat.__file__).parent.parent
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, check=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(src)),
     ).stdout
-    assert out == "[]\n"
+
+
+def test_cli_imports_no_concurrent_futures():
+    code = "import sys, schubpat.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    assert _fresh(code) == "[]\n"
+
+
+def test_verify_loads_no_oracle_and_multiprocessing_only_above_one_job(tmp_path):
+    code = f"""
+        import sys
+        from schubpat import cli, verify
+        def run(jobs):
+            out = {str(tmp_path)!r} + "/jobs" + jobs
+            code = cli.main(["verify", "identity", "--max-n", "4", "--jobs", jobs, "--out", out])
+            print(code, "schubpat.oracles" in sys.modules, "multiprocessing" in sys.modules)
+        run("1")
+        verify.RunConfig(jobs=2)  # its fork check loads it, before any run starts
+        print("multiprocessing" in sys.modules)
+        run("2")
+    """
+    assert _fresh(code) == "0 False False\nTrue\n0 False True\n"
+    one, two = (tmp_path / "jobs1").read_bytes(), (tmp_path / "jobs2").read_bytes()
+    assert one == two and len(one.splitlines()) == 32
+
+
+def test_oracle_commands_load_the_oracles_when_they_run():
+    code = """
+        import sys
+        from schubpat import cli
+        for argv in (["schubert", "2143", "--method", "diagram"], ["schubert", "2143"],
+                     ["alternating-sum", "21", "21"]):
+            code = cli.main(argv)
+            print(code, "schubpat.oracles" in sys.modules, flush=True)
+    """
+    assert _fresh(code) == (
+        "x1^2 + x1*x2 + x1*x3\n0 False\n"
+        "x1^2 + x1*x2 + x1*x3\n0 True\n"
+        "x1\n0 True\n"
+    )
+
+
+def test_clear_caches_after_a_bare_import():
+    code = """
+        import sys, schubpat
+        print(sorted(m for m in sys.modules if m.startswith("schubpat")))
+        schubpat.clear_caches()
+        print("schubpat.oracles" in sys.modules)
+    """
+    assert _fresh(code) == "['schubpat', 'schubpat.diagrams', 'schubpat.polyx']\nTrue\n"
