@@ -23,6 +23,6 @@ def clear_caches() -> None:
 
     for memo in (diagrams._column_dominated_sets, purple._purple_sets,
                  schubert._schubert, schubert._spec, weylchar._det, weylchar._chi_by_rank,
-                 incexc._alternating, incexc._coefficients, incexc._polynomials,
+                 incexc._alternating, incexc._chain_sums, incexc._polynomials,
                  oracles._mask_positions, oracles._cw_recursive):
         memo.cache_clear()

@@ -9,21 +9,22 @@ that drops position i is a mask of w without position i.
 at once: the full mask is S_w, and a mask whose lowest clear bit is i is
 the mask with i kept less M_i times the deletion's entry with x_{i+1}
 skipped.  At x = 1 the sums are integers: `alternating_specializations`
-(the subject of `conj5.1`) and `pattern_coefficients` (c of the pattern at
-every mask, the subject of `identity`) do a few slice operations per
-deletion.  All three are memoized on the deletions only; an entry of the
-polynomial table is a term dict (`polyx`), the full mask's being the memo's
-S_w itself, so a caller changes no table it reads.  Their oracles are
-the per-mask route, one term per subword and a superset-sum transform
-(`oracles.alternating_sums`), and the term-by-term sum over the subwords
-themselves (`oracles.alternating_sum`, the per-term output of the CLI).
-Every function here takes w as its one-line notation, a plain tuple.
+(the subject of `conj5.1`) does a few slice operations per deletion, and
+`chain_sums` (the subject of `identity`) keeps n + 1 entries of that table
+and of the sums of c over the masks, one from each deletion.  All three
+are memoized on the deletions only; an entry of the polynomial table is a
+term dict (`polyx`), the full mask's being the memo's S_w itself, so a
+caller changes no table it reads.  Their oracles are the per-mask route,
+one term per subword and a superset-sum transform (`oracles.alternating_sums`),
+and the term-by-term sum over the subwords themselves (`oracles.alternating_sum`,
+the per-term output of the CLI).  Every function here takes w as its
+one-line notation, a plain tuple.
 
 `verify_single_step` (the subject of `thm1.0`) decides one row of the
 polynomial table, S_w - M_k * S_pi skipping x_k, by lookups in S_w, without
 building it.
 
-c_w itself is `cw_inclusion_exclusion`, entry 0 of the alternating table.
+c_w itself is `cw_inclusion_exclusion`, h[0] of `chain_sums`.
 Its independent routes are the recursion, `oracles.cw_recursive`, which
 walks the subwords of w and `oracles.flatten`, and the counting
 (`cw_augmentation`, the subject of `thm1.2`), which builds no diagram: it
@@ -62,51 +63,42 @@ def alternating_specializations(values: tuple[int, ...]) -> list[int]:
     return g
 
 
-def pattern_coefficients(values: tuple[int, ...]) -> list[int]:
-    """c_{perm(v)} for every subword v of word(w), indexed by mask (not memoized).
+def chain_sums(values: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The chains (h, s) of w, n + 1 entries each, from its deletions' chains (not memoized).
 
-    A mask that drops position i is a mask of w without position i: with i
-    its lowest clear bit, the masks lo::2^(i+1) copy that table at lo::2^i.
-    The full mask is c_w, read from the same n deletions (`_cw`).  The
-    specialization identity says the table sums to S_w(1).
+    h[j] is entry 2^j - 1 of `alternating_specializations`, the mask that
+    keeps positions 1..j: h[n] = S_w(1), and that mask's lowest clear bit is
+    j, so h[j] = h[j + 1] less h[j] of w without position j.  c_w is h[0].
+    s[j] is the sum of c_{perm(v)} over the masks v that keep positions
+    1..j: s[n] = c_w, and the masks that also drop j are, bit j squeezed
+    out, those of w without position j that keep 1..j, pattern for pattern,
+    so s[j] = s[j + 1] plus s[j] of that deletion.  The specialization
+    identity says that s[0], c summed over every subword, is S_w(1).
     """
     n = len(values)
-    t = [0] * (1 << n)
-    deletions = [without_position(values, i) for i in range(n)]
-    for i, deleted in enumerate(deletions):
-        lo, bit = (1 << i) - 1, 1 << i
-        t[lo :: 2 * bit] = _coefficients(deleted)[lo::bit]
-    t[-1] = _cw(values, deletions)
-    return t
+    h, s = [principal_specialization(values)] * (n + 1), [0] * (n + 1)
+    for j in reversed(range(n)):
+        deleted_h, deleted_s = _chain_sums(without_position(values, j))
+        h[j] = h[j + 1] - deleted_h[j]
+        s[j] = s[j + 1] + deleted_s[j]
+    return h, [t + h[0] for t in s]
 
 
 def cw_inclusion_exclusion(values: tuple[int, ...]) -> int:
     """c_w, the signed sum of S_{perm(v)}(1) over every subword v of word(w)."""
-    return _cw(values, [without_position(values, i) for i in range(len(values))])
+    return chain_sums(values)[0][0]
 
 
-def _cw(values: tuple[int, ...], deletions: list[tuple[int, ...]]) -> int:
-    """c_w from the tables of its deletions, deletions[i] being w without position i.
-
-    This is g[0] of `alternating_specializations`, read down the chain of
-    masks 2^i - 1: g[2^i - 1] = g[2^(i+1) - 1] less entry 2^i - 1 of the
-    table of w without position i.
-    """
-    return principal_specialization(values) - sum(
-        _alternating(deleted)[(1 << i) - 1] for i, deleted in enumerate(deletions)
-    )
-
-
-# The tables of the one-letter deletions, keyed by their one-line notation.  A
-# run to max_n holds them for S_<=max_n-1 only; the lists are never mutated.
+# The tables and chains of the one-letter deletions, keyed by their one-line
+# notation.  A run to max_n holds those of S_<=max_n-1 only; none is mutated.
 @functools.cache
 def _alternating(values: tuple[int, ...]) -> list[int]:
     return alternating_specializations(values)
 
 
 @functools.cache
-def _coefficients(values: tuple[int, ...]) -> list[int]:
-    return pattern_coefficients(values)
+def _chain_sums(values: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    return chain_sums(values)
 
 
 def alternating_polynomials(values: tuple[int, ...]) -> list[dict[int, int]]:

@@ -10,13 +10,15 @@ so report files are byte-stable for a given configuration regardless of
 the parallelism degree (timing is only recorded on request for the same
 reason).
 
-A claim whose verdict is the same for w and w^{-1} (`Claim.inverse_invariant`:
-`conj5.1` and `identity`, whose x = 1 table of w^{-1} is that of w
-re-indexed) runs only the lexicographically smaller of the two, the
-representative; it is earlier in shard order.  The other, a derived shard,
-is not run: the parent writes `holds` under its own subject when the
-representative held.  Only `holds` is derived; after any other verdict the
-parent runs the shard itself, so every witness is the shard's own.
+A claim whose verdict is the same for w and w^{-1} (`Claim.inverse_invariant`)
+runs only the lexicographically smaller of the two, the representative; it
+is earlier in shard order.  For `conj5.1` the x = 1 table of w^{-1} is w's
+re-indexed; for `identity` the subword patterns of w^{-1} are the inverses
+of w's, c_{u^{-1}} = c_u, S_{w^{-1}}(1) = S_w(1), and w fixes n iff w^{-1}
+does.  The other, a derived shard, is not run: the parent writes `holds`
+under its own subject unless the representative did not hold.  Only `holds`
+is derived; after any other verdict the parent runs the shard itself, so
+every witness is the shard's own.
 
 Under `jobs` > 1, `run_claim` forks its workers: each inherits the shard
 list, so nothing is pickled on the way in.  The shards are cut into
@@ -275,8 +277,8 @@ def _run_purple_characterization(sigma: tuple[int, ...], config: RunConfig) -> l
 
 
 def _run_identity(w: tuple[int, ...], config: RunConfig) -> list[str] | None:
-    t = _table(incexc._coefficients, incexc.pattern_coefficients, w, config)
-    c_w, total = t[-1], sum(t)
+    h, s = _table(incexc._chain_sums, incexc.chain_sums, w, config)
+    c_w, total = h[0], s[0]
     spec = schubert.principal_specialization(w)
     failures = []
     if total != spec:
@@ -379,27 +381,28 @@ def _settle(
     shard: tuple[int, ...],
     report: VerificationReport | None,
     config: RunConfig,
-    held: set[tuple[int, ...]],
+    failed: set[tuple[int, ...]],
 ) -> VerificationReport:
     """The shard's report, in shard order: `report`, or for None (not run) a derived or own one.
 
-    `held` is the parent's set of representatives that hold and whose
-    partner w^{-1} is still to come.  A shard whose partner is in it is
-    derived: its report is `holds`, timed by this lookup alone.
+    `failed` is the parent's set of representatives that did not hold and
+    whose partner w^{-1} is still to come.  A shard whose partner is smaller,
+    and so already settled, is derived unless its partner is in it: its
+    report is `holds`, timed by this lookup alone.
     """
     if not claim.inverse_invariant:
         return report if report is not None else _run_shard(claim, shard, config)
     timing = config.include_timing
     start = time.monotonic() if timing else 0.0
     partner = inverse_values(shard)
-    if partner in held:  # only representatives are held, so partner < shard
-        held.remove(partner)
+    if partner < shard and partner not in failed:
         elapsed_ms = round((time.monotonic() - start) * 1000, 3) if timing else None
         return VerificationReport(claim.name, one_line(shard), "holds", None, elapsed_ms)
+    failed.discard(partner)  # the partner's report is out: it is looked up no more
     if report is None:
         report = _run_shard(claim, shard, config)
-    if partner > shard and report.verdict == "holds":
-        held.add(shard)
+    if partner > shard and report.verdict != "holds":
+        failed.add(shard)
     return report
 
 
@@ -436,10 +439,10 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
     claim = CLAIMS[claim_name]
     shards = claim.shards(config)
     workers = min(config.jobs, len(shards))
-    held: set[tuple[int, ...]] = set()  # see `_settle`
+    failed: set[tuple[int, ...]] = set()  # see `_settle`
     if workers <= 1:
         for shard in shards:
-            yield _settle(claim, shard, None, config, held)
+            yield _settle(claim, shard, None, config, failed)
         return
     import multiprocessing  # already loaded by the check in `RunConfig`
 
@@ -475,7 +478,7 @@ def run_claim(claim_name: str, config: RunConfig) -> Iterator[VerificationReport
                 crash = f"verify worker {dead.pid} exited with code {dead.exitcode}"
                 raise RuntimeError(crash + " before its last report") from None
             for shard, report in zip(shards[blocks[b]], reports):
-                yield _settle(claim, shard, report, config, held)
+                yield _settle(claim, shard, report, config, failed)
             if error is not None:
                 raise error
         finished = True

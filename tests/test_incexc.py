@@ -10,9 +10,9 @@ from schubpat.errors import PatternViolationError
 from schubpat.incexc import (
     alternating_polynomials,
     alternating_specializations,
+    chain_sums,
     cw_augmentation,
     cw_inclusion_exclusion,
-    pattern_coefficients,
     single_step_monomial,
     verify_single_step,
 )
@@ -180,15 +180,24 @@ def per_mask_alternating(values):
     return [evaluate_all_ones(p) for p in superset_sums(terms)]
 
 
+def _keeping_first(j: int, n: int) -> list[int]:
+    """The masks of S_n that keep positions 1..j."""
+    low = (1 << j) - 1
+    return [mask for mask in range(1 << n) if mask & low == low]
+
+
 @pytest.mark.parametrize("n", range(0, 7))
 def test_deletion_tables_match_the_per_mask_route(n):
     for w in itertools.permutations(range(1, n + 1)):
         g = alternating_specializations(w)
-        assert g == per_mask_alternating(w)
+        oracle = per_mask_alternating(w)
+        assert g == oracle
         assert cw_inclusion_exclusion(w) == g[0]
-        assert pattern_coefficients(w) == [
-            per_mask_alternating(p)[0] for p in subword_patterns(w)
-        ]
+        # The chains against the per-mask route, which shares no code with them.
+        h, s = chain_sums(w)
+        c = [per_mask_alternating(p)[0] for p in subword_patterns(w)]
+        assert h == [oracle[(1 << j) - 1] for j in range(n + 1)], w
+        assert s == [sum(c[mask] for mask in _keeping_first(j, n)) for j in range(n + 1)], w
 
 
 def _inverse_masks(w: tuple[int, ...]) -> list[int]:
@@ -212,12 +221,22 @@ def _reindexes(tables: dict, n: int) -> None:
         assert inverse_table == [table[p] for p in _inverse_masks(w)], w
 
 
-@pytest.mark.parametrize("build", [alternating_specializations, pattern_coefficients])
+@pytest.mark.parametrize("build", [alternating_specializations])
 def test_x1_tables_of_the_inverse_are_reindexed(build):
-    # Why conj5.1 and identity share a verdict between w and w^{-1}: min, sum,
-    # the full mask S_w(1), and c_w at the empty mask all carry over.
+    # Why conj5.1 shares a verdict between w and w^{-1}: min, the full mask
+    # S_w(1), and c_w at the empty mask all carry over.
     for n in range(0, 8):
         _reindexes({w: build(w) for w in itertools.permutations(range(1, n + 1))}, n)
+
+
+def test_c_and_its_subword_sum_are_those_of_the_inverse():
+    # Why identity shares a verdict between w and w^{-1}: the patterns of
+    # w^{-1} are the inverses of w's, so c_{u^{-1}} = c_u on S_<=7 carries
+    # the sum over every subword over with it.
+    for n in range(0, 8):
+        for w in itertools.permutations(range(1, n + 1)):
+            (h, s), (h_inv, s_inv) = chain_sums(w), chain_sums(inverse(w))
+            assert (h_inv[0], h_inv[-1], s_inv[0]) == (h[0], h[-1], s[0]), w
 
 
 @pytest.mark.parametrize("n", range(0, 6))
@@ -232,9 +251,13 @@ def test_the_oracle_tables_at_ones_reindex_under_the_inverse(n):
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_pattern_coefficients_match_the_recursion(n):
+    # The chains against c of every pattern by the recursion.  Every pattern
+    # of S_<=6 is itself a w of S_<=6, so its own c is checked here too.
     for w in itertools.permutations(range(1, n + 1)):
-        for mask, c in enumerate(pattern_coefficients(w)):
-            assert c == cw_recursive(flatten(_subword_at(w, mask))), (w, mask)
+        c = [cw_recursive(flatten(_subword_at(w, mask))) for mask in range(1 << n)]
+        h, s = chain_sums(w)
+        assert h[0] == c[-1], w
+        assert s == [sum(c[mask] for mask in _keeping_first(j, n)) for j in range(n + 1)], w
 
 
 @pytest.mark.parametrize("n", range(0, 5))
@@ -278,16 +301,18 @@ def test_alternating_specializations_examples():
     assert alternating_specializations(()) == [1]
     # masks of 21: (), 2, 1, 21; g[u] sums (-1)^(2 - |v|) S_v(1) over v >= u
     assert alternating_specializations((2, 1)) == [0, 0, 0, 1]
-    assert pattern_coefficients((2, 1)) == [1, 0, 0, 0]
+    # c over the masks of 21 is [1, 0, 0, 0]: s sums it over the masks that keep 1..j.
+    assert chain_sums((2, 1)) == ([0, 0, 1], [1, 0, 0])
     g = alternating_specializations((1, 4, 3, 2))
     assert g[0] == cw_inclusion_exclusion((1, 4, 3, 2)) == 1
-    assert sum(pattern_coefficients((1, 4, 3, 2))) == principal_specialization((1, 4, 3, 2)) == 5
+    assert chain_sums((1, 4, 3, 2))[1][0] == principal_specialization((1, 4, 3, 2)) == 5
 
 
 def test_clear_caches_reaches_the_deletion_memos():
-    assert pattern_coefficients((1, 4, 3, 2))[-1] == 1
+    assert chain_sums((1, 4, 3, 2))[1][-1] == 1
+    assert alternating_specializations((1, 4, 3, 2))[0] == 1
     assert alternating_polynomials((1, 4, 3, 2))[-1] == schubert_polynomial((1, 4, 3, 2))
-    memos = (incexc._alternating, incexc._coefficients, incexc._polynomials)
+    memos = (incexc._alternating, incexc._chain_sums, incexc._polynomials)
     assert all(memo.cache_info().currsize for memo in memos)
     schubpat.clear_caches()
     assert not any(memo.cache_info().currsize for memo in memos)

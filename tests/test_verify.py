@@ -335,7 +335,7 @@ def test_thm1_1_builds_each_avoider_table_once(monkeypatch):
 def test_identity_builds_each_table_once_per_shard(monkeypatch):
     calls: Counter = Counter()
     builders = {
-        name: getattr(incexc, name) for name in ("alternating_specializations", "pattern_coefficients")
+        name: getattr(incexc, name) for name in ("alternating_specializations", "chain_sums")
     }
 
     def counted(name):
@@ -347,14 +347,12 @@ def test_identity_builds_each_table_once_per_shard(monkeypatch):
     for name in builders:
         monkeypatch.setattr(incexc, name, counted(name))
     assert exit_code(run_claim("identity", RunConfig(max_n=5))) == 0
-    # The memo builds both tables of S_0 .. S_4 once, for the deletions and the
-    # shards of S_<=4 alike; c_w is read off the deletions' alternating tables.
-    # Of S_5 only the representatives, w <= w^-1, build their c table, once.
-    smaller = Counter(
-        (name, w) for name in builders for n in range(5) for w in itertools.permutations(range(1, n + 1))
-    )
+    # The memo builds the chains of S_0 .. S_4 once, for the deletions and the
+    # shards of S_<=4 alike, and no x = 1 table at all.
+    # Of S_5 only the representatives, w <= w^-1, build their chains, once.
+    smaller = Counter(("chain_sums", w) for n in range(5) for w in itertools.permutations(range(1, n + 1)))
     representatives = Counter(
-        ("pattern_coefficients", w)
+        ("chain_sums", w)
         for w in itertools.permutations(range(1, 6))
         if w <= oracles.inverse(w)
     )
@@ -365,7 +363,7 @@ def test_each_table_build_makes_one_deletion_per_position(monkeypatch):
     deletions, built = 0, 0
     originals = {
         name: getattr(incexc, name)
-        for name in ("without_position", "alternating_specializations", "pattern_coefficients")
+        for name in ("without_position", "alternating_specializations", "chain_sums")
     }
 
     def delete(values, i):
@@ -381,10 +379,10 @@ def test_each_table_build_makes_one_deletion_per_position(monkeypatch):
         return build
 
     monkeypatch.setattr(incexc, "without_position", delete)
-    for name in ("alternating_specializations", "pattern_coefficients"):
+    for name in ("alternating_specializations", "chain_sums"):
         monkeypatch.setattr(incexc, name, counted(name))
     assert exit_code(run_claim("identity", RunConfig(max_n=5))) == 0
-    # c_w comes from the deletions that the shard's c table is copied from.
+    # Both chains, c_w and the sum of c, come from the same n deletions.
     assert built and deletions == built
 
 
@@ -600,8 +598,8 @@ def test_conj5_1_witness_is_the_first_negative_mask(monkeypatch):
 
 
 def test_identity_witnesses_read_the_coefficient_table(monkeypatch):
-    # The stub's table sums to 5 and puts c = 1 at the full mask; S_1243(1) = 3, S_2134(1) = 1.
-    monkeypatch.setattr(incexc, "pattern_coefficients", lambda values: [1, 1, 1, 1] + [0] * 11 + [1])
+    # The stub's chains put c = 1 at h[0] and the sum of c at s[0] = 5; S_1243(1) = 3, S_2134(1) = 1.
+    monkeypatch.setattr(incexc, "chain_sums", lambda values: ([1, 0, 0, 0, 0], [5, 0, 0, 0, 1]))
     report = verify._run_shard(CLAIMS["identity"], (1, 2, 4, 3), RunConfig())
     assert (report.verdict, report.witness) == ("fails", "sum of c over subwords = 5, specialization = 3")
     report = verify._run_shard(CLAIMS["identity"], (2, 1, 3, 4), RunConfig())
@@ -659,13 +657,29 @@ def test_subword_claims_hold_tables_of_the_deletions_only():
     for name in ("identity", "conj5.1"):
         assert exit_code(list(run_claim(name, RunConfig(max_n=6)))) == 0
     smaller = [w for n in range(6) for w in itertools.permutations(range(1, n + 1))]
-    for memo in (incexc._alternating, incexc._coefficients):
+    for memo in (incexc._alternating, incexc._chain_sums):
         assert memo.cache_info().currsize == len(smaller) == 154
         # Every key of S_0 .. S_5 is a hit, so the memo holds no key of length 6.
         misses = memo.cache_info().misses
         for values in smaller:
             memo(values)
         assert memo.cache_info().misses == misses
+
+
+def test_c_claims_hold_no_x1_table_and_chains_of_the_deletions_only():
+    # identity and thm1.2 read n + 1 entries per permutation, never a 2^n table.
+    schubpat.clear_caches()
+    for name in ("identity", "thm1.2"):
+        assert exit_code(list(run_claim(name, RunConfig(max_n=6)))) == 0
+    assert incexc._alternating.cache_info().currsize == 0
+    memo = incexc._chain_sums
+    smaller = [w for n in range(6) for w in itertools.permutations(range(1, n + 1))]
+    assert memo.cache_info().currsize == len(smaller)
+    # Every key of S_0 .. S_5 is a hit, so the memo holds no key of length 6.
+    misses = memo.cache_info().misses
+    for values in smaller:
+        memo(values)
+    assert memo.cache_info().misses == misses
 
 
 def test_thm1_1_holds_tables_of_avoiders_deletions_only():
@@ -728,7 +742,10 @@ def test_no_claim_changes_a_memo_entry():
     # A memo hands the same dicts and lists to every caller, so one that
     # changed what it read would change what every later claim reads.
     schubpat.clear_caches()
-    memos = (schubert._schubert, incexc._polynomials, weylchar._det, weylchar._chi_by_rank)
+    memos = (
+        schubert._schubert, incexc._polynomials, incexc._chain_sums, incexc._alternating,
+        weylchar._det, weylchar._chi_by_rank,
+    )
 
     def reports():
         return {name: [r.json_line() for r in run_claim(name, RunConfig(max_n=5))] for name in CLAIMS}
