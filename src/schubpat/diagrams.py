@@ -1,9 +1,10 @@
 """Box diagrams in [n] x [n], Rothe diagrams and the dominance order.
 
-A diagram is a set of boxes (i, j) with 1 <= i, j <= n, stored as its
-columns: column j is the sorted tuple of row indices occupied in that
-column, and the box set is derived.  Restriction never reindexes: a
-removed row or column stays in place, empty.
+A diagram is a set of boxes (i, j) with 1 <= i, j <= n, stored as its n
+columns alone: column j is the sorted tuple of row indices occupied in
+that column, and n and the box set are derived.  Restriction never
+reindexes: a removed row or column stays in place, empty.  A column is
+walked in one forward pass over its bounds that extends a table of states.
 """
 from __future__ import annotations
 
@@ -22,15 +23,18 @@ MAX_N = 1000
 
 @dataclass(frozen=True)
 class Diagram:
-    """A finite box set in [n] x [n] as its columns.
+    """A finite box set in [n] x [n] as its n columns.
 
     `columns[j - 1]` is the sorted tuple of the rows of column j.  The
     constructor takes canonical columns as is; `Diagram.of` is the route
     from boxes, and checks their range.
     """
 
-    n: int
     columns: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.columns)
 
     @classmethod
     def of(cls, n: int, boxes: Iterable[tuple[int, int]]) -> "Diagram":
@@ -40,7 +44,7 @@ class Diagram:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"box {(i, j)} outside [{n}] x [{n}]")
             cols[j - 1].add(i)
-        return cls(n, tuple(tuple(sorted(c)) for c in cols))
+        return cls(tuple(tuple(sorted(c)) for c in cols))
 
     @functools.cached_property  # built once per diagram; the fields stay frozen
     def boxes(self) -> frozenset[tuple[int, int]]:
@@ -82,7 +86,7 @@ def rothe(values: tuple[int, ...]) -> Diagram:
     columns: list[tuple[int, ...]] = [()] * len(values)
     for p, a in enumerate(values):
         columns[a - 1] = tuple([i for i in range(1, p + 1) if values[i - 1] > a])
-    return Diagram(len(values), tuple(columns))
+    return Diagram(tuple(columns))
 
 
 def restricts(c: tuple[int, ...], d: tuple[int, ...], k: int) -> bool:
@@ -100,20 +104,15 @@ def restricts(c: tuple[int, ...], d: tuple[int, ...], k: int) -> bool:
 
 @functools.cache  # keyed by a column, a subset of [n]: at most 2^n entries
 def _column_dominated_sets(d: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All strictly increasing tuples c with c_t <= d_t, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
+    """All strictly increasing tuples c with c_t <= d_t, in lexicographic order.
 
-    def rec(t: int, lo: int, acc: list[int]):
-        if t == len(d):
-            out.append(tuple(acc))
-            return
-        for c in range(lo + 1, d[t] + 1):
-            acc.append(c)
-            rec(t + 1, c, acc)
-            acc.pop()
-
-    rec(0, 0, [])
-    return tuple(out)
+    Each bound extends every prefix by each value above its last entry, up
+    to the bound; d rises, so every prefix extends and the order is kept.
+    """
+    sets = [()]
+    for bound in d:
+        sets = [c + (v,) for c in sets for v in range((c[-1] if c else 0) + 1, bound + 1)]
+    return tuple(sets)
 
 
 def count_dominated(D: Diagram) -> int:

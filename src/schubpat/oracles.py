@@ -101,7 +101,7 @@ def enumerate_dominated(D: Diagram) -> Iterator[Diagram]:
     """Stream every C <= D exactly once (cartesian product over columns)."""
     per_column = [_column_dominated_sets(d) for d in D.columns]
     for choice in itertools.product(*per_column):
-        yield Diagram(D.n, choice)
+        yield Diagram(choice)
 
 
 def restrict_remove(D: Diagram, k: int, l: int) -> Diagram:
@@ -210,12 +210,17 @@ def schubert_divdiff(w: tuple[int, ...]) -> dict[int, int]:
     """The Schubert polynomial of w via divided differences: the oracle of the transition route.
 
     Walks up to the longest element of S_n, x_1^(n-1) x_2^(n-2) ... x_(n-1),
-    along first ascents; not memoized.
+    in a loop along first ascents, then applies their divided differences
+    in reverse order, one per step; not memoized.
     """
-    i = next((i for i in range(1, len(w)) if w[i - 1] < w[i]), None)
-    if i is None:
-        return {exponent_key(range(len(w) - 1, 0, -1)): 1}
-    return divided_difference(schubert_divdiff(swap_positions(w, i)), i)
+    ascents = []
+    while (i := next((i for i in range(1, len(w)) if w[i - 1] < w[i]), None)) is not None:
+        ascents.append(i)
+        w = swap_positions(w, i)
+    p = {exponent_key(range(len(w) - 1, 0, -1)): 1}
+    for i in reversed(ascents):
+        p = divided_difference(p, i)
+    return p
 
 
 def evaluate_all_ones(p: dict[int, int]) -> int:

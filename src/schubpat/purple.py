@@ -83,7 +83,7 @@ class PurpleFamily:
     def member(self, choice: tuple[tuple[int, ...], ...]) -> Diagram:
         """The diagram of one of `choices()`."""
         rows = dict(zip((j for j, _, _ in self.columns), choice))
-        return Diagram(self.D.n, tuple(rows.get(j, ()) for j in range(1, self.D.n + 1)))
+        return Diagram(tuple(rows.get(j, ()) for j in range(1, self.D.n + 1)))
 
     def row_keys(self) -> list[int]:
         """The key of x^K for every member K, in the order of `choices()`."""

@@ -16,9 +16,10 @@ is earlier in shard order.  For `conj5.1` the x = 1 table of w^{-1} is w's
 re-indexed; for `identity` the subword patterns of w^{-1} are the inverses
 of w's, c_{u^{-1}} = c_u, S_{w^{-1}}(1) = S_w(1), and w fixes n iff w^{-1}
 does.  The other, a derived shard, is not run: the parent writes `holds`
-under its own subject unless the representative did not hold.  Only `holds`
-is derived; after any other verdict the parent runs the shard itself, so
-every witness is the shard's own.
+under its own subject unless the representative did not hold.  Such a
+claim shards by `_perm_shards`, so the representative is a shard too.
+Only `holds` is derived; after any other verdict the parent runs the shard
+itself, so every witness is the shard's own.
 
 Under `jobs` > 1, `run_claim` forks its workers: each inherits the shard
 list, so nothing is pickled on the way in.  The shards are cut into
@@ -108,6 +109,11 @@ class Claim:
     run: Callable[[tuple[int, ...], RunConfig], list[str] | None]  # failures; None: outside scope
     # Whether w^{-1} has w's verdict, so that the larger of the two takes a `holds` from the other.
     inverse_invariant: bool = False
+
+    def __post_init__(self):
+        # A derived shard's partner must be a shard too: S_2 .. S_max_n holds every inverse.
+        if self.inverse_invariant and self.shards is not _perm_shards:
+            raise ValueError(f"inverse-invariant claim {self.name} must shard by _perm_shards")
 
 
 def _perm_shards(config: RunConfig, n_max: int | None = None) -> list[tuple[int, ...]]:

@@ -6,8 +6,8 @@ upper-triangular matrix and C ranges over the diagrams dominated by D.
 The coefficient of a monomial m in the dual character equals the rank of
 the span of the products whose diagrams have row monomial m.
 
-y_{ij} variables live in the shared polynomial engine through the pair
-index (i, j) -> polyx.pair_index(i, j).
+y_{ij} is the variable polyx.pair_index(i, j) of the shared engine; a
+determinant is its Leibniz sum, built in one forward pass over its columns.
 
 `chi` factors the computation over columns.  Its oracle, in `oracles`,
 enumerates whole dominated diagrams and multiplies their determinant
@@ -30,21 +30,22 @@ DEFAULT_BUDGET = 10**6
 def _det(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, int]:
     """det of the submatrix of Y with these sorted rows and equally many sorted columns.
 
-    Zero unless the row set dominates the column set elementwise; the
-    expansion is exact, by cofactors along the first column.
+    Zero unless the row set dominates the column set elementwise.  Column
+    c places a row r <= c (Y is upper triangular) not placed yet; partial
+    sums are keyed by the mask of the placed positions of `rows`, and
+    placing position t adds one inversion per placed position after t.
     """
-    if not rows:
-        return {0: 1}
-    # Entry (i, j) of Y is y_{ij} when i <= j and 0 below the diagonal.
-    result: dict[int, int] = {}
-    c0 = cols[0]
-    for t, r in enumerate(rows):
-        if r > c0:
-            break
-        sign = -1 if t % 2 else 1
-        minor = _det(rows[:t] + rows[t + 1 :], cols[1:])
-        result = add(result, mul(minor, {monomial_key((pair_index(r, c0),)): sign}))
-    return result
+    partial = {0: {0: 1}}
+    for c in cols:
+        step: dict[int, dict[int, int]] = {}
+        for used, poly in partial.items():
+            for t, r in enumerate(rows):
+                if r <= c and not used >> t & 1:
+                    sign = -1 if (used >> t).bit_count() % 2 else 1
+                    term = mul(poly, {monomial_key((pair_index(r, c),)): sign})
+                    step[used | 1 << t] = add(step.get(used | 1 << t, {}), term)
+        partial = step
+    return partial.get((1 << len(rows)) - 1, {})
 
 
 def _span_rank(polys: list[dict[int, int]]) -> int:

@@ -521,6 +521,11 @@ def _top_first(n: int) -> str:
     return ",".join(map(str, [n, *range(1, n)]))
 
 
+def test_divided_differences_walk_up_to_the_longest_element_in_a_loop(capsys):
+    # 2, 1, 3, ..., 60 is C(60, 2) - 1 steps below w0, far past the recursion limit.
+    assert run(capsys, "schubert", ",".join(map(str, [2, 1, *range(3, 61)]))) == (0, "x1\n")
+
+
 def test_every_exponent_of_an_accepted_input_fits_below_its_guard_bit():
     # An exponent of a polynomial built from an input of size n is at most n.
     assert 1 << (W - 1) > MAX_N
@@ -529,6 +534,12 @@ def test_every_exponent_of_an_accepted_input_fits_below_its_guard_bit():
 def test_inputs_at_the_size_cap_are_exact_and_beyond_it_refused(capsys):
     assert run(capsys, "schubert", _top_first(MAX_N), "--method", "diagram") == (0, f"x1^{MAX_N - 1}\n")
     assert run(capsys, "chi", json.dumps({"n": MAX_N, "boxes": [[1, 1]]})) == (0, "x1\n")
+    # The long cycle 2, 3, ..., n, 1: D(w) is one column of rows 1 .. n - 1, walked without recursion.
+    cycle = ",".join(map(str, [*range(2, MAX_N + 1), 1]))
+    rows = "*".join(f"x{i}" for i in range(1, MAX_N))
+    assert run(capsys, "schubert", cycle, "--method", "diagram") == (0, rows + "\n")
+    assert run(capsys, "chi", cycle) == (0, rows + "\n")
+    assert run(capsys, "purple", cycle, "--k", "1")[0] == 0
     big = _top_first(MAX_N + 1)
     for argv in _perm_commands(big) + [["schubert", big, "--method", "diagram"]]:
         assert _usage_error_line(argv) == f"error: permutation of length {MAX_N + 1} is longer than {MAX_N}"

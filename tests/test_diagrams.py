@@ -76,8 +76,11 @@ def test_diagram_of_is_canonical(D, rng):
 
 
 def test_diagram_stores_only_its_columns():
-    assert [f.name for f in dataclasses.fields(Diagram)] == ["n", "columns"]
-    assert Diagram.of(3, [(2, 1), (1, 3), (2, 1)]) == Diagram(3, ((2,), (), (1,)))
+    assert [f.name for f in dataclasses.fields(Diagram)] == ["columns"]
+    assert Diagram.of(3, [(2, 1), (1, 3), (2, 1)]) == Diagram(((2,), (), (1,)))
+    assert Diagram.of(3, []).n == 3
+    for n in range(7):
+        assert all(rothe(w).n == n for w in itertools.permutations(range(1, n + 1)))
     with pytest.raises(ValueError, match=r"^box \(3, 3\) outside \[2\] x \[2\]$"):
         Diagram.of(2, [(1, 1), (3, 3)])
 

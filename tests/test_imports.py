@@ -1,6 +1,7 @@
 """What the package imports.
 
-One production route per quantity: no production module imports `oracles`.
+One production route per quantity: no production module imports `oracles`,
+and the column layer (`diagrams`, `weylchar`) makes no recursive call.
 `import schubpat` loads no oracle, and `cli` imports it only inside the
 handlers that print one, so a `verify` run never loads it.  The CLI starts
 without `concurrent.futures`: verify forks its own workers, and only a run
@@ -43,6 +44,29 @@ def test_no_production_module_imports_oracles():
         if name not in MAY_IMPORT_ORACLES and "schubpat.oracles" in names
     )
     assert offenders == []
+
+
+def _self_calls(path: pathlib.Path) -> list[str]:
+    """The functions of a module, nested ones included, whose bodies call them by name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef):
+            called = {
+                getattr(call.func, "id", getattr(call.func, "attr", None))
+                for call in ast.walk(node) if isinstance(call, ast.Call)
+            }
+            if node.name in called:
+                found.append(node.name)
+    return found
+
+
+def test_the_column_layer_makes_no_recursive_call():
+    # A column of n rows is walked in one forward pass: a recursion once per row
+    # would stop at Python's recursion limit below diagrams.MAX_N.
+    package = pathlib.Path(schubpat.__file__).parent
+    assert {stem: _self_calls(package / f"{stem}.py") for stem in ("diagrams", "weylchar")} == {
+        "diagrams": [], "weylchar": []
+    }
 
 
 def test_every_exported_name_resolves_on_the_package():

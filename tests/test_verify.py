@@ -144,11 +144,26 @@ def test_thm2_4_budget_refusal_is_reported_under_any_jobs(monkeypatch):
 
 
 def _stub_claim(monkeypatch, run, derives=False):
-    """Register a claim "stub" over S_2 .. S_5 that runs `run`, deriving w^{-1} if `derives`."""
+    """Register a claim "stub" over S_2 .. S_5 that runs `run`, deriving w^{-1} if `derives`.
+
+    Run it at the default max_n = 5: a deriving claim shards by `_perm_shards`.
+    """
     shards = [w for n in range(2, 6) for w in itertools.permutations(range(1, n + 1))]
-    claim = Claim("stub", "a stub claim", lambda c: shards, run, inverse_invariant=derives)
+    listed = verify._perm_shards if derives else lambda c: shards
+    claim = Claim("stub", "a stub claim", listed, run, inverse_invariant=derives)
     monkeypatch.setitem(CLAIMS, "stub", claim)
+    assert claim.shards(RunConfig()) == shards
     return [one_line(w) for w in shards]
+
+
+def test_a_deriving_claim_must_list_every_inverse():
+    # Over the one shard 312 a deriving claim would write `holds` for it, its
+    # partner 231 never run; only the shards of S_2 .. S_max_n are closed under w^-1.
+    def run(w, config):
+        return ["never holds"]
+
+    with pytest.raises(ValueError, match="^inverse-invariant claim stub must shard by _perm_shards$"):
+        Claim("stub", "a stub claim", lambda c: [(3, 1, 2)], run, inverse_invariant=True)
 
 
 @pytest.fixture

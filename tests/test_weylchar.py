@@ -47,6 +47,23 @@ def test_y_determinant_against_permanent_expansion():
     assert got == sub(mul(y(1, 2), y(2, 4)), mul(y(1, 4), y(2, 2)))
 
 
+def test_y_determinant_is_the_leibniz_sum_on_every_minor_of_six():
+    # Every (rows, cols) pair of equal-size subsets of [6], one term per bijection.
+    subsets = [c for m in range(7) for c in itertools.combinations(range(1, 7), m)]
+    pairs = [(r, c) for r in subsets for c in subsets if len(r) == len(c)]
+    assert len(pairs) == 924
+    for rows, cols in pairs:
+        expected = {}
+        for sigma in itertools.permutations(range(len(rows))):
+            if all(rows[s] <= c for s, c in zip(sigma, cols)):
+                sign = (-1) ** sum(a > b for a, b in itertools.combinations(sigma, 2))
+                key = monomial_key(pair_index(rows[s], c) for s, c in zip(sigma, cols))
+                expected[key] = expected.get(key, 0) + sign
+        expected = {k: v for k, v in expected.items() if v}
+        assert _det(rows, cols) == expected, (rows, cols)
+        assert bool(expected) == all(r <= c for r, c in zip(rows, cols)), (rows, cols)
+
+
 def test_determinant_product_examples():
     D = Diagram.of(4, [(2, 2), (3, 2)])
     C = Diagram.of(4, [(1, 2), (3, 2)])
