@@ -22,7 +22,7 @@ def clear_caches() -> None:
     from . import diagrams, incexc, oracles, purple, schubert, weylchar
 
     for memo in (diagrams._column_dominated_sets, purple._purple_sets,
-                 schubert._schubert, schubert._spec, weylchar._det, weylchar._chi_by_rank,
+                 schubert._schubert, schubert._spec, weylchar._det,
                  incexc._alternating, incexc._chain_sums, incexc._polynomials,
                  oracles._mask_positions, oracles._cw_recursive):
         memo.cache_clear()

@@ -101,6 +101,11 @@ def _chain_sums(values: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return chain_sums(values)
 
 
+# The one empty polynomial of every table: most entries of a table are empty,
+# and no caller changes an entry, so they share it.
+_EMPTY: dict[int, int] = {}
+
+
 def alternating_polynomials(values: tuple[int, ...]) -> list[dict[int, int]]:
     """The alternating sum A(w, u) for every subword u of word(w), indexed by mask (not memoized).
 
@@ -116,7 +121,7 @@ def alternating_polynomials(values: tuple[int, ...]) -> list[dict[int, int]]:
     S_w - M_i * S_pi(x_1, ..., skip x_{i+1}, ..., x_n).
     """
     n = len(values)
-    g: list[dict[int, int]] = [{}] * (1 << n)
+    g: list[dict[int, int]] = [_EMPTY] * (1 << n)
     g[-1] = schubert_polynomial(values)
     for i in reversed(range(n)):
         lo, bit, k = (1 << i) - 1, 1 << i, i + 1
@@ -133,7 +138,7 @@ def alternating_polynomials(values: tuple[int, ...]) -> list[dict[int, int]]:
                     terms[key] = c
                 else:
                     del terms[key]
-            rows.append(terms)
+            rows.append(terms or _EMPTY)
         g[lo :: 2 * bit] = rows
     return g
 

@@ -9,14 +9,14 @@ the span of the products whose diagrams have row monomial m.
 y_{ij} is the variable polyx.pair_index(i, j) of the shared engine; a
 determinant is its Leibniz sum, built in one forward pass over its columns.
 
-`chi` factors the computation over columns.  Its oracle, in `oracles`,
-enumerates whole dominated diagrams and multiplies their determinant
-products (`chi_coefficient`, `determinant_product`).
+`chi` factors the computation over columns, in one forward pass over
+them.  Its oracle, in `oracles`, enumerates whole dominated diagrams and
+multiplies their determinant products (`chi_coefficient`,
+`determinant_product`).
 """
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .diagrams import Diagram, _column_dominated_sets, count_dominated
 from .errors import BudgetExceededError
@@ -66,35 +66,28 @@ def _span_rank(polys: list[dict[int, int]]) -> int:
 
 
 def chi(D: Diagram, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
-    """The full dual character; refuses when the dominated count is too big.
+    """The full dual character: one span rank per row monomial.
 
-    Memoized on the multiset of D's nonempty columns (see `_chi_by_rank`).
-    The budget is checked before the lookup, so a memo hit never skips a
-    refusal.
+    Refuses when D has more dominated diagrams than `budget`.  A dominated
+    diagram is one choice of a dominated set per column, and its row
+    monomial and determinant product are products over columns of factors
+    that depend only on the pair (C_j, D_j).  So permuting D's columns or
+    dropping an empty one is a bijection of dominated diagrams that keeps
+    every monomial and product, hence every span rank: the pass takes the
+    nonempty columns in sorted order.  It extends each (row key, product)
+    pair by every dominated set of the next column, so each prefix product
+    is built once, and no `Diagram` is built.
     """
     total = count_dominated(D)
     if total > budget:
         raise BudgetExceededError(f"{total} dominated diagrams exceed budget {budget}")
-    return _chi_by_rank(tuple(sorted(c for c in D.columns if c)))
-
-
-@functools.cache  # keyed by the sorted tuple of a diagram's nonempty columns
-def _chi_by_rank(columns: tuple[tuple[int, ...], ...]) -> dict[int, int]:
-    """The dual character of a diagram with these nonempty columns, one span rank per row monomial.
-
-    Enumeration, the row monomial and the determinant product all factor
-    over columns, each factor depending only on the pair (C_j, D_j), so
-    permuting D's columns or dropping an empty one is a bijection of
-    dominated diagrams that keeps every monomial and product, hence every
-    span rank.  A dominated diagram is one choice of a dominated set per
-    column; no `Diagram` is built.
-    """
+    pairs = [(0, {0: 1})]
+    for d in sorted(c for c in D.columns if c):
+        column = [(monomial_key(c), _det(c, d)) for c in _column_dominated_sets(d)]
+        pairs = [(key + k, mul(product, det)) for key, product in pairs for k, det in column]
     groups: dict[int, list[dict[int, int]]] = {}
-    for choice in itertools.product(*map(_column_dominated_sets, columns)):
-        product = {0: 1}
-        for c, d in zip(choice, columns):
-            product = mul(product, _det(c, d))
-        groups.setdefault(monomial_key(i for c in choice for i in c), []).append(product)
+    for key, product in pairs:
+        groups.setdefault(key, []).append(product)
     terms: dict[int, int] = {}
     for key, polys in groups.items():
         coef = _span_rank(polys)

@@ -417,10 +417,18 @@ def test_thm4_1_builds_one_purple_family_per_pair(monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def test_thm4_1_makes_no_rank_computation():
+def test_thm4_1_makes_no_rank_computation(monkeypatch):
     # S_pi skipping x_k comes from the transition route; the rank route is an oracle.
+    calls = []
+    span_rank = weylchar._span_rank
+
+    def counted(polys):
+        calls.append(polys)
+        return span_rank(polys)
+
+    monkeypatch.setattr(weylchar, "_span_rank", counted)
     assert exit_code(run_claim("thm4.1", RunConfig(max_n=5))) == 0
-    assert weylchar._chi_by_rank.cache_info().misses == 0
+    assert calls == []
     assert weylchar._det.cache_info().misses == 0
 
 
@@ -730,7 +738,7 @@ def test_clear_caches_reaches_every_memo():
     oracles.cw_recursive((1, 4, 3, 2))
     oracles.subword_patterns((2, 1))
     memos = _memos()
-    assert len(memos) == 11
+    assert len(memos) == 10
     assert all(memo.cache_info().currsize for memo in memos)
     schubpat.clear_caches()
     assert [memo for memo in memos if memo.cache_info().currsize] == []
@@ -759,7 +767,7 @@ def test_no_claim_changes_a_memo_entry():
     schubpat.clear_caches()
     memos = (
         schubert._schubert, incexc._polynomials, incexc._chain_sums, incexc._alternating,
-        weylchar._det, weylchar._chi_by_rank,
+        weylchar._det,
     )
 
     def reports():
@@ -772,12 +780,20 @@ def test_no_claim_changes_a_memo_entry():
     assert [_memo_entries(memo) for memo in memos] == before
 
 
+def test_thm1_1_tables_share_one_empty_polynomial():
+    # Most entries of a table are empty; they are one dict, not a dict each.
+    schubpat.clear_caches()
+    assert exit_code(list(run_claim("thm1.1", RunConfig(max_n=6)))) == 0
+    tables = _memo_entries(incexc._polynomials).values()
+    assert len({id(entry) for table in tables for entry in table if not entry}) == 1
+
+
 def test_every_production_memo_hits_on_the_claims():
     # A memo that never hits only costs memory; the oracle memos serve tests, not claims.
     schubpat.clear_caches()
     for name in CLAIMS:
         list(run_claim(name, RunConfig(max_n=5)))
     memos = [memo for memo in _memos() if memo.__module__ != "schubpat.oracles"]
-    assert len(memos) == 9
+    assert len(memos) == 8
     assert [memo.__qualname__ for memo in memos if not memo.cache_info().hits] == []
 
